@@ -1,12 +1,11 @@
 // E3 "Statechart execution": events/sec vs hierarchy depth and orthogonal
-// region count, plus the flat-vs-hierarchical dispatch comparison.
+// region count, plus the interpreter-vs-plan-table comparison (E16).
 // Expected shape: hierarchical dispatch cost grows with depth and with the
-// active-configuration size; the flattened table dispatches in ~O(1), so
-// the gap widens with depth (the crossover argument for RTL generation).
+// active-configuration size; the compiled plan tables dispatch in ~O(1) in
+// the depth, so the gap widens with depth.
 #include <benchmark/benchmark.h>
 
 #include "statechart/compile.hpp"
-#include "statechart/flatten.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/synthetic.hpp"
 
@@ -27,20 +26,6 @@ void BM_DispatchChain(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_DispatchChain)->Arg(2)->Arg(16)->Arg(128);
-
-void BM_DispatchNestedDepth(benchmark::State& state) {
-  auto machine = make_nested_machine(static_cast<std::size_t>(state.range(0)), 4);
-  StateMachineInstance instance(*machine);
-  instance.set_trace_enabled(false);
-  instance.start();
-  for (auto _ : state) {
-    instance.dispatch({"step"});
-  }
-  state.counters["depth"] = static_cast<double>(state.range(0));
-  state.counters["events/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_DispatchNestedDepth)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_DispatchOrthogonalRegions(benchmark::State& state) {
   auto machine = make_orthogonal_machine(static_cast<std::size_t>(state.range(0)), 4);
@@ -71,7 +56,7 @@ void BM_StatechartDispatch(benchmark::State& state) {
   state.counters["events/s"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_StatechartDispatch)->Arg(4)->Arg(8);
+BENCHMARK(BM_StatechartDispatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_CompiledDispatch(benchmark::State& state) {
   auto machine = make_nested_machine(static_cast<std::size_t>(state.range(0)), 4);
@@ -101,34 +86,6 @@ void BM_CompileCost(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompileCost)->Arg(2)->Arg(8);
-
-void BM_FlatDispatchNestedDepth(benchmark::State& state) {
-  auto machine = make_nested_machine(static_cast<std::size_t>(state.range(0)), 4);
-  support::DiagnosticSink sink;
-  auto flat = flatten(*machine, sink);
-  if (!flat.has_value()) {
-    state.SkipWithError("flatten failed");
-    return;
-  }
-  FlatExecutor executor(*flat);
-  for (auto _ : state) {
-    executor.dispatch({"step"});
-  }
-  state.counters["depth"] = static_cast<double>(state.range(0));
-  state.counters["events/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FlatDispatchNestedDepth)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_FlattenCost(benchmark::State& state) {
-  auto machine = make_nested_machine(static_cast<std::size_t>(state.range(0)), 4);
-  for (auto _ : state) {
-    support::DiagnosticSink sink;
-    auto flat = flatten(*machine, sink);
-    benchmark::DoNotOptimize(flat);
-  }
-}
-BENCHMARK(BM_FlattenCost)->Arg(2)->Arg(8);
 
 void BM_HistoryRestoration(benchmark::State& state) {
   // pause/resume cycle through a deep-history pseudostate.

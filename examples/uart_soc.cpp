@@ -53,17 +53,12 @@
 // With --check-properties the binary instead runs the explicit-state
 // verification engine on the driver-supervision statecharts: a seeded
 // notification bug is found by exhaustive exploration, its counterexample
-// is replayed through the real interpreter under the replay verifier and
+// is replayed through the compiled engines under the replay verifier and
 // rendered as a PlantUML sequence diagram, and the fixed model verifies
 // clean. `--check-properties=buggy` exits nonzero exactly when the bug is
 // caught end-to-end; `--check-properties=fixed` exits zero exactly when
 // the fixed model is exhaustively verified — CI runs both as the
 // verification smoke test.
-//
-// --engine=compiled|interpreted picks the statechart engine both modes run
-// on: the AOT-compiled plan-table stepper (default) or the reference
-// interpreter. Snapshots are engine-interchangeable, so the soak's
-// checkpoint/restore/replay pipeline is exercised end-to-end either way.
 //
 // --isolation=thread|process picks how the fleet shards seeds: worker
 // threads (default) or supervised worker processes. Process isolation
@@ -84,7 +79,6 @@
 //   $ ./example_uart_soc --chaos-soak=256 --jobs=$(nproc)
 //   $ ./example_uart_soc --chaos-soak=64 --isolation=process --kill-workers=2
 //   $ ./example_uart_soc --chaos-soak=64 --fault-templates=4
-//   $ ./example_uart_soc --chaos-soak=4 --engine=interpreted
 //   $ ./example_uart_soc --check-properties
 #include <chrono>
 #include <cstdio>
@@ -94,6 +88,7 @@
 #include <fstream>
 #include <memory>
 #include <random>
+#include <stdexcept>
 
 #include "codegen/hwmodel.hpp"
 #include "fleet/driver.hpp"
@@ -121,49 +116,15 @@ using namespace umlsoc;
 
 namespace {
 
-// --- Engine selection (--engine=compiled|interpreted) -------------------------
-//
-// Picks the statechart engine for the chaos-soak and --check-properties
-// demos: the AOT-compiled plan-table stepper (the default, matching the
-// verifier's and the sim kernel's hot paths) or the reference interpreter.
-// A machine the compiler rejects falls back to the interpreter either way.
-enum class EngineChoice : std::uint8_t { kCompiled, kInterpreted };
-EngineChoice g_engine_choice = EngineChoice::kCompiled;
-
-/// Owns whichever engine the --engine flag selected and hands out the
-/// common statechart::Engine surface (snapshots stay interchangeable, so
-/// checkpoint/restore and the replay verifier are engine-agnostic).
-class EngineBox {
- public:
-  explicit EngineBox(const statechart::StateMachine& machine) {
-    if (g_engine_choice == EngineChoice::kCompiled) {
-      support::DiagnosticSink sink;
-      compiled_ = statechart::compile(machine, sink);
-    }
-    if (compiled_ == nullptr) {
-      interpreted_ = std::make_unique<statechart::StateMachineInstance>(machine);
-    }
-  }
-
-  [[nodiscard]] statechart::Engine& engine() {
-    return compiled_ != nullptr ? static_cast<statechart::Engine&>(*compiled_)
-                                : *interpreted_;
-  }
-  [[nodiscard]] const statechart::Engine& engine() const {
-    return compiled_ != nullptr ? static_cast<const statechart::Engine&>(*compiled_)
-                                : *interpreted_;
-  }
-  statechart::Engine* operator->() { return &engine(); }
-  const statechart::Engine* operator->() const { return &engine(); }
-  [[nodiscard]] bool compiled() const { return compiled_ != nullptr; }
-
- private:
-  std::unique_ptr<statechart::CompiledMachine> compiled_;
-  std::unique_ptr<statechart::StateMachineInstance> interpreted_;
-};
-
-const char* engine_label() {
-  return g_engine_choice == EngineChoice::kCompiled ? "compiled" : "interpreted";
+/// Compiles one of the example's statecharts onto the plan-table engine
+/// that both modes run on. The models are fixed and valid, so a rejection
+/// is a programming error.
+std::unique_ptr<statechart::CompiledMachine> compile_machine(
+    const statechart::StateMachine& machine) {
+  support::DiagnosticSink sink;
+  std::unique_ptr<statechart::CompiledMachine> compiled = statechart::compile(machine, sink);
+  if (compiled == nullptr) throw std::invalid_argument(sink.str());
+  return compiled;
 }
 
 /// Snapshot bank over a BusMasterPort's retry counters; both the replay rig
@@ -360,7 +321,7 @@ struct DegradedRig {
   sim::HealthRegistry health;
   sim::HealthRegistry::UnitId dma_unit = sim::HealthRegistry::kInvalidUnit;
   sim::HealthRegistry::UnitId link_unit = sim::HealthRegistry::kInvalidUnit;
-  EngineBox link;
+  std::unique_ptr<statechart::CompiledMachine> link;
   sim::Supervisor sup;
   sim::Watchdog watchdog;
   sim::EventRecorder recorder;
@@ -409,7 +370,7 @@ struct DegradedRig {
         dma_port(kernel, bus, "dma", port_policy()),
         pio_port(kernel, bus, "pio", port_policy()),
         breaker(kernel, dma_port, "dma", breaker_config()),
-        link(link_machine),
+        link(compile_machine(link_machine)),
         sup(kernel, "soc", sim::RestartStrategy::kOneForOne, sup_policy()),
         watchdog(kernel, "link-dog", sim::SimTime::us(50)),
         base(base_address) {
@@ -424,7 +385,7 @@ struct DegradedRig {
     link->start();
     // The known-good restart point: the just-started link. Supervisor
     // restarts warm-rewind to here.
-    link_restart = replay::restart_from_snapshot(link.engine(), sink);
+    link_restart = replay::restart_from_snapshot(*link, sink);
     dma_unit = health.register_unit("dma");
     link_unit = health.register_unit("uart-link");
     breaker.bind_health(&health, dma_unit);
@@ -479,7 +440,7 @@ struct DegradedRig {
     out.kernel = &kernel;
     out.fault_plan = &plan;
     out.recorder = &recorder;
-    out.machines.push_back({"link", &link.engine()});
+    out.machines.push_back({"link", link.get()});
     out.buses.push_back({"axi", &bus});
     out.watchdogs.push_back({"link-dog", &watchdog});
     out.supervisors.push_back({"soc", &sup});
@@ -1187,8 +1148,8 @@ int run_chaos_soak(const uml::Component& psm_uart, const soc::SocProfile& profil
   const unsigned jobs_used = fleet::FleetDriver::resolve_jobs(options.jobs);
   std::printf("chaos soak: %d seeds across %u fleet worker(s), %u fault template(s), "
               "seeded error/drop traffic faults, 20%%/20%%/20%% torn/lost/bit-flipped "
-              "checkpoints, mid-run crash + coordinator recovery, %s link engine\n",
-              seed_count, jobs_used, options.fault_templates, engine_label());
+              "checkpoints, mid-run crash + coordinator recovery\n",
+              seed_count, jobs_used, options.fault_templates);
   if (options.isolation == fleet::Isolation::kProcess) {
     std::printf("  process isolation: supervised worker pool, heartbeat deadline 5s, "
                 "seed watchdog %us%s\n",
@@ -1363,17 +1324,17 @@ void build_check_models(CheckModels& models, bool seeded_bug) {
 int run_check_variant(bool seeded_bug, support::DiagnosticSink& sink) {
   CheckModels models;
   build_check_models(models, seeded_bug);
-  EngineBox driver(models.driver);
-  EngineBox monitor(models.monitor);
-  models.monitor_instance = &monitor.engine();
+  const std::unique_ptr<statechart::CompiledMachine> driver = compile_machine(models.driver);
+  const std::unique_ptr<statechart::CompiledMachine> monitor = compile_machine(models.monitor);
+  models.monitor_instance = monitor.get();
   driver->set_trace_enabled(false);
   monitor->set_trace_enabled(false);
   driver->start();
   monitor->start();
 
   verify::Network network;
-  network.add_instance("Driver", driver.engine());
-  network.add_instance("Monitor", monitor.engine());
+  network.add_instance("Driver", *driver);
+  network.add_instance("Monitor", *monitor);
   network.add_choice("Driver", statechart::Event("bus_timeout"), /*is_error=*/true);
   network.add_choice("Driver", statechart::Event("bus_failed"), /*is_error=*/true);
   network.add_choice("Driver", statechart::Event("bus_recovered"));
@@ -1396,9 +1357,6 @@ int run_check_variant(bool seeded_bug, support::DiagnosticSink& sink) {
       [](const verify::PropertyContext&) { return false; }));
 
   const char* variant = seeded_bug ? "seeded-bug" : "fixed";
-  std::printf("[%s] engines: driver=%s monitor=%s\n", variant,
-              driver.compiled() ? "compiled" : "interpreted",
-              monitor.compiled() ? "compiled" : "interpreted");
   verify::ExploreResult result = verify::explore(network, properties, {}, &sink);
   std::printf("[%s] exploration: %s; %s\n", variant,
               std::string(verify::to_string(result.termination)).c_str(),
@@ -1533,9 +1491,8 @@ bool build_model_bundle(ModelBundle& bundle, bool verbose,
 int main(int argc, char** argv) {
   int soak_seeds = 0;
   SoakOptions soak;  // Serial threads by default; --jobs=0 = one per core.
-  // --engine and the soak knobs apply to whichever mode runs, so resolve
-  // them before the mode flags (which dispatch immediately) regardless of
-  // argument order.
+  // The soak knobs are resolved before the mode flags (which dispatch
+  // immediately) regardless of argument order.
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
       char* end = nullptr;
@@ -1592,20 +1549,9 @@ int main(int argc, char** argv) {
       soak.fault_templates = static_cast<std::uint32_t>(value);
       continue;
     }
-    if (std::strncmp(argv[i], "--engine=", 9) != 0) continue;
-    const char* choice = argv[i] + 9;
-    if (std::strcmp(choice, "compiled") == 0) {
-      g_engine_choice = EngineChoice::kCompiled;
-    } else if (std::strcmp(choice, "interpreted") == 0) {
-      g_engine_choice = EngineChoice::kInterpreted;
-    } else {
-      std::fprintf(stderr, "unknown engine '%s' (use compiled|interpreted)\n", choice);
-      return 2;
-    }
   }
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--engine=", 9) == 0 ||
-        std::strncmp(argv[i], "--jobs=", 7) == 0 ||
+    if (std::strncmp(argv[i], "--jobs=", 7) == 0 ||
         std::strncmp(argv[i], "--isolation=", 12) == 0 ||
         std::strncmp(argv[i], "--worker-timeout=", 17) == 0 ||
         std::strncmp(argv[i], "--kill-workers=", 15) == 0 ||

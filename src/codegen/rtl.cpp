@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <set>
+#include <map>
+#include <memory>
+#include <unordered_map>
+#include <unordered_set>
 
-#include "statechart/flatten.hpp"
+#include "statechart/compile.hpp"
 #include "support/strings.hpp"
 
 namespace umlsoc::codegen {
@@ -72,6 +75,31 @@ std::vector<RegisterInfo> collect_registers(const uml::Class& module,
   std::sort(registers.begin(), registers.end(),
             [](const RegisterInfo& a, const RegisterInfo& b) { return a.address < b.address; });
   return registers;
+}
+
+/// Localparam name and description of one configuration, built from its
+/// active leaves in document order: states with no active descendant, and
+/// final states. A single-leaf configuration is S_<qualified leaf>; the
+/// empty configuration (after terminate) is S_terminated.
+std::pair<std::string, std::string> configuration_encoding(
+    const std::vector<const statechart::Vertex*>& vertices, std::vector<std::uint32_t> members) {
+  std::sort(members.begin(), members.end());
+  std::unordered_set<const statechart::Vertex*> inner;
+  for (const std::uint32_t member : members) {
+    for (const statechart::State* ancestor = vertices[member]->containing_state();
+         ancestor != nullptr; ancestor = ancestor->containing_state()) {
+      inner.insert(ancestor);
+    }
+  }
+  std::vector<std::string> identifiers;
+  std::vector<std::string> names;
+  for (const std::uint32_t member : members) {
+    if (inner.contains(vertices[member])) continue;
+    identifiers.push_back(support::to_snake_case(vertices[member]->qualified_name()));
+    names.push_back(vertices[member]->qualified_name());
+  }
+  if (names.empty()) return {"S_terminated", "(terminated)"};
+  return {"S_" + support::join(identifiers, "__"), support::join(names, " + ")};
 }
 
 }  // namespace
@@ -158,65 +186,122 @@ std::string generate_rtl_module(const uml::Class& module, const soc::SocProfile&
 
 std::string generate_rtl_fsm(const statechart::StateMachine& machine,
                              support::DiagnosticSink& sink) {
-  std::optional<statechart::FlatStateMachine> flat = statechart::flatten(machine, sink);
-  if (!flat.has_value()) return {};
+  using statechart::CompiledMachine;
+  std::unique_ptr<CompiledMachine> compiled = statechart::compile(machine, sink);
+  if (compiled == nullptr) return {};
+
+  // One case arm per (configuration, event) plan of the guards-open closure.
+  struct Arm {
+    std::uint32_t config = 0;
+    std::uint32_t event = 0;
+    std::uint32_t next = 0;
+    std::vector<const statechart::Transition*> fired;
+  };
+  std::vector<Arm> arms;
+  std::vector<std::uint32_t> configs;
+  std::string problem_subject;
+  std::string problem;  // First reason the closure has no static encoding.
+  const auto reject = [&](const std::string& subject, const std::string& message) {
+    if (!problem.empty()) return;
+    problem_subject = subject;
+    problem = message;
+  };
+  const bool complete = compiled->walk_guards_open_closure(
+      configs, [&](const CompiledMachine::ClosureEdge& edge) {
+        Arm arm{edge.config, edge.event, edge.next, {}};
+        for (const std::uint32_t index : *edge.fired) {
+          const CompiledMachine::Candidate& candidate = compiled->candidate_table()[index];
+          const statechart::Transition* transition =
+              compiled->transition_table()[candidate.transition].origin;
+          if (edge.event == 0) reject(transition->str(), "completion transitions have no input");
+          if (candidate.routed) {
+            reject(transition->str(), "routes through a choice/junction, so its next state "
+                                      "depends on run-time guards");
+          }
+          if (candidate.dynamic_entry) {
+            reject(transition->str(), "enters through history or a choice/junction, so its "
+                                      "next state depends on run-time memory or guards");
+          }
+          arm.fired.push_back(transition);
+        }
+        arms.push_back(std::move(arm));
+      });
+  if (configs.empty()) {
+    reject(machine.name(), "the default entry crosses history or a choice/junction");
+  } else if (!complete) {
+    reject(machine.name(), "the reachable configurations exceed the compiler's seed caps");
+  }
+  if (!problem.empty()) {
+    sink.error(problem_subject, "rtl: " + problem + "; no static state encoding");
+    return {};
+  }
+
+  // Identifiers: two model elements must never map to one Verilog name.
+  const std::size_t errors_before = sink.error_count();
+  std::map<std::string, std::string> inputs;  // Port -> trigger, port order.
+  std::vector<std::string> port_of(compiled->event_count());
+  for (std::uint32_t event = 1; event < compiled->event_count(); ++event) {
+    const std::string& trigger = compiled->event_name(event);
+    port_of[event] = "ev_" + support::to_snake_case(trigger);
+    const auto [it, inserted] = inputs.emplace(port_of[event], trigger);
+    if (!inserted) {
+      sink.error(machine.name(), "rtl: triggers '" + it->second + "' and '" + trigger +
+                                     "' both map to input " + port_of[event]);
+    }
+  }
+  const std::vector<const statechart::Vertex*> vertices = machine.all_vertices();
+  std::vector<std::size_t> position(compiled->configuration_count());  // Config id -> encoding.
+  std::unordered_map<std::string, std::string> encoded;  // Localparam -> states.
+  std::vector<std::string> encodings;
+  for (const std::uint32_t config : configs) {
+    position[config] = encodings.size();
+    const auto [encoding, states] =
+        configuration_encoding(vertices, compiled->configuration_members(config));
+    const auto [it, inserted] = encoded.emplace(encoding, states);
+    if (!inserted) {
+      sink.error(machine.name(), "rtl: states '" + it->second + "' and '" + states +
+                                     "' both map to localparam " + encoding);
+    }
+    encodings.push_back(encoding);
+  }
+  if (sink.error_count() != errors_before) return {};
 
   const std::string name = support::to_snake_case(machine.name()) + "_fsm";
-  const std::size_t state_count = flat->states.size();
   int state_bits = 1;
-  while ((1u << state_bits) < state_count) ++state_bits;
-
-  // Unique triggers, sorted for deterministic port order.
-  std::set<std::string> triggers;
-  for (const statechart::FlatTransition& row : flat->transitions) {
-    triggers.insert(row.trigger);
-  }
+  while ((std::size_t{1} << state_bits) < encodings.size()) ++state_bits;
 
   std::string out = "// Generated by umlsoc from state machine " + machine.name() + "\n";
   out += "module " + name + " (\n  input  wire clk,\n  input  wire rst_n";
-  for (const std::string& trigger : triggers) {
-    out += ",\n  input  wire ev_" + support::to_snake_case(trigger);
-  }
+  for (const auto& [port, trigger] : inputs) out += ",\n  input  wire " + port;
   out += ",\n  output reg  " + range_of(state_bits) + " state\n);\n\n";
-
-  // State encodings derived from leaf names.
-  std::vector<std::string> encodings;
-  for (std::size_t i = 0; i < state_count; ++i) {
-    std::string encoding = "S_" + support::to_snake_case(flat->state_names[i]);
-    std::replace(encoding.begin(), encoding.end(), '.', '_');
-    encodings.push_back(encoding);
-    out += "  localparam " + encoding + " = " + std::to_string(state_bits) + "'d" +
+  for (std::size_t i = 0; i < encodings.size(); ++i) {
+    out += "  localparam " + encodings[i] + " = " + std::to_string(state_bits) + "'d" +
            std::to_string(i) + ";\n";
   }
 
   out += "\n  always @(posedge clk or negedge rst_n) begin\n";
-  out += "    if (!rst_n) begin\n      state <= " + encodings[flat->initial_state] +
+  out += "    if (!rst_n) begin\n      state <= " + encodings.front() +
          ";\n    end else begin\n      case (state)\n";
-  for (std::size_t i = 0; i < state_count; ++i) {
-    // Rows from this state, preserving priority order per trigger.
-    std::vector<const statechart::FlatTransition*> rows;
-    for (const statechart::FlatTransition& row : flat->transitions) {
-      if (row.from == i) rows.push_back(&row);
+  // The walk visits every event of one configuration before the next, so
+  // each configuration's arms are contiguous.
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    const Arm& arm = arms[i];
+    const bool first = i == 0 || arms[i - 1].config != arm.config;
+    if (first) out += "        " + encodings[position[arm.config]] + ": begin\n";
+    out += (first ? "          if (" : "          else if (") + port_of[arm.event] + ")";
+    std::vector<std::string> guards;
+    std::vector<std::string> effects;
+    for (const statechart::Transition* transition : arm.fired) {
+      if (!transition->guard().text.empty()) guards.push_back("[" + transition->guard().text + "]");
+      if (!transition->effect().text.empty()) effects.push_back(transition->effect().text);
     }
-    if (rows.empty()) continue;
-    out += "        " + encodings[i] + ": begin\n";
-    bool first = true;
-    for (const statechart::FlatTransition* row : rows) {
-      out += first ? "          if (ev_" : "          else if (ev_";
-      out += support::to_snake_case(row->trigger) + ")";
-      if (!row->origin->guard().text.empty()) {
-        out += " /* [" + row->origin->guard().text + "] */";
-      }
-      out += " state <= " + encodings[row->to] + ";";
-      if (!row->origin->effect().text.empty()) {
-        out += "  // effect: " + row->origin->effect().text;
-      }
-      out += "\n";
-      first = false;
-    }
-    out += "        end\n";
+    if (!guards.empty()) out += " /* " + support::join(guards, " ") + " */";
+    out += " state <= " + encodings[position[arm.next]] + ";";
+    if (!effects.empty()) out += "  // effect: " + support::join(effects, "; ");
+    out += "\n";
+    if (i + 1 == arms.size() || arms[i + 1].config != arm.config) out += "        end\n";
   }
-  out += "        default: state <= " + encodings[flat->initial_state] + ";\n";
+  out += "        default: state <= " + encodings.front() + ";\n";
   out += "      endcase\n    end\n  end\nendmodule\n";
   return out;
 }

@@ -2,7 +2,8 @@
 // the step the paper calls out as undemonstrated: "the application of such
 // code generation for hardware descriptions still needs to be demonstrated"
 // (§3). Generates synthesizable-style register files from «HwModule»
-// components and Moore FSMs from flattened state machines.
+// components and Moore FSMs from the statechart compiler's plan tables
+// (statechart/compile.hpp), the same lowering the runtime executes.
 #pragma once
 
 #include <string>
@@ -27,9 +28,19 @@ struct RtlOptions {
                                               support::DiagnosticSink& sink,
                                               const RtlOptions& options = {});
 
-/// Emits a Moore FSM module from a flattenable state machine: one input
-/// wire per trigger, a state register, and a case-based transition block.
-/// Guards/effects appear as comments (they are not synthesizable as text).
+/// Emits a Moore FSM module from the compiled plan tables: one input wire
+/// per trigger, a state register, and a case-based transition block. The
+/// state encoding is the guards-open closure of the plan tables: one
+/// localparam per reachable configuration (named from its active leaves,
+/// so orthogonal regions, final states and terminate are encoded), one
+/// case arm per (configuration, event) plan whose next state is the
+/// successor when every guard passes. Guards/effects of the fired
+/// transitions appear as comments (they are not synthesizable as text);
+/// events are not queued, so deferral has no hardware counterpart.
+/// Rejects (error + empty result) machines whose closure holds a history
+/// or choice/junction plan, a completion transition, or exceeds the
+/// compiler's seed caps, and two model elements that map to one Verilog
+/// identifier.
 [[nodiscard]] std::string generate_rtl_fsm(const statechart::StateMachine& machine,
                                            support::DiagnosticSink& sink);
 

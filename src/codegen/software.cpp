@@ -263,7 +263,7 @@ std::string generate_statechart_tables(const statechart::CompiledMachine& compil
   out += "  kClearFinal, kEffect, kEnterState, kEnterFinal, kTerminate };\n";
   out += "struct Step { Op op; std::uint32_t a; std::uint32_t b; };\n";
   out += "struct Candidate { std::uint32_t transition, claim_offset, first_step, step_count,\n";
-  out += "  entry_target, entry_scope; bool internal, has_guard, dynamic_entry; };\n";
+  out += "  entry_target, entry_scope; bool internal, has_guard, dynamic_entry, routed; };\n";
   out += "struct Plan { std::uint32_t config, event, first_candidate, candidate_count;\n";
   out += "  bool defer_if_unfired; };\n";
   out += "struct Transition { std::uint32_t source, target, domain; bool internal, completion; };\n\n";
@@ -315,7 +315,8 @@ std::string generate_statechart_tables(const statechart::CompiledMachine& compil
            std::to_string(candidate.entry_scope) + ", " +
            (candidate.internal ? "true" : "false") + ", " +
            (candidate.has_guard ? "true" : "false") + ", " +
-           (candidate.dynamic_entry ? "true" : "false") + "},\n";
+           (candidate.dynamic_entry ? "true" : "false") + ", " +
+           (candidate.routed ? "true" : "false") + "},\n";
   }
   out += "};\n\n";
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace umlsoc::codegen {
 
@@ -23,18 +24,11 @@ std::optional<sim::SimTime> parse_after_trigger(const std::string& text) {
 }
 
 TimedStateMachine::TimedStateMachine(const statechart::StateMachine& machine,
-                                     sim::Kernel& kernel, EngineMode mode)
+                                     sim::Kernel& kernel)
     : kernel_(kernel) {
-  if (mode == EngineMode::kAuto) {
-    support::DiagnosticSink compile_sink;  // Rejection = documented fallback.
-    compiled_ = statechart::compile(machine, compile_sink);
-  }
-  if (compiled_ != nullptr) {
-    engine_ = compiled_.get();
-  } else {
-    interpreted_ = std::make_unique<statechart::StateMachineInstance>(machine);
-    engine_ = interpreted_.get();
-  }
+  support::DiagnosticSink compile_sink;
+  engine_ = statechart::compile(machine, compile_sink);
+  if (engine_ == nullptr) throw std::invalid_argument(compile_sink.str());
   engine_->set_state_listener(
       [this](const statechart::State& state, bool entered) { on_state(state, entered); });
 }

@@ -12,7 +12,6 @@
 
 #include "sim/kernel.hpp"
 #include "statechart/compile.hpp"
-#include "statechart/interpreter.hpp"
 #include "support/diagnostics.hpp"
 
 namespace umlsoc::codegen {
@@ -23,25 +22,18 @@ namespace umlsoc::codegen {
 [[nodiscard]] std::optional<sim::SimTime> parse_after_trigger(const std::string& text);
 [[nodiscard]] bool looks_like_after_trigger(const std::string& text);
 
-/// Wraps a statechart engine and a sim::Kernel. after(state, delay,
-/// event) arms a timer whenever `state` is entered; if the state is still
-/// active (same activation) when the timer expires, `event` is dispatched.
-/// Leaving the state cancels the pending timer (by activation epoch).
-///
-/// Process activations run on the AOT-compiled plan-table engine when the
-/// machine compiles (EngineMode::kAuto, the default — timer dispatch is the
-/// sim kernel's hot path); unsupported machines, or kInterpreted, use the
-/// reference interpreter. Timer semantics are engine-independent: epochs
-/// key off the state-listener callbacks both engines emit identically.
+/// Wraps a compiled statechart engine and a sim::Kernel. after(state,
+/// delay, event) arms a timer whenever `state` is entered; if the state is
+/// still active (same activation) when the timer expires, `event` is
+/// dispatched. Leaving the state cancels the pending timer (by activation
+/// epoch). Process activations run on the AOT-compiled plan-table engine:
+/// timer dispatch is the sim kernel's hot path, and epochs key off the
+/// state-listener callbacks.
 class TimedStateMachine {
  public:
-  enum class EngineMode : std::uint8_t {
-    kAuto,         ///< Compiled when possible, interpreter otherwise.
-    kInterpreted,  ///< Always the reference interpreter.
-  };
-
-  TimedStateMachine(const statechart::StateMachine& machine, sim::Kernel& kernel,
-                    EngineMode mode = EngineMode::kAuto);
+  /// Throws std::invalid_argument carrying the compiler's diagnostic when
+  /// compile() rejects `machine` (a model validate() also rejects).
+  TimedStateMachine(const statechart::StateMachine& machine, sim::Kernel& kernel);
 
   /// Declares a time trigger: `delay` after entering `state_name`, dispatch
   /// Event{event_name}. Call before start().
@@ -60,8 +52,6 @@ class TimedStateMachine {
 
   [[nodiscard]] statechart::Engine& instance() { return *engine_; }
   [[nodiscard]] const statechart::Engine& instance() const { return *engine_; }
-  /// True when activations run on the compiled plan-table engine.
-  [[nodiscard]] bool compiled() const { return compiled_ != nullptr; }
   [[nodiscard]] std::uint64_t timeouts_fired() const { return timeouts_fired_; }
   [[nodiscard]] std::uint64_t timeouts_cancelled() const { return timeouts_cancelled_; }
 
@@ -80,9 +70,7 @@ class TimedStateMachine {
   void on_state(const statechart::State& state, bool entered);
   void on_timeout(const statechart::State& state, Timeout& timeout);
 
-  std::unique_ptr<statechart::CompiledMachine> compiled_;
-  std::unique_ptr<statechart::StateMachineInstance> interpreted_;
-  statechart::Engine* engine_ = nullptr;  ///< Whichever of the two is live.
+  std::unique_ptr<statechart::CompiledMachine> engine_;
   sim::Kernel& kernel_;
   std::multimap<std::string, Timeout> timeouts_;       // Keyed by state name.
   std::map<const statechart::State*, std::uint64_t> epochs_;

@@ -3,18 +3,23 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace umlsoc::statechart {
 
 namespace {
 
 constexpr std::uint32_t kNoConfig = 0xffffffffu;
+/// No vertex / no transition row (a route that resolves nowhere).
+constexpr std::uint32_t kNoIndex = 0xffffffffu;
 
 /// AOT seeding caps: the breadth-first closure stops here and leaves the
-/// remainder to lazy run-time extension (see seed_reachable_plans).
+/// remainder to lazy run-time extension (see walk_guards_open_closure).
 constexpr std::size_t kSeedMaxConfigs = 1024;
 constexpr std::size_t kSeedMaxPlans = 16384;
+
+/// Segment bound of a choice/junction route, matching the interpreter's
+/// resolve_path (a longer chain is reported as a cycle).
+constexpr int kMaxRouteHops = 64;
 
 std::uint64_t hash_words(const std::uint64_t* words, std::uint32_t count) {
   std::uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis.
@@ -131,16 +136,6 @@ void CompiledMachine::build_static_tables() {
 
 bool CompiledMachine::check_supported(support::DiagnosticSink& sink) const {
   bool ok = true;
-  for (const Vertex* vertex : vertex_list_) {
-    const VertexKind kind = vertex->vertex_kind();
-    if (kind == VertexKind::kChoice || kind == VertexKind::kJunction) {
-      sink.error(vertex->qualified_name(),
-                 "compile: " + std::string(to_string(kind)) +
-                     " pseudostates resolve guards dynamically and have no static plan; "
-                     "run this machine on the interpreter");
-      ok = false;
-    }
-  }
   for (const TransitionRow& row : tinfo_) {
     if (vinfo_[row.target].kind == VertexKind::kInitial) {
       sink.error(row.origin->str(), "compile: transition targets an initial pseudostate");
@@ -275,10 +270,15 @@ void CompiledMachine::sim_enter_single(EntrySim& sim, std::uint32_t state) {
 void CompiledMachine::sim_default_enter(EntrySim& sim, std::uint32_t region) {
   const Transition* transition = rinfo_[region].initial;
   if (transition == nullptr) return;  // Interpreter warns and enters nothing.
-  if (!transition->effect().empty()) {
-    sim.out->push_back(Step{Op::kEffect, transition_index_.at(transition), 0});
+  const std::uint32_t row = transition_index_.at(transition);
+  const VertexKind target_kind = vinfo_[tinfo_[row].target].kind;
+  if (target_kind == VertexKind::kChoice || target_kind == VertexKind::kJunction) {
+    // The branch taken depends on guards at entry time: generic walk.
+    sim.dynamic = true;
+    return;
   }
-  sim_enter_target(sim, tinfo_[transition_index_.at(transition)].target, region);
+  if (!transition->effect().empty()) sim.out->push_back(Step{Op::kEffect, row, 0});
+  sim_enter_target(sim, tinfo_[row].target, region);
 }
 
 void CompiledMachine::sim_enter_target(EntrySim& sim, std::uint32_t vertex, std::uint32_t scope) {
@@ -316,7 +316,9 @@ void CompiledMachine::sim_enter_target(EntrySim& sim, std::uint32_t vertex, std:
     case VertexKind::kInitial:
     case VertexKind::kChoice:
     case VertexKind::kJunction:
-      break;  // Rejected by check_supported.
+      // Never a final target: check_supported rejects transitions into an
+      // initial pseudostate and routes resolve through choice/junction.
+      break;
   }
 
   --sim.depth;
@@ -332,9 +334,11 @@ void CompiledMachine::sim_enter_target(EntrySim& sim, std::uint32_t vertex, std:
 
 // --- Plan building ------------------------------------------------------------------
 
-void CompiledMachine::build_fire_program(std::uint32_t config, std::uint32_t transition,
+void CompiledMachine::build_fire_program(std::uint32_t config, std::uint32_t source,
+                                         std::uint32_t target,
+                                         std::span<const std::uint32_t> segments,
                                          Candidate& candidate) {
-  const TransitionRow& row = tinfo_[transition];
+  const std::uint32_t domain = domain_of(source, target);
   const ConfigRec rec = configs_[config];
   const std::uint64_t* config_bits = &config_bits_pool_[rec.bits_offset];
   candidate.first_step = static_cast<std::uint32_t>(steps_.size());
@@ -345,7 +349,7 @@ void CompiledMachine::build_fire_program(std::uint32_t config, std::uint32_t tra
   std::vector<std::uint32_t> exits;
   for (std::uint32_t i = 0; i < rec.state_count; ++i) {
     const std::uint32_t state = config_member_pool_[rec.members_offset + i];
-    if (vertex_within_region(state, row.domain)) exits.push_back(state);
+    if (vertex_within_region(state, domain)) exits.push_back(state);
   }
   std::stable_sort(exits.begin(), exits.end(), [this](std::uint32_t a, std::uint32_t b) {
     return vinfo_[a].depth > vinfo_[b].depth;
@@ -402,13 +406,15 @@ void CompiledMachine::build_fire_program(std::uint32_t config, std::uint32_t tra
   for (std::uint32_t i = 0; i < rec.final_count; ++i) {
     const std::uint32_t final_index =
         config_member_pool_[rec.members_offset + rec.state_count + i];
-    if (vertex_within_region(final_index, row.domain)) {
+    if (vertex_within_region(final_index, domain)) {
       cleared_finals.push_back(final_index);
       steps_.push_back(Step{Op::kClearFinal, final_index, 0});
     }
   }
 
-  if (!row.origin->effect().empty()) steps_.push_back(Step{Op::kEffect, transition, 0});
+  for (const std::uint32_t segment : segments) {
+    if (!tinfo_[segment].origin->effect().empty()) steps_.push_back(Step{Op::kEffect, segment, 0});
+  }
 
   // Entry phase, linearized against the post-exit configuration.
   EntrySim sim;
@@ -417,12 +423,12 @@ void CompiledMachine::build_fire_program(std::uint32_t config, std::uint32_t tra
   for (const std::uint32_t final_index : cleared_finals) clear_bit(sim.bits, final_index);
   sim.out = &steps_;
   const std::size_t exit_end = steps_.size();
-  sim_enter_target(sim, row.target, row.domain);
+  sim_enter_target(sim, target, domain);
   if (sim.dynamic) {
     steps_.resize(exit_end);
     candidate.dynamic_entry = true;
-    candidate.entry_target = row.target;
-    candidate.entry_scope = row.domain;
+    candidate.entry_target = target;
+    candidate.entry_scope = domain;
   }
   candidate.step_count = static_cast<std::uint32_t>(steps_.size()) - candidate.first_step;
 }
@@ -489,7 +495,12 @@ std::uint32_t CompiledMachine::build_plan(std::uint32_t config, std::uint32_t ev
           claim[state >> 6] |= std::uint64_t{1} << (state & 63);
         }
       }
-      if (!row.internal) build_fire_program(config, transition, candidate);
+      const VertexKind target_kind = vinfo_[row.target].kind;
+      if (target_kind == VertexKind::kChoice || target_kind == VertexKind::kJunction) {
+        candidate.routed = true;  // Program built per resolved path at run time.
+      } else if (!row.internal) {
+        build_fire_program(config, row.source, row.target, {&transition, 1}, candidate);
+      }
       candidates_.push_back(candidate);
     }
   }
@@ -560,65 +571,75 @@ void apply_steps_to_bits(const std::vector<CompiledMachine::Step>& steps, std::u
 
 }  // namespace
 
-void CompiledMachine::seed_reachable_plans() {
-  if (start_dynamic_) return;  // History on the default path: lazy only.
+std::uint32_t CompiledMachine::guards_open_successor(std::uint32_t config, std::uint32_t event_id,
+                                                     std::vector<std::uint32_t>& fired,
+                                                     std::vector<std::uint64_t>& scratch) {
+  const Plan plan = plans_[plan_for(config, event_id)];
+  // Greedy selection as at run time with every guard open: `scratch`
+  // holds the claimed states.
+  fired.clear();
+  std::fill(scratch.begin(), scratch.end(), 0);
+  bool dynamic = false;
+  for (std::uint32_t i = 0; i < plan.candidate_count; ++i) {
+    const Candidate& candidate = candidates_[plan.first_candidate + i];
+    const std::uint64_t* claim = &claim_pool_[candidate.claim_offset];
+    bool conflict = false;
+    for (std::uint32_t w = 0; w < words_ && !conflict; ++w) conflict = (claim[w] & scratch[w]) != 0;
+    if (conflict) continue;
+    for (std::uint32_t w = 0; w < words_; ++w) scratch[w] |= claim[w];
+    fired.push_back(plan.first_candidate + i);
+    dynamic = dynamic || candidate.dynamic_entry || candidate.routed;
+  }
+  if (fired.empty()) return kNoConfig;
+  if (dynamic) return kDynamicConfig;
+  // Conflict-free candidates touch disjoint states, so their programs
+  // apply one after another to the step-start configuration.
+  const std::uint64_t* config_bits = &config_bits_pool_[configs_[config].bits_offset];
+  std::copy(config_bits, config_bits + words_, scratch.begin());
+  for (const std::uint32_t index : fired) {
+    const Candidate& candidate = candidates_[index];
+    if (!candidate.internal) {
+      apply_steps_to_bits(steps_, candidate.first_step, candidate.step_count, scratch);
+    }
+  }
+  return intern_config(scratch.data());
+}
 
-  // Intern every trigger up front; the seed alphabet is then every known
-  // event id (0 is completion).
+bool CompiledMachine::walk_guards_open_closure(
+    std::vector<std::uint32_t>& configs, const std::function<void(const ClosureEdge&)>& visit) {
+  if (start_dynamic_) return false;
+
+  // Intern every trigger up front; the alphabet is then every known event
+  // id (0 is completion).
   for (const TransitionRow& row : tinfo_) {
     if (!row.completion) (void)intern_event(row.origin->trigger());
   }
   const std::uint32_t alphabet_size = static_cast<std::uint32_t>(event_names_.size());
 
-  std::vector<std::uint64_t> start_bits(words_, 0);
-  apply_steps_to_bits(steps_, start_first_step_, start_step_count_, start_bits);
-  const std::uint32_t start_config = intern_config(start_bits.data());
+  std::vector<std::uint64_t> scratch(words_, 0);
+  apply_steps_to_bits(steps_, start_first_step_, start_step_count_, scratch);
+  const std::size_t first = configs.size();
+  configs.push_back(intern_config(scratch.data()));
+  std::vector<std::uint8_t> seen(configs_.size(), 0);
+  seen[configs.back()] = 1;
+  std::vector<std::uint32_t> fired;
 
-  std::deque<std::uint32_t> worklist{start_config};
-  std::unordered_set<std::uint32_t> seen{start_config};
-  std::vector<std::uint64_t> claimed(words_);
-  std::vector<std::uint64_t> successor(words_);
-
-  while (!worklist.empty()) {
-    if (plans_.size() >= kSeedMaxPlans || configs_.size() >= kSeedMaxConfigs) break;
-    const std::uint32_t config = worklist.front();
-    worklist.pop_front();
+  for (std::size_t head = first; head < configs.size(); ++head) {
+    const std::uint32_t config = configs[head];
     for (std::uint32_t event_id = 0; event_id < alphabet_size; ++event_id) {
-      if (plans_.size() >= kSeedMaxPlans) break;
-      const std::uint32_t plan_index = plan_for(config, event_id);
-      const Plan plan = plans_[plan_index];
-      // Guards-open greedy selection (the maximal conflict-free set the
-      // runtime would pick when every guard passes).
-      std::fill(claimed.begin(), claimed.end(), 0);
-      std::vector<std::uint32_t> chosen;
-      bool dynamic_any = false;
-      for (std::uint32_t i = 0; i < plan.candidate_count; ++i) {
-        const Candidate& candidate = candidates_[plan.first_candidate + i];
-        const std::uint64_t* claim = &claim_pool_[candidate.claim_offset];
-        bool conflict = false;
-        for (std::uint32_t w = 0; w < words_ && !conflict; ++w) {
-          if (claim[w] & claimed[w]) conflict = true;
-        }
-        if (conflict) continue;
-        for (std::uint32_t w = 0; w < words_; ++w) claimed[w] |= claim[w];
-        chosen.push_back(plan.first_candidate + i);
-        if (candidate.dynamic_entry) dynamic_any = true;
-      }
-      if (chosen.empty() || dynamic_any) continue;
-      const std::uint64_t* config_bits = &config_bits_pool_[configs_[config].bits_offset];
-      std::copy(config_bits, config_bits + words_, successor.begin());
-      for (const std::uint32_t index : chosen) {
-        const Candidate& candidate = candidates_[index];
-        if (!candidate.internal) {
-          apply_steps_to_bits(steps_, candidate.first_step, candidate.step_count, successor);
-        }
-      }
-      const std::uint32_t next = intern_config(successor.data());
-      if (seen.insert(next).second && configs_.size() < kSeedMaxConfigs) {
-        worklist.push_back(next);
+      if (plans_.size() >= kSeedMaxPlans || configs_.size() >= kSeedMaxConfigs) return false;
+      const std::uint32_t next = guards_open_successor(config, event_id, fired, scratch);
+      if (fired.empty()) continue;
+      if (visit) visit(ClosureEdge{config, event_id, next, &fired});
+      if (next == kDynamicConfig) continue;
+      if (next >= seen.size()) seen.resize(configs_.size(), 0);
+      if (seen[next] == 0) {
+        seen[next] = 1;
+        configs.push_back(next);
       }
     }
   }
+  return true;
 }
 
 std::unique_ptr<CompiledMachine> compile(const StateMachine& machine,
@@ -626,7 +647,8 @@ std::unique_ptr<CompiledMachine> compile(const StateMachine& machine,
   std::unique_ptr<CompiledMachine> compiled(new CompiledMachine(machine));
   if (!compiled->check_supported(sink)) return nullptr;
   compiled->build_start_program();
-  compiled->seed_reachable_plans();
+  std::vector<std::uint32_t> seeded;
+  (void)compiled->walk_guards_open_closure(seeded, nullptr);
   return compiled;
 }
 
@@ -778,11 +800,68 @@ void CompiledMachine::execute_candidate(const Candidate& candidate, ActionContex
     ++transitions_fired_;
     return;
   }
-  execute_steps(candidate.first_step, candidate.step_count, context);
-  if (candidate.dynamic_entry) {
-    rt_enter_target(candidate.entry_target, candidate.entry_scope, context);
+  if (candidate.routed) {
+    fire_route(candidate.transition, context);
+    return;
   }
+  run_program(candidate, context);
+}
+
+void CompiledMachine::run_program(const Candidate& program, ActionContext& context) {
+  execute_steps(program.first_step, program.step_count, context);
+  if (program.dynamic_entry) rt_enter_target(program.entry_target, program.entry_scope, context);
   ++transitions_fired_;
+}
+
+void CompiledMachine::fire_route(std::uint32_t transition, ActionContext& context) {
+  // Keyed by the live configuration: an earlier firing in this step may
+  // have changed it, and the resolved target may leave the region whose
+  // claim selected this candidate.
+  route_scratch_.assign(1, current_config());
+  const std::uint32_t target = resolve_route(transition, context);
+  // Dead end or cycle: nothing changes and no transition counts as fired;
+  // the caller still counts the selection for deferral recall, as the
+  // interpreter does.
+  if (target == kNoIndex) return;
+  auto it = route_programs_.find(route_scratch_);
+  if (it == route_programs_.end()) {
+    Candidate program;
+    program.transition = transition;
+    build_fire_program(route_scratch_[0], tinfo_[transition].source, target,
+                       std::span<const std::uint32_t>(route_scratch_).subspan(1), program);
+    it = route_programs_.emplace(route_scratch_, program).first;
+  }
+  const Candidate program = it->second;
+  run_program(program, context);
+}
+
+std::uint32_t CompiledMachine::resolve_route(std::uint32_t transition, ActionContext& context) {
+  std::uint32_t current = transition;
+  for (int hops = 0; hops < kMaxRouteHops; ++hops) {
+    route_scratch_.push_back(current);
+    const std::uint32_t target = tinfo_[current].target;
+    const VertexKind kind = vinfo_[target].kind;
+    if (kind != VertexKind::kChoice && kind != VertexKind::kJunction) return target;
+    // First open guard in declaration order wins; "else" is the fallback.
+    // No segment effect has run yet, so guards see the pre-firing state.
+    std::uint32_t chosen = kNoIndex;
+    std::uint32_t else_branch = kNoIndex;
+    for (const std::uint32_t branch : vinfo_[target].outgoing) {
+      const Guard& guard = tinfo_[branch].origin->guard();
+      if (guard.is_else()) {
+        if (else_branch == kNoIndex) else_branch = branch;
+        continue;
+      }
+      if (guard.fn == nullptr || guard.fn(context)) {
+        chosen = branch;
+        break;
+      }
+    }
+    if (chosen == kNoIndex) chosen = else_branch;
+    if (chosen == kNoIndex) return kNoIndex;
+    current = chosen;
+  }
+  return kNoIndex;
 }
 
 void CompiledMachine::do_terminate() {
@@ -871,8 +950,14 @@ void CompiledMachine::rt_enter_single(std::uint32_t state, ActionContext& contex
 void CompiledMachine::rt_default_enter(std::uint32_t region, ActionContext& context) {
   const Transition* transition = rinfo_[region].initial;
   if (transition == nullptr) return;
-  if (transition->effect().fn != nullptr) transition->effect().fn(context);
-  rt_enter_target(tinfo_[transition_index_.at(transition)].target, region, context);
+  route_scratch_.clear();
+  const std::uint32_t target = resolve_route(transition_index_.at(transition), context);
+  if (target == kNoIndex) return;  // Unresolved initial route: enters nothing.
+  for (const std::uint32_t segment : route_scratch_) {
+    const Behavior& effect = tinfo_[segment].origin->effect();
+    if (effect.fn != nullptr) effect.fn(context);
+  }
+  rt_enter_target(target, region, context);
 }
 
 void CompiledMachine::rt_enter_target(std::uint32_t vertex, std::uint32_t scope,
@@ -932,7 +1017,7 @@ void CompiledMachine::rt_enter_target(std::uint32_t vertex, std::uint32_t scope,
     case VertexKind::kInitial:
     case VertexKind::kChoice:
     case VertexKind::kJunction:
-      break;  // Rejected by check_supported.
+      break;  // Only a history default can target these; the interpreter enters nothing.
   }
 
   --entry_depth_;
@@ -1014,7 +1099,18 @@ std::size_t CompiledMachine::table_bytes() const {
          config_bits_pool_.size() * sizeof(std::uint64_t) +
          config_member_pool_.size() * sizeof(std::uint32_t) +
          config_slots_.size() * sizeof(std::uint32_t) + configs_.size() * sizeof(ConfigRec) +
-         plan_ids_.size() * (sizeof(std::uint64_t) + sizeof(std::uint32_t));
+         plan_ids_.size() * (sizeof(std::uint64_t) + sizeof(std::uint32_t)) +
+         route_programs_.size() * sizeof(Candidate);
+}
+
+std::size_t CompiledMachine::RouteHash::operator()(
+    const std::vector<std::uint32_t>& key) const noexcept {
+  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis.
+  for (const std::uint32_t word : key) {
+    hash ^= word;
+    hash *= 1099511628211ull;
+  }
+  return static_cast<std::size_t>(hash);
 }
 
 // --- Checkpoint / restore -----------------------------------------------------------

@@ -1,5 +1,8 @@
 // AOT compilation of hierarchical state machines to flat transition-plan
-// tables (DESIGN.md "AOT statechart compilation").
+// tables (DESIGN.md "AOT statechart compilation"). The plan tables are the
+// one lowering of a statechart: the runtime engine, the verifier, the
+// generated C++ tables (codegen/software.hpp) and the RTL FSM
+// (codegen/rtl.hpp) all read them.
 //
 // For each (configuration, event) pair the compiler precomputes the full
 // RTC step plan the interpreter would derive by walking the region tree:
@@ -7,33 +10,38 @@
 // (with per-candidate conflict claim masks), the exit set in reverse
 // document order with its history-record slots, the final-flag clears, the
 // transition effect, and the entry set with default/initial completion
-// fully linearized. Plans live in flat POD arrays — an extension of the
-// flatten.hpp row/group layout from single-leaf machines to hierarchical
-// configurations, where a "group" is the plan of one (configuration,
-// event) key and its "rows" are candidate transitions.
+// fully linearized. Plans live in flat POD arrays: a "group" is the plan of
+// one (configuration, event) key and its "rows" are candidate transitions.
 //
 // Configurations (active-state + final-flag bitsets) are interned to dense
 // ids. compile() seeds the tables with a breadth-first closure over the
-// guard-free successor relation; configurations or events first reached at
-// run time (guard outcomes, history restores, snapshot restores) extend
-// the tables lazily and are then cached. CompiledMachine::dispatch
-// executes a plan with no tree walking and no allocation in steady state;
-// only entries through history pseudostates fall back to a generic
-// (still index-based) entry walk, because the restored configuration is
-// not known statically.
+// guards-open successor relation (walk_guards_open_closure); configurations
+// or events first reached at run time (guard outcomes, choice routes,
+// history restores, snapshot restores) extend the tables lazily and are
+// then cached. CompiledMachine::dispatch executes a plan with no tree
+// walking and no allocation in steady state. Two cases are only known at
+// run time:
+//  * an entry through a history pseudostate, or a default entry whose
+//    initial transition targets a choice/junction, runs a generic (still
+//    index-based) entry walk, because the configuration it enters depends
+//    on history memory or guards;
+//  * a candidate that targets a choice or junction resolves its segment
+//    chain when it fires, exactly as the interpreter does (first open
+//    guard in declaration order, "else" last, guards see the state before
+//    any segment effect runs), then runs the exit/effect/entry program of
+//    the resolved path. That program is built on first use and cached by
+//    the live configuration and the resolved path.
 //
-// Fallback contract: compile() supports the full interpreter feature set
-// except choice/junction pseudostates (their branch resolution interleaves
-// guard evaluation with segment effects, which has no static plan) —
-// machines using them are rejected with a diagnostic and run on the
-// interpreter. The interpreter remains the reference semantics; the
-// differential harness (tests/statechart_differential_test.cpp) holds this
-// engine to it snapshot-for-snapshot after every dispatch.
+// The interpreter remains the reference semantics; the differential
+// harness (tests/statechart_differential_test.cpp) holds this engine to it
+// snapshot-for-snapshot after every dispatch.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -48,10 +56,9 @@ namespace umlsoc::statechart {
 class CompiledMachine;
 
 /// Compiles `machine` into plan tables and returns an executable engine
-/// bound to it. Returns nullptr (reporting through `sink`) when the
-/// machine uses an unsupported feature — choice/junction pseudostates, or
-/// a transition targeting an initial pseudostate — in which case callers
-/// fall back to the interpreter. `machine` must outlive the result.
+/// bound to it. Returns nullptr (reporting through `sink`) only for a
+/// transition that targets an initial pseudostate, which validate() also
+/// rejects. `machine` must outlive the result.
 [[nodiscard]] std::unique_ptr<CompiledMachine> compile(const StateMachine& machine,
                                                        support::DiagnosticSink& sink);
 
@@ -101,9 +108,14 @@ class CompiledMachine final : public Engine {
     std::uint32_t entry_scope = 0;   ///< Dynamic entry only: region index.
     bool internal = false;
     bool has_guard = false;
-    /// True when the entry phase crosses a history pseudostate: the steps
-    /// cover exit/effect only and entry runs the generic walk at run time.
+    /// True when the entry phase crosses a history pseudostate or a
+    /// choice/junction default entry: the steps cover exit/effect only and
+    /// entry runs the generic walk at run time.
     bool dynamic_entry = false;
+    /// True when the target is a choice or junction: the candidate has no
+    /// steps of its own; firing resolves the segment chain and runs the
+    /// resolved path's program.
+    bool routed = false;
   };
 
   /// The plan of one (configuration, event) key.
@@ -174,6 +186,36 @@ class CompiledMachine final : public Engine {
   /// configurations), for the memory-cost accounting in DESIGN.md.
   [[nodiscard]] std::size_t table_bytes() const;
 
+  // --- Guards-open closure (AOT seeding, RTL emission) -----------------------
+
+  /// Successor of a closure edge that is only known at run time: a
+  /// selected candidate routes through a choice/junction or its entry
+  /// crosses a history pseudostate.
+  static constexpr std::uint32_t kDynamicConfig = 0xfffffffeu;
+
+  /// One (configuration, event) plan of the guards-open closure that
+  /// selects at least one candidate.
+  struct ClosureEdge {
+    std::uint32_t config = 0;
+    std::uint32_t event = 0;  ///< Interned event id; 0 = completion.
+    std::uint32_t next = 0;   ///< Successor configuration, or kDynamicConfig.
+    /// Selected candidates (candidate_table() indices), priority order;
+    /// valid during the visit call only.
+    const std::vector<std::uint32_t>* fired = nullptr;
+  };
+
+  /// Walks the guards-open closure breadth-first from the start
+  /// configuration: every guard passes, so each plan fires its maximal
+  /// conflict-free candidate set. The alphabet is every interned event
+  /// (the machine's triggers) plus completion. Plans and configurations
+  /// met on the way are built and cached; compile() seeds the tables this
+  /// way. Appends the configurations reached to `configs`, start first,
+  /// and calls `visit` (when set) for every edge. Returns false when the
+  /// default entry is dynamic (history or choice/junction) or the walk
+  /// stopped at the seed caps (1024 configurations, 16384 plans).
+  bool walk_guards_open_closure(std::vector<std::uint32_t>& configs,
+                                const std::function<void(const ClosureEdge&)>& visit);
+
  private:
   friend std::unique_ptr<CompiledMachine> compile(const StateMachine&, support::DiagnosticSink&);
 
@@ -219,12 +261,22 @@ class CompiledMachine final : public Engine {
   void build_static_tables();
   [[nodiscard]] bool check_supported(support::DiagnosticSink& sink) const;
   void build_start_program();
-  void seed_reachable_plans();
   [[nodiscard]] std::uint32_t intern_config(const std::uint64_t* bits);
   [[nodiscard]] std::uint32_t intern_event(const std::string& name);
   [[nodiscard]] std::uint32_t plan_for(std::uint32_t config, std::uint32_t event_id);
   [[nodiscard]] std::uint32_t build_plan(std::uint32_t config, std::uint32_t event_id);
-  void build_fire_program(std::uint32_t config, std::uint32_t transition, Candidate& candidate);
+  /// Builds the exit/effect/entry program of a firing from `source` in
+  /// `config` that ends in `target`, running the effects of `segments`
+  /// (transition rows, in order) between the exit and entry phases.
+  void build_fire_program(std::uint32_t config, std::uint32_t source, std::uint32_t target,
+                          std::span<const std::uint32_t> segments, Candidate& candidate);
+  /// Guards-open successor of `config` under `event_id` (see
+  /// walk_guards_open_closure): fills `fired`, uses `scratch` (words()
+  /// wide) and returns the next configuration, kDynamicConfig, or
+  /// ~0u when nothing is selected.
+  [[nodiscard]] std::uint32_t guards_open_successor(std::uint32_t config, std::uint32_t event_id,
+                                                    std::vector<std::uint32_t>& fired,
+                                                    std::vector<std::uint64_t>& scratch);
   void sim_enter_target(EntrySim& sim, std::uint32_t vertex, std::uint32_t scope);
   void sim_enter_single(EntrySim& sim, std::uint32_t state);
   void sim_default_enter(EntrySim& sim, std::uint32_t region);
@@ -250,6 +302,12 @@ class CompiledMachine final : public Engine {
   void run_completions();
   std::size_t select_and_fire(std::uint32_t plan_index, ActionContext& context);
   void execute_candidate(const Candidate& candidate, ActionContext& context);
+  void run_program(const Candidate& program, ActionContext& context);
+  void fire_route(std::uint32_t transition, ActionContext& context);
+  /// Resolves the choice/junction segment chain that starts with
+  /// `transition`, appending every segment's row to route_scratch_.
+  /// Returns the final target vertex, or ~0u for a dead end or a cycle.
+  [[nodiscard]] std::uint32_t resolve_route(std::uint32_t transition, ActionContext& context);
   void execute_steps(std::uint32_t first, std::uint32_t count, ActionContext& context);
   void do_terminate();
 
@@ -310,6 +368,15 @@ class CompiledMachine final : public Engine {
   std::vector<std::uint32_t> order_scratch_;
   std::deque<std::uint32_t> pending_composites_;  ///< Dynamic entry sweep.
   int entry_depth_ = 0;
+
+  // --- Choice/junction routes (programs built on first firing) ---------------
+  struct RouteHash {
+    std::size_t operator()(const std::vector<std::uint32_t>& key) const noexcept;
+  };
+  /// Programs of resolved routes, keyed by the live configuration followed
+  /// by the route's segment rows.
+  std::unordered_map<std::vector<std::uint32_t>, Candidate, RouteHash> route_programs_;
+  std::vector<std::uint32_t> route_scratch_;  ///< Route key being resolved.
 };
 
 }  // namespace umlsoc::statechart

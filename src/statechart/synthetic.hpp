@@ -27,12 +27,13 @@ namespace umlsoc::statechart {
 [[nodiscard]] std::unique_ptr<StateMachine> make_orthogonal_machine(
     std::size_t regions, std::size_t states_per_region);
 
-/// Randomized *flattenable* machine (no orthogonality/history/completion):
-/// each region holds `states_per_region` states, states recursively become
-/// composites up to `max_depth`, and every state gets transitions on a
-/// random subset of events "e0".."e(events-1)" to random same-region
-/// targets. Deterministic in `seed`; passes validate() (unreachable-state
-/// warnings aside). Used by the interpreter-vs-flattened differential test.
+/// Randomized single-leaf machine (no orthogonality/history/completion, so
+/// the RTL FSM can encode it): each region holds `states_per_region`
+/// states, states recursively become composites up to `max_depth`, and
+/// every state gets transitions on a random subset of events
+/// "e0".."e(events-1)" to random same-region targets. Deterministic in
+/// `seed`; passes validate() (unreachable-state warnings aside). Used by
+/// the interpreter-vs-compiled differential test.
 [[nodiscard]] std::unique_ptr<StateMachine> make_random_hierarchical_machine(
     std::uint64_t seed, std::size_t max_depth, std::size_t states_per_region,
     std::size_t events);

@@ -2,6 +2,10 @@
 // with ASL translation, and the runtime HW model + SW driver bridge.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <regex>
+#include <sstream>
+
 #include "activity/synthetic.hpp"
 #include "codegen/hwmodel.hpp"
 #include "codegen/plantuml.hpp"
@@ -10,7 +14,10 @@
 #include "codegen/software.hpp"
 #include "codegen/swruntime.hpp"
 #include "codegen/systemc.hpp"
+#include "statechart/compile.hpp"
+#include "statechart/interpreter.hpp"
 #include "statechart/synthetic.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 
 namespace umlsoc::codegen {
@@ -234,12 +241,262 @@ TEST(Rtl, FsmGuardAndEffectAsComments) {
   expect_contains(text, "// effect: cnt := 0");
 }
 
-TEST(Rtl, FsmRejectsOrthogonal) {
-  auto machine = statechart::make_orthogonal_machine(2, 2);
-  support::DiagnosticSink sink;
-  EXPECT_TRUE(generate_rtl_fsm(*machine, sink).empty());
-  EXPECT_TRUE(sink.has_errors());
+/// Next-state table of a generated FSM, parsed back from its text (no
+/// Verilog simulator is needed to step it).
+struct ParsedFsm {
+  std::map<std::string, int> encodings;  // localparam -> value
+  std::string reset;
+  std::map<std::pair<std::string, std::string>, std::string> next;  // (state, input) -> state
+};
+
+ParsedFsm parse_fsm(const std::string& text) {
+  static const std::regex localparam(R"(^\s*localparam (\w+) = \d+'d(\d+);$)");
+  static const std::regex reset(R"(^\s*state <= (\w+);$)");
+  static const std::regex arm(R"(^\s*(S_\w+): begin$)");
+  static const std::regex row(R"(^\s*(?:else )?if \((ev_\w+)\).* state <= (S_\w+);.*$)");
+  ParsedFsm fsm;
+  std::istringstream lines(text);
+  std::string line;
+  std::string current;
+  bool in_reset = false;
+  std::smatch match;
+  while (std::getline(lines, line)) {
+    if (std::regex_match(line, match, localparam)) {
+      fsm.encodings[match[1]] = std::stoi(match[2]);
+    } else if (line.find("if (!rst_n)") != std::string::npos) {
+      in_reset = true;
+    } else if (in_reset && std::regex_match(line, match, reset)) {
+      fsm.reset = match[1];
+      in_reset = false;
+    } else if (std::regex_match(line, match, arm)) {
+      current = match[1];
+    } else if (!current.empty() && std::regex_match(line, match, row)) {
+      fsm.next[{current, match[1]}] = match[2];
+    } else if (support::trim(line) == "end") {
+      current.clear();
+    }
+  }
+  return fsm;
 }
+
+/// True when localparam `name` encodes exactly the active leaves `leaves`
+/// (simple names): one "__"-separated part per leaf, ending in that leaf.
+bool encodes_leaves(const std::string& name, const std::vector<std::string>& leaves) {
+  if (name.rfind("S_", 0) != 0) return false;
+  std::vector<std::string> parts;
+  for (std::size_t start = 2;;) {
+    const std::size_t end = name.find("__", start);
+    parts.push_back(name.substr(start, end == std::string::npos ? end : end - start));
+    if (end == std::string::npos) break;
+    start = end + 2;
+  }
+  if (parts.size() != leaves.size()) return false;
+  for (const std::string& leaf : leaves) {
+    const std::string suffix = "_" + support::to_snake_case(leaf);
+    bool found = false;
+    for (const std::string& part : parts) {
+      found = found || (part.size() > suffix.size() &&
+                        part.compare(part.size() - suffix.size(), suffix.size(), suffix) == 0);
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
+/// Steps the FSM in `text` against `engine` on a seeded stream, one event
+/// per clock: an event fires in the FSM exactly when it fires in the
+/// engine, and the FSM state always encodes the engine's active leaves.
+void expect_fsm_lockstep(const std::string& text, statechart::Engine& engine,
+                         const std::vector<std::string>& alphabet, std::uint64_t seed,
+                         int steps) {
+  const ParsedFsm fsm = parse_fsm(text);
+  ASSERT_FALSE(fsm.reset.empty()) << text;
+  std::string state = fsm.reset;
+  ASSERT_TRUE(encodes_leaves(state, engine.active_leaf_names())) << state;
+  support::Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    const std::string& event = alphabet[static_cast<std::size_t>(rng.below(alphabet.size()))];
+    const auto arm = fsm.next.find({state, "ev_" + support::to_snake_case(event)});
+    const bool fsm_fired = arm != fsm.next.end();
+    if (fsm_fired) state = arm->second;
+    ASSERT_TRUE(fsm.encodings.contains(state)) << state;
+    ASSERT_EQ(engine.dispatch(statechart::Event{event}), fsm_fired)
+        << "step " << step << " event " << event;
+    std::string leaves;
+    for (const std::string& leaf : engine.active_leaf_names()) leaves += leaf + " ";
+    ASSERT_TRUE(encodes_leaves(state, engine.active_leaf_names()))
+        << "step " << step << ": FSM in " << state << ", engine in " << leaves;
+  }
+}
+
+TEST(Rtl, FsmOrthogonalRegionsStepInLockstepWithCompiled) {
+  auto machine = statechart::make_orthogonal_machine(3, 4);
+  support::DiagnosticSink sink;
+  const std::string text = generate_rtl_fsm(*machine, sink);
+  ASSERT_FALSE(text.empty()) << sink.str();
+  EXPECT_FALSE(sink.has_errors()) << sink.str();
+  support::DiagnosticSink structure_sink;
+  EXPECT_TRUE(check_rtl_structure(text, structure_sink)) << structure_sink.str();
+  // Every product of the three 4-cycles is reachable (r0..r2 step one
+  // region each), and each is one localparam.
+  EXPECT_EQ(parse_fsm(text).encodings.size(), 64u);
+  expect_contains(text, "localparam S_ortho_r3_s4_parallel_q0_0__ortho_r3_s4_parallel_q1_0__"
+                        "ortho_r3_s4_parallel_q2_0 = 6'd0;");
+
+  auto compiled = statechart::compile(*machine, sink);
+  ASSERT_NE(compiled, nullptr) << sink.str();
+  compiled->start();
+  expect_fsm_lockstep(text, *compiled, {"tick", "r0", "r1", "r2", "zz"}, 7, 500);
+}
+
+TEST(Rtl, FsmRejectsIdentifierCollisions) {
+  {
+    // "busError" and "bus_error" are distinct triggers but one input.
+    statechart::StateMachine machine("m");
+    statechart::Region& top = machine.top();
+    statechart::State& a = top.add_state("A");
+    statechart::State& b = top.add_state("B");
+    top.add_transition(top.add_initial(), a);
+    top.add_transition(a, b).set_trigger("busError");
+    top.add_transition(b, a).set_trigger("bus_error");
+    support::DiagnosticSink sink;
+    EXPECT_TRUE(generate_rtl_fsm(machine, sink).empty());
+    EXPECT_NE(sink.str().find("'busError' and 'bus_error'"), std::string::npos) << sink.str();
+    EXPECT_NE(sink.str().find("ev_bus_error"), std::string::npos) << sink.str();
+  }
+  {
+    // Top-level "A_B" and nested "A.B" are distinct states but one localparam.
+    statechart::StateMachine machine("M");
+    statechart::Region& top = machine.top();
+    statechart::State& flat = top.add_state("A_B");
+    statechart::State& outer = top.add_state("A");
+    statechart::Region& inner = outer.add_region("r");
+    statechart::State& nested = inner.add_state("B");
+    inner.add_transition(inner.add_initial(), nested);
+    top.add_transition(top.add_initial(), flat);
+    top.add_transition(flat, outer).set_trigger("in");
+    top.add_transition(outer, flat).set_trigger("out");
+    support::DiagnosticSink sink;
+    EXPECT_TRUE(generate_rtl_fsm(machine, sink).empty());
+    EXPECT_NE(sink.str().find("'M.A_B' and 'M.A.B'"), std::string::npos) << sink.str();
+    EXPECT_NE(sink.str().find("S_m_a_b"), std::string::npos) << sink.str();
+  }
+}
+
+// --- Flattening: the FSM's states are the plan tables' configurations -------------
+
+TEST(Flatten, ChainMachine) {
+  auto machine = statechart::make_chain_machine(4);
+  support::DiagnosticSink sink;
+  const ParsedFsm fsm = parse_fsm(generate_rtl_fsm(*machine, sink));
+  EXPECT_FALSE(sink.has_errors()) << sink.str();
+  EXPECT_EQ(fsm.encodings.size(), 4u);
+  EXPECT_EQ(fsm.next.size(), 4u);
+  EXPECT_EQ(fsm.reset, "S_chain4_s0");
+}
+
+TEST(Flatten, NestedMachineInheritsOuterHandlers) {
+  auto machine = statechart::make_nested_machine(3, 2);
+  support::DiagnosticSink sink;
+  const ParsedFsm fsm = parse_fsm(generate_rtl_fsm(*machine, sink));
+  EXPECT_FALSE(sink.has_errors()) << sink.str();
+  // One state per innermost leaf; each has its own "step" arm plus the
+  // outermost composite's "reset", which re-enters the default leaf.
+  EXPECT_EQ(fsm.encodings.size(), 2u);
+  for (const auto& [state, value] : fsm.encodings) {
+    EXPECT_TRUE(fsm.next.contains({state, "ev_step"})) << state;
+    ASSERT_TRUE(fsm.next.contains({state, "ev_reset"})) << state;
+    EXPECT_EQ(fsm.next.at({state, "ev_reset"}), fsm.reset) << state;
+  }
+}
+
+TEST(Flatten, FinalStatesBecomeSinkLeaves) {
+  statechart::StateMachine machine("m");
+  statechart::Region& top = machine.top();
+  statechart::State& a = top.add_state("A");
+  statechart::FinalState& end = top.add_final();
+  top.add_transition(top.add_initial(), a);
+  top.add_transition(a, end).set_trigger("quit");
+  support::DiagnosticSink sink;
+  const std::string text = generate_rtl_fsm(machine, sink);
+  ASSERT_FALSE(text.empty()) << sink.str();
+  expect_contains(text, "localparam S_m_final = 1'd1;");
+  expect_contains(text, "if (ev_quit) state <= S_m_final;");
+  EXPECT_EQ(text.find("S_m_final: begin"), std::string::npos) << text;  // No arms: a sink.
+}
+
+TEST(Flatten, RejectsHistory) {
+  statechart::StateMachine machine("m");
+  statechart::Region& top = machine.top();
+  statechart::State& off = top.add_state("Off");
+  statechart::State& on = top.add_state("On");
+  top.add_transition(top.add_initial(), off);
+  statechart::Region& run = on.add_region("run");
+  statechart::State& a = run.add_state("A");
+  statechart::State& b = run.add_state("B");
+  statechart::Pseudostate& history =
+      run.add_pseudostate(statechart::VertexKind::kShallowHistory, "H");
+  run.add_transition(run.add_initial(), a);
+  run.add_transition(a, b).set_trigger("adv");
+  top.add_transition(off, history).set_trigger("on");
+  top.add_transition(on, off).set_trigger("off");
+  support::DiagnosticSink sink;
+  EXPECT_TRUE(generate_rtl_fsm(machine, sink).empty());
+  EXPECT_NE(sink.str().find("history"), std::string::npos) << sink.str();
+}
+
+TEST(Flatten, RejectsChoiceAndJunctionRoutes) {
+  for (const statechart::VertexKind kind :
+       {statechart::VertexKind::kChoice, statechart::VertexKind::kJunction}) {
+    statechart::StateMachine machine("m");
+    statechart::Region& top = machine.top();
+    statechart::State& a = top.add_state("A");
+    statechart::State& b = top.add_state("B");
+    statechart::Pseudostate& route = top.add_pseudostate(kind, "route");
+    top.add_transition(top.add_initial(), a);
+    top.add_transition(a, route).set_trigger("go");
+    top.add_transition(route, b).set_guard(statechart::Guard{"else", nullptr});
+    support::DiagnosticSink sink;
+    EXPECT_TRUE(generate_rtl_fsm(machine, sink).empty());
+    EXPECT_NE(sink.str().find("choice/junction"), std::string::npos) << sink.str();
+  }
+}
+
+TEST(Flatten, RejectsCompletionTransitions) {
+  statechart::StateMachine machine("m");
+  statechart::Region& top = machine.top();
+  statechart::State& a = top.add_state("A");
+  statechart::State& b = top.add_state("B");
+  top.add_transition(top.add_initial(), a);
+  top.add_transition(a, b);  // Completion.
+  support::DiagnosticSink sink;
+  EXPECT_TRUE(generate_rtl_fsm(machine, sink).empty());
+  EXPECT_NE(sink.str().find("completion"), std::string::npos) << sink.str();
+}
+
+// Property: the FSM emitted from the plan tables (a flat next-state table)
+// and the hierarchical interpreter agree on the active leaf through random
+// event sequences on nested machines, whose outer "reset" handler applies
+// in every leaf.
+class FlatEquivalence : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(FlatEquivalence, AgreesWithInterpreter) {
+  auto [depth, width] = GetParam();
+  auto machine = statechart::make_nested_machine(static_cast<std::size_t>(depth),
+                                                 static_cast<std::size_t>(width));
+  support::DiagnosticSink sink;
+  const std::string text = generate_rtl_fsm(*machine, sink);
+  ASSERT_FALSE(text.empty()) << sink.str();
+
+  statechart::StateMachineInstance interpreter(*machine);
+  interpreter.set_trace_enabled(false);
+  interpreter.start();
+  expect_fsm_lockstep(text, interpreter, {"step", "reset", "noise"}, 42, 300);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, FlatEquivalence,
+                         ::testing::Combine(::testing::Values(1, 2, 4),
+                                            ::testing::Values(2, 3, 5)));
 
 TEST(Rtl, TopInstantiatesPartsAndWires) {
   HwFixture f;

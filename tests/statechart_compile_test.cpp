@@ -1,7 +1,7 @@
 // Unit tests for the AOT statechart compiler (statechart/compile.hpp):
-// the fallback contract (unsupported machines are rejected with a
-// diagnostic and run on the interpreter), plan-table introspection used by
-// the codegen/software emitter, AOT seeding, and snapshot validation.
+// which machines compile (choice/junction routes do; a transition into an
+// initial pseudostate is rejected), plan-table introspection used by the
+// codegen emitters, AOT seeding, and snapshot validation.
 // Semantic equivalence with the interpreter is covered separately by
 // statechart_differential_test.cpp.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include "statechart/compile.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/synthetic.hpp"
+#include "statechart/validate.hpp"
 #include "support/diagnostics.hpp"
 
 namespace umlsoc::statechart {
@@ -71,7 +72,7 @@ TEST(Compile, CanReactAnswersFromThePlanTable) {
   EXPECT_TRUE(engine.can_react(Event{"unknown"}));
 }
 
-TEST(Compile, RejectsChoicePseudostates) {
+TEST(Compile, AcceptsChoicePseudostates) {
   StateMachine machine("choosy");
   Region& top = machine.top();
   Pseudostate& initial = top.add_initial();
@@ -83,18 +84,16 @@ TEST(Compile, RejectsChoicePseudostates) {
   top.add_transition(choice, b).set_guard("else", nullptr);
 
   support::DiagnosticSink sink;
-  EXPECT_EQ(compile(machine, sink), nullptr);
-  EXPECT_TRUE(sink.has_errors());
-  EXPECT_NE(sink.str().find("choice"), std::string::npos) << sink.str();
-
-  // Fallback contract: the same machine runs on the interpreter.
-  StateMachineInstance interpreter(machine);
-  interpreter.start();
-  EXPECT_TRUE(interpreter.dispatch(Event{"go"}));
-  EXPECT_TRUE(interpreter.is_in("B"));
+  auto compiled = compile(machine, sink);
+  ASSERT_NE(compiled, nullptr) << sink.str();
+  EXPECT_FALSE(sink.has_errors()) << sink.str();
+  compiled->start();
+  EXPECT_TRUE(compiled->dispatch(Event{"go"}));
+  EXPECT_TRUE(compiled->is_in("B"));
+  EXPECT_EQ(compiled->transitions_fired(), 1u);
 }
 
-TEST(Compile, RejectsJunctionPseudostates) {
+TEST(Compile, AcceptsJunctionPseudostates) {
   StateMachine machine("junctional");
   Region& top = machine.top();
   Pseudostate& initial = top.add_initial();
@@ -106,8 +105,26 @@ TEST(Compile, RejectsJunctionPseudostates) {
   top.add_transition(junction, b);
 
   support::DiagnosticSink sink;
+  auto compiled = compile(machine, sink);
+  ASSERT_NE(compiled, nullptr) << sink.str();
+  compiled->start();
+  EXPECT_TRUE(compiled->dispatch(Event{"go"}));
+  EXPECT_TRUE(compiled->is_in("B"));
+}
+
+TEST(Compile, RejectsTransitionIntoInitialPseudostate) {
+  StateMachine machine("restart");
+  Region& top = machine.top();
+  Pseudostate& initial = top.add_initial();
+  State& a = top.add_state("A");
+  top.add_transition(initial, a);
+  top.add_transition(a, initial).set_trigger("again");
+
+  support::DiagnosticSink sink;
   EXPECT_EQ(compile(machine, sink), nullptr);
-  EXPECT_TRUE(sink.has_errors());
+  EXPECT_NE(sink.str().find("initial pseudostate"), std::string::npos) << sink.str();
+  support::DiagnosticSink validate_sink;
+  EXPECT_FALSE(validate(machine, validate_sink));  // compile() rejects only invalid models.
 }
 
 TEST(Compile, SeedsReachablePlansAheadOfTime) {

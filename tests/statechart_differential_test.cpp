@@ -1,17 +1,13 @@
-// Differential property tests pinning the derived execution engines to the
-// hierarchical interpreter (the reference semantics):
-//  * interpreter vs flattened-table executor (fired-or-not + active leaf)
-//    on randomized flattenable machines — evidence that flattening, the
-//    RTL-generation path, is semantics-preserving;
-//  * interpreter vs AOT-compiled plan-table engine (compile.hpp), compared
-//    snapshot-for-snapshot after EVERY dispatch over the synthetic model
-//    zoo plus uart-style guarded/error-channel machines — identical
-//    configurations, history memory, variables, emitted/deferred events and
-//    all four counters, under ordinary and error-channel dispatch.
+// Differential property tests pinning the AOT-compiled plan-table engine
+// (compile.hpp) to the hierarchical interpreter (the reference semantics),
+// compared snapshot-for-snapshot after EVERY dispatch over the synthetic
+// model zoo, uart-style guarded/error-channel machines and choice/junction
+// routes: identical configurations, history memory, variables,
+// emitted/deferred events and all four counters, under ordinary and
+// error-channel dispatch.
 #include <gtest/gtest.h>
 
 #include "statechart/compile.hpp"
-#include "statechart/flatten.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/synthetic.hpp"
 #include "statechart/validate.hpp"
@@ -21,52 +17,6 @@
 
 namespace umlsoc::statechart {
 namespace {
-
-class Differential : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(Differential, InterpreterAgreesWithFlatExecutor) {
-  const std::uint64_t seed = GetParam();
-  auto machine = make_random_hierarchical_machine(seed, 3, 4, 4);
-
-  support::DiagnosticSink validate_sink;
-  ASSERT_TRUE(validate(*machine, validate_sink)) << validate_sink.str();
-
-  support::DiagnosticSink flatten_sink;
-  auto flat = flatten(*machine, flatten_sink);
-  ASSERT_TRUE(flat.has_value()) << flatten_sink.str();
-
-  StateMachineInstance interpreter(*machine);
-  interpreter.set_trace_enabled(false);
-  interpreter.start();
-  FlatExecutor executor(*flat);
-
-  // Initial configurations agree.
-  {
-    std::vector<std::string> leaves = interpreter.active_leaf_names();
-    ASSERT_EQ(leaves.size(), 1u);
-    EXPECT_NE(executor.current_name().find(leaves[0]), std::string::npos);
-  }
-
-  support::Rng rng(seed * 977 + 13);
-  for (int step = 0; step < 500; ++step) {
-    Event event{"e" + std::to_string(rng.below(5))};  // Incl. unknown "e4".
-    bool interpreter_fired = interpreter.dispatch(event);
-    bool executor_fired = executor.dispatch(event);
-    ASSERT_EQ(interpreter_fired, executor_fired)
-        << "seed " << seed << " step " << step << " event " << event.name;
-
-    std::vector<std::string> leaves = interpreter.active_leaf_names();
-    ASSERT_EQ(leaves.size(), 1u) << "non-flat configuration?!";
-    ASSERT_NE(executor.current_name().find(leaves[0]), std::string::npos)
-        << "seed " << seed << " step " << step << ": interpreter in " << leaves[0]
-        << ", executor in " << executor.current_name();
-  }
-  EXPECT_EQ(interpreter.transitions_fired(), executor.transitions_fired());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, Differential,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 21, 34, 55, 89,
-                                           144, 233));
 
 // --- Interpreter vs compiled plan-table engine --------------------------------------
 
@@ -344,6 +294,200 @@ TEST(CompiledDifferential, SnapshotsInterchangeableBetweenEngines) {
   second.set_trace_enabled(false);
   ASSERT_TRUE(second.restore(compiled->capture(), sink)) << sink.str();
   expect_snapshots_equal(second.capture(), compiled->capture(), "round trip into interpreter");
+}
+
+// --- Choice and junction routes ----------------------------------------------------
+
+std::function<bool(const ActionContext&)> var_is(const char* name, std::int64_t value) {
+  return [name, value](const ActionContext& ctx) { return ctx.instance.variable(name) == value; };
+}
+
+/// Effect that appends `digit` to variable `name` (decimal), so the
+/// variable records which segment effects ran and in which order.
+std::function<void(ActionContext&)> append(const char* name, std::int64_t digit) {
+  return [name, digit](ActionContext& ctx) {
+    ctx.instance.set_variable(name, (ctx.instance.variable(name) * 10 + digit) % 1000000);
+  };
+}
+
+std::function<void(ActionContext&)> flip(const char* name) {
+  return [name](ActionContext& ctx) {
+    ctx.instance.set_variable(name, 1 - ctx.instance.variable(name));
+  };
+}
+
+/// The branch guard reads `x`, which the incoming segment's effect bumps:
+/// guards see x before the bump, so the route alternates B / C (else).
+TEST(CompiledDifferential, ChoiceGuardReadsVariableTheIncomingEffectWrites) {
+  StateMachine machine("guard_before_effect");
+  Region& top = machine.top();
+  State& a = top.add_state("A");
+  State& b = top.add_state("B");
+  State& c = top.add_state("C");
+  Pseudostate& pick = top.add_pseudostate(VertexKind::kChoice, "pick");
+  top.add_transition(top.add_initial(), a);
+  top.add_transition(a, pick).set_trigger("go").set_effect("x := x + 1", [](ActionContext& ctx) {
+    ctx.instance.set_variable("x", (ctx.instance.variable("x") + 1) % 4);
+  });
+  top.add_transition(pick, b).set_guard("x == 1", var_is("x", 1));
+  top.add_transition(pick, c).set_guard(Guard{"else", nullptr});
+  top.add_transition(b, a).set_trigger("back");
+  top.add_transition(c, a).set_trigger("back");
+  run_lockstep(machine, random_stream(5, {"go", "back", "go", "noise"}, 300));
+}
+
+/// Two junction hops, each segment with its own effect; the second hop
+/// branches on a flag toggled by an internal transition.
+TEST(CompiledDifferential, TwoHopJunctionChainRunsEverySegmentEffect) {
+  StateMachine machine("junction_chain");
+  Region& top = machine.top();
+  State& a = top.add_state("A");
+  State& b = top.add_state("B");
+  State& c = top.add_state("C");
+  Pseudostate& first = top.add_pseudostate(VertexKind::kJunction, "j1");
+  Pseudostate& second = top.add_pseudostate(VertexKind::kJunction, "j2");
+  top.add_transition(top.add_initial(), a);
+  top.add_transition(a, a).set_trigger("toggle").set_internal(true).set_effect("f := 1 - f",
+                                                                               flip("f"));
+  top.add_transition(a, first).set_trigger("go").set_effect("trail 1", append("trail", 1));
+  top.add_transition(first, second).set_effect("trail 2", append("trail", 2));
+  top.add_transition(second, b).set_guard("f == 1", var_is("f", 1)).set_effect(
+      "trail 3", append("trail", 3));
+  top.add_transition(second, c).set_effect("trail 4", append("trail", 4));
+  top.add_transition(b, a).set_trigger("back");
+  top.add_transition(c, a).set_trigger("back");
+  run_lockstep(machine, random_stream(17, {"go", "back", "toggle"}, 300));
+}
+
+/// The else branch is declared first but taken last: only when the
+/// guarded branch declared after it is closed.
+TEST(CompiledDifferential, ChoiceElseFallback) {
+  StateMachine machine("else_fallback");
+  Region& top = machine.top();
+  State& a = top.add_state("A");
+  State& b = top.add_state("B");
+  State& c = top.add_state("C");
+  Pseudostate& pick = top.add_pseudostate(VertexKind::kChoice, "pick");
+  top.add_transition(top.add_initial(), a);
+  top.add_transition(a, a).set_trigger("set").set_internal(true).set_effect("open := 1 - open",
+                                                                            flip("open"));
+  top.add_transition(a, pick).set_trigger("go");
+  top.add_transition(pick, c).set_guard(Guard{"else", nullptr}).set_effect("trail 9",
+                                                                           append("trail", 9));
+  top.add_transition(pick, b).set_guard("open == 1", var_is("open", 1));
+  top.add_transition(b, a).set_trigger("back");
+  top.add_transition(c, a).set_trigger("back");
+  run_lockstep(machine, random_stream(23, {"go", "back", "set"}, 300));
+}
+
+/// A route with no open branch and no else changes nothing and fires no
+/// transition, but its selection still recalls deferred events (A defers
+/// "req"), exactly as in the interpreter.
+TEST(CompiledDifferential, ChoiceDeadEndChangesNothingButRecallsDeferred) {
+  StateMachine machine("dead_end");
+  Region& top = machine.top();
+  State& a = top.add_state("A");
+  State& b = top.add_state("B");
+  Pseudostate& pick = top.add_pseudostate(VertexKind::kChoice, "pick");
+  a.add_deferred("req");
+  top.add_transition(top.add_initial(), a);
+  top.add_transition(a, a).set_trigger("set").set_internal(true).set_effect("open := 1 - open",
+                                                                            flip("open"));
+  top.add_transition(a, pick).set_trigger("go").set_effect("trail 5", append("trail", 5));
+  top.add_transition(pick, b).set_guard("open == 1", var_is("open", 1));
+  top.add_transition(b, a).set_trigger("req");
+  top.add_transition(b, a).set_trigger("back");
+  run_lockstep(machine, random_stream(29, {"go", "req", "set", "back", "req"}, 400));
+}
+
+/// Default entry of a composite through initial -> choice: the entered
+/// child depends on a mode variable at entry time; segment effects of the
+/// initial route run before the child is entered.
+TEST(CompiledDifferential, InitialToChoiceInsideComposite) {
+  StateMachine machine("initial_choice");
+  Region& top = machine.top();
+  State& idle = top.add_state("Idle");
+  State& busy = top.add_state("Busy");
+  top.add_transition(top.add_initial(), idle);
+  top.add_transition(idle, idle).set_trigger("mode").set_internal(true).set_effect(
+      "mode := 1 - mode", flip("mode"));
+  top.add_transition(idle, busy).set_trigger("enter");
+  top.add_transition(busy, idle).set_trigger("out");
+  Region& inner = busy.add_region("inner");
+  State& x = inner.add_state("X");
+  State& y = inner.add_state("Y");
+  Pseudostate& pick = inner.add_pseudostate(VertexKind::kChoice, "pick");
+  inner.add_transition(inner.add_initial(), pick).set_effect("trail 1", append("trail", 1));
+  inner.add_transition(pick, x).set_guard("mode == 1", var_is("mode", 1)).set_effect(
+      "trail 2", append("trail", 2));
+  inner.add_transition(pick, y).set_guard(Guard{"else", nullptr}).set_effect("trail 3",
+                                                                             append("trail", 3));
+  inner.add_transition(x, y).set_trigger("swap");
+  inner.add_transition(y, x).set_trigger("swap");
+  run_lockstep(machine, random_stream(31, {"mode", "enter", "out", "swap"}, 400));
+}
+
+/// Orthogonal regions R0 and R1 both react to "ev"; R0 (first in document
+/// order) fires first and bumps `count`, then R1's choice sees the bumped
+/// count and routes out of the parallel state, exiting the configuration
+/// R0 has just entered.
+TEST(CompiledDifferential, ChoiceLeavesParallelStateAfterSiblingFired) {
+  StateMachine machine("parallel_exit");
+  Region& top = machine.top();
+  State& parallel = top.add_state("P");
+  State& out = top.add_state("Out");
+  top.add_transition(top.add_initial(), parallel);
+  top.add_transition(out, parallel).set_trigger("back");
+  Region& r0 = parallel.add_region("R0");
+  State& a0 = r0.add_state("a0");
+  State& a1 = r0.add_state("a1");
+  r0.add_transition(r0.add_initial(), a0);
+  r0.add_transition(a0, a1).set_trigger("ev").set_effect("count := count + 1",
+                                                         [](ActionContext& ctx) {
+                                                           ctx.instance.set_variable(
+                                                               "count",
+                                                               (ctx.instance.variable("count") +
+                                                                1) % 3);
+                                                         });
+  r0.add_transition(a1, a0).set_trigger("ev");
+  Region& r1 = parallel.add_region("R1");
+  State& b0 = r1.add_state("b0");
+  State& b1 = r1.add_state("b1");
+  Pseudostate& pick = r1.add_pseudostate(VertexKind::kChoice, "pick");
+  r1.add_transition(r1.add_initial(), b0);
+  r1.add_transition(b0, pick).set_trigger("ev");
+  r1.add_transition(pick, out).set_guard("count == 2", var_is("count", 2)).set_effect(
+      "trail 7", append("trail", 7));
+  r1.add_transition(pick, b1).set_guard(Guard{"else", nullptr});
+  r1.add_transition(b1, b0).set_trigger("ev");
+  run_lockstep(machine, random_stream(37, {"ev", "back", "ev"}, 400));
+}
+
+/// A choice routes either into the composite's shallow history or into a
+/// plain default entry.
+TEST(CompiledDifferential, ChoiceTargetsShallowHistory) {
+  StateMachine machine("choice_history");
+  Region& top = machine.top();
+  State& off = top.add_state("Off");
+  State& on = top.add_state("On");
+  Pseudostate& pick = top.add_pseudostate(VertexKind::kChoice, "pick");
+  top.add_transition(top.add_initial(), off);
+  top.add_transition(off, off).set_trigger("toggle").set_internal(true).set_effect(
+      "resume := 1 - resume", flip("resume"));
+  top.add_transition(off, pick).set_trigger("on");
+  top.add_transition(on, off).set_trigger("off");
+  Region& run = on.add_region("run");
+  State& a = run.add_state("A");
+  State& b = run.add_state("B");
+  State& c = run.add_state("C");
+  Pseudostate& history = run.add_pseudostate(VertexKind::kShallowHistory, "H");
+  run.add_transition(run.add_initial(), a);
+  run.add_transition(a, b).set_trigger("adv");
+  run.add_transition(b, c).set_trigger("adv");
+  run.add_transition(c, a).set_trigger("adv");
+  top.add_transition(pick, history).set_guard("resume == 1", var_is("resume", 1));
+  top.add_transition(pick, on).set_guard(Guard{"else", nullptr});
+  run_lockstep(machine, random_stream(41, {"on", "off", "adv", "toggle"}, 500));
 }
 
 // Verifier counterexamples replay identically on both engines: explore a

@@ -1,7 +1,6 @@
-// Tests for the statechart metamodel, validation, and flattening.
+// Tests for the statechart metamodel and validation.
 #include <gtest/gtest.h>
 
-#include "statechart/flatten.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/synthetic.hpp"
 #include "statechart/validate.hpp"
@@ -222,143 +221,6 @@ TEST(ScValidate, HistoryWithTwoDefaultsIsError) {
   EXPECT_FALSE(validate(machine, sink));
   EXPECT_NE(sink.str().find("more than one default"), std::string::npos);
 }
-
-// --- Flattening ---------------------------------------------------------------
-
-TEST(Flatten, ChainMachine) {
-  auto machine = make_chain_machine(4);
-  support::DiagnosticSink sink;
-  auto flat = flatten(*machine, sink);
-  ASSERT_TRUE(flat.has_value()) << sink.str();
-  EXPECT_EQ(flat->states.size(), 4u);
-  EXPECT_EQ(flat->transitions.size(), 4u);
-  EXPECT_EQ(flat->state_names[flat->initial_state], "chain4.s0");
-}
-
-TEST(Flatten, NestedMachineInheritsOuterHandlers) {
-  auto machine = make_nested_machine(3, 2);
-  support::DiagnosticSink sink;
-  auto flat = flatten(*machine, sink);
-  ASSERT_TRUE(flat.has_value()) << sink.str();
-  // Leaves only: the 2 innermost states.
-  EXPECT_EQ(flat->states.size(), 2u);
-  // Each leaf has its own "step" row plus the inherited outer "reset" row.
-  bool found_reset = false;
-  for (const FlatTransition& row : flat->transitions) {
-    if (row.trigger == "reset") found_reset = true;
-  }
-  EXPECT_TRUE(found_reset);
-}
-
-TEST(Flatten, RejectsOrthogonal) {
-  auto machine = make_orthogonal_machine(2, 2);
-  support::DiagnosticSink sink;
-  EXPECT_FALSE(flatten(*machine, sink).has_value());
-  EXPECT_NE(sink.str().find("orthogonal"), std::string::npos);
-}
-
-TEST(Flatten, RejectsHistory) {
-  StateMachine machine("m");
-  Region& top = machine.top();
-  Pseudostate& initial = top.add_initial();
-  State& a = top.add_state("A");
-  top.add_pseudostate(VertexKind::kShallowHistory, "H");
-  top.add_transition(initial, a);
-  support::DiagnosticSink sink;
-  EXPECT_FALSE(flatten(machine, sink).has_value());
-}
-
-TEST(Flatten, RejectsCompletionTransitions) {
-  StateMachine machine("m");
-  Region& top = machine.top();
-  Pseudostate& initial = top.add_initial();
-  State& a = top.add_state("A");
-  State& b = top.add_state("B");
-  top.add_transition(initial, a);
-  top.add_transition(a, b);  // Completion.
-  support::DiagnosticSink sink;
-  EXPECT_FALSE(flatten(machine, sink).has_value());
-  EXPECT_NE(sink.str().find("completion"), std::string::npos);
-}
-
-TEST(Flatten, FinalStatesBecomeSinkLeaves) {
-  StateMachine machine("m");
-  Region& top = machine.top();
-  Pseudostate& initial = top.add_initial();
-  State& a = top.add_state("A");
-  FinalState& end = top.add_final();
-  top.add_transition(initial, a);
-  top.add_transition(a, end).set_trigger("quit");
-  support::DiagnosticSink sink;
-  auto flat = flatten(machine, sink);
-  ASSERT_TRUE(flat.has_value()) << sink.str();
-  EXPECT_EQ(flat->states.size(), 2u);
-
-  FlatExecutor executor(*flat);
-  EXPECT_TRUE(executor.dispatch({"quit"}));
-  EXPECT_FALSE(executor.dispatch({"quit"}));  // Sink: nothing fires.
-}
-
-TEST(Flatten, ExecutorHonorsGuardsViaHost) {
-  StateMachine machine("m");
-  Region& top = machine.top();
-  Pseudostate& initial = top.add_initial();
-  State& a = top.add_state("A");
-  State& b = top.add_state("B");
-  top.add_transition(initial, a);
-  top.add_transition(a, b).set_trigger("go").set_guard("flag", [](const ActionContext& ctx) {
-    return ctx.instance.variable("flag") != 0;
-  });
-  support::DiagnosticSink sink;
-  auto flat = flatten(machine, sink);
-  ASSERT_TRUE(flat.has_value()) << sink.str();
-
-  StateMachineInstance host(machine);
-  FlatExecutor executor(*flat, &host);
-  EXPECT_FALSE(executor.dispatch({"go"}));
-  host.set_variable("flag", 1);
-  EXPECT_TRUE(executor.dispatch({"go"}));
-  EXPECT_EQ(executor.current_name(), "m.B");
-}
-
-// Property: flat executor and hierarchical interpreter agree on the active
-// leaf through random event sequences on flattenable machines.
-class FlatEquivalence : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(FlatEquivalence, AgreesWithInterpreter) {
-  auto [depth, width] = GetParam();
-  auto machine = make_nested_machine(static_cast<std::size_t>(depth),
-                                     static_cast<std::size_t>(width));
-  support::DiagnosticSink sink;
-  auto flat = flatten(*machine, sink);
-  ASSERT_TRUE(flat.has_value()) << sink.str();
-
-  StateMachineInstance interpreter(*machine);
-  interpreter.set_trace_enabled(false);
-  interpreter.start();
-  FlatExecutor executor(*flat);
-
-  const std::vector<std::string> events = {"step", "reset", "noise"};
-  unsigned seed = 42;
-  for (int i = 0; i < 300; ++i) {
-    seed = seed * 1664525u + 1013904223u;
-    Event event{events[seed % events.size()]};
-    bool interpreter_fired = interpreter.dispatch(event);
-    bool flat_fired = executor.dispatch(event);
-    EXPECT_EQ(interpreter_fired, flat_fired) << "event " << event.name << " step " << i;
-
-    std::vector<std::string> leaves = interpreter.active_leaf_names();
-    ASSERT_EQ(leaves.size(), 1u);
-    // Flat names are qualified; interpreter leaf names are simple.
-    EXPECT_NE(executor.current_name().find(leaves[0]), std::string::npos)
-        << "divergence at step " << i;
-  }
-  EXPECT_EQ(interpreter.transitions_fired(), executor.transitions_fired());
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, FlatEquivalence,
-                         ::testing::Combine(::testing::Values(1, 2, 4),
-                                            ::testing::Values(2, 3, 5)));
 
 }  // namespace
 }  // namespace umlsoc::statechart

@@ -2,7 +2,7 @@
 // immediately, without running exit actions, and dispatch becomes a no-op.
 #include <gtest/gtest.h>
 
-#include "statechart/flatten.hpp"
+#include "codegen/rtl.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/validate.hpp"
 #include "xmi/behavior.hpp"
@@ -81,11 +81,13 @@ TEST(Terminate, ValidatorRejectsOutgoing) {
   EXPECT_NE(sink.str().find("terminate pseudostate has outgoing"), std::string::npos);
 }
 
-TEST(Terminate, FlattenRejectsIt) {
+TEST(Terminate, RtlFsmEncodesTheDeadConfiguration) {
   TerminateFixture f;
   support::DiagnosticSink sink;
-  EXPECT_FALSE(flatten(f.machine, sink).has_value());
-  EXPECT_NE(sink.str().find("terminate"), std::string::npos);
+  const std::string text = codegen::generate_rtl_fsm(f.machine, sink);
+  ASSERT_FALSE(text.empty()) << sink.str();
+  EXPECT_NE(text.find("localparam S_terminated = 1'd1;"), std::string::npos) << text;
+  EXPECT_NE(text.find("if (ev_abort) state <= S_terminated;"), std::string::npos) << text;
 }
 
 TEST(Terminate, SurvivesXmiRoundTrip) {

@@ -12,6 +12,7 @@
 
 #include "codegen/plantuml.hpp"
 #include "interaction/trace.hpp"
+#include "statechart/compile.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/model.hpp"
 #include "verify/counterexample.hpp"
@@ -348,6 +349,100 @@ TEST(VerifyExplore, CrossInstancePostingBuildsProductSpace) {
   // product reachable — strictly more than either machine alone.
   EXPECT_GT(result.stats.states, 3u);
   EXPECT_LE(result.stats.states, 6u);
+}
+
+/// Poster/receiver pair whose poster routes "e1" through a choice: into
+/// Work when c == 1, else straight into Work's second step. Work keeps
+/// shallow history and posts one "x" to the receiver, which defers it
+/// while idle. `peer` is where the poster's effect posts.
+void build_routed_pair(StateMachine& poster, StateMachine& receiver,
+                       statechart::Engine** peer) {
+  {
+    statechart::Region& top = poster.top();
+    statechart::State& idle = top.add_state("Idle");
+    statechart::State& work = top.add_state("Work");
+    top.add_transition(top.add_initial(), idle);
+    statechart::Region& inner = work.add_region("inner");
+    statechart::State& step0 = inner.add_state("Step0");
+    statechart::State& step1 = inner.add_state("Step1");
+    statechart::Pseudostate& history =
+        inner.add_pseudostate(statechart::VertexKind::kShallowHistory, "H");
+    inner.add_transition(inner.add_initial(), step0);
+    inner.add_transition(step0, step1).set_trigger("e0");
+    inner.add_transition(step1, step0).set_trigger("e0");
+    top.add_transition(idle, work).set_trigger("e0").set_effect(
+        "c := (c + 1) % 3", [](statechart::ActionContext& context) {
+          context.instance.set_variable("c", (context.instance.variable("c") + 1) % 3);
+        });
+    top.add_transition(work, idle).set_trigger("e2");
+    top.add_transition(idle, history).set_trigger("e2");
+    statechart::Pseudostate& route = top.add_pseudostate(statechart::VertexKind::kChoice, "route");
+    top.add_transition(idle, route).set_trigger("e1");
+    top.add_transition(route, work).set_guard(
+        "c == 1", [](const statechart::ActionContext& context) {
+          return context.instance.variable("c") == 1;
+        });
+    top.add_transition(route, step1).set_guard(statechart::Guard{"else", nullptr});
+    top.add_transition(work, work)
+        .set_trigger("e1")
+        .set_internal(true)
+        .set_guard("sent < 1",
+                   [](const statechart::ActionContext& context) {
+                     return context.instance.variable("sent") < 1;
+                   })
+        .set_effect("sent := sent + 1; peer.post(x)", [peer](statechart::ActionContext& context) {
+          context.instance.set_variable("sent", context.instance.variable("sent") + 1);
+          (*peer)->post(Event("x"));
+        });
+  }
+  statechart::Region& top = receiver.top();
+  statechart::State& idle = top.add_state("Idle");
+  statechart::State& work = top.add_state("Work");
+  top.add_transition(top.add_initial(), idle);
+  idle.add_deferred("x");
+  top.add_transition(idle, work).set_trigger("e0");
+  top.add_transition(work, idle).set_trigger("x");
+  top.add_transition(work, idle).set_trigger("e1");
+}
+
+TEST(VerifyExplore, ChoiceRoutedNetworkHasTheSameSpaceOnBothEngines) {
+  const auto explore_pair = [](bool compiled) {
+    StateMachine poster("Poster");
+    StateMachine receiver("Receiver");
+    statechart::Engine* peer = nullptr;
+    build_routed_pair(poster, receiver, &peer);
+    std::unique_ptr<statechart::Engine> poster_engine;
+    std::unique_ptr<statechart::Engine> receiver_engine;
+    if (compiled) {
+      support::DiagnosticSink sink;
+      poster_engine = statechart::compile(poster, sink);
+      receiver_engine = statechart::compile(receiver, sink);
+      EXPECT_FALSE(sink.has_errors()) << sink.str();
+    } else {
+      poster_engine = std::make_unique<StateMachineInstance>(poster);
+      receiver_engine = std::make_unique<StateMachineInstance>(receiver);
+    }
+    if (poster_engine == nullptr || receiver_engine == nullptr) return ExploreResult{};
+    peer = receiver_engine.get();
+    Network network;
+    for (statechart::Engine* engine : {poster_engine.get(), receiver_engine.get()}) {
+      engine->set_trace_enabled(false);
+      engine->start();
+    }
+    network.add_instance("Poster", *poster_engine);
+    network.add_instance("Receiver", *receiver_engine);
+    for (const char* name : {"Poster", "Receiver"}) {
+      for (const char* event : {"e0", "e1", "e2"}) network.add_choice(name, Event(event));
+    }
+    return explore(network, {});
+  };
+  const ExploreResult reference = explore_pair(false);
+  const ExploreResult compiled = explore_pair(true);
+  EXPECT_EQ(reference.termination, ExploreResult::Termination::kExhausted);
+  EXPECT_EQ(compiled.termination, ExploreResult::Termination::kExhausted);
+  EXPECT_GT(reference.stats.states, 10u);
+  EXPECT_EQ(compiled.stats.states, reference.stats.states);
+  EXPECT_EQ(compiled.stats.transitions, reference.stats.transitions);
 }
 
 TEST(VerifyExplore, ForcedCollisionHashStillConverges) {

@@ -187,7 +187,12 @@ void BM_RecoveryRestoreLatency(benchmark::State& state) {
   state.counters["restores/s"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_RecoveryRestoreLatency)->Arg(0)->Arg(4)->Arg(16)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RecoveryRestoreLatency)
+    ->Arg(0)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 // --- Root-cause binary search -----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 #include "replay/binary.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstring>
@@ -569,6 +570,64 @@ std::string describe(SectionKind kind, std::string_view name) {
   return out + ">";
 }
 
+/// The image entry called `name`, reset for decoding; appended when absent.
+template <typename T>
+T& fresh_entry(std::vector<SnapshotImage::Named<T>>& entries, const std::string& name) {
+  for (auto& entry : entries) {
+    if (entry.name == name) return entry.state = T{};
+  }
+  entries.push_back({name, T{}});
+  return entries.back().state;
+}
+
+/// Decodes one section's payload into `image`, replacing the entry of the
+/// same kind and name. A failed decode leaves that entry partly written.
+bool decode_section(const FlatSection& section, SnapshotImage& image,
+                    support::DiagnosticSink& sink) {
+  ByteReader in(section.payload);
+  bool ok = false;
+  switch (section.kind) {
+    case SectionKind::kKernel:
+      image.kernel = {};
+      image.kernel_timed_labels.clear();
+      ok = decode_kernel(in, image.kernel, image.kernel_timed_labels);
+      break;
+    case SectionKind::kFaultPlan:
+      ok = decode_fault_plan(in, image.fault_plan.emplace());
+      break;
+    case SectionKind::kRecorder:
+      ok = decode_recorder(in, image.recorder.emplace());
+      break;
+    case SectionKind::kMachine:
+      ok = decode_machine(in, fresh_entry(image.machines, section.name));
+      break;
+    case SectionKind::kBus:
+      ok = decode_bus(in, fresh_entry(image.buses, section.name));
+      break;
+    case SectionKind::kWatchdog:
+      ok = decode_watchdog(in, fresh_entry(image.watchdogs, section.name));
+      break;
+    case SectionKind::kSupervisor:
+      ok = decode_supervisor(in, fresh_entry(image.supervisors, section.name));
+      break;
+    case SectionKind::kBreaker:
+      ok = decode_breaker(in, fresh_entry(image.breakers, section.name));
+      break;
+    case SectionKind::kHealth:
+      ok = decode_health(in, fresh_entry(image.health, section.name));
+      break;
+    case SectionKind::kBank:
+      ok = decode_bank(in, fresh_entry(image.banks, section.name));
+      break;
+  }
+  if (!ok || !in.exhausted()) {
+    sink.error("binary-snapshot", "malformed payload in " + describe(section.kind, section.name) +
+                                      (ok ? " (trailing bytes)" : ""));
+    return false;
+  }
+  return true;
+}
+
 bool assemble_image(const std::vector<FlatSection>& sections, SnapshotImage& image,
                     support::DiagnosticSink& sink) {
   SnapshotImage out;
@@ -582,75 +641,8 @@ bool assemble_image(const std::vector<FlatSection>& sections, SnapshotImage& ima
         return false;
       }
     }
-    ByteReader in(section.payload);
-    bool ok = false;
-    switch (section.kind) {
-      case SectionKind::kKernel:
-        kernel_seen = true;
-        ok = decode_kernel(in, out.kernel, out.kernel_timed_labels);
-        break;
-      case SectionKind::kFaultPlan: {
-        SnapshotImage::FaultPlanState plan;
-        ok = decode_fault_plan(in, plan);
-        if (ok) out.fault_plan = std::move(plan);
-        break;
-      }
-      case SectionKind::kRecorder: {
-        SnapshotImage::RecorderState recorder;
-        ok = decode_recorder(in, recorder);
-        if (ok) out.recorder = std::move(recorder);
-        break;
-      }
-      case SectionKind::kMachine: {
-        SnapshotImage::Named<statechart::InstanceSnapshot> entry{section.name, {}};
-        ok = decode_machine(in, entry.state);
-        if (ok) out.machines.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kBus: {
-        SnapshotImage::Named<sim::MemoryMappedBus::Checkpoint> entry{section.name, {}};
-        ok = decode_bus(in, entry.state);
-        if (ok) out.buses.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kWatchdog: {
-        SnapshotImage::Named<sim::Watchdog::Checkpoint> entry{section.name, {}};
-        ok = decode_watchdog(in, entry.state);
-        if (ok) out.watchdogs.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kSupervisor: {
-        SnapshotImage::Named<sim::Supervisor::Checkpoint> entry{section.name, {}};
-        ok = decode_supervisor(in, entry.state);
-        if (ok) out.supervisors.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kBreaker: {
-        SnapshotImage::Named<sim::CircuitBreaker::Checkpoint> entry{section.name, {}};
-        ok = decode_breaker(in, entry.state);
-        if (ok) out.breakers.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kHealth: {
-        SnapshotImage::Named<sim::HealthRegistry::Checkpoint> entry{section.name, {}};
-        ok = decode_health(in, entry.state);
-        if (ok) out.health.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kBank: {
-        SnapshotImage::Named<std::vector<std::pair<std::string, std::uint64_t>>> entry{
-            section.name, {}};
-        ok = decode_bank(in, entry.state);
-        if (ok) out.banks.push_back(std::move(entry));
-        break;
-      }
-    }
-    if (!ok || !in.exhausted()) {
-      sink.error("binary-snapshot",
-                 "malformed payload in " + describe(section.kind, section.name) +
-                     (ok ? " (trailing bytes)" : ""));
-      return false;
-    }
+    kernel_seen = kernel_seen || section.kind == SectionKind::kKernel;
+    if (!decode_section(section, out, sink)) return false;
   }
   if (!kernel_seen) {
     sink.error("binary-snapshot", "missing kernel section");
@@ -812,10 +804,15 @@ bool parse_file(std::string_view data, BinarySnapshotInfo& info,
   return true;
 }
 
-/// Splices a recorder append frame onto the materialized base payload.
-bool splice_recorder_append(const std::string& base, std::string_view append,
-                            std::string& out, support::DiagnosticSink& sink) {
-  ByteReader base_in(base);
+/// Splices a recorder append frame onto the materialized payload in place,
+/// and its entries onto the decoded `recorder`: the 12-byte head is
+/// rewritten and the new entries appended, so a delta costs O(appended).
+/// The size and total checks prove the spliced payload decodes, so it is
+/// never decoded whole.
+bool splice_recorder_append(std::string& payload, std::string_view append,
+                            SnapshotImage::RecorderState& recorder,
+                            support::DiagnosticSink& sink) {
+  ByteReader base_in(payload);
   const std::uint64_t base_total = base_in.u64();
   const std::uint32_t base_count = base_in.u32();
   ByteReader append_in(append);
@@ -828,13 +825,15 @@ bool splice_recorder_append(const std::string& base, std::string_view append,
     sink.error("binary-snapshot", "malformed recorder append frame");
     return false;
   }
-  ByteWriter merged;
-  merged.u64(new_total);
-  merged.u32(base_count + appended);
-  merged.bytes(std::string_view(base).substr(kRecorderHeadBytes));
-  merged.bytes(append.substr(kRecorderHeadBytes));
-  out = merged.take();
-  return true;
+  ByteWriter head;
+  head.u64(new_total);
+  head.u32(base_count + appended);
+  payload.replace(0, kRecorderHeadBytes, head.buffer());
+  payload.append(append.substr(kRecorderHeadBytes));
+  // The append payload is itself a recorder payload (the new entries under
+  // the new total), so decoding it onto `recorder` appends them.
+  ByteReader tail(append);
+  return decode_recorder(tail, recorder);
 }
 
 /// Materializes a full section list from a parsed full-snapshot frame list.
@@ -860,27 +859,24 @@ bool resolve_full(const BinarySnapshotInfo& info, std::vector<FrameEntry>& entri
   return true;
 }
 
-/// Applies one delta's frames onto the materialized section list.
+/// Applies one delta's frames onto the materialized sections and keeps
+/// `image` decoded in step: a payload frame is decode-checked as it lands.
 bool apply_delta(std::vector<FlatSection>& sections, std::vector<FrameEntry>& entries,
-                 support::DiagnosticSink& sink) {
+                 SnapshotImage& image, support::DiagnosticSink& sink) {
   for (FrameEntry& entry : entries) {
-    FlatSection* match = nullptr;
-    for (FlatSection& section : sections) {
-      if (section.kind == entry.kind && section.name == entry.name) {
-        match = &section;
-        break;
-      }
-    }
+    auto match = std::find_if(sections.begin(), sections.end(), [&](const FlatSection& section) {
+      return section.kind == entry.kind && section.name == entry.name;
+    });
     switch (entry.entry_flags) {
       case kEntryPayload:
-        if (match != nullptr) {
-          match->payload = std::move(entry.payload);
-        } else {
-          sections.push_back({entry.kind, std::move(entry.name), std::move(entry.payload)});
+        if (match == sections.end()) {
+          match = sections.insert(match, FlatSection{entry.kind, std::move(entry.name), {}});
         }
+        match->payload = std::move(entry.payload);
+        if (!decode_section(*match, image, sink)) return false;
         break;
       case kEntryReference: {
-        if (match == nullptr) {
+        if (match == sections.end()) {
           sink.error("binary-snapshot", "delta references " + describe(entry.kind, entry.name) +
                                             " which is absent from the base");
           return false;
@@ -897,17 +893,16 @@ bool apply_delta(std::vector<FlatSection>& sections, std::vector<FrameEntry>& en
         }
         break;
       }
-      case kEntryRecorderAppend: {
-        if (entry.kind != SectionKind::kRecorder || match == nullptr) {
+      case kEntryRecorderAppend:
+        if (entry.kind != SectionKind::kRecorder || match == sections.end()) {
           sink.error("binary-snapshot", "append frame on non-recorder section " +
                                             describe(entry.kind, entry.name));
           return false;
         }
-        std::string merged;
-        if (!splice_recorder_append(match->payload, entry.payload, merged, sink)) return false;
-        match->payload = std::move(merged);
+        if (!splice_recorder_append(match->payload, entry.payload, *image.recorder, sink)) {
+          return false;
+        }
         break;
-      }
       default:
         sink.error("binary-snapshot", "unknown entry flags in delta");
         return false;
@@ -961,36 +956,43 @@ bool image_from_binary(std::string_view data, SnapshotImage& image,
 }
 
 bool image_from_binary_chain(const std::vector<std::string_view>& chain, SnapshotImage& image,
-                             support::DiagnosticSink& sink) {
+                             support::DiagnosticSink& sink, std::size_t* failed_rung) {
+  std::size_t rung = 0;
+  const auto fail = [&] {
+    if (failed_rung != nullptr) *failed_rung = rung;
+    return false;
+  };
   if (chain.empty()) {
     sink.error("binary-snapshot", "empty checkpoint chain");
-    return false;
+    return fail();
   }
   BinarySnapshotInfo info;
   std::vector<FrameEntry> entries;
-  if (!parse_file(chain.front(), info, entries, sink)) return false;
   std::vector<FlatSection> sections;
-  if (!resolve_full(info, entries, sections, sink)) return false;
-  std::uint64_t previous_seq = info.seq;
-  for (std::size_t i = 1; i < chain.size(); ++i) {
-    BinarySnapshotInfo delta_info;
-    std::vector<FrameEntry> delta_entries;
-    if (!parse_file(chain[i], delta_info, delta_entries, sink)) return false;
-    if (!delta_info.delta) {
-      sink.error("binary-snapshot", "chain element #" + std::to_string(i) +
-                                        " is a full snapshot, expected a delta");
-      return false;
-    }
-    if (delta_info.base_seq != previous_seq) {
-      sink.error("binary-snapshot", "chain break: delta " + std::to_string(delta_info.seq) +
-                                        " expects base " + std::to_string(delta_info.base_seq) +
-                                        ", chain holds " + std::to_string(previous_seq));
-      return false;
-    }
-    if (!apply_delta(sections, delta_entries, sink)) return false;
-    previous_seq = delta_info.seq;
+  SnapshotImage out;
+  if (!parse_file(chain.front(), info, entries, sink) ||
+      !resolve_full(info, entries, sections, sink) || !assemble_image(sections, out, sink)) {
+    return fail();
   }
-  return assemble_image(sections, image, sink);
+  for (rung = 1; rung < chain.size(); ++rung) {
+    const std::uint64_t previous_seq = info.seq;
+    entries.clear();
+    if (!parse_file(chain[rung], info, entries, sink)) return fail();
+    if (!info.delta) {
+      sink.error("binary-snapshot", "chain element #" + std::to_string(rung) +
+                                        " is a full snapshot, expected a delta");
+      return fail();
+    }
+    if (info.base_seq != previous_seq) {
+      sink.error("binary-snapshot", "chain break: delta " + std::to_string(info.seq) +
+                                        " expects base " + std::to_string(info.base_seq) +
+                                        ", chain holds " + std::to_string(previous_seq));
+      return fail();
+    }
+    if (!apply_delta(sections, entries, out, sink)) return fail();
+  }
+  image = std::move(out);
+  return true;
 }
 
 bool save_snapshot_binary(const SnapshotTargets& targets, std::string& out,

@@ -97,11 +97,17 @@ struct BinarySnapshotInfo {
 
 /// Resolves a delta chain — chain[0] must be a full snapshot, each later
 /// element a delta whose base_seq links to its predecessor's seq — into the
-/// final image. Reference frames are verified against the materialized base
-/// payloads; any link or checksum break fails with a structured diagnostic.
+/// final image. One pass, base first: each rung's header and frame checksums
+/// are checked once, the base's sections are decoded once, each delta's
+/// payload frames are decoded as they land and recorder appends are spliced
+/// in place. Reference frames are verified against the materialized base
+/// payloads. Any link, checksum or decode break fails with a structured
+/// diagnostic and stores the index of the rung that caused it in
+/// `*failed_rung` — the prefix chain[0..failed_rung) resolves on its own.
 [[nodiscard]] bool image_from_binary_chain(const std::vector<std::string_view>& chain,
                                            SnapshotImage& image,
-                                           support::DiagnosticSink& sink);
+                                           support::DiagnosticSink& sink,
+                                           std::size_t* failed_rung = nullptr);
 
 /// save_snapshot, binary edition: same refusal rules (capture_image), binary
 /// encoding, SnapshotStats accounting on the kernel.
@@ -149,18 +155,13 @@ class IncrementalEncoder {
   [[nodiscard]] bool encode(const SnapshotTargets& targets, bool force_full, Result& out,
                             support::DiagnosticSink& sink);
 
-  /// Forgets the chain; the next encode is a full snapshot.
-  void reset() {
+  /// Forgets the chain, so the next encode is a full snapshot, and
+  /// continues sequence numbering strictly above `seq`. Used after a
+  /// restore from a directory whose rungs survive — new files must never
+  /// collide with (or sort below) existing ones.
+  void resume_after(std::uint64_t seq) {
     previous_.clear();
     last_seq_ = 0;
-  }
-
-  /// reset() plus: continues sequence numbering strictly above `seq`. Used
-  /// when a freshly constructed encoder resumes writing into a directory
-  /// whose rungs survive — new files must never collide with (or sort
-  /// below) existing ones.
-  void resume_after(std::uint64_t seq) {
-    reset();
     if (next_seq_ <= seq) next_seq_ = seq + 1;
   }
 

@@ -115,7 +115,6 @@ void RecoveryCoordinator::adopt_restored_state() {
 
 bool RecoveryCoordinator::recover(support::DiagnosticSink& sink) {
   if (!store_.restore_latest_good(targets_, sink)) return false;
-  store_.resume_numbering();
   adopt_restored_state();
   // The restored schedule contains the crashed rig's pending tick, which
   // reschedules itself — the chain continues without a fresh start().
@@ -177,7 +176,6 @@ bool RecoveryCoordinator::maybe_rollback(support::DiagnosticSink& sink) {
     }
     return false;
   }
-  store_.resume_numbering();
 
   // Replay the recorded suffix up to — but excluding — the poison instant,
   // under verification: a restored rig that does not reproduce its own
@@ -227,7 +225,6 @@ bool RecoveryCoordinator::maybe_rollback(support::DiagnosticSink& sink) {
 
 bool RecoveryCoordinator::restore_to(std::uint64_t seq, support::DiagnosticSink& sink) {
   if (!store_.restore_to(seq, targets_, sink)) return false;
-  store_.resume_numbering();
   adopt_restored_state();
   return true;
 }
@@ -240,7 +237,6 @@ RecoveryCoordinator::ProbeOutcome RecoveryCoordinator::probe_prefix(
   // A failed restore is NOT a passing probe: conflating the two would let a
   // mid-search ladder failure silently steer the binary search.
   if (!store_.restore_latest_good(targets_, sink)) return ProbeOutcome::kError;
-  store_.resume_numbering();
   sim::EventRecorder* recorder = targets_.recorder;
   recorder->begin_verify(expected, recorder->total_events());
   // Timestamp granularity: the probe executes through the whole instant
@@ -275,7 +271,6 @@ RecoveryCoordinator::RootCauseReport RecoveryCoordinator::root_cause(
     report.summary = "checkpoint ladder exhausted";
     return report;
   }
-  store_.resume_numbering();
   const std::uint64_t base_seq = store_.stats().restored_seq;
   const std::uint64_t base_total = recorder->total_events();
   if (failure_index < base_total) {
@@ -291,7 +286,7 @@ RecoveryCoordinator::RootCauseReport RecoveryCoordinator::root_cause(
   // escalation may have latched on a supervisor that is not itself a
   // snapshot target (mirrors maybe_rollback's resume).
   const auto rewind = [&] {
-    if (store_.restore_latest_good(targets_, sink)) store_.resume_numbering();
+    (void)store_.restore_latest_good(targets_, sink);
     if (supervisor_ != nullptr) supervisor_->resume_after_rollback();
     adopt_restored_state();
   };

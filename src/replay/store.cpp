@@ -21,10 +21,12 @@ constexpr std::string_view kTmpSuffix = ".tmp";
 constexpr std::string_view kQuarantineSuffix = ".quarantined";
 
 bool read_file(const std::filesystem::path& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  return in.good() || in.eof();
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0) return false;
+  out.resize(static_cast<std::size_t>(size));
+  in.seekg(0);
+  return static_cast<bool>(in.read(out.data(), size));
 }
 
 bool write_file(const std::filesystem::path& path, std::string_view bytes) {
@@ -288,8 +290,10 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
     }
 
     const ScanEntry& tip = entries[first];
-    // Materialize the tip's chain, newest to oldest, via base_seq links.
+    // Materialize the tip's chain, newest to oldest, via base_seq links,
+    // keeping each rung's bytes for the decoder.
     std::vector<const ScanEntry*> chain;  // tip first, base last
+    std::vector<std::string> blobs;       // parallel to chain
     std::string tip_failure;
     const ScanEntry* broken = nullptr;
     const ScanEntry* cursor = &tip;
@@ -308,6 +312,7 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
         break;
       }
       chain.push_back(cursor);
+      blobs.push_back(std::move(bytes));
       if (!info.delta) break;  // Reached the full base.
       const ScanEntry* base = nullptr;
       for (const ScanEntry& candidate : entries) {
@@ -331,38 +336,17 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
       continue;
     }
 
-    // Oldest-first for the decoder.
+    // Oldest-first for the decoder, which validates the chain in one pass
+    // and names the rung a failure belongs to.
     std::reverse(chain.begin(), chain.end());
-    std::vector<std::string> blobs(chain.size());
-    bool readable = true;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      if (!read_file(chain[i]->path, blobs[i])) {
-        quarantine(chain[i]->path, "unreadable file", sink);
-        readable = false;
-        break;
-      }
-    }
-    if (!readable) continue;
-
-    // Validate rung by rung so a failure is pinned to the file that caused
-    // it, not blamed on the whole chain. Chains are short (one base plus at
-    // most full_interval - 1 deltas), so the re-decode cost is irrelevant
-    // on this cold path.
+    std::reverse(blobs.begin(), blobs.end());
     SnapshotImage image;
-    bool valid = true;
-    for (std::size_t length = 1; length <= chain.size(); ++length) {
-      std::vector<std::string_view> prefix(blobs.begin(),
-                                           blobs.begin() + static_cast<std::ptrdiff_t>(length));
-      support::DiagnosticSink attempt;
-      SnapshotImage decoded;
-      if (!image_from_binary_chain(prefix, decoded, attempt)) {
-        quarantine(chain[length - 1]->path, attempt.str(), sink);
-        valid = false;
-        break;
-      }
-      if (length == chain.size()) image = std::move(decoded);
+    support::DiagnosticSink attempt;
+    std::size_t failed = 0;
+    if (!image_from_binary_chain({blobs.begin(), blobs.end()}, image, attempt, &failed)) {
+      quarantine(chain[failed]->path, attempt.str(), sink);
+      continue;
     }
-    if (!valid) continue;
 
     support::DiagnosticSink apply_sink;
     if (!apply_image(targets, image, apply_sink)) {
@@ -370,6 +354,8 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
       continue;
     }
     targets.kernel->note_snapshot_restore(elapsed_ns(started));
+    // Later checkpoints start a new chain numbered above every rung on disk.
+    encoder_.resume_after(entries.front().seq);
     ++stats_.restores;
     stats_.restored_seq = chain.back()->seq;
     sink.note("checkpoint-store",

@@ -10,14 +10,18 @@
 //
 // Recovery walks the ladder: restore_latest_good() materializes the newest
 // checkpoint's chain and validates every rung (header, per-section
-// checksums, chain links) before anything is applied. A corrupt,
-// truncated or version-skewed file is *quarantined* — renamed to
-// `<name>.quarantined`, recorded with its structured diagnostics, reported
-// to an optional HealthRegistry as a degraded unit — and the ladder steps
-// down to the next older checkpoint until one restores or the directory is
-// exhausted. Supervision warm restarts ride on this: a supervisor restart
-// callback that calls restore_latest_good() recovers the newest state that
-// still checks out.
+// checksums, chain links, payload decodes) before anything is applied.
+// Each rung file is read once and its bytes go straight to the one-pass
+// chain decoder (image_from_binary_chain), which names the rung a failure
+// belongs to. A corrupt, truncated or version-skewed file is
+// *quarantined* — renamed to `<name>.quarantined`, recorded with its
+// structured diagnostics, reported to an optional HealthRegistry as a
+// degraded unit — and the ladder steps down to the next older checkpoint
+// until one restores or the directory is exhausted. Supervision warm
+// restarts ride on this: a supervisor restart callback that calls
+// restore_latest_good() recovers the newest state that still checks out.
+// After a successful restore the next checkpoint starts a new chain,
+// numbered above every rung the restore's own directory scan found.
 //
 // Fault injection: an installed FaultPlan is consulted once per write at
 // FaultSite::kCheckpoint. kError tears the file (half written), kBitFlip
@@ -26,7 +30,6 @@
 // every seed to recover through the ladder.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -102,16 +105,17 @@ class CheckpointStore {
   /// chain, quarantines every file that fails (structured reason recorded),
   /// and applies the newest chain that survives. Returns false only when no
   /// restorable checkpoint remains; quarantine events along the way surface
-  /// as warnings on `sink`, terminal failure as an error.
+  /// as warnings on `sink`, terminal failure as an error. On success the
+  /// encoder chain is reset and numbering resumes above the newest rung on
+  /// disk, so later checkpoints never overwrite or sort below a survivor.
   [[nodiscard]] bool restore_latest_good(const SnapshotTargets& targets,
                                          support::DiagnosticSink& sink);
 
   /// Time travel: restores the newest checkpoint whose sequence is <= `seq`
   /// (exactly `seq` when that rung survives on disk), materializing its
   /// full+delta chain with the same validation and quarantine behavior as
-  /// restore_latest_good. Returns false when no rung at or below `seq`
-  /// restores. The encoder chain is NOT reset here — callers that intend to
-  /// keep checkpointing after a rewind must call reset_chain().
+  /// restore_latest_good, including the encoder reset on success. Returns
+  /// false when no rung at or below `seq` restores.
   [[nodiscard]] bool restore_to(std::uint64_t seq, const SnapshotTargets& targets,
                                 support::DiagnosticSink& sink);
 
@@ -120,22 +124,6 @@ class CheckpointStore {
     return quarantined_;
   }
   [[nodiscard]] const CheckpointStoreConfig& config() const { return config_; }
-
-  /// Forgets the delta chain; the next checkpoint is a full snapshot.
-  /// Required after restore_latest_good (the on-disk tip may no longer
-  /// match the encoder's in-memory previous payloads).
-  void reset_chain() { encoder_.reset(); }
-
-  /// reset_chain() plus: continues sequence numbering strictly above every
-  /// rung still on disk, so post-recovery checkpoints never overwrite a
-  /// surviving rung and always outrank them in a later ladder walk. The
-  /// recovery orchestrator calls this instead of reset_chain() whenever it
-  /// resumes checkpointing after a restore.
-  void resume_numbering() {
-    std::uint64_t newest = 0;
-    for (const ScanEntry& entry : scan()) newest = std::max(newest, entry.seq);
-    encoder_.resume_after(newest);
-  }
 
   /// Newest rung present on disk (0 when the directory holds none). A cheap
   /// name scan, no validation — the cross-process handoff uses it to decide

@@ -106,9 +106,14 @@ class MemoryMappedBus {
   [[nodiscard]] Checkpoint capture_checkpoint() const {
     return Checkpoint{stats_, last_completion_ps_};
   }
+  /// Capture refuses while transactions are pending, so a restored bus has
+  /// none: a transaction still in flight when a live rig is rewound belongs
+  /// to the abandoned timeline (its completion wakeup went with the
+  /// kernel's schedule) and is dropped.
   void restore_checkpoint(const Checkpoint& checkpoint) {
     stats_ = checkpoint.stats;
     last_completion_ps_ = checkpoint.last_completion_ps;
+    pending_.clear();
   }
 
   /// Change-detection fingerprint over exactly what Checkpoint captures
@@ -234,9 +239,12 @@ class BusMasterPort {
   /// in-flight transactions hold completion callbacks and cannot be
   /// captured — the port's in-flight expectation makes save_snapshot
   /// reject such states, so a restorable checkpoint always has an empty
-  /// supervision queue.
+  /// supervision queue, and a restore into a live port empties it too.
   [[nodiscard]] const Stats& capture_checkpoint() const { return stats_; }
-  void restore_checkpoint(const Stats& stats) { stats_ = stats; }
+  void restore_checkpoint(const Stats& stats) {
+    stats_ = stats;
+    supervision_.clear();
+  }
 
  private:
   struct Txn {

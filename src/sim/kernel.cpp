@@ -279,10 +279,16 @@ bool Kernel::capture_checkpoint(Checkpoint& out, support::DiagnosticSink& sink) 
   auto add_entry = [&](const TimedEntry& entry) {
     out.timed.push_back(Checkpoint::PendingTimed{entry.at_ps, entry.sequence, entry.process});
   };
-  for (std::uint32_t slot = 0; slot < kWheelBuckets; ++slot) {
-    for (std::int32_t index = wheel_heads_[slot]; index != -1;
-         index = pool_[static_cast<std::size_t>(index)].next) {
-      add_entry(pool_[static_cast<std::size_t>(index)]);
+  // Only occupied buckets: the summary word marks occupancy words, each
+  // occupancy bit one non-empty bucket.
+  for (std::uint64_t words = occupancy_summary_; words != 0; words &= words - 1) {
+    const auto word = static_cast<std::uint32_t>(std::countr_zero(words));
+    for (std::uint64_t bits = occupancy_[word]; bits != 0; bits &= bits - 1) {
+      const std::uint32_t slot = (word << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
+      for (std::int32_t index = wheel_heads_[slot]; index != -1;
+           index = pool_[static_cast<std::size_t>(index)].next) {
+        add_entry(pool_[static_cast<std::size_t>(index)]);
+      }
     }
   }
   for (const TimedEntry& entry : heap_) add_entry(entry);

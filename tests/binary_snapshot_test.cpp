@@ -888,5 +888,89 @@ TEST_F(CheckpointStoreTest, StrayFilesAreIgnored) {
   EXPECT_EQ(recovery.stats().quarantines, 0u);
 }
 
+/// Faults in the middle of a chain. Two chains (fulls at seq 1 and 5,
+/// full_interval 4); the newest chain's second delta, seq 7, is damaged.
+/// The ladder must blame seq 7 itself when it is present, quarantine the
+/// delta that chains to it, and restore seq 6, which continues
+/// bit-identically.
+class CheckpointStoreMidChainTest : public CheckpointStoreTest {
+ protected:
+  void SetUp() override {
+    CheckpointStoreTest::SetUp();
+    FullRig source(*machine_);
+    CheckpointStore store(config(/*full_interval=*/4));
+    write_checkpoints(source, store, 8);
+    files_ = snapshot_files(dir_);
+    ASSERT_EQ(files_.size(), 8u);
+  }
+
+  [[nodiscard]] const std::filesystem::path& rung(std::uint64_t seq) const {
+    return files_[seq - 1];
+  }
+
+  /// Restores through a fresh store and expects exactly `quarantined` —
+  /// (seq, reason substring) in ladder order — and a restore of seq 6.
+  void expect_ladder(const std::vector<std::pair<std::uint64_t, std::string>>& quarantined) {
+    FullRig reference(*machine_);
+    reference.run();
+    FullRig restored(*machine_);
+    CheckpointStore recovery(config(4));
+    support::DiagnosticSink sink;
+    ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+    ASSERT_EQ(recovery.quarantined().size(), quarantined.size()) << sink.str();
+    for (std::size_t i = 0; i < quarantined.size(); ++i) {
+      const CheckpointStore::QuarantineRecord& record = recovery.quarantined()[i];
+      EXPECT_EQ(record.path, rung(quarantined[i].first));
+      EXPECT_NE(record.reason.find(quarantined[i].second), std::string::npos) << record.reason;
+    }
+    EXPECT_EQ(recovery.stats().quarantines, quarantined.size());
+    EXPECT_EQ(recovery.stats().restored_seq, 6u);
+    restored.run();
+    expect_same_outcome(restored, reference, reference.recorder.log());
+  }
+
+  std::vector<std::filesystem::path> files_;
+};
+
+TEST_F(CheckpointStoreMidChainTest, BitFlipInAFrameQuarantinesTheDeltaAndItsDependent) {
+  std::string bytes;
+  ASSERT_TRUE(read_file(rung(7), bytes));
+  // The last payload byte before the trailer: only its frame checksum can
+  // notice.
+  bytes[bytes.size() - kBinaryTrailer.size() - 1] ^= 0x04;
+  ASSERT_TRUE(write_file(rung(7), bytes));
+  expect_ladder({{7, "section checksum mismatch in <bank name='memory'>"},
+                 {8, "delta 8 needs base checkpoint 7, which is missing"}});
+}
+
+TEST_F(CheckpointStoreMidChainTest, ForeignDeltaIsCaughtByItsReferenceChecksums) {
+  // Another rig's seq 7 has the same numbering, links to base 6 and keeps
+  // every frame checksum intact. Its own seq 6 was taken 20ns later than
+  // ours and nothing ran before its seq 7, so every section is a reference
+  // frame: only the reference checksums can refuse it.
+  FullRig other(*machine_);
+  CheckpointStoreConfig foreign = config(4);
+  foreign.directory = dir_.string() + "-foreign";
+  CheckpointStore foreign_store(foreign);
+  write_checkpoints(other, foreign_store, 5);
+  other.run(kMidRunPs + 20000 * 6);
+  CheckpointStore::WriteResult result;
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(foreign_store.checkpoint(other.targets(), result, sink)) << sink.str();
+  ASSERT_TRUE(foreign_store.checkpoint(other.targets(), result, sink)) << sink.str();
+  ASSERT_EQ(result.seq, 7u);
+  ASSERT_TRUE(result.delta);
+  std::string bytes;
+  ASSERT_TRUE(read_file(result.path, bytes));
+  ASSERT_TRUE(write_file(rung(7), bytes));
+  expect_ladder({{7, "reference checksum mismatch in <kernel>"},
+                 {8, "delta 8 needs base checkpoint 7, which is missing"}});
+}
+
+TEST_F(CheckpointStoreMidChainTest, MissingDeltaQuarantinesTheDeltaThatNeedsIt) {
+  ASSERT_TRUE(std::filesystem::remove(rung(7)));
+  expect_ladder({{8, "delta 8 needs base checkpoint 7, which is missing"}});
+}
+
 }  // namespace
 }  // namespace umlsoc::replay

@@ -1,11 +1,13 @@
 // Checkpoint/restore and deterministic-replay tests: snapshot round-trips
-// into a freshly constructed setup, rejection of version-bumped, corrupted
-// and truncated snapshots, save-side refusal of unserializable states, and
-// event-sequence divergence detection.
+// into a freshly constructed setup and into the live rig itself, rejection
+// of version-bumped, corrupted and truncated snapshots, save-side refusal of
+// unserializable states, and event-sequence divergence detection.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,17 +52,26 @@ struct Rig {
   sim::Watchdog watchdog;
   sim::EventRecorder recorder;
   std::array<std::uint64_t, 8> memory{};
+  /// Optional master port with timeout supervision; reads go through it
+  /// when present.
+  std::unique_ptr<sim::BusMasterPort> port;
   sim::ProcessId ticker = sim::kInvalidProcess;
   sim::ProcessId perturb = sim::kInvalidProcess;
   int ticks = 0;
   std::uint64_t read_sum = 0;
 
-  explicit Rig(const statechart::StateMachine& machine, std::size_t ring_capacity = 0)
+  explicit Rig(const statechart::StateMachine& machine, std::size_t ring_capacity = 0,
+               SimTime port_timeout = SimTime())
       : bus(kernel, "mem", SimTime::ns(4)),
         plan(/*seed=*/7),
         instance(machine),
         watchdog(kernel, "rig", SimTime::us(1)),
         recorder(ring_capacity) {
+    if (port_timeout.picoseconds() != 0) {
+      sim::RetryPolicy policy;
+      policy.timeout = port_timeout;
+      port = std::make_unique<sim::BusMasterPort>(kernel, bus, "cpu", policy);
+    }
     for (std::size_t i = 0; i < memory.size(); ++i) memory[i] = 0x100 + i;
     bus.map_device(
         "ram", 0x0, memory.size() * 8,
@@ -83,9 +94,14 @@ struct Rig {
   void tick() {
     ++ticks;
     watchdog.kick();
-    bus.read((static_cast<std::uint64_t>(ticks) % memory.size()) * 8,
-             sim::MemoryMappedBus::ReadCompletion(
-                 [this](sim::BusStatus, std::uint64_t value) { read_sum += value; }));
+    const std::uint64_t address = (static_cast<std::uint64_t>(ticks) % memory.size()) * 8;
+    sim::MemoryMappedBus::ReadCompletion done(
+        [this](sim::BusStatus, std::uint64_t value) { read_sum += value; });
+    if (port != nullptr) {
+      port->read(address, std::move(done));
+    } else {
+      bus.read(address, std::move(done));
+    }
     if (ticks % 2 == 1) {
       instance.dispatch(statechart::Event{"go", ticks});
     } else {
@@ -141,6 +157,31 @@ struct Rig {
            }
            return true;
          }});
+    if (port != nullptr) {
+      out.banks.push_back(
+          {"port",
+           [this] {
+             const sim::BusMasterPort::Stats& stats = port->stats();
+             return std::vector<std::pair<std::string, std::uint64_t>>{
+                 {"transactions", stats.transactions}, {"timeouts", stats.timeouts},
+                 {"retries", stats.retries},           {"exhausted", stats.exhausted},
+                 {"recovered", stats.recovered},       {"late", stats.late_completions}};
+           },
+           [this](const std::vector<std::pair<std::string, std::uint64_t>>& values,
+                  support::DiagnosticSink& sink) {
+             sim::BusMasterPort::Stats stats;
+             std::uint64_t* fields[] = {&stats.transactions, &stats.timeouts,
+                                        &stats.retries,      &stats.exhausted,
+                                        &stats.recovered,    &stats.late_completions};
+             if (values.size() != std::size(fields)) {
+               sink.error("port", "expected " + std::to_string(std::size(fields)) + " counters");
+               return false;
+             }
+             for (std::size_t i = 0; i < values.size(); ++i) *fields[i] = values[i].second;
+             port->restore_checkpoint(stats);
+             return true;
+           }});
+    }
     return out;
   }
 };
@@ -401,6 +442,52 @@ TEST_F(ReplayTest, StatechartRestoreRejectsForeignIndices) {
   EXPECT_TRUE(sink.has_errors());
   // Validation happens before mutation: the instance still runs normally.
   EXPECT_TRUE(restored.instance.is_in("Idle"));
+}
+
+// A restore into the rig that is still running (how time travel and
+// root-cause probes use it) must drop the abandoned timeline's in-flight
+// transactions: capture refuses while any exist, so the restored state has
+// none. A stale one would swallow the next completion, every later read
+// landing one tick late.
+void expect_live_restore_replays_faithfully(const statechart::StateMachine& machine,
+                                            SimTime port_timeout) {
+  Rig reference(machine, 0, port_timeout);
+  reference.run();
+
+  Rig rig(machine, 0, port_timeout);
+  rig.run(kMidRunPs);
+  std::string snapshot;
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(save_snapshot(rig.targets(), snapshot, sink)) << sink.str();
+  rig.run(31000);  // The 30ns tick's read is in flight until 34ns.
+  ASSERT_EQ(rig.bus.pending_transactions(), 1u);
+
+  support::DiagnosticSink restore_sink;
+  ASSERT_TRUE(restore_snapshot(rig.targets(), snapshot, restore_sink)) << restore_sink.str();
+  EXPECT_EQ(rig.bus.pending_transactions(), 0u);
+  rig.recorder.begin_verify(reference.recorder.log(), rig.recorder.total_events());
+  rig.run();
+
+  EXPECT_EQ(rig.recorder.divergence(), std::nullopt);
+  EXPECT_EQ(rig.recorder.missing_events(), std::nullopt);
+  EXPECT_EQ(rig.bus.pending_transactions(), 0u);
+  EXPECT_EQ(rig.read_sum, reference.read_sum);
+  EXPECT_EQ(rig.memory, reference.memory);
+  EXPECT_EQ(rig.bus.stats().completions, reference.bus.stats().completions);
+  EXPECT_EQ(rig.kernel.outstanding_expectations(), 0u);
+  if (port_timeout.picoseconds() != 0) {
+    EXPECT_EQ(rig.port->stats().timeouts, reference.port->stats().timeouts);
+    EXPECT_EQ(rig.port->stats().exhausted, reference.port->stats().exhausted);
+    EXPECT_EQ(rig.port->stats().transactions, reference.port->stats().transactions);
+  }
+}
+
+TEST_F(ReplayTest, RestoreIntoLiveRigDropsInFlightBusTransactions) {
+  expect_live_restore_replays_faithfully(*machine_, SimTime());
+}
+
+TEST_F(ReplayTest, RestoreIntoLiveRigDropsStalePortSupervision) {
+  expect_live_restore_replays_faithfully(*machine_, SimTime::ns(8));
 }
 
 TEST_F(ReplayTest, RecorderDetachedCostsNothingAndRecordsNothing) {

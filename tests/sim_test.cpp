@@ -449,6 +449,41 @@ TEST(Kernel, WheelHeapBoundaryPreservesOrder) {
   EXPECT_EQ(kernel.now(), SimTime::ps(horizon_ps + 5));
 }
 
+TEST(Kernel, CheckpointListsTimedEntriesInTimeOrder) {
+  // Capture visits only the occupied wheel buckets and the overflow heap;
+  // its output is sorted by (at_ps, sequence) whether an entry sits past
+  // the wheel cursor, in a bucket the wheel wrapped around to, or in the
+  // heap beyond the horizon.
+  Kernel kernel;
+  constexpr std::uint64_t quantum_ps = 1ULL << Kernel::kWheelShift;
+  constexpr std::uint64_t horizon_ps = Kernel::kWheelBuckets * quantum_ps;
+  std::vector<ProcessId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(kernel.register_process([] {}));
+  // Park the cursor mid-wheel.
+  once(kernel, SimTime::ps(horizon_ps / 2 + 7), [] {});
+  kernel.run();
+  const std::uint64_t now_ps = kernel.now().picoseconds();
+  // Latest first, so schedule order is not time order.
+  kernel.schedule(SimTime::ps(3 * horizon_ps), ids[0]);      // Heap.
+  kernel.schedule(SimTime::ps(3 * horizon_ps), ids[1]);      // Heap, same time.
+  kernel.schedule(SimTime::ps(3 * horizon_ps / 4), ids[2]);  // Wrapped below the cursor.
+  kernel.schedule(SimTime::ps(10 * quantum_ps + 1), ids[3]); // Past the cursor.
+  kernel.schedule(SimTime::ps(10 * quantum_ps), ids[4]);     // Same bucket, earlier.
+  kernel.schedule(SimTime::ps(10 * quantum_ps), ids[5]);     // Same time, FIFO.
+  EXPECT_EQ(kernel.stats().heap_hits, 2u);
+
+  Kernel::Checkpoint checkpoint;
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(kernel.capture_checkpoint(checkpoint, sink)) << sink.str();
+  std::vector<std::pair<std::uint64_t, ProcessId>> captured;
+  for (const auto& entry : checkpoint.timed) captured.emplace_back(entry.at_ps, entry.process);
+  const std::vector<std::pair<std::uint64_t, ProcessId>> expected = {
+      {now_ps + 10 * quantum_ps, ids[4]},    {now_ps + 10 * quantum_ps, ids[5]},
+      {now_ps + 10 * quantum_ps + 1, ids[3]}, {now_ps + 3 * horizon_ps / 4, ids[2]},
+      {now_ps + 3 * horizon_ps, ids[0]},     {now_ps + 3 * horizon_ps, ids[1]}};
+  EXPECT_EQ(captured, expected);
+}
+
 TEST(Kernel, UsableAfterDeltaLimitThrow) {
   Kernel kernel;
   Signal<int> a(kernel, "a", 0);

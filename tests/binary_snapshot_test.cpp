@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -616,6 +617,65 @@ TEST_F(BinarySnapshotTest, DeltaAgainstTheWrongBaseIsRefusedByReferenceChecksum)
   EXPECT_NE(attempt.str().find("reference checksum mismatch in"), std::string::npos)
       << attempt.str();
   EXPECT_NE(attempt.str().find("delta expects"), std::string::npos) << attempt.str();
+}
+
+TEST_F(BinarySnapshotTest, ChainFailureNamesTheRungThatCausedIt) {
+  // A base and three deltas. Each corruption is pinned to its own rung, and
+  // the chain before that rung resolves on its own.
+  FullRig source(*machine_);
+  IncrementalEncoder encoder;
+  std::vector<std::string> rungs;
+  support::DiagnosticSink sink;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    source.run(kMidRunPs + 20000 * i);
+    IncrementalEncoder::Result result;
+    ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/i == 0, result, sink))
+        << sink.str();
+    ASSERT_EQ(result.delta, i != 0);
+    rungs.push_back(std::move(result.bytes));
+  }
+  const auto resolve = [&](const std::vector<std::string>& chain, std::size_t& failed,
+                           support::DiagnosticSink& diagnostics) {
+    SnapshotImage image;
+    return image_from_binary_chain({chain.begin(), chain.end()}, image, diagnostics, &failed);
+  };
+  std::size_t failed = 0;
+  ASSERT_TRUE(resolve(rungs, failed, sink)) << sink.str();
+
+  // A delta whose bank payload claims one entry more than it holds, with
+  // its frame checksum repaired: only decoding the payload can refuse it.
+  std::vector<std::string> malformed = rungs;
+  std::string& delta = malformed[2];
+  const std::string bank_frame("\x0a\x06\x00memory", 9);  // kind, name length, name.
+  const std::size_t frame = delta.rfind(bank_frame);
+  ASSERT_NE(frame, std::string::npos);
+  const std::size_t meta_bytes = bank_frame.size() + 1 + 4;  // + entry flags, payload length.
+  ASSERT_EQ(delta[frame + bank_frame.size()], '\0') << "a payload frame, not a reference";
+  const std::size_t payload = frame + meta_bytes + 8;
+  std::uint32_t entries = 0;
+  std::memcpy(&entries, delta.data() + payload, sizeof entries);
+  put_u32(delta, payload, entries + 1);
+  const std::size_t payload_bytes = delta.size() - kBinaryTrailer.size() - payload;
+  put_u64(delta, frame + meta_bytes,
+          fnv1a(std::string_view(delta).substr(payload, payload_bytes),
+                fnv1a(std::string_view(delta).substr(frame, meta_bytes))));
+  support::DiagnosticSink decode_attempt;
+  EXPECT_FALSE(resolve(malformed, failed, decode_attempt));
+  EXPECT_EQ(failed, 2u);
+  EXPECT_NE(decode_attempt.str().find("malformed payload in <bank name='memory'>"),
+            std::string::npos)
+      << decode_attempt.str();
+  support::DiagnosticSink prefix_attempt;
+  EXPECT_TRUE(resolve({rungs[0], rungs[1]}, failed, prefix_attempt)) << prefix_attempt.str();
+
+  // A flipped payload bit in the base fails the base's frame checksum.
+  std::vector<std::string> flipped = rungs;
+  flipped[0][flipped[0].size() - kBinaryTrailer.size() - 1] ^= 0x04;
+  support::DiagnosticSink base_attempt;
+  EXPECT_FALSE(resolve(flipped, failed, base_attempt));
+  EXPECT_EQ(failed, 0u);
+  EXPECT_NE(base_attempt.str().find("section checksum mismatch"), std::string::npos)
+      << base_attempt.str();
 }
 
 TEST_F(BinarySnapshotTest, XmlSectionChecksumDiagnosticsNameTheSection) {

@@ -81,6 +81,7 @@
 //   $ ./example_uart_soc --chaos-soak=64 --fault-templates=4
 //   $ ./example_uart_soc --check-properties
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -98,6 +99,7 @@
 #include "codegen/swruntime.hpp"
 #include "codegen/systemc.hpp"
 #include "mda/transform.hpp"
+#include "replay/binary.hpp"
 #include "replay/recovery.hpp"
 #include "replay/snapshot.hpp"
 #include "replay/store.hpp"
@@ -508,14 +510,14 @@ bool run_phase(DegradedRig& rig, std::uint64_t total) {
 
 /// Runs until the rig reaches a checkpointable state (e.g. no in-flight
 /// port expectation from a retry) and captures a snapshot. `out == nullptr`
-/// runs the identical search without keeping the document — the reference
-/// run uses it to stay on the checkpointed run's timeline (save_snapshot
-/// itself has no side effects on the simulation).
+/// runs the identical search without keeping the snapshot — the reference
+/// run uses it to stay on the checkpointed run's timeline (capturing a
+/// snapshot has no side effects on the simulation).
 bool run_to_save_point(DegradedRig& rig, std::string* out) {
   for (int attempt = 0; attempt < 64; ++attempt) {
     support::DiagnosticSink save_sink;
     std::string snapshot;
-    if (replay::save_snapshot(rig.targets(), snapshot, save_sink)) {
+    if (replay::save_snapshot_binary(rig.targets(), snapshot, save_sink)) {
       if (out != nullptr) *out = std::move(snapshot);
       return true;
     }
@@ -868,7 +870,7 @@ std::string soak_one_seed(const uml::Component& psm_uart, const soc::SocProfile&
 
   DegradedRig restored(psm_uart, profile, link_machine, base, faults, seed, sink);
   support::DiagnosticSink restore_sink;
-  if (!replay::restore_snapshot(restored.targets(), snapshot, restore_sink)) {
+  if (!replay::restore_snapshot_binary(restored.targets(), snapshot, restore_sink)) {
     return "restore failed: " + restore_sink.str();
   }
   restored.recorder.begin_verify(reference_log, restored.recorder.total_events());
@@ -1567,11 +1569,13 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strncmp(argv[i], "--chaos-soak=", 13) == 0) {
-      soak_seeds = std::atoi(argv[i] + 13);
-      if (soak_seeds < 1) {
+      char* end = nullptr;
+      const long value = std::strtol(argv[i] + 13, &end, 10);
+      if (end == argv[i] + 13 || *end != '\0' || value < 1 || value > INT_MAX) {
         std::fprintf(stderr, "invalid seed count '%s'\n", argv[i] + 13);
         return 2;
       }
+      soak_seeds = static_cast<int>(value);
       continue;
     }
     std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
@@ -1665,13 +1669,13 @@ int main(int argc, char** argv) {
   checkpointed.watchdog.arm();
   checkpointed.driver.run(kPhase1);
   std::string snapshot;
-  if (!replay::save_snapshot(checkpointed.targets(), snapshot, sink)) {
+  if (!replay::save_snapshot_binary(checkpointed.targets(), snapshot, sink)) {
     std::fputs(sink.str().c_str(), stderr);
     return 1;
   }
 
   ReplayRig restored(*bundle.psm_uart, *bundle.psm_profile, health, base, sink);
-  if (!replay::restore_snapshot(restored.targets(), snapshot, sink)) {
+  if (!replay::restore_snapshot_binary(restored.targets(), snapshot, sink)) {
     std::fputs(sink.str().c_str(), stderr);
     return 1;
   }
@@ -1721,7 +1725,7 @@ int main(int argc, char** argv) {
   // recorder to verify mode against the reference log, and inject one event
   // the reference never had. The verifier must latch it.
   ReplayRig perturbed(*bundle.psm_uart, *bundle.psm_profile, health, base, sink);
-  if (!replay::restore_snapshot(perturbed.targets(), snapshot, sink)) {
+  if (!replay::restore_snapshot_binary(perturbed.targets(), snapshot, sink)) {
     std::fputs(sink.str().c_str(), stderr);
     return 1;
   }
@@ -1736,16 +1740,13 @@ int main(int argc, char** argv) {
   std::printf("divergence detection: %s\n",
               perturbed.recorder.divergence()->str().c_str());
 
-  // Corruption rejection: a flipped byte must fail the checksum, loudly.
+  // Corruption rejection: a flipped byte must fail its section's checksum,
+  // loudly.
   std::string corrupted = snapshot;
-  const std::size_t flip = corrupted.find("rng-state=\"");
-  if (flip != std::string::npos) {
-    char& digit = corrupted[flip + 11];
-    digit = digit == '9' ? '1' : '9';
-  }
+  corrupted[corrupted.size() / 2] ^= 0x01;
   support::DiagnosticSink corrupt_sink;
   ReplayRig victim(*bundle.psm_uart, *bundle.psm_profile, health, base, sink);
-  if (replay::restore_snapshot(victim.targets(), corrupted, corrupt_sink)) {
+  if (replay::restore_snapshot_binary(victim.targets(), corrupted, corrupt_sink)) {
     std::printf("corrupted snapshot was NOT rejected\n");
     return 1;
   }

@@ -141,8 +141,7 @@ class ByteReader {
 
 // --- section payload codecs ---------------------------------------------------
 
-std::string encode_kernel(const SnapshotImage& image) {
-  const sim::Kernel::Checkpoint& checkpoint = image.kernel;
+std::string encode_kernel(const sim::Kernel::Checkpoint& checkpoint) {
   ByteWriter out;
   out.u64(checkpoint.now_ps);
   out.u64(checkpoint.sequence);
@@ -150,11 +149,10 @@ std::string encode_kernel(const SnapshotImage& image) {
   out.u64(checkpoint.events_processed);
   out.u64(checkpoint.process_count);
   out.u32(static_cast<std::uint32_t>(checkpoint.timed.size()));
-  for (std::size_t i = 0; i < checkpoint.timed.size(); ++i) {
-    out.u64(checkpoint.timed[i].at_ps);
-    out.u64(checkpoint.timed[i].sequence);
-    out.u32(checkpoint.timed[i].process);
-    out.str(i < image.kernel_timed_labels.size() ? image.kernel_timed_labels[i] : "");
+  for (const auto& timed : checkpoint.timed) {
+    out.u64(timed.at_ps);
+    out.u64(timed.sequence);
+    out.u32(timed.process);
   }
   out.u32(static_cast<std::uint32_t>(checkpoint.expectations.size()));
   for (const auto& expectation : checkpoint.expectations) {
@@ -164,8 +162,7 @@ std::string encode_kernel(const SnapshotImage& image) {
   return out.take();
 }
 
-bool decode_kernel(ByteReader& in, sim::Kernel::Checkpoint& out,
-                   std::vector<std::string>& labels) {
+bool decode_kernel(ByteReader& in, sim::Kernel::Checkpoint& out) {
   out.now_ps = in.u64();
   out.sequence = in.u64();
   out.delta_count = in.u64();
@@ -178,7 +175,6 @@ bool decode_kernel(ByteReader& in, sim::Kernel::Checkpoint& out,
     timed.sequence = in.u64();
     timed.process = in.u32();
     out.timed.push_back(timed);
-    labels.push_back(in.str());
   }
   const std::uint32_t expectation_count = in.u32();
   for (std::uint32_t i = 0; i < expectation_count && !in.failed(); ++i) {
@@ -533,7 +529,7 @@ struct FlatSection {
 std::vector<FlatSection> flatten_image(const SnapshotImage& image) {
   std::vector<FlatSection> sections;
   sections.reserve(image.section_count());
-  sections.push_back({SectionKind::kKernel, "", encode_kernel(image)});
+  sections.push_back({SectionKind::kKernel, "", encode_kernel(image.kernel)});
   if (image.fault_plan) {
     sections.push_back({SectionKind::kFaultPlan, "", encode_fault_plan(*image.fault_plan)});
   }
@@ -589,8 +585,7 @@ bool decode_section(const FlatSection& section, SnapshotImage& image,
   switch (section.kind) {
     case SectionKind::kKernel:
       image.kernel = {};
-      image.kernel_timed_labels.clear();
-      ok = decode_kernel(in, image.kernel, image.kernel_timed_labels);
+      ok = decode_kernel(in, image.kernel);
       break;
     case SectionKind::kFaultPlan:
       ok = decode_fault_plan(in, image.fault_plan.emplace());
@@ -1017,20 +1012,6 @@ bool restore_snapshot_binary(const SnapshotTargets& targets, std::string_view da
   if (!image_from_binary(data, image, sink)) return false;
   if (!apply_image(targets, image, sink)) return false;
   targets.kernel->note_snapshot_restore(elapsed_ns(started));
-  return true;
-}
-
-bool binary_to_xml(std::string_view binary, std::string& xml, support::DiagnosticSink& sink) {
-  SnapshotImage image;
-  if (!image_from_binary(binary, image, sink)) return false;
-  xml = image_to_xml(image);
-  return true;
-}
-
-bool xml_to_binary(std::string_view xml, std::string& binary, support::DiagnosticSink& sink) {
-  SnapshotImage image;
-  if (!image_from_xml(xml, image, sink)) return false;
-  binary = image_to_binary(image);
   return true;
 }
 

@@ -1,10 +1,7 @@
-// Binary snapshot encoding: the high-frequency checkpoint format.
-//
-// Same content, same section structure and same refusal rules as the XML
-// snapshot (replay/snapshot.hpp) — both formats are pure transcodings of
-// SnapshotImage, which is what makes the binary<->XML converters lossless
-// by construction. XML stays the inspection format; binary is what the
-// CheckpointStore writes on the hot path.
+// Binary snapshot encoding: the one format a checkpoint is written and read
+// in. It transcodes SnapshotImage (replay/snapshot.hpp), which owns the
+// section structure and the refusal rules; standalone snapshots and every
+// CheckpointStore rung use it.
 //
 // File layout (all integers little-endian):
 //
@@ -109,26 +106,19 @@ struct BinarySnapshotInfo {
                                            support::DiagnosticSink& sink,
                                            std::size_t* failed_rung = nullptr);
 
-/// save_snapshot, binary edition: same refusal rules (capture_image), binary
-/// encoding, SnapshotStats accounting on the kernel.
+/// Captures the targets (capture_image: returns false, `out` untouched, when
+/// the state is not checkpointable) into a standalone full snapshot, with
+/// SnapshotStats accounting on the kernel.
 [[nodiscard]] bool save_snapshot_binary(const SnapshotTargets& targets, std::string& out,
                                         support::DiagnosticSink& sink);
 
-/// restore_snapshot, binary edition (standalone full snapshots). Fully
-/// validates before touching any target.
+/// Restores a standalone full snapshot into `targets`. The file is decoded
+/// and matched against the targets before any of them is touched, so format
+/// errors never leave a partial restore; component-level apply failures
+/// may (see apply_image).
 [[nodiscard]] bool restore_snapshot_binary(const SnapshotTargets& targets,
                                            std::string_view data,
                                            support::DiagnosticSink& sink);
-
-// --- converters --------------------------------------------------------------
-// Lossless in both directions: each side decodes to SnapshotImage and
-// re-encodes with the other codec, so xml -> binary -> xml reproduces the
-// canonical XML document byte-for-byte (checksums included).
-
-[[nodiscard]] bool binary_to_xml(std::string_view binary, std::string& xml,
-                                 support::DiagnosticSink& sink);
-[[nodiscard]] bool xml_to_binary(std::string_view xml, std::string& binary,
-                                 support::DiagnosticSink& sink);
 
 // --- incremental encoding ----------------------------------------------------
 
@@ -149,7 +139,7 @@ class IncrementalEncoder {
     std::size_t sections_total = 0;
   };
 
-  /// Captures the targets (same refusal rules as save_snapshot) and encodes
+  /// Captures the targets (same refusal rules as capture_image) and encodes
   /// the next checkpoint in the chain. `force_full` starts a new base.
   /// Updates the kernel's SnapshotStats.
   [[nodiscard]] bool encode(const SnapshotTargets& targets, bool force_full, Result& out,

@@ -1,35 +1,33 @@
 // Versioned checkpoint/restore for executable models.
 //
-// A snapshot is an XML document (reusing the xmi writer/parser) capturing
-// everything a deterministic setup cannot reconstruct on its own: kernel
-// time, sequence counter and pending timed-event metadata; fault-plan RNG
-// stream positions and counters; statechart instance configurations
-// (active states, history, variables, event pools); bus pipeline state;
-// watchdog supervision flags; generic value banks (register files); and
-// the event-recorder log.
+// A snapshot captures everything a deterministic setup cannot reconstruct
+// on its own: kernel time, sequence counter and pending timed-event
+// metadata; fault-plan RNG stream positions and counters; statechart
+// instance configurations (active states, history, variables, event pools);
+// bus pipeline state; watchdog supervision flags; generic value banks
+// (register files); and the event-recorder log. It has one encoding, the
+// checksummed binary format in replay/binary.hpp.
 //
 // What is NOT captured — and why restore works anyway: process bodies,
 // callbacks and model structure. The restoring process re-runs the same
 // deterministic setup code (same construction order => same ProcessIds,
-// same vertex pre-order => same statechart indices), then restore_snapshot
+// same vertex pre-order => same statechart indices), then apply_image
 // replaces the *state* of those freshly built components. The contract is
 // therefore "same setup, different process", not "cold start from bytes".
 //
-// Robustness: save refuses states it could not faithfully restore (pending
-// bus transactions, expectations owned by anything but a registered
-// watchdog, transient one-shot processes in the queue). Restore validates
-// the document before touching any target: root tag, version and FNV-1a
-// content checksum first, then every section is decoded and matched
-// against the registered targets; only then is state applied. Malformed,
-// truncated, corrupted or version-bumped input fails with structured
-// diagnostics and leaves the targets unchanged.
+// Robustness: capture refuses states it could not faithfully restore
+// (pending bus transactions, expectations owned by anything but a
+// registered watchdog or supervisor, transient one-shot processes in the
+// queue). Apply matches every section against the registered targets before
+// touching any of them; the binary decoder checks version and checksums
+// before that. Malformed, truncated, corrupted or version-bumped input fails
+// with structured diagnostics and leaves the targets unchanged.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,15 +41,16 @@
 
 namespace umlsoc::replay {
 
-/// Format version written by save_snapshot; restore_snapshot rejects any
+/// Format version written by every snapshot encode; decoding rejects any
 /// other value (forward- and backward-incompatible by design: the format
 /// mirrors internal state). Version 2 added the supervision sections
 /// (<supervisor>, <breaker>, <health>); version 3 added per-section
-/// checksums (XML attribute / binary frame field), so corruption reports
-/// name the damaged section instead of just failing the document hash, and
-/// a fourth fault-plan site (checkpoint-path faults); version 4 added the
-/// fifth fault-plan site (simulated-crash ticks).
-inline constexpr int kSnapshotVersion = 4;
+/// checksums, so corruption reports name the damaged section instead of
+/// just failing the document hash, and a fourth fault-plan site
+/// (checkpoint-path faults); version 4 added the fifth fault-plan site
+/// (simulated-crash ticks); version 5 dropped the process labels the kernel
+/// section carried for each pending timed entry.
+inline constexpr int kSnapshotVersion = 5;
 
 struct MachineTarget {
   std::string name;
@@ -111,12 +110,10 @@ struct SnapshotTargets {
   std::vector<ValueBank> banks;
 };
 
-/// Decoded, format-independent snapshot content: exactly the state the XML
-/// and binary encodings carry, section order preserved. capture_image and
-/// apply_image own the refusal rules and the section/target matching;
-/// image_to_xml / image_from_xml (and the binary codec in replay/binary.hpp)
-/// are pure transcoders over this struct — which is what makes the
-/// binary<->XML converters lossless by construction.
+/// Decoded snapshot content: exactly the state the binary encoding carries,
+/// section order preserved. capture_image and apply_image own the refusal
+/// rules and the section/target matching; the codec in replay/binary.hpp
+/// only transcodes this struct.
 struct SnapshotImage {
   template <typename T>
   struct Named {
@@ -125,9 +122,6 @@ struct SnapshotImage {
   };
 
   sim::Kernel::Checkpoint kernel;
-  /// Diagnostic process labels parallel to kernel.timed ("" when unlabeled);
-  /// carried so transcoding preserves the human-readable annotations.
-  std::vector<std::string> kernel_timed_labels;
 
   struct FaultPlanState {
     std::uint64_t seed = 0;
@@ -172,33 +166,6 @@ struct SnapshotImage {
 /// applied — treat a failed apply as fatal.
 [[nodiscard]] bool apply_image(const SnapshotTargets& targets, const SnapshotImage& image,
                                support::DiagnosticSink& sink);
-
-/// Serializes an image as the canonical XML snapshot document (version,
-/// per-section checksums, document checksum).
-[[nodiscard]] std::string image_to_xml(const SnapshotImage& image);
-
-/// Parses and fully validates an XML snapshot document (root tag, version,
-/// document and per-section checksums, strict attribute syntax) into
-/// `image` without touching any target.
-[[nodiscard]] bool image_from_xml(std::string_view input, SnapshotImage& image,
-                                  support::DiagnosticSink& sink);
-
-/// Serializes the targets' state into `out`. Returns false (reporting
-/// through `sink`, `out` untouched) when the state is not checkpointable:
-/// mid-delta kernel, pending transient events, in-flight bus transactions,
-/// or outstanding expectations not owned by a registered watchdog.
-[[nodiscard]] bool save_snapshot(const SnapshotTargets& targets, std::string& out,
-                                 support::DiagnosticSink& sink);
-
-/// Restores a save_snapshot document into `targets`. The document is fully
-/// validated (well-formedness, root tag, version, checksum, section/target
-/// match, strict attribute syntax) before any target is mutated; format
-/// errors therefore never leave a partial restore. Component-level
-/// validation failures during apply (e.g. a snapshot from a structurally
-/// different machine) also report through `sink` and return false, but may
-/// leave earlier sections applied — treat a failed restore as fatal.
-[[nodiscard]] bool restore_snapshot(const SnapshotTargets& targets, std::string_view input,
-                                    support::DiagnosticSink& sink);
 
 // --- warm-restart factories --------------------------------------------------
 // Supervisor children restart through plain callbacks; these build the

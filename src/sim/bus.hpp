@@ -237,7 +237,7 @@ class BusMasterPort {
 
   /// Checkpointable per-port state: the counters. Supervision entries for
   /// in-flight transactions hold completion callbacks and cannot be
-  /// captured — the port's in-flight expectation makes save_snapshot
+  /// captured — the port's in-flight expectation makes capture_image
   /// reject such states, so a restorable checkpoint always has an empty
   /// supervision queue, and a restore into a live port empties it too.
   [[nodiscard]] const Stats& capture_checkpoint() const { return stats_; }

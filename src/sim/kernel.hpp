@@ -216,8 +216,8 @@ class Kernel {
     return timed_size_ == 0 && runnable_.empty() && next_runnable_.empty();
   }
 
-  /// Checkpoint-encoding observability, fed by the replay layer (XML and
-  /// binary snapshot paths, CheckpointStore). Sections dirty/total describe
+  /// Checkpoint-encoding observability, fed by the replay layer (standalone
+  /// snapshots, CheckpointStore). Sections dirty/total describe
   /// incremental encodes; wall times are host-clock nanoseconds.
   struct SnapshotStats {
     std::uint64_t encodes = 0;          ///< Snapshot/checkpoint serializations.

@@ -418,7 +418,7 @@ class Supervisor {
   bool restore_checkpoint(const Checkpoint& checkpoint, support::DiagnosticSink& sink);
 
   /// The expectation label this supervisor holds while restarts are pending
-  /// (save_snapshot accepts outstanding expectations with this label when
+  /// (capture_image accepts outstanding expectations with this label when
   /// the supervisor is a registered snapshot target).
   [[nodiscard]] std::string restart_expectation_label() const {
     return "supervisor " + name_ + " restart pending";

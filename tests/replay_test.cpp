@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "replay/binary.hpp"
 #include "replay/snapshot.hpp"
 #include "sim/bus.hpp"
 #include "sim/fault.hpp"
@@ -206,11 +207,11 @@ TEST_F(ReplayTest, SnapshotRoundTripIsBitIdentical) {
   ASSERT_EQ(source.bus.pending_transactions(), 0u);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
 
   Rig restored(*machine_);
   support::DiagnosticSink restore_sink;
-  ASSERT_TRUE(restore_snapshot(restored.targets(), snapshot, restore_sink))
+  ASSERT_TRUE(restore_snapshot_binary(restored.targets(), snapshot, restore_sink))
       << restore_sink.str();
   restored.run();
 
@@ -243,12 +244,11 @@ TEST_F(ReplayTest, SnapshotCapturesQueuedEventsAndVariables) {
 
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
-  EXPECT_NE(snapshot.find("queued"), std::string::npos);
+  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
 
   Rig restored(*machine_);
   support::DiagnosticSink restore_sink;
-  ASSERT_TRUE(restore_snapshot(restored.targets(), snapshot, restore_sink))
+  ASSERT_TRUE(restore_snapshot_binary(restored.targets(), snapshot, restore_sink))
       << restore_sink.str();
   EXPECT_EQ(restored.instance.variable("budget"), -12);
   const statechart::InstanceSnapshot roundtrip = restored.instance.capture();
@@ -267,17 +267,19 @@ TEST_F(ReplayTest, VersionMismatchIsRejected) {
   source.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
 
-  const std::string current = "version=\"" + std::to_string(kSnapshotVersion) + "\"";
-  const std::string bumped = "version=\"" + std::to_string(kSnapshotVersion + 1) + "\"";
-  const std::size_t at = snapshot.find(current);
-  ASSERT_NE(at, std::string::npos);
-  snapshot.replace(at, current.size(), bumped);
+  // The header's u32 version follows the 8-byte magic; the version is
+  // checked before the header checksum, so no checksum repair is needed.
+  constexpr std::size_t kVersionOffset = 8;
+  const auto bumped = static_cast<std::uint32_t>(kSnapshotVersion + 1);
+  for (std::size_t i = 0; i < 4; ++i) {
+    snapshot[kVersionOffset + i] = static_cast<char>((bumped >> (8 * i)) & 0xff);
+  }
 
   Rig restored(*machine_);
   support::DiagnosticSink restore_sink;
-  EXPECT_FALSE(restore_snapshot(restored.targets(), snapshot, restore_sink));
+  EXPECT_FALSE(restore_snapshot_binary(restored.targets(), snapshot, restore_sink));
   EXPECT_NE(restore_sink.str().find("unsupported snapshot version " +
                                     std::to_string(kSnapshotVersion + 1)),
             std::string::npos)
@@ -292,16 +294,19 @@ TEST_F(ReplayTest, CorruptedContentFailsTheChecksum) {
   source.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
 
-  const std::size_t at = snapshot.find("rng-state=\"");
+  // Flip one bit of the fault plan's bus-read RNG state, a payload byte.
+  const std::uint64_t rng_state = source.plan.site_state(sim::FaultSite::kBusRead).rng_state;
+  std::string needle;
+  for (std::size_t i = 0; i < 8; ++i) needle += static_cast<char>((rng_state >> (8 * i)) & 0xff);
+  const std::size_t at = snapshot.find(needle);
   ASSERT_NE(at, std::string::npos);
-  char& digit = snapshot[at + 11];
-  digit = digit == '3' ? '4' : '3';
+  snapshot[at] ^= 0x01;
 
   Rig restored(*machine_);
   support::DiagnosticSink restore_sink;
-  EXPECT_FALSE(restore_snapshot(restored.targets(), snapshot, restore_sink));
+  EXPECT_FALSE(restore_snapshot_binary(restored.targets(), snapshot, restore_sink));
   EXPECT_NE(restore_sink.str().find("checksum mismatch"), std::string::npos)
       << restore_sink.str();
   EXPECT_EQ(restored.kernel.now().picoseconds(), 0u);
@@ -312,13 +317,13 @@ TEST_F(ReplayTest, TruncatedSnapshotsAreRejectedAtEveryLength) {
   source.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
 
   Rig restored(*machine_);
   const SnapshotTargets targets = restored.targets();
-  for (std::size_t length = 0; length < snapshot.size(); length += 97) {
+  for (std::size_t length = 0; length < snapshot.size(); ++length) {
     support::DiagnosticSink restore_sink;
-    EXPECT_FALSE(restore_snapshot(targets, snapshot.substr(0, length), restore_sink));
+    EXPECT_FALSE(restore_snapshot_binary(targets, snapshot.substr(0, length), restore_sink));
     EXPECT_TRUE(restore_sink.has_errors()) << "silent failure at length " << length;
   }
   EXPECT_EQ(restored.kernel.now().picoseconds(), 0u);
@@ -332,7 +337,7 @@ TEST_F(ReplayTest, SaveRefusesPendingBusTransactions) {
 
   std::string snapshot;
   support::DiagnosticSink sink;
-  EXPECT_FALSE(save_snapshot(source.targets(), snapshot, sink));
+  EXPECT_FALSE(save_snapshot_binary(source.targets(), snapshot, sink));
   EXPECT_NE(sink.str().find("pending transactions"), std::string::npos) << sink.str();
 }
 
@@ -344,7 +349,7 @@ TEST_F(ReplayTest, SaveRefusesForeignOutstandingExpectations) {
 
   std::string snapshot;
   support::DiagnosticSink sink;
-  EXPECT_FALSE(save_snapshot(source.targets(), snapshot, sink));
+  EXPECT_FALSE(save_snapshot_binary(source.targets(), snapshot, sink));
   EXPECT_NE(sink.str().find("custom in-flight"), std::string::npos) << sink.str();
 }
 
@@ -353,13 +358,13 @@ TEST_F(ReplayTest, RestoreRejectsMissingAndForeignSections) {
   source.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
 
   Rig restored(*machine_);
   SnapshotTargets targets = restored.targets();
   targets.machines[0].name = "other";  // Registered target not in the snapshot.
   support::DiagnosticSink restore_sink;
-  EXPECT_FALSE(restore_snapshot(targets, snapshot, restore_sink));
+  EXPECT_FALSE(restore_snapshot_binary(targets, snapshot, restore_sink));
   EXPECT_NE(restore_sink.str().find("no <machine> section named 'other'"), std::string::npos)
       << restore_sink.str();
   EXPECT_NE(restore_sink.str().find("has no registered target"), std::string::npos)
@@ -375,11 +380,11 @@ TEST_F(ReplayTest, VerifyModeFlagsInjectedDivergence) {
   source.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
 
   Rig perturbed(*machine_);
   support::DiagnosticSink restore_sink;
-  ASSERT_TRUE(restore_snapshot(perturbed.targets(), snapshot, restore_sink))
+  ASSERT_TRUE(restore_snapshot_binary(perturbed.targets(), snapshot, restore_sink))
       << restore_sink.str();
   perturbed.recorder.begin_verify(reference_log, perturbed.recorder.total_events());
   perturbed.kernel.schedule(SimTime::ns(1), perturbed.perturb);  // Event the reference lacks.
@@ -458,12 +463,12 @@ void expect_live_restore_replays_faithfully(const statechart::StateMachine& mach
   rig.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(rig.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot_binary(rig.targets(), snapshot, sink)) << sink.str();
   rig.run(31000);  // The 30ns tick's read is in flight until 34ns.
   ASSERT_EQ(rig.bus.pending_transactions(), 1u);
 
   support::DiagnosticSink restore_sink;
-  ASSERT_TRUE(restore_snapshot(rig.targets(), snapshot, restore_sink)) << restore_sink.str();
+  ASSERT_TRUE(restore_snapshot_binary(rig.targets(), snapshot, restore_sink)) << restore_sink.str();
   EXPECT_EQ(rig.bus.pending_transactions(), 0u);
   rig.recorder.begin_verify(reference.recorder.log(), rig.recorder.total_events());
   rig.run();

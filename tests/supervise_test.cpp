@@ -1,14 +1,15 @@
 // Supervision, circuit breaking and degraded-mode recovery (sim/supervise):
 // breaker automaton edges, supervisor restart/backoff/escalation, health
 // aggregation, watchdog-driven recovery, and checkpoint/restore of all of it
-// — both the direct Checkpoint structs and the full snapshot document
-// (supervisor pending-restart expectations must be accepted by save).
+// — both the direct Checkpoint structs and a full binary snapshot
+// (supervisor pending-restart expectations must be accepted by capture).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "replay/binary.hpp"
 #include "replay/snapshot.hpp"
 #include "sim/bus.hpp"
 #include "sim/fault.hpp"
@@ -596,11 +597,11 @@ TEST(Supervisor, CheckpointRoundtripWithPendingRestart) {
   EXPECT_TRUE(reject.has_errors());
 }
 
-// --- Snapshot-document integration -------------------------------------------
+// --- Binary snapshot integration ---------------------------------------------
 
 TEST(SuperviseSnapshot, PendingRestartSurvivesSaveAndRestore) {
   // Save while a restart is pending: the supervisor's outstanding
-  // expectation must be accepted by save_snapshot (whitelisted by label),
+  // expectation must be accepted by capture_image (whitelisted by label),
   // and the restored run must execute the restart at the original due time.
   Kernel source_kernel;
   Supervisor source_sup(source_kernel, "soc", RestartStrategy::kOneForOne, fast_policy());
@@ -613,7 +614,7 @@ TEST(SuperviseSnapshot, PendingRestartSurvivesSaveAndRestore) {
   source_targets.supervisors.push_back({"soc", &source_sup});
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(replay::save_snapshot(source_targets, snapshot, sink)) << sink.str();
+  ASSERT_TRUE(replay::save_snapshot_binary(source_targets, snapshot, sink)) << sink.str();
 
   Kernel kernel;
   Supervisor sup(kernel, "soc", RestartStrategy::kOneForOne, fast_policy());
@@ -626,7 +627,8 @@ TEST(SuperviseSnapshot, PendingRestartSurvivesSaveAndRestore) {
   targets.kernel = &kernel;
   targets.supervisors.push_back({"soc", &sup});
   support::DiagnosticSink restore_sink;
-  ASSERT_TRUE(replay::restore_snapshot(targets, snapshot, restore_sink)) << restore_sink.str();
+  ASSERT_TRUE(replay::restore_snapshot_binary(targets, snapshot, restore_sink))
+      << restore_sink.str();
 
   EXPECT_EQ(sup.pending_restarts(), 1u);
   kernel.run();
@@ -652,7 +654,7 @@ TEST(SuperviseSnapshot, OpenBreakerSurvivesSaveAndRestore) {
   source_targets.health.push_back({"health", &source_health});
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(replay::save_snapshot(source_targets, snapshot, sink)) << sink.str();
+  ASSERT_TRUE(replay::save_snapshot_binary(source_targets, snapshot, sink)) << sink.str();
 
   BusRig restored;
   CircuitBreaker breaker(restored.kernel, restored.port, "dma", small_breaker_config());
@@ -665,7 +667,8 @@ TEST(SuperviseSnapshot, OpenBreakerSurvivesSaveAndRestore) {
   targets.breakers.push_back({"dma", &breaker});
   targets.health.push_back({"health", &health});
   support::DiagnosticSink restore_sink;
-  ASSERT_TRUE(replay::restore_snapshot(targets, snapshot, restore_sink)) << restore_sink.str();
+  ASSERT_TRUE(replay::restore_snapshot_binary(targets, snapshot, restore_sink))
+      << restore_sink.str();
 
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   EXPECT_EQ(health.health(unit), UnitHealth::kDegraded);

@@ -1,12 +1,11 @@
-// Robustness property tests: the XML parser, the model readers and the
-// snapshot restorer must never crash on malformed input — every failure is
-// a clean diagnostic. Targeted corpora cover the parser's hardening edges:
-// deep nesting (bounded recursion), numeric character references, CDATA
-// sections, and truncated/mutated snapshot documents.
+// Robustness property tests: the XML parser and the model readers must
+// never crash on malformed XMI input — every failure is a clean
+// diagnostic. Targeted corpora cover the parser's hardening edges: deep
+// nesting (bounded recursion), numeric character references and CDATA
+// sections. (The binary snapshot decoder's fuzz corpus lives in
+// binary_snapshot_test.cpp.)
 #include <gtest/gtest.h>
 
-#include "replay/snapshot.hpp"
-#include "sim/kernel.hpp"
 #include "support/rng.hpp"
 #include "uml/synthetic.hpp"
 #include "xmi/behavior.hpp"
@@ -214,60 +213,6 @@ TEST(XmlHardening, ErrorLocationsCarryLineAndColumn) {
   EXPECT_EQ(parse_xml("<a>\n  <b>\n    <c>&bogus;</c>\n  </b>\n</a>", sink), nullptr);
   EXPECT_NE(sink.str().find("line 3"), std::string::npos) << sink.str();
   EXPECT_NE(sink.str().find("col"), std::string::npos) << sink.str();
-}
-
-/// Truncating or mutating a real snapshot at any offset must fail restore
-/// cleanly (parse error, checksum mismatch, or section validation) and
-/// never crash.
-TEST(SnapshotFuzz, TruncatedAndMutatedSnapshotsAreRejected) {
-  sim::Kernel kernel;
-  const sim::ProcessId ticker = kernel.register_process([] {}, "fuzz.ticker");
-  kernel.schedule(sim::SimTime::ns(10), ticker);
-  kernel.run(sim::SimTime::ns(5));
-
-  replay::SnapshotTargets targets;
-  targets.kernel = &kernel;
-  std::string snapshot;
-  support::DiagnosticSink save_sink;
-  ASSERT_TRUE(replay::save_snapshot(targets, snapshot, save_sink)) << save_sink.str();
-
-  // Truncating trailing whitespace leaves a valid document; every cut into
-  // real content must fail.
-  const std::size_t content_end = snapshot.find_last_not_of(" \n\t") + 1;
-  for (std::size_t length = 0; length < content_end; ++length) {
-    support::DiagnosticSink sink;
-    EXPECT_FALSE(replay::restore_snapshot(targets, snapshot.substr(0, length), sink));
-    EXPECT_TRUE(sink.has_errors()) << "silent failure at length " << length;
-  }
-
-  support::Rng rng(23);
-  for (int i = 0; i < 400; ++i) {
-    std::string mutated = snapshot;
-    const std::size_t position = rng.below(mutated.size());
-    switch (rng.below(3)) {
-      case 0:
-        mutated[position] = static_cast<char>('!' + rng.below(90));
-        break;
-      case 1:
-        mutated.erase(position, 1 + rng.below(6));
-        break;
-      default:
-        mutated.insert(position, mutated.substr(position, 1 + rng.below(6)));
-    }
-    support::DiagnosticSink sink;
-    // Content mutations must be rejected. A mutation that survives can only
-    // have changed inter-element whitespace (the checksum covers the
-    // canonical serialization), so re-saving must reproduce the original.
-    if (replay::restore_snapshot(targets, mutated, sink)) {
-      std::string resaved;
-      support::DiagnosticSink resave_sink;
-      ASSERT_TRUE(replay::save_snapshot(targets, resaved, resave_sink))
-          << resave_sink.str();
-      EXPECT_EQ(resaved, snapshot) << "mutated snapshot restored: " << mutated;
-    } else {
-      EXPECT_TRUE(sink.has_errors()) << "silent failure on: " << mutated;
-    }
-  }
 }
 
 }  // namespace

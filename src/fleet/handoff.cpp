@@ -1,7 +1,8 @@
 #include "fleet/handoff.hpp"
 
 #include <algorithm>
-#include <cstring>
+
+#include "support/bytes.hpp"
 
 namespace umlsoc::fleet {
 
@@ -12,114 +13,75 @@ constexpr std::size_t kHeaderSize = 4 + 1 + 4;
 constexpr std::uint32_t kMaxPayload = 16u << 20;  // Desync guard, not a real limit.
 constexpr std::uint32_t kResultVersion = 1;
 
-// Little-endian scalar writer/reader. The pipe never leaves the host, but a
-// fixed byte order keeps encoded results comparable as bytes (and the codec
-// testable against pinned vectors).
-void put_u32(std::string& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
+using support::ByteReader;
+using support::ByteWriter;
+
+template <typename Io>
+void transfer(Io& io, Grant& grant) {
+  io.field(grant.index);
+  io.field(grant.seed);
+  io.field(grant.attempt);
+  io.field(grant.fault_template);
 }
 
-void put_u64(std::string& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void put_string(std::string& out, const std::string& value) {
-  put_u32(out, static_cast<std::uint32_t>(value.size()));
-  out += value;
-}
-
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  bool u8(std::uint8_t& value) {
-    if (offset_ + 1 > data_.size()) return fail();
-    value = static_cast<std::uint8_t>(data_[offset_++]);
-    return true;
-  }
-  bool u32(std::uint32_t& value) {
-    if (offset_ + 4 > data_.size()) return fail();
-    value = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      value |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[offset_++]))
-               << shift;
-    }
-    return true;
-  }
-  bool u64(std::uint64_t& value) {
-    if (offset_ + 8 > data_.size()) return fail();
-    value = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      value |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[offset_++]))
-               << shift;
-    }
-    return true;
-  }
-  bool str(std::string& value) {
-    std::uint32_t size = 0;
-    if (!u32(size)) return false;
-    if (offset_ + size > data_.size()) return fail();
-    value.assign(data_.data() + offset_, size);
-    offset_ += size;
-    return true;
-  }
-  [[nodiscard]] bool exhausted() const { return ok_ && offset_ == data_.size(); }
-  [[nodiscard]] bool ok() const { return ok_; }
-
- private:
-  bool fail() {
-    ok_ = false;
-    return false;
-  }
-  std::string_view data_;
-  std::size_t offset_ = 0;
-  bool ok_ = true;
-};
-
-// Field-order helpers shared by the encode and decode sides so the two can
-// never drift: each visits every scalar of the nested structs in one fixed
-// order.
-template <typename Slo, typename Fn>
-void visit_slo(Slo& slo, Fn&& fn) {
-  for (auto* field :
+/// Every RigOutcome field in wire order, which is declaration order except
+/// that seeds_poisoned precedes lost_work_ps_max.
+template <typename Io>
+void transfer(Io& io, RigOutcome& outcome) {
+  io.field(outcome.seed);
+  io.field(outcome.ok);
+  io.field(outcome.failure);
+  io.field(outcome.sim_time_ps);
+  io.field(outcome.events_processed);
+  SloCounters& slo = outcome.slo;
+  sim::Kernel::Stats& kernel = outcome.kernel;
+  for (std::uint64_t* field :
        {&slo.requests, &slo.delivered, &slo.lost, &slo.transactions, &slo.timeouts,
         &slo.retries, &slo.recovered, &slo.exhausted, &slo.errors_raised,
         &slo.errors_unhandled, &slo.restarts, &slo.escalations, &slo.give_ups,
         &slo.watchdog_trips, &slo.breaker_opens, &slo.breaker_closes,
         &slo.breaker_fast_failed, &slo.rollbacks, &slo.checkpoints_written,
         &slo.checkpoint_write_faults, &slo.rungs_quarantined, &slo.ladder_recoveries,
-        &slo.crash_recoveries, &slo.seeds_poisoned, &slo.lost_work_ps_max}) {
-    fn(*field);
+        &slo.crash_recoveries, &slo.seeds_poisoned, &slo.lost_work_ps_max,
+        &outcome.health.healthy, &outcome.health.degraded, &outcome.health.failed,
+        &kernel.timed_peak, &kernel.max_deltas_per_instant, &kernel.wheel_hits,
+        &kernel.heap_hits, &kernel.cascades, &kernel.processes_registered,
+        &kernel.collapsed_notifications, &kernel.snapshot.encodes,
+        &kernel.snapshot.restores, &kernel.snapshot.bytes_written,
+        &kernel.snapshot.sections_dirty, &kernel.snapshot.sections_total,
+        &kernel.snapshot.encode_wall_ns, &kernel.snapshot.restore_wall_ns}) {
+    io.field(*field);
   }
+  io.field(outcome.fault_template);
+  io.field(outcome.wall_ns);
+  io.field(outcome.attempts);
+  io.field(outcome.resumed_from_seq);
 }
 
-template <typename Stats, typename Fn>
-void visit_kernel(Stats& stats, Fn&& fn) {
-  for (auto* field :
-       {&stats.timed_peak, &stats.max_deltas_per_instant, &stats.wheel_hits,
-        &stats.heap_hits, &stats.cascades, &stats.processes_registered,
-        &stats.collapsed_notifications, &stats.snapshot.encodes,
-        &stats.snapshot.restores, &stats.snapshot.bytes_written,
-        &stats.snapshot.sections_dirty, &stats.snapshot.sections_total,
-        &stats.snapshot.encode_wall_ns, &stats.snapshot.restore_wall_ns}) {
-    fn(*field);
-  }
+/// A payload of plain fields, in argument order.
+template <typename... Fields>
+std::string encode_fields(const Fields&... fields) {
+  ByteWriter out;
+  (out.field(fields), ...);
+  return out.take();
+}
+
+template <typename... Fields>
+bool decode_fields(std::string_view payload, Fields&... fields) {
+  ByteReader in(payload);
+  (in.field(fields), ...);
+  return in.exhausted();
 }
 
 }  // namespace
 
 std::string encode_frame(FrameType type, std::string_view payload) {
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  put_u32(out, kFrameMagic);
-  out.push_back(static_cast<char>(type));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload.data(), payload.size());
-  return out;
+  ByteWriter out;
+  out.u32(kFrameMagic);
+  out.u8(static_cast<std::uint8_t>(type));
+  out.u32(static_cast<std::uint32_t>(payload.size()));
+  out.bytes(payload);
+  return out.take();
 }
 
 void FrameReader::feed(const char* data, std::size_t size) {
@@ -135,11 +97,10 @@ void FrameReader::feed(const char* data, std::size_t size) {
 bool FrameReader::next(Frame& out) {
   if (corrupt_) return false;
   if (buffer_.size() - consumed_ < kHeaderSize) return false;
-  Cursor cursor(std::string_view(buffer_).substr(consumed_));
-  std::uint32_t magic = 0;
-  std::uint8_t type = 0;
-  std::uint32_t length = 0;
-  if (!cursor.u32(magic) || !cursor.u8(type) || !cursor.u32(length)) return false;
+  ByteReader in(std::string_view(buffer_).substr(consumed_, kHeaderSize));
+  const std::uint32_t magic = in.u32();
+  const std::uint8_t type = in.u8();
+  const std::uint32_t length = in.u32();
   if (magic != kFrameMagic || length > kMaxPayload ||
       type < static_cast<std::uint8_t>(FrameType::kHello) ||
       type > static_cast<std::uint8_t>(FrameType::kShutdown)) {
@@ -153,105 +114,51 @@ bool FrameReader::next(Frame& out) {
   return true;
 }
 
-std::string encode_hello(std::uint64_t pid) {
-  std::string out;
-  put_u64(out, pid);
-  return out;
-}
+std::string encode_hello(std::uint64_t pid) { return encode_fields(pid); }
 
 bool decode_hello(std::string_view payload, std::uint64_t& pid) {
-  Cursor cursor(payload);
-  return cursor.u64(pid) && cursor.exhausted();
+  return decode_fields(payload, pid);
 }
 
 std::string encode_start_seed(std::uint64_t index, std::uint32_t attempt) {
-  std::string out;
-  put_u64(out, index);
-  put_u32(out, attempt);
-  return out;
+  return encode_fields(index, attempt);
 }
 
 bool decode_start_seed(std::string_view payload, std::uint64_t& index,
                        std::uint32_t& attempt) {
-  Cursor cursor(payload);
-  return cursor.u64(index) && cursor.u32(attempt) && cursor.exhausted();
+  return decode_fields(payload, index, attempt);
 }
 
 std::string encode_assign(const std::vector<Grant>& grants) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(grants.size()));
-  for (const Grant& grant : grants) {
-    put_u64(out, grant.index);
-    put_u64(out, grant.seed);
-    put_u32(out, grant.attempt);
-    put_u32(out, grant.fault_template);
-  }
-  return out;
+  ByteWriter out;
+  // The writer only reads the grants.
+  out.sequence(const_cast<std::vector<Grant>&>(grants),
+               [&out](Grant& grant) { transfer(out, grant); });
+  return out.take();
 }
 
 bool decode_assign(std::string_view payload, std::vector<Grant>& grants) {
-  Cursor cursor(payload);
-  std::uint32_t count = 0;
-  if (!cursor.u32(count)) return false;
+  ByteReader in(payload);
   grants.clear();
-  grants.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Grant grant;
-    if (!cursor.u64(grant.index) || !cursor.u64(grant.seed) ||
-        !cursor.u32(grant.attempt) || !cursor.u32(grant.fault_template)) {
-      return false;
-    }
-    grants.push_back(grant);
-  }
-  return cursor.exhausted();
+  in.sequence(grants, [&in](Grant& grant) { transfer(in, grant); });
+  return in.exhausted();
 }
 
 std::string encode_result(std::uint64_t index, const RigOutcome& outcome) {
-  std::string out;
-  put_u32(out, kResultVersion);
-  put_u64(out, index);
-  put_u64(out, outcome.seed);
-  out.push_back(outcome.ok ? 1 : 0);
-  put_string(out, outcome.failure);
-  put_u64(out, outcome.sim_time_ps);
-  put_u64(out, outcome.events_processed);
-  visit_slo(outcome.slo, [&out](const std::uint64_t& field) { put_u64(out, field); });
-  put_u64(out, outcome.health.healthy);
-  put_u64(out, outcome.health.degraded);
-  put_u64(out, outcome.health.failed);
-  visit_kernel(outcome.kernel,
-               [&out](const std::uint64_t& field) { put_u64(out, field); });
-  put_u32(out, outcome.fault_template);
-  put_u64(out, outcome.wall_ns);
-  put_u32(out, outcome.attempts);
-  put_u64(out, outcome.resumed_from_seq);
-  return out;
+  ByteWriter out;
+  out.u32(kResultVersion);
+  out.u64(index);
+  transfer(out, const_cast<RigOutcome&>(outcome));  // The writer only reads it.
+  return out.take();
 }
 
 bool decode_result(std::string_view payload, std::uint64_t& index, RigOutcome& outcome) {
-  Cursor cursor(payload);
-  std::uint32_t version = 0;
-  if (!cursor.u32(version) || version != kResultVersion) return false;
-  if (!cursor.u64(index)) return false;
+  ByteReader in(payload);
+  if (in.u32() != kResultVersion) return false;
+  index = in.u64();
   outcome = RigOutcome{};
-  std::uint8_t ok = 0;
-  if (!cursor.u64(outcome.seed) || !cursor.u8(ok) || !cursor.str(outcome.failure) ||
-      !cursor.u64(outcome.sim_time_ps) || !cursor.u64(outcome.events_processed)) {
-    return false;
-  }
-  outcome.ok = ok != 0;
-  visit_slo(outcome.slo, [&cursor](std::uint64_t& field) { (void)cursor.u64(field); });
-  if (!cursor.u64(outcome.health.healthy) || !cursor.u64(outcome.health.degraded) ||
-      !cursor.u64(outcome.health.failed)) {
-    return false;
-  }
-  visit_kernel(outcome.kernel,
-               [&cursor](std::uint64_t& field) { (void)cursor.u64(field); });
-  if (!cursor.u32(outcome.fault_template) || !cursor.u64(outcome.wall_ns) ||
-      !cursor.u32(outcome.attempts) || !cursor.u64(outcome.resumed_from_seq)) {
-    return false;
-  }
-  return cursor.exhausted();
+  transfer(in, outcome);
+  return in.exhausted();
 }
 
 // --- HandoffLedger ------------------------------------------------------------

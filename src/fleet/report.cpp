@@ -110,13 +110,13 @@ std::string FleetReport::fingerprint() const {
   append_line(out, "health=%" PRIu64 "/%" PRIu64 "/%" PRIu64, health.healthy,
               health.degraded, health.failed);
   append_line(out,
-              "kernel=%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64
-              " snapshot=%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64,
-              kernel.wheel_hits, kernel.heap_hits, kernel.cascades,
-              kernel.processes_registered, kernel.collapsed_notifications,
-              kernel.snapshot.encodes, kernel.snapshot.restores,
-              kernel.snapshot.bytes_written, kernel.snapshot.sections_dirty,
-              kernel.snapshot.sections_total);
+              "kernel=%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64
+              "/%" PRIu64 " snapshot=%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64,
+              kernel.timed_peak, kernel.max_deltas_per_instant, kernel.wheel_hits,
+              kernel.heap_hits, kernel.cascades, kernel.processes_registered,
+              kernel.collapsed_notifications, kernel.snapshot.encodes,
+              kernel.snapshot.restores, kernel.snapshot.bytes_written,
+              kernel.snapshot.sections_dirty, kernel.snapshot.sections_total);
   append_line(out, "sim-time=%" PRIu64 "/%" PRIu64 " events=%" PRIu64,
               sim_time_ps_total, sim_time_ps_max, events_total);
   out += "poisoned-seeds=";

@@ -1,13 +1,16 @@
 #include "replay/binary.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cstring>
+
+#include "support/bytes.hpp"
 
 namespace umlsoc::replay {
 
 namespace {
+
+using support::ByteReader;
+using support::ByteWriter;
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
@@ -40,481 +43,178 @@ std::string to_hex(std::uint64_t value) {
   return std::string(buffer);
 }
 
-// --- primitive codecs (little-endian, memcpy) --------------------------------
+// --- section payload layouts -------------------------------------------------
+//
+// One transfer() per section kind: it encodes over a ByteWriter and decodes
+// over a ByteReader (support/bytes.hpp), so each layout is written once.
 
-class ByteWriter {
- public:
-  void u8(std::uint8_t value) { buffer_.push_back(static_cast<char>(value)); }
-  void u16(std::uint16_t value) { raw(&value, sizeof value); }
-  void u32(std::uint32_t value) { raw(&value, sizeof value); }
-  void u64(std::uint64_t value) { raw(&value, sizeof value); }
-  void i64(std::int64_t value) { u64(std::bit_cast<std::uint64_t>(value)); }
-  void boolean(bool value) { u8(value ? 1 : 0); }
-  /// u32 length + bytes.
-  void str(std::string_view value) {
-    u32(static_cast<std::uint32_t>(value.size()));
-    bytes(value);
-  }
-  void bytes(std::string_view value) { buffer_.append(value); }
+template <typename Io>
+void transfer(Io& io, sim::Kernel::Checkpoint& kernel) {
+  io.field(kernel.now_ps);
+  io.field(kernel.sequence);
+  io.field(kernel.delta_count);
+  io.field(kernel.events_processed);
+  io.field(kernel.process_count);
+  io.sequence(kernel.timed, [&io](sim::Kernel::Checkpoint::PendingTimed& timed) {
+    io.field(timed.at_ps);
+    io.field(timed.sequence);
+    io.field(timed.process);
+  });
+  io.sequence(kernel.expectations, [&io](sim::Kernel::Checkpoint::ExpectationEntry& entry) {
+    io.field(entry.label);
+    io.field(entry.outstanding);
+  });
+}
 
-  [[nodiscard]] std::string take() { return std::move(buffer_); }
-  [[nodiscard]] const std::string& buffer() const { return buffer_; }
+template <typename Io>
+void transfer(Io& io, SnapshotImage::FaultPlanState& plan) {
+  io.field(plan.seed);
+  io.sequence(plan.sites, [&io](auto& entry) {
+    auto& [site, state] = entry;
+    io.field(site);
+    check(io, static_cast<std::size_t>(site) < sim::kFaultSiteCount);
+    io.field(state.rng_state);
+    io.field(state.counters.consults);
+    io.field(state.counters.errors);
+    io.field(state.counters.drops);
+    io.field(state.counters.delays);
+    io.field(state.counters.bit_flips);
+    io.field(state.counters.glitches);
+  });
+}
 
- private:
-  void raw(const void* data, std::size_t size) {
-    if constexpr (std::endian::native == std::endian::little) {
-      buffer_.append(static_cast<const char*>(data), size);
-    } else {
-      const auto* first = static_cast<const unsigned char*>(data);
-      for (std::size_t i = size; i-- > 0;) buffer_.push_back(static_cast<char>(first[i]));
-    }
-  }
+template <typename Io>
+void transfer(Io& io, SnapshotImage::RecorderState& recorder) {
+  io.field(recorder.total);
+  io.sequence(recorder.events, [&io](sim::RecordedEvent& event) {
+    io.field(event.at_ps);
+    io.field(event.process);
+  });
+  check(io, recorder.events.size() <= recorder.total);
+}
 
-  std::string buffer_;
-};
+template <typename Io>
+void transfer(Io& io, std::vector<statechart::InstanceSnapshot::EventRecord>& records) {
+  io.sequence(records, [&io](statechart::InstanceSnapshot::EventRecord& record) {
+    io.field(record.name);
+    io.field(record.data);
+    io.field(record.tag);
+  });
+}
 
-/// Bounds-checked reader. The first overrun latches `failed()`; subsequent
-/// reads return zero so decoders can run to completion and report once.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
+template <typename Io>
+void transfer(Io& io, statechart::InstanceSnapshot& machine) {
+  const auto pair = [&io](auto& entry) {
+    io.field(entry.first);
+    io.field(entry.second);
+  };
+  io.field(machine.started);
+  io.field(machine.terminated);
+  io.field(machine.events_processed);
+  io.field(machine.transitions_fired);
+  io.field(machine.errors_raised);
+  io.field(machine.errors_unhandled);
+  io.sequence(machine.active_states);
+  io.sequence(machine.active_finals);
+  io.sequence(machine.shallow_history, pair);
+  io.sequence(machine.deep_history, [&io](auto& entry) {
+    io.field(entry.first);
+    io.sequence(entry.second);
+  });
+  io.sequence(machine.variables, pair);
+  transfer(io, machine.queue);
+  transfer(io, machine.deferred);
+}
 
-  std::uint8_t u8() {
-    std::uint8_t value = 0;
-    raw(&value, 1);
-    return value;
-  }
-  std::uint16_t u16() {
-    std::uint16_t value = 0;
-    raw(&value, sizeof value);
-    return value;
-  }
-  std::uint32_t u32() {
-    std::uint32_t value = 0;
-    raw(&value, sizeof value);
-    return value;
-  }
-  std::uint64_t u64() {
-    std::uint64_t value = 0;
-    raw(&value, sizeof value);
-    return value;
-  }
-  std::int64_t i64() { return std::bit_cast<std::int64_t>(u64()); }
-  bool boolean() { return u8() != 0; }
-  std::string str() {
-    const std::uint32_t length = u32();
-    return std::string(bytes(length));
-  }
-  std::string_view bytes(std::size_t size) {
-    if (failed_ || data_.size() - position_ < size) {
-      failed_ = true;
-      return {};
-    }
-    const std::string_view view = data_.substr(position_, size);
-    position_ += size;
-    return view;
-  }
+template <typename Io>
+void transfer(Io& io, sim::MemoryMappedBus::Checkpoint& bus) {
+  io.field(bus.stats.reads);
+  io.field(bus.stats.writes);
+  io.field(bus.stats.errors);
+  io.field(bus.stats.injected_errors);
+  io.field(bus.stats.injected_drops);
+  io.field(bus.stats.injected_delays);
+  io.field(bus.stats.injected_bit_flips);
+  io.field(bus.stats.completions);
+  io.field(bus.stats.dropped_completions);
+  io.field(bus.last_completion_ps);
+}
 
-  [[nodiscard]] bool failed() const { return failed_; }
-  [[nodiscard]] std::size_t position() const { return position_; }
-  [[nodiscard]] std::size_t remaining() const { return failed_ ? 0 : data_.size() - position_; }
-  [[nodiscard]] bool exhausted() const { return !failed_ && position_ == data_.size(); }
+template <typename Io>
+void transfer(Io& io, sim::Watchdog::Checkpoint& watchdog) {
+  io.field(watchdog.armed);
+  io.field(watchdog.tripped);
+  io.field(watchdog.check_pending);
+  io.field(watchdog.trip_at_ps);
+  io.field(watchdog.trips);
+  io.field(watchdog.kicks);
+}
 
- private:
-  void raw(void* out, std::size_t size) {
-    const std::string_view view = bytes(size);
-    if (view.size() != size) return;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out, view.data(), size);
-    } else {
-      auto* first = static_cast<unsigned char*>(out);
-      for (std::size_t i = 0; i < size; ++i) {
-        first[i] = static_cast<unsigned char>(view[size - 1 - i]);
-      }
-    }
-  }
+template <typename Io>
+void transfer(Io& io, sim::Supervisor::Checkpoint& supervisor) {
+  io.field(supervisor.suspended);
+  io.field(supervisor.gave_up);
+  io.field(supervisor.give_up_reason);
+  io.field(supervisor.escalations);
+  io.sequence(supervisor.window);
+  io.sequence(supervisor.children, [&io](sim::Supervisor::Checkpoint::ChildState& child) {
+    io.field(child.failures);
+    io.field(child.restarts);
+    io.field(child.failed_restarts);
+    io.field(child.consecutive);
+    io.field(child.last_failure_ps);
+  });
+  io.sequence(supervisor.pending, [&io](sim::Supervisor::Checkpoint::PendingRestart& pending) {
+    io.field(pending.due_ps);
+    io.field(pending.child);
+  });
+}
 
-  std::string_view data_;
-  std::size_t position_ = 0;
-  bool failed_ = false;
-};
+template <typename Io>
+void transfer(Io& io, sim::CircuitBreaker::Checkpoint& breaker) {
+  io.field(breaker.state);
+  io.field(breaker.outcomes);
+  io.field(breaker.cursor);
+  io.field(breaker.samples);
+  io.field(breaker.failures_in_window);
+  io.field(breaker.open_duration_ps);
+  io.field(breaker.reopen_at_ps);
+  io.field(breaker.timer_pending);
+  io.field(breaker.probe_in_flight);
+  io.field(breaker.stats.issued);
+  io.field(breaker.stats.ok);
+  io.field(breaker.stats.failures);
+  io.field(breaker.stats.fast_failed);
+  io.field(breaker.stats.opens);
+  io.field(breaker.stats.closes);
+  io.field(breaker.stats.probes);
+  io.field(breaker.stats.probe_failures);
+}
 
-// --- section payload codecs ---------------------------------------------------
+template <typename Io>
+void transfer(Io& io, sim::HealthRegistry::Checkpoint& health) {
+  io.field(health.transitions);
+  io.sequence(health.health);
+}
 
-std::string encode_kernel(const sim::Kernel::Checkpoint& checkpoint) {
+template <typename Io>
+void transfer(Io& io, std::vector<std::pair<std::string, std::uint64_t>>& bank) {
+  io.sequence(bank, [&io](auto& entry) {
+    io.field(entry.first);
+    io.field(entry.second);
+  });
+}
+
+template <typename Record>
+std::string encode(const Record& record) {
   ByteWriter out;
-  out.u64(checkpoint.now_ps);
-  out.u64(checkpoint.sequence);
-  out.u64(checkpoint.delta_count);
-  out.u64(checkpoint.events_processed);
-  out.u64(checkpoint.process_count);
-  out.u32(static_cast<std::uint32_t>(checkpoint.timed.size()));
-  for (const auto& timed : checkpoint.timed) {
-    out.u64(timed.at_ps);
-    out.u64(timed.sequence);
-    out.u32(timed.process);
-  }
-  out.u32(static_cast<std::uint32_t>(checkpoint.expectations.size()));
-  for (const auto& expectation : checkpoint.expectations) {
-    out.str(expectation.label);
-    out.u64(expectation.outstanding);
-  }
+  transfer(out, const_cast<Record&>(record));  // The writer only reads it.
   return out.take();
 }
 
-bool decode_kernel(ByteReader& in, sim::Kernel::Checkpoint& out) {
-  out.now_ps = in.u64();
-  out.sequence = in.u64();
-  out.delta_count = in.u64();
-  out.events_processed = in.u64();
-  out.process_count = in.u64();
-  const std::uint32_t timed_count = in.u32();
-  for (std::uint32_t i = 0; i < timed_count && !in.failed(); ++i) {
-    sim::Kernel::Checkpoint::PendingTimed timed;
-    timed.at_ps = in.u64();
-    timed.sequence = in.u64();
-    timed.process = in.u32();
-    out.timed.push_back(timed);
-  }
-  const std::uint32_t expectation_count = in.u32();
-  for (std::uint32_t i = 0; i < expectation_count && !in.failed(); ++i) {
-    sim::Kernel::Checkpoint::ExpectationEntry entry;
-    entry.label = in.str();
-    entry.outstanding = in.u64();
-    out.expectations.push_back(std::move(entry));
-  }
-  return !in.failed();
-}
-
-std::string encode_fault_plan(const SnapshotImage::FaultPlanState& plan) {
-  ByteWriter out;
-  out.u64(plan.seed);
-  out.u32(static_cast<std::uint32_t>(plan.sites.size()));
-  for (const auto& [site, state] : plan.sites) {
-    out.u8(static_cast<std::uint8_t>(site));
-    out.u64(state.rng_state);
-    out.u64(state.counters.consults);
-    out.u64(state.counters.errors);
-    out.u64(state.counters.drops);
-    out.u64(state.counters.delays);
-    out.u64(state.counters.bit_flips);
-    out.u64(state.counters.glitches);
-  }
-  return out.take();
-}
-
-bool decode_fault_plan(ByteReader& in, SnapshotImage::FaultPlanState& out) {
-  out.seed = in.u64();
-  const std::uint32_t site_count = in.u32();
-  for (std::uint32_t i = 0; i < site_count && !in.failed(); ++i) {
-    const std::uint8_t raw = in.u8();
-    if (raw >= sim::kFaultSiteCount) return false;
-    sim::FaultPlan::SiteState state;
-    state.rng_state = in.u64();
-    state.counters.consults = in.u64();
-    state.counters.errors = in.u64();
-    state.counters.drops = in.u64();
-    state.counters.delays = in.u64();
-    state.counters.bit_flips = in.u64();
-    state.counters.glitches = in.u64();
-    out.sites.emplace_back(static_cast<sim::FaultSite>(raw), state);
-  }
-  return !in.failed();
-}
-
-std::string encode_recorder(const SnapshotImage::RecorderState& recorder) {
-  ByteWriter out;
-  out.u64(recorder.total);
-  out.u32(static_cast<std::uint32_t>(recorder.events.size()));
-  for (const sim::RecordedEvent& event : recorder.events) {
-    out.u64(event.at_ps);
-    out.u32(event.process);
-  }
-  return out.take();
-}
-
-bool decode_recorder(ByteReader& in, SnapshotImage::RecorderState& out) {
-  out.total = in.u64();
-  const std::uint32_t count = in.u32();
-  for (std::uint32_t i = 0; i < count && !in.failed(); ++i) {
-    sim::RecordedEvent event;
-    event.at_ps = in.u64();
-    event.process = in.u32();
-    out.events.push_back(event);
-  }
-  if (!in.failed() && out.events.size() > out.total) return false;
-  return !in.failed();
-}
-
-void encode_event_records(ByteWriter& out,
-                          const std::vector<statechart::InstanceSnapshot::EventRecord>& records) {
-  out.u32(static_cast<std::uint32_t>(records.size()));
-  for (const auto& record : records) {
-    out.str(record.name);
-    out.i64(record.data);
-    out.str(record.tag);
-  }
-}
-
-bool decode_event_records(ByteReader& in,
-                          std::vector<statechart::InstanceSnapshot::EventRecord>& out) {
-  const std::uint32_t count = in.u32();
-  for (std::uint32_t i = 0; i < count && !in.failed(); ++i) {
-    statechart::InstanceSnapshot::EventRecord record;
-    record.name = in.str();
-    record.data = in.i64();
-    record.tag = in.str();
-    out.push_back(std::move(record));
-  }
-  return !in.failed();
-}
-
-std::string encode_machine(const statechart::InstanceSnapshot& snapshot) {
-  ByteWriter out;
-  out.boolean(snapshot.started);
-  out.boolean(snapshot.terminated);
-  out.u64(snapshot.events_processed);
-  out.u64(snapshot.transitions_fired);
-  out.u64(snapshot.errors_raised);
-  out.u64(snapshot.errors_unhandled);
-  out.u32(static_cast<std::uint32_t>(snapshot.active_states.size()));
-  for (std::uint32_t index : snapshot.active_states) out.u32(index);
-  out.u32(static_cast<std::uint32_t>(snapshot.active_finals.size()));
-  for (std::uint32_t index : snapshot.active_finals) out.u32(index);
-  out.u32(static_cast<std::uint32_t>(snapshot.shallow_history.size()));
-  for (const auto& [region, state] : snapshot.shallow_history) {
-    out.u32(region);
-    out.u32(state);
-  }
-  out.u32(static_cast<std::uint32_t>(snapshot.deep_history.size()));
-  for (const auto& [region, leaves] : snapshot.deep_history) {
-    out.u32(region);
-    out.u32(static_cast<std::uint32_t>(leaves.size()));
-    for (std::uint32_t leaf : leaves) out.u32(leaf);
-  }
-  out.u32(static_cast<std::uint32_t>(snapshot.variables.size()));
-  for (const auto& [name, value] : snapshot.variables) {
-    out.str(name);
-    out.i64(value);
-  }
-  encode_event_records(out, snapshot.queue);
-  encode_event_records(out, snapshot.deferred);
-  return out.take();
-}
-
-bool decode_machine(ByteReader& in, statechart::InstanceSnapshot& out) {
-  out.started = in.boolean();
-  out.terminated = in.boolean();
-  out.events_processed = in.u64();
-  out.transitions_fired = in.u64();
-  out.errors_raised = in.u64();
-  out.errors_unhandled = in.u64();
-  const std::uint32_t state_count = in.u32();
-  for (std::uint32_t i = 0; i < state_count && !in.failed(); ++i) {
-    out.active_states.push_back(in.u32());
-  }
-  const std::uint32_t final_count = in.u32();
-  for (std::uint32_t i = 0; i < final_count && !in.failed(); ++i) {
-    out.active_finals.push_back(in.u32());
-  }
-  const std::uint32_t shallow_count = in.u32();
-  for (std::uint32_t i = 0; i < shallow_count && !in.failed(); ++i) {
-    const std::uint32_t region = in.u32();
-    out.shallow_history.emplace_back(region, in.u32());
-  }
-  const std::uint32_t deep_count = in.u32();
-  for (std::uint32_t i = 0; i < deep_count && !in.failed(); ++i) {
-    const std::uint32_t region = in.u32();
-    std::vector<std::uint32_t> leaves;
-    const std::uint32_t leaf_count = in.u32();
-    for (std::uint32_t j = 0; j < leaf_count && !in.failed(); ++j) leaves.push_back(in.u32());
-    out.deep_history.emplace_back(region, std::move(leaves));
-  }
-  const std::uint32_t variable_count = in.u32();
-  for (std::uint32_t i = 0; i < variable_count && !in.failed(); ++i) {
-    std::string name = in.str();
-    out.variables.emplace_back(std::move(name), in.i64());
-  }
-  if (!decode_event_records(in, out.queue)) return false;
-  if (!decode_event_records(in, out.deferred)) return false;
-  return !in.failed();
-}
-
-std::string encode_bus(const sim::MemoryMappedBus::Checkpoint& checkpoint) {
-  ByteWriter out;
-  out.u64(checkpoint.stats.reads);
-  out.u64(checkpoint.stats.writes);
-  out.u64(checkpoint.stats.errors);
-  out.u64(checkpoint.stats.injected_errors);
-  out.u64(checkpoint.stats.injected_drops);
-  out.u64(checkpoint.stats.injected_delays);
-  out.u64(checkpoint.stats.injected_bit_flips);
-  out.u64(checkpoint.stats.completions);
-  out.u64(checkpoint.stats.dropped_completions);
-  out.u64(checkpoint.last_completion_ps);
-  return out.take();
-}
-
-bool decode_bus(ByteReader& in, sim::MemoryMappedBus::Checkpoint& out) {
-  out.stats.reads = in.u64();
-  out.stats.writes = in.u64();
-  out.stats.errors = in.u64();
-  out.stats.injected_errors = in.u64();
-  out.stats.injected_drops = in.u64();
-  out.stats.injected_delays = in.u64();
-  out.stats.injected_bit_flips = in.u64();
-  out.stats.completions = in.u64();
-  out.stats.dropped_completions = in.u64();
-  out.last_completion_ps = in.u64();
-  return !in.failed();
-}
-
-std::string encode_watchdog(const sim::Watchdog::Checkpoint& checkpoint) {
-  ByteWriter out;
-  out.boolean(checkpoint.armed);
-  out.boolean(checkpoint.tripped);
-  out.boolean(checkpoint.check_pending);
-  out.u64(checkpoint.trip_at_ps);
-  out.u64(checkpoint.trips);
-  out.u64(checkpoint.kicks);
-  return out.take();
-}
-
-bool decode_watchdog(ByteReader& in, sim::Watchdog::Checkpoint& out) {
-  out.armed = in.boolean();
-  out.tripped = in.boolean();
-  out.check_pending = in.boolean();
-  out.trip_at_ps = in.u64();
-  out.trips = in.u64();
-  out.kicks = in.u64();
-  return !in.failed();
-}
-
-std::string encode_supervisor(const sim::Supervisor::Checkpoint& checkpoint) {
-  ByteWriter out;
-  out.boolean(checkpoint.suspended);
-  out.boolean(checkpoint.gave_up);
-  out.str(checkpoint.give_up_reason);
-  out.u64(checkpoint.escalations);
-  out.u32(static_cast<std::uint32_t>(checkpoint.window.size()));
-  for (std::uint64_t at_ps : checkpoint.window) out.u64(at_ps);
-  out.u32(static_cast<std::uint32_t>(checkpoint.children.size()));
-  for (const auto& child : checkpoint.children) {
-    out.u64(child.failures);
-    out.u64(child.restarts);
-    out.u64(child.failed_restarts);
-    out.u32(child.consecutive);
-    out.u64(child.last_failure_ps);
-  }
-  out.u32(static_cast<std::uint32_t>(checkpoint.pending.size()));
-  for (const auto& pending : checkpoint.pending) {
-    out.u64(pending.due_ps);
-    out.u32(pending.child);
-  }
-  return out.take();
-}
-
-bool decode_supervisor(ByteReader& in, sim::Supervisor::Checkpoint& out) {
-  out.suspended = in.boolean();
-  out.gave_up = in.boolean();
-  out.give_up_reason = in.str();
-  out.escalations = in.u64();
-  const std::uint32_t window_count = in.u32();
-  for (std::uint32_t i = 0; i < window_count && !in.failed(); ++i) out.window.push_back(in.u64());
-  const std::uint32_t child_count = in.u32();
-  for (std::uint32_t i = 0; i < child_count && !in.failed(); ++i) {
-    sim::Supervisor::Checkpoint::ChildState child;
-    child.failures = in.u64();
-    child.restarts = in.u64();
-    child.failed_restarts = in.u64();
-    child.consecutive = in.u32();
-    child.last_failure_ps = in.u64();
-    out.children.push_back(child);
-  }
-  const std::uint32_t pending_count = in.u32();
-  for (std::uint32_t i = 0; i < pending_count && !in.failed(); ++i) {
-    sim::Supervisor::Checkpoint::PendingRestart pending;
-    pending.due_ps = in.u64();
-    pending.child = in.u32();
-    out.pending.push_back(pending);
-  }
-  return !in.failed();
-}
-
-std::string encode_breaker(const sim::CircuitBreaker::Checkpoint& checkpoint) {
-  ByteWriter out;
-  out.u8(checkpoint.state);
-  out.u64(checkpoint.outcomes);
-  out.u32(checkpoint.cursor);
-  out.u32(checkpoint.samples);
-  out.u32(checkpoint.failures_in_window);
-  out.u64(checkpoint.open_duration_ps);
-  out.u64(checkpoint.reopen_at_ps);
-  out.boolean(checkpoint.timer_pending);
-  out.boolean(checkpoint.probe_in_flight);
-  out.u64(checkpoint.stats.issued);
-  out.u64(checkpoint.stats.ok);
-  out.u64(checkpoint.stats.failures);
-  out.u64(checkpoint.stats.fast_failed);
-  out.u64(checkpoint.stats.opens);
-  out.u64(checkpoint.stats.closes);
-  out.u64(checkpoint.stats.probes);
-  out.u64(checkpoint.stats.probe_failures);
-  return out.take();
-}
-
-bool decode_breaker(ByteReader& in, sim::CircuitBreaker::Checkpoint& out) {
-  out.state = in.u8();
-  out.outcomes = in.u64();
-  out.cursor = in.u32();
-  out.samples = in.u32();
-  out.failures_in_window = in.u32();
-  out.open_duration_ps = in.u64();
-  out.reopen_at_ps = in.u64();
-  out.timer_pending = in.boolean();
-  out.probe_in_flight = in.boolean();
-  out.stats.issued = in.u64();
-  out.stats.ok = in.u64();
-  out.stats.failures = in.u64();
-  out.stats.fast_failed = in.u64();
-  out.stats.opens = in.u64();
-  out.stats.closes = in.u64();
-  out.stats.probes = in.u64();
-  out.stats.probe_failures = in.u64();
-  return !in.failed();
-}
-
-std::string encode_health(const sim::HealthRegistry::Checkpoint& checkpoint) {
-  ByteWriter out;
-  out.u64(checkpoint.transitions);
-  out.u32(static_cast<std::uint32_t>(checkpoint.health.size()));
-  for (std::uint8_t value : checkpoint.health) out.u8(value);
-  return out.take();
-}
-
-bool decode_health(ByteReader& in, sim::HealthRegistry::Checkpoint& out) {
-  out.transitions = in.u64();
-  const std::uint32_t unit_count = in.u32();
-  for (std::uint32_t i = 0; i < unit_count && !in.failed(); ++i) out.health.push_back(in.u8());
-  return !in.failed();
-}
-
-std::string encode_bank(const std::vector<std::pair<std::string, std::uint64_t>>& values) {
-  ByteWriter out;
-  out.u32(static_cast<std::uint32_t>(values.size()));
-  for (const auto& [key, value] : values) {
-    out.str(key);
-    out.u64(value);
-  }
-  return out.take();
-}
-
-bool decode_bank(ByteReader& in, std::vector<std::pair<std::string, std::uint64_t>>& out) {
-  const std::uint32_t count = in.u32();
-  for (std::uint32_t i = 0; i < count && !in.failed(); ++i) {
-    std::string key = in.str();
-    out.emplace_back(std::move(key), in.u64());
-  }
+template <typename Record>
+bool decode(ByteReader& in, Record& record) {
+  transfer(in, record);
   return !in.failed();
 }
 
@@ -529,33 +229,33 @@ struct FlatSection {
 std::vector<FlatSection> flatten_image(const SnapshotImage& image) {
   std::vector<FlatSection> sections;
   sections.reserve(image.section_count());
-  sections.push_back({SectionKind::kKernel, "", encode_kernel(image.kernel)});
+  sections.push_back({SectionKind::kKernel, "", encode(image.kernel)});
   if (image.fault_plan) {
-    sections.push_back({SectionKind::kFaultPlan, "", encode_fault_plan(*image.fault_plan)});
+    sections.push_back({SectionKind::kFaultPlan, "", encode(*image.fault_plan)});
   }
   if (image.recorder) {
-    sections.push_back({SectionKind::kRecorder, "", encode_recorder(*image.recorder)});
+    sections.push_back({SectionKind::kRecorder, "", encode(*image.recorder)});
   }
   for (const auto& entry : image.machines) {
-    sections.push_back({SectionKind::kMachine, entry.name, encode_machine(entry.state)});
+    sections.push_back({SectionKind::kMachine, entry.name, encode(entry.state)});
   }
   for (const auto& entry : image.buses) {
-    sections.push_back({SectionKind::kBus, entry.name, encode_bus(entry.state)});
+    sections.push_back({SectionKind::kBus, entry.name, encode(entry.state)});
   }
   for (const auto& entry : image.watchdogs) {
-    sections.push_back({SectionKind::kWatchdog, entry.name, encode_watchdog(entry.state)});
+    sections.push_back({SectionKind::kWatchdog, entry.name, encode(entry.state)});
   }
   for (const auto& entry : image.supervisors) {
-    sections.push_back({SectionKind::kSupervisor, entry.name, encode_supervisor(entry.state)});
+    sections.push_back({SectionKind::kSupervisor, entry.name, encode(entry.state)});
   }
   for (const auto& entry : image.breakers) {
-    sections.push_back({SectionKind::kBreaker, entry.name, encode_breaker(entry.state)});
+    sections.push_back({SectionKind::kBreaker, entry.name, encode(entry.state)});
   }
   for (const auto& entry : image.health) {
-    sections.push_back({SectionKind::kHealth, entry.name, encode_health(entry.state)});
+    sections.push_back({SectionKind::kHealth, entry.name, encode(entry.state)});
   }
   for (const auto& entry : image.banks) {
-    sections.push_back({SectionKind::kBank, entry.name, encode_bank(entry.state)});
+    sections.push_back({SectionKind::kBank, entry.name, encode(entry.state)});
   }
   return sections;
 }
@@ -585,34 +285,34 @@ bool decode_section(const FlatSection& section, SnapshotImage& image,
   switch (section.kind) {
     case SectionKind::kKernel:
       image.kernel = {};
-      ok = decode_kernel(in, image.kernel);
+      ok = decode(in, image.kernel);
       break;
     case SectionKind::kFaultPlan:
-      ok = decode_fault_plan(in, image.fault_plan.emplace());
+      ok = decode(in, image.fault_plan.emplace());
       break;
     case SectionKind::kRecorder:
-      ok = decode_recorder(in, image.recorder.emplace());
+      ok = decode(in, image.recorder.emplace());
       break;
     case SectionKind::kMachine:
-      ok = decode_machine(in, fresh_entry(image.machines, section.name));
+      ok = decode(in, fresh_entry(image.machines, section.name));
       break;
     case SectionKind::kBus:
-      ok = decode_bus(in, fresh_entry(image.buses, section.name));
+      ok = decode(in, fresh_entry(image.buses, section.name));
       break;
     case SectionKind::kWatchdog:
-      ok = decode_watchdog(in, fresh_entry(image.watchdogs, section.name));
+      ok = decode(in, fresh_entry(image.watchdogs, section.name));
       break;
     case SectionKind::kSupervisor:
-      ok = decode_supervisor(in, fresh_entry(image.supervisors, section.name));
+      ok = decode(in, fresh_entry(image.supervisors, section.name));
       break;
     case SectionKind::kBreaker:
-      ok = decode_breaker(in, fresh_entry(image.breakers, section.name));
+      ok = decode(in, fresh_entry(image.breakers, section.name));
       break;
     case SectionKind::kHealth:
-      ok = decode_health(in, fresh_entry(image.health, section.name));
+      ok = decode(in, fresh_entry(image.health, section.name));
       break;
     case SectionKind::kBank:
-      ok = decode_bank(in, fresh_entry(image.banks, section.name));
+      ok = decode(in, fresh_entry(image.banks, section.name));
       break;
   }
   if (!ok || !in.exhausted()) {
@@ -828,7 +528,7 @@ bool splice_recorder_append(std::string& payload, std::string_view append,
   // The append payload is itself a recorder payload (the new entries under
   // the new total), so decoding it onto `recorder` appends them.
   ByteReader tail(append);
-  return decode_recorder(tail, recorder);
+  return decode(tail, recorder);
 }
 
 /// Materializes a full section list from a parsed full-snapshot frame list.

@@ -37,8 +37,10 @@
 // The event-recorder section — which only ever grows during a run — gets a
 // dedicated *append* frame carrying just the new entries, spliced onto the
 // base payload byte-for-byte. IncrementalEncoder detects all three cases by
-// comparing encoded payload bytes, with cheap component revision()
-// fingerprints as the conservative fast path upstream.
+// comparing encoded payload bytes.
+//
+// Each section kind's payload layout is written once, as a transfer() over
+// the shared byte codec (support/bytes.hpp) that both encodes and decodes.
 #pragma once
 
 #include <cstdint>

@@ -116,21 +116,6 @@ class MemoryMappedBus {
     pending_.clear();
   }
 
-  /// Change-detection fingerprint over exactly what Checkpoint captures
-  /// (stats and the completion clamp); incremental checkpointing skips
-  /// re-encoding the bus section while it holds still.
-  [[nodiscard]] std::uint64_t revision() const {
-    std::uint64_t hash = 1469598103934665603ULL;
-    for (std::uint64_t value :
-         {stats_.reads, stats_.writes, stats_.errors, stats_.injected_errors,
-          stats_.injected_drops, stats_.injected_delays, stats_.injected_bit_flips,
-          stats_.completions, stats_.dropped_completions, last_completion_ps_}) {
-      hash ^= value;
-      hash *= 1099511628211ULL;
-    }
-    return hash;
-  }
-
  private:
   struct Window {
     std::string device_name;

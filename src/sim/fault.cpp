@@ -112,22 +112,6 @@ std::uint64_t FaultPlan::total_injected() const {
   return total;
 }
 
-std::uint64_t FaultPlan::revision() const {
-  // Mixes rather than sums: restore_site_state can rewind counters, and a
-  // rewind must not collide with the pre-restore fingerprint.
-  std::uint64_t hash = 1469598103934665603ULL;
-  const auto combine = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ULL;
-  };
-  for (const Site& site : sites_) {
-    combine(site.rng.state());
-    combine(site.counters.consults);
-    combine(site.counters.injected());
-  }
-  return hash;
-}
-
 std::string FaultPlan::str() const {
   std::string out = "fault-plan seed=" + std::to_string(seed_);
   for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
@@ -164,7 +148,6 @@ void Watchdog::arm() {
   }
   armed_ = true;
   tripped_ = false;
-  ++revision_;
   trip_at_ps_ = (kernel_.now() + deadline_).picoseconds();
   kernel_.expect(expectation_);
   if (!check_pending_) {
@@ -176,7 +159,6 @@ void Watchdog::arm() {
 void Watchdog::kick() {
   if (!armed_) return;
   ++kicks_;
-  ++revision_;
   // The already-scheduled check observes the extended trip point and
   // re-schedules itself — no cancellation needed.
   trip_at_ps_ = (kernel_.now() + deadline_).picoseconds();
@@ -185,14 +167,10 @@ void Watchdog::kick() {
 void Watchdog::disarm() {
   if (!armed_) return;
   armed_ = false;
-  ++revision_;
   kernel_.fulfill(expectation_);
 }
 
 void Watchdog::check() {
-  // check_pending_ flips even on the no-trip paths, so every invocation
-  // counts as a state change for dirty tracking.
-  ++revision_;
   check_pending_ = false;
   if (!armed_) return;
   const std::uint64_t now_ps = kernel_.now().picoseconds();

@@ -140,13 +140,6 @@ class FaultPlan {
     entry.counters = state.counters;
   }
 
-  /// Change-detection fingerprint over every site's stream position and
-  /// counters. Incremental checkpointing (replay::CheckpointStore) treats an
-  /// unchanged revision as "this plan's snapshot section cannot have
-  /// changed" and skips re-encoding it; every consult and every
-  /// restore_site_state call perturbs the value.
-  [[nodiscard]] std::uint64_t revision() const;
-
   /// "site=kind*count ..." summary for logs and reports.
   [[nodiscard]] std::string str() const;
 
@@ -193,11 +186,6 @@ class Watchdog {
   [[nodiscard]] std::uint64_t trips() const { return trips_; }
   [[nodiscard]] std::uint64_t kicks() const { return kicks_; }
 
-  /// Bumped by every state-changing call (arm/kick/disarm, the scheduled
-  /// check, checkpoint restore). Incremental checkpointing skips re-encoding
-  /// the watchdog section while the revision holds still.
-  [[nodiscard]] std::uint64_t revision() const { return revision_; }
-
   /// Checkpointable supervision state. The scheduled check event itself
   /// lives in the kernel checkpoint (the check process is a registered
   /// handle), and the armed expectation count is restored by the kernel's
@@ -221,7 +209,6 @@ class Watchdog {
     trip_at_ps_ = checkpoint.trip_at_ps;
     trips_ = checkpoint.trips;
     kicks_ = checkpoint.kicks;
-    ++revision_;
   }
 
  private:
@@ -239,7 +226,6 @@ class Watchdog {
   bool tripped_ = false;
   std::uint64_t trips_ = 0;
   std::uint64_t kicks_ = 0;
-  std::uint64_t revision_ = 0;
 };
 
 /// Simulated process death: thrown out of the kernel's run loop by a

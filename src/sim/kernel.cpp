@@ -370,9 +370,6 @@ bool Kernel::restore_checkpoint(const Checkpoint& checkpoint, support::Diagnosti
   wheel_base_quantum_ = checkpoint.now_ps >> kWheelShift;
   delta_count_ = checkpoint.delta_count;
   events_processed_ = checkpoint.events_processed;
-  // Restores can rewind the mixed counters to earlier values; the op bump
-  // keeps revision() from reproducing a pre-restore fingerprint.
-  ++expectation_ops_;
   for (const Checkpoint::PendingTimed& pending : checkpoint.timed) {
     // Re-insert with the captured sequence so same-time FIFO order (and the
     // event-recorder stream) is preserved exactly.

@@ -188,14 +188,12 @@ class Kernel {
   void expect(ExpectationId id) {
     ++expectations_[id].outstanding;
     ++outstanding_total_;
-    ++expectation_ops_;
   }
   /// Resolves one outstanding instance (over-fulfilling is ignored).
   void fulfill(ExpectationId id) {
     if (expectations_[id].outstanding == 0) return;
     --expectations_[id].outstanding;
     --outstanding_total_;
-    ++expectation_ops_;
   }
   [[nodiscard]] std::uint64_t outstanding_expectations() const { return outstanding_total_; }
 
@@ -254,24 +252,6 @@ class Kernel {
   void note_snapshot_restore(std::uint64_t wall_ns) {
     ++stats_.snapshot.restores;
     stats_.snapshot.restore_wall_ns += wall_ns;
-  }
-
-  /// Change-detection fingerprint over everything Checkpoint captures.
-  /// Sound because no checkpoint-visible state moves without one of the
-  /// mixed counters moving: schedule bumps the sequence, every executed
-  /// process (the only way now() advances) bumps events_processed, and
-  /// expect/fulfill/restore_checkpoint bump a dedicated op counter.
-  /// Incremental checkpointing skips re-capturing the kernel section while
-  /// the revision holds still.
-  [[nodiscard]] std::uint64_t revision() const {
-    std::uint64_t hash = 1469598103934665603ULL;
-    for (std::uint64_t value : {sequence_, events_processed_, expectation_ops_,
-                                static_cast<std::uint64_t>(processes_.size()),
-                                static_cast<std::uint64_t>(expectations_.size())}) {
-      hash ^= value;
-      hash *= 1099511628211ULL;
-    }
-    return hash;
   }
 
   // --- Checkpoint / restore --------------------------------------------------
@@ -378,7 +358,6 @@ class Kernel {
 
   SimTime now_;
   std::uint64_t sequence_ = 0;
-  std::uint64_t expectation_ops_ = 0;  ///< expect/fulfill/restore calls (see revision()).
   std::uint64_t delta_count_ = 0;
   std::uint64_t events_processed_ = 0;
 

@@ -514,6 +514,29 @@ TEST_F(BinarySnapshotTest, CleanDeltaIsEmptyAndTiny) {
   EXPECT_EQ(image_to_binary(chained), direct);
 }
 
+// Round trips cannot see a change that moves the encoder and the decoder
+// together; pinned bytes can. Changing a section layout on purpose means
+// bumping kSnapshotVersion and re-pinning these values.
+TEST_F(BinarySnapshotTest, EncodingIsPinned) {
+  FullRig source(*machine_);
+  source.run(kMidRunPs);
+  support::DiagnosticSink sink;
+  std::string full;
+  ASSERT_TRUE(save_snapshot_binary(source.targets(), full, sink)) << sink.str();
+  EXPECT_EQ(full.size(), 1391u);
+  EXPECT_EQ(fnv1a(full), 0x99fba178e13f107cULL);
+
+  IncrementalEncoder encoder;
+  IncrementalEncoder::Result base;
+  IncrementalEncoder::Result delta;
+  ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/true, base, sink)) << sink.str();
+  source.run();
+  ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/false, delta, sink)) << sink.str();
+  ASSERT_TRUE(delta.delta);
+  EXPECT_EQ(delta.bytes.size(), 2185u);
+  EXPECT_EQ(fnv1a(delta.bytes), 0x7428cf99334a52ebULL);
+}
+
 TEST_F(BinarySnapshotTest, DeltaChainRestoresBitIdentically) {
   FullRig reference(*machine_);
   reference.run();

@@ -313,6 +313,22 @@ TEST(FleetReportTest, FingerprintExcludesWallTime) {
             FleetReport::aggregate(b).fingerprint());
 }
 
+TEST(FleetReportTest, FingerprintCoversKernelHighWaterMarks) {
+  std::vector<RigOutcome> a(1);
+  a[0].seed = 1;
+  a[0].ok = true;
+  a[0].kernel.timed_peak = 4;
+  a[0].kernel.max_deltas_per_instant = 2;
+  for (std::uint64_t sim::Kernel::Stats::*peak :
+       {&sim::Kernel::Stats::timed_peak, &sim::Kernel::Stats::max_deltas_per_instant}) {
+    std::vector<RigOutcome> b = a;
+    ++(b[0].kernel.*peak);
+    ASSERT_FALSE(a[0].deterministic_equal(b[0]));
+    EXPECT_NE(FleetReport::aggregate(a).fingerprint(),
+              FleetReport::aggregate(b).fingerprint());
+  }
+}
+
 TEST(FleetOutcome, KernelStatsReduceSumsCountersAndMaxesPeaks) {
   sim::Kernel::Stats into;
   into.timed_peak = 10;

@@ -161,6 +161,42 @@ TEST(HandoffCodec, AssignRoundTrips) {
   EXPECT_EQ(decoded[1].index, 0u);
 }
 
+TEST(HandoffCodec, CorruptCountIsRejectedWithoutAllocating) {
+  // A count of 2^32 - 1 grants with no grant bytes behind it: a decoder
+  // that sizes its vector from the count asks for ~100 GB and throws.
+  std::vector<Grant> grants;
+  EXPECT_FALSE(decode_assign(std::string("\xff\xff\xff\xff", 4), grants));
+  // The same count followed by one whole grant fails at the second one.
+  std::string one_grant = encode_assign({Grant{1, 2, 3, 4}});
+  one_grant.replace(0, 4, "\xff\xff\xff\xff", 4);
+  EXPECT_FALSE(decode_assign(one_grant, grants));
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+// Round trips cannot see a change that moves an encoder and its decoder
+// together; pinned bytes can. Changing the result layout on purpose means
+// bumping kResultVersion and re-pinning these values.
+TEST(HandoffCodec, EncodingIsPinned) {
+  const std::string result = encode_result(77, distinct_outcome());
+  EXPECT_EQ(result.size(), 421u);
+  EXPECT_EQ(fnv1a(result), 0xdfca9e1d4269a228ULL);
+  const std::string assign = encode_assign({Grant{9, 1009, 2, 3}, Grant{0, 1000, 0, 0}});
+  EXPECT_EQ(assign.size(), 52u);
+  EXPECT_EQ(fnv1a(assign), 0xa9929404bd49ac30ULL);
+  const std::string frames = encode_frame(FrameType::kHello, encode_hello(4242)) +
+                             encode_frame(FrameType::kStartSeed, encode_start_seed(5, 1));
+  EXPECT_EQ(frames.size(), 38u);
+  EXPECT_EQ(fnv1a(frames), 0xe60cf9bc6a2e70a5ULL);
+}
+
 TEST(FrameReader, ReassemblesFramesFedByteByByte) {
   const std::string wire = encode_frame(FrameType::kStartSeed, encode_start_seed(5, 1)) +
                            encode_frame(FrameType::kHeartbeat, {}) +

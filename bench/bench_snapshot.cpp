@@ -2,11 +2,14 @@
 // incremental delta size on a SoC-shaped rig (bus, fault plan, watchdog,
 // supervisor, breaker, health registry, event recorder, value bank, N
 // statecharts). Expected shape: a steady-state delta with <20% of sections
-// dirty >=5x smaller than its full base.
+// dirty >=5x smaller than its full base. The checksum rows time the format's
+// XXH64 against byte-serial FNV-1a, the checksum before format v6.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "replay/binary.hpp"
@@ -18,6 +21,8 @@
 #include "sim/supervise.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/model.hpp"
+#include "support/checksum.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -238,5 +243,35 @@ void BM_SnapshotIncremental(benchmark::State& state) {
   state.counters["machines"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_SnapshotIncremental)->Arg(8)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+/// Byte-serial FNV-1a: the reference row for the checksum speed gate.
+std::uint64_t fnv1a(std::string_view data) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const unsigned char c : data) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+template <std::uint64_t (*Checksum)(std::string_view)>
+void checksum_rate(benchmark::State& state) {
+  support::Rng rng(11);
+  std::string data(static_cast<std::size_t>(state.range(0)), '\0');
+  for (char& c : data) c = static_cast<char>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Checksum(data));
+    benchmark::ClobberMemory();  // The bytes may have changed: hash them again.
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * data.size()));
+}
+
+std::uint64_t xxh64(std::string_view data) { return support::xxh64(data); }
+
+void BM_SnapshotChecksum(benchmark::State& state) { checksum_rate<xxh64>(state); }
+BENCHMARK(BM_SnapshotChecksum)->Arg(65536);
+
+void BM_SnapshotChecksumFnv1a(benchmark::State& state) { checksum_rate<fnv1a>(state); }
+BENCHMARK(BM_SnapshotChecksumFnv1a)->Arg(65536);
 
 }  // namespace

@@ -70,6 +70,7 @@ void reduce(sim::Kernel::Stats& into, const sim::Kernel::Stats& stats) {
   into.snapshot.sections_total += stats.snapshot.sections_total;
   into.snapshot.encode_wall_ns += stats.snapshot.encode_wall_ns;
   into.snapshot.restore_wall_ns += stats.snapshot.restore_wall_ns;
+  into.snapshot.store_wall_ns += stats.snapshot.store_wall_ns;
 }
 
 bool RigOutcome::deterministic_equal(const RigOutcome& other) const {
@@ -78,6 +79,7 @@ bool RigOutcome::deterministic_equal(const RigOutcome& other) const {
   const auto deterministic_kernel = [](sim::Kernel::Stats stats) {
     stats.snapshot.encode_wall_ns = 0;
     stats.snapshot.restore_wall_ns = 0;
+    stats.snapshot.store_wall_ns = 0;
     return stats;
   };
   const sim::Kernel::Stats mine = deterministic_kernel(kernel);

@@ -11,7 +11,7 @@ namespace {
 constexpr std::uint32_t kFrameMagic = 0x55465031;  // "UFP1"
 constexpr std::size_t kHeaderSize = 4 + 1 + 4;
 constexpr std::uint32_t kMaxPayload = 16u << 20;  // Desync guard, not a real limit.
-constexpr std::uint32_t kResultVersion = 1;
+constexpr std::uint32_t kResultVersion = 2;
 
 using support::ByteReader;
 using support::ByteWriter;
@@ -49,7 +49,8 @@ void transfer(Io& io, RigOutcome& outcome) {
         &kernel.collapsed_notifications, &kernel.snapshot.encodes,
         &kernel.snapshot.restores, &kernel.snapshot.bytes_written,
         &kernel.snapshot.sections_dirty, &kernel.snapshot.sections_total,
-        &kernel.snapshot.encode_wall_ns, &kernel.snapshot.restore_wall_ns}) {
+        &kernel.snapshot.encode_wall_ns, &kernel.snapshot.restore_wall_ns,
+        &kernel.snapshot.store_wall_ns}) {
     io.field(*field);
   }
   io.field(outcome.fault_template);

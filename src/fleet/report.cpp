@@ -45,7 +45,8 @@ double FleetReport::unit_health_rate() const {
 }
 
 double FleetReport::checkpoint_overhead() const {
-  return ratio(kernel.snapshot.encode_wall_ns + kernel.snapshot.restore_wall_ns,
+  return ratio(kernel.snapshot.encode_wall_ns + kernel.snapshot.restore_wall_ns +
+                   kernel.snapshot.store_wall_ns,
                rig_wall_ns_total, 0.0);
 }
 

@@ -64,8 +64,9 @@ struct FleetReport {
   [[nodiscard]] double unhandled_error_rate() const;
   /// Fraction of fleet-wide units that ended healthy; 1.0 with no units.
   [[nodiscard]] double unit_health_rate() const;
-  /// Host time spent encoding/restoring checkpoints relative to total rig
-  /// wall time — the checkpoint tax on the fleet. Nondeterministic (wall).
+  /// Host time spent encoding, storing (write, rename, prune) and restoring
+  /// checkpoints relative to total rig wall time — the checkpoint tax on
+  /// the fleet. Nondeterministic (wall).
   [[nodiscard]] double checkpoint_overhead() const;
 
   /// Reduces outcomes in index order. Deterministic given deterministic

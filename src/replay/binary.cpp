@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "support/bytes.hpp"
+#include "support/checksum.hpp"
 
 namespace umlsoc::replay {
 
@@ -12,8 +13,6 @@ namespace {
 using support::ByteReader;
 using support::ByteWriter;
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 constexpr std::uint32_t kFlagDelta = 1u;
 
 constexpr std::uint8_t kEntryPayload = 0;
@@ -25,12 +24,17 @@ constexpr std::size_t kRecorderEntryBytes = 12;
 /// Recorder payload header: u64 total + u32 count.
 constexpr std::size_t kRecorderHeadBytes = 12;
 
-std::uint64_t fnv1a(std::string_view data, std::uint64_t hash = kFnvOffset) {
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= kFnvPrime;
-  }
-  return hash;
+/// Header bytes: magic, version, flags, seq, base_seq, section count and
+/// the header checksum.
+constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 4 + 8;
+/// Frame bytes besides the name and payload: kind, name length, entry
+/// flags, payload length and checksum.
+constexpr std::size_t kFrameFixedBytes = 1 + 2 + 1 + 4 + 8;
+
+/// A frame's checksum: XXH64 of its payload, seeded with XXH64 of its
+/// metadata (kind, name, entry flags, payload length).
+std::uint64_t frame_checksum(std::string_view meta, std::string_view payload) {
+  return support::xxh64(payload, support::xxh64(meta));
 }
 
 std::string to_hex(std::uint64_t value) {
@@ -268,21 +272,21 @@ std::string describe(SectionKind kind, std::string_view name) {
 
 /// The image entry called `name`, reset for decoding; appended when absent.
 template <typename T>
-T& fresh_entry(std::vector<SnapshotImage::Named<T>>& entries, const std::string& name) {
+T& fresh_entry(std::vector<SnapshotImage::Named<T>>& entries, std::string_view name) {
   for (auto& entry : entries) {
     if (entry.name == name) return entry.state = T{};
   }
-  entries.push_back({name, T{}});
+  entries.push_back({std::string(name), T{}});
   return entries.back().state;
 }
 
 /// Decodes one section's payload into `image`, replacing the entry of the
 /// same kind and name. A failed decode leaves that entry partly written.
-bool decode_section(const FlatSection& section, SnapshotImage& image,
-                    support::DiagnosticSink& sink) {
-  ByteReader in(section.payload);
+bool decode_section(SectionKind kind, std::string_view name, std::string_view payload,
+                    SnapshotImage& image, support::DiagnosticSink& sink) {
+  ByteReader in(payload);
   bool ok = false;
-  switch (section.kind) {
+  switch (kind) {
     case SectionKind::kKernel:
       image.kernel = {};
       ok = decode(in, image.kernel);
@@ -294,107 +298,117 @@ bool decode_section(const FlatSection& section, SnapshotImage& image,
       ok = decode(in, image.recorder.emplace());
       break;
     case SectionKind::kMachine:
-      ok = decode(in, fresh_entry(image.machines, section.name));
+      ok = decode(in, fresh_entry(image.machines, name));
       break;
     case SectionKind::kBus:
-      ok = decode(in, fresh_entry(image.buses, section.name));
+      ok = decode(in, fresh_entry(image.buses, name));
       break;
     case SectionKind::kWatchdog:
-      ok = decode(in, fresh_entry(image.watchdogs, section.name));
+      ok = decode(in, fresh_entry(image.watchdogs, name));
       break;
     case SectionKind::kSupervisor:
-      ok = decode(in, fresh_entry(image.supervisors, section.name));
+      ok = decode(in, fresh_entry(image.supervisors, name));
       break;
     case SectionKind::kBreaker:
-      ok = decode(in, fresh_entry(image.breakers, section.name));
+      ok = decode(in, fresh_entry(image.breakers, name));
       break;
     case SectionKind::kHealth:
-      ok = decode(in, fresh_entry(image.health, section.name));
+      ok = decode(in, fresh_entry(image.health, name));
       break;
     case SectionKind::kBank:
-      ok = decode(in, fresh_entry(image.banks, section.name));
+      ok = decode(in, fresh_entry(image.banks, name));
       break;
   }
   if (!ok || !in.exhausted()) {
-    sink.error("binary-snapshot", "malformed payload in " + describe(section.kind, section.name) +
+    sink.error("binary-snapshot", "malformed payload in " + describe(kind, name) +
                                       (ok ? " (trailing bytes)" : ""));
     return false;
   }
   return true;
 }
 
-bool assemble_image(const std::vector<FlatSection>& sections, SnapshotImage& image,
-                    support::DiagnosticSink& sink) {
-  SnapshotImage out;
-  bool kernel_seen = false;
-  for (const FlatSection& section : sections) {
-    // Duplicate named sections of one kind are structural corruption.
-    for (const FlatSection* other = sections.data(); other != &section; ++other) {
-      if (other->kind == section.kind && other->name == section.name) {
-        sink.error("binary-snapshot",
-                   "duplicate " + describe(section.kind, section.name) + " section");
-        return false;
-      }
-    }
-    kernel_seen = kernel_seen || section.kind == SectionKind::kKernel;
-    if (!decode_section(section, out, sink)) return false;
-  }
-  if (!kernel_seen) {
-    sink.error("binary-snapshot", "missing kernel section");
-    return false;
-  }
-  image = std::move(out);
-  return true;
-}
-
 // --- file framing ------------------------------------------------------------
 
-struct FrameEntry {
+/// One parsed frame. `name` and `payload` view the file's bytes, which must
+/// outlive it.
+struct Frame {
   SectionKind kind = SectionKind::kKernel;
-  std::string name;
+  std::string_view name;
   std::uint8_t entry_flags = kEntryPayload;
   /// Stored frame payload. For reference frames this is the 8-byte expected
-  /// FNV of the *resolved* payload from the base, so a drifted base is
+  /// XXH64 of the *resolved* payload from the base, so a drifted base is
   /// caught at resolve time while the frame checksum still guards the
   /// reference frame's own bytes.
-  std::string payload;
+  std::string_view payload;
 };
 
-std::string encode_file(std::uint32_t flags, std::uint64_t seq, std::uint64_t base_seq,
-                        const std::vector<FrameEntry>& entries) {
-  ByteWriter out;
-  out.bytes(kBinaryMagic);
-  out.u32(static_cast<std::uint32_t>(kSnapshotVersion));
-  out.u32(flags);
-  out.u64(seq);
-  out.u64(base_seq);
-  out.u32(static_cast<std::uint32_t>(entries.size()));
-  out.u64(fnv1a(out.buffer()));
-  for (const FrameEntry& entry : entries) {
-    // The frame checksum covers the frame metadata AND the payload, so a
-    // bit-flip anywhere in the frame — kind, name, flags, lengths, payload
-    // — fails this section's validation, not some later decode step.
-    ByteWriter meta;
-    meta.u8(static_cast<std::uint8_t>(entry.kind));
-    meta.u16(static_cast<std::uint16_t>(entry.name.size()));
-    meta.bytes(entry.name);
-    meta.u8(entry.entry_flags);
-    meta.u32(static_cast<std::uint32_t>(entry.payload.size()));
-    out.bytes(meta.buffer());
-    out.u64(fnv1a(entry.payload, fnv1a(meta.buffer())));
-    out.bytes(entry.payload);
+/// Writes a file into one buffer: the header, then each frame's metadata
+/// with its payload appended in place, then the trailer. A frame's payload
+/// length and checksum are patched in when its payload is complete.
+class FileWriter {
+ public:
+  /// `sections` sizes the buffer; the file holds one frame per section.
+  FileWriter(std::uint32_t flags, std::uint64_t seq, std::uint64_t base_seq,
+             const std::vector<FlatSection>& sections) {
+    std::size_t capacity = kHeaderBytes + kBinaryTrailer.size();
+    for (const FlatSection& section : sections) {
+      capacity += kFrameFixedBytes + section.name.size() + section.payload.size();
+    }
+    out_.reserve(capacity);
+    out_.bytes(kBinaryMagic);
+    out_.u32(static_cast<std::uint32_t>(kSnapshotVersion));
+    out_.u32(flags);
+    out_.u64(seq);
+    out_.u64(base_seq);
+    out_.u32(static_cast<std::uint32_t>(sections.size()));
+    out_.u64(support::xxh64(out_.buffer()));
   }
-  out.bytes(kBinaryTrailer);
-  return out.take();
-}
 
-std::vector<FrameEntry> payload_frames(const std::vector<FlatSection>& sections) {
-  std::vector<FrameEntry> entries;
-  entries.reserve(sections.size());
-  for (const FlatSection& section : sections) {
-    entries.push_back({section.kind, section.name, kEntryPayload, section.payload});
+  /// Starts a frame and returns the writer its payload is appended to.
+  ByteWriter& begin_frame(SectionKind kind, std::string_view name, std::uint8_t entry_flags) {
+    frame_ = out_.buffer().size();
+    out_.u8(static_cast<std::uint8_t>(kind));
+    out_.u16(static_cast<std::uint16_t>(name.size()));
+    out_.bytes(name);
+    out_.u8(entry_flags);
+    out_.u32(0);  // Payload length, patched by end_frame().
+    meta_end_ = out_.buffer().size();
+    out_.u64(0);  // Frame checksum, patched by end_frame().
+    return out_;
   }
-  return entries;
+
+  /// Patches the payload length and the checksum, which covers the frame
+  /// metadata AND the payload: a bit-flip anywhere in the frame — kind,
+  /// name, flags, lengths, payload — fails this section's validation, not
+  /// some later decode step.
+  void end_frame() {
+    const std::size_t payload = meta_end_ + sizeof(std::uint64_t);
+    out_.patch(meta_end_ - sizeof(std::uint32_t),
+               static_cast<std::uint32_t>(out_.buffer().size() - payload));
+    const std::string_view file = out_.buffer();
+    out_.patch(meta_end_, frame_checksum(file.substr(frame_, meta_end_ - frame_),
+                                         file.substr(payload)));
+  }
+
+  std::string finish() {
+    out_.bytes(kBinaryTrailer);
+    return out_.take();
+  }
+
+ private:
+  ByteWriter out_;
+  std::size_t frame_ = 0;     ///< Offset of the open frame.
+  std::size_t meta_end_ = 0;  ///< Offset of the open frame's checksum.
+};
+
+/// A full snapshot: every section as a payload frame.
+std::string encode_full(std::uint64_t seq, const std::vector<FlatSection>& sections) {
+  FileWriter file(0, seq, 0, sections);
+  for (const FlatSection& section : sections) {
+    file.begin_frame(section.kind, section.name, kEntryPayload).bytes(section.payload);
+    file.end_frame();
+  }
+  return file.finish();
 }
 
 bool parse_header(ByteReader& in, std::string_view data, BinarySnapshotInfo& info,
@@ -422,7 +436,7 @@ bool parse_header(ByteReader& in, std::string_view data, BinarySnapshotInfo& inf
                    " (this build reads version " + std::to_string(kSnapshotVersion) + ")");
     return false;
   }
-  const std::uint64_t computed = fnv1a(data.substr(0, hashed));
+  const std::uint64_t computed = support::xxh64(data.substr(0, hashed));
   if (stored != computed) {
     sink.error("binary-snapshot", "header checksum mismatch: stored " + to_hex(stored) +
                                       ", computed " + to_hex(computed));
@@ -432,22 +446,23 @@ bool parse_header(ByteReader& in, std::string_view data, BinarySnapshotInfo& inf
 }
 
 /// Full framing parse: header, every section frame (bounds + frame
-/// checksums covering metadata and payload), trailer, exact length.
-bool parse_file(std::string_view data, BinarySnapshotInfo& info,
-                std::vector<FrameEntry>& entries, support::DiagnosticSink& sink) {
+/// checksums covering metadata and payload), trailer, exact length. The
+/// frames view `data`; nothing is copied.
+bool parse_file(std::string_view data, BinarySnapshotInfo& info, std::vector<Frame>& frames,
+                support::DiagnosticSink& sink) {
   ByteReader in(data);
   if (!parse_header(in, data, info, sink)) return false;
   for (std::uint32_t i = 0; i < info.section_count; ++i) {
     const std::size_t offset = in.position();
-    FrameEntry entry;
+    Frame frame;
     const std::uint8_t kind = in.u8();
     const std::uint16_t name_length = in.u16();
-    entry.name = std::string(in.bytes(name_length));
-    entry.entry_flags = in.u8();
+    frame.name = in.bytes(name_length);
+    frame.entry_flags = in.u8();
     const std::uint32_t payload_length = in.u32();
     const std::size_t meta_end = in.position();
     const std::uint64_t stored = in.u64();
-    entry.payload = std::string(in.bytes(payload_length));
+    frame.payload = in.bytes(payload_length);
     if (in.failed()) {
       sink.error("binary-snapshot", "truncated in section #" + std::to_string(i) +
                                         " at offset " + std::to_string(offset) + " (" +
@@ -460,30 +475,30 @@ bool parse_file(std::string_view data, BinarySnapshotInfo& info,
                                         " at offset " + std::to_string(offset));
       return false;
     }
-    entry.kind = static_cast<SectionKind>(kind);
-    if (entry.entry_flags > kEntryRecorderAppend) {
+    frame.kind = static_cast<SectionKind>(kind);
+    if (frame.entry_flags > kEntryRecorderAppend) {
       sink.error("binary-snapshot",
-                 "unknown entry flags " + std::to_string(entry.entry_flags) + " in " +
-                     describe(entry.kind, entry.name) + " at offset " +
+                 "unknown entry flags " + std::to_string(frame.entry_flags) + " in " +
+                     describe(frame.kind, frame.name) + " at offset " +
                      std::to_string(offset));
       return false;
     }
     const std::uint64_t computed =
-        fnv1a(entry.payload, fnv1a(data.substr(offset, meta_end - offset)));
+        frame_checksum(data.substr(offset, meta_end - offset), frame.payload);
     if (computed != stored) {
       sink.error("binary-snapshot", "section checksum mismatch in " +
-                                        describe(entry.kind, entry.name) + " at offset " +
+                                        describe(frame.kind, frame.name) + " at offset " +
                                         std::to_string(offset) + ": stored " +
                                         to_hex(stored) + ", computed " + to_hex(computed));
       return false;
     }
-    if (entry.entry_flags == kEntryReference && payload_length != sizeof(std::uint64_t)) {
+    if (frame.entry_flags == kEntryReference && payload_length != sizeof(std::uint64_t)) {
       sink.error("binary-snapshot", "malformed reference frame in " +
-                                        describe(entry.kind, entry.name) + " at offset " +
+                                        describe(frame.kind, frame.name) + " at offset " +
                                         std::to_string(offset));
       return false;
     }
-    entries.push_back(std::move(entry));
+    frames.push_back(frame);
   }
   if (in.bytes(kBinaryTrailer.size()) != kBinaryTrailer) {
     sink.error("binary-snapshot", "missing end-of-file trailer (truncated at " +
@@ -496,6 +511,43 @@ bool parse_file(std::string_view data, BinarySnapshotInfo& info,
                                       " trailing bytes after the end-of-file trailer");
     return false;
   }
+  return true;
+}
+
+/// Decodes a parsed full snapshot into `image`; delta files and non-payload
+/// frames are refused.
+bool assemble_image(const BinarySnapshotInfo& info, const std::vector<Frame>& frames,
+                    SnapshotImage& image, support::DiagnosticSink& sink) {
+  if (info.delta) {
+    sink.error("binary-snapshot",
+               "checkpoint " + std::to_string(info.seq) +
+                   " is a delta (base " + std::to_string(info.base_seq) +
+                   "); it cannot be restored without its chain");
+    return false;
+  }
+  SnapshotImage out;
+  bool kernel_seen = false;
+  for (const Frame& frame : frames) {
+    if (frame.entry_flags != kEntryPayload) {
+      sink.error("binary-snapshot", "full snapshot contains a non-payload frame in " +
+                                        describe(frame.kind, frame.name));
+      return false;
+    }
+    // Duplicate named sections of one kind are structural corruption.
+    for (const Frame* other = frames.data(); other != &frame; ++other) {
+      if (other->kind == frame.kind && other->name == frame.name) {
+        sink.error("binary-snapshot", "duplicate " + describe(frame.kind, frame.name) + " section");
+        return false;
+      }
+    }
+    kernel_seen = kernel_seen || frame.kind == SectionKind::kKernel;
+    if (!decode_section(frame.kind, frame.name, frame.payload, out, sink)) return false;
+  }
+  if (!kernel_seen) {
+    sink.error("binary-snapshot", "missing kernel section");
+    return false;
+  }
+  image = std::move(out);
   return true;
 }
 
@@ -531,57 +583,35 @@ bool splice_recorder_append(std::string& payload, std::string_view append,
   return decode(tail, recorder);
 }
 
-/// Materializes a full section list from a parsed full-snapshot frame list.
-bool resolve_full(const BinarySnapshotInfo& info, std::vector<FrameEntry>& entries,
-                  std::vector<FlatSection>& sections, support::DiagnosticSink& sink) {
-  if (info.delta) {
-    sink.error("binary-snapshot",
-               "checkpoint " + std::to_string(info.seq) +
-                   " is a delta (base " + std::to_string(info.base_seq) +
-                   "); it cannot be restored without its chain");
-    return false;
-  }
-  sections.clear();
-  sections.reserve(entries.size());
-  for (FrameEntry& entry : entries) {
-    if (entry.entry_flags != kEntryPayload) {
-      sink.error("binary-snapshot", "full snapshot contains a non-payload frame in " +
-                                        describe(entry.kind, entry.name));
-      return false;
-    }
-    sections.push_back({entry.kind, std::move(entry.name), std::move(entry.payload)});
-  }
-  return true;
-}
-
 /// Applies one delta's frames onto the materialized sections and keeps
-/// `image` decoded in step: a payload frame is decode-checked as it lands.
-bool apply_delta(std::vector<FlatSection>& sections, std::vector<FrameEntry>& entries,
+/// `image` decoded in step: a payload frame is copied into its section and
+/// decode-checked as it lands.
+bool apply_delta(std::vector<FlatSection>& sections, const std::vector<Frame>& frames,
                  SnapshotImage& image, support::DiagnosticSink& sink) {
-  for (FrameEntry& entry : entries) {
+  for (const Frame& frame : frames) {
     auto match = std::find_if(sections.begin(), sections.end(), [&](const FlatSection& section) {
-      return section.kind == entry.kind && section.name == entry.name;
+      return section.kind == frame.kind && section.name == frame.name;
     });
-    switch (entry.entry_flags) {
+    switch (frame.entry_flags) {
       case kEntryPayload:
         if (match == sections.end()) {
-          match = sections.insert(match, FlatSection{entry.kind, std::move(entry.name), {}});
+          match = sections.insert(match, FlatSection{frame.kind, std::string(frame.name), {}});
         }
-        match->payload = std::move(entry.payload);
-        if (!decode_section(*match, image, sink)) return false;
+        match->payload.assign(frame.payload);
+        if (!decode_section(frame.kind, frame.name, match->payload, image, sink)) return false;
         break;
       case kEntryReference: {
         if (match == sections.end()) {
-          sink.error("binary-snapshot", "delta references " + describe(entry.kind, entry.name) +
+          sink.error("binary-snapshot", "delta references " + describe(frame.kind, frame.name) +
                                             " which is absent from the base");
           return false;
         }
-        ByteReader expected_in(entry.payload);
+        ByteReader expected_in(frame.payload);
         const std::uint64_t expected = expected_in.u64();
-        const std::uint64_t computed = fnv1a(match->payload);
+        const std::uint64_t computed = support::xxh64(match->payload);
         if (computed != expected) {
           sink.error("binary-snapshot",
-                     "reference checksum mismatch in " + describe(entry.kind, entry.name) +
+                     "reference checksum mismatch in " + describe(frame.kind, frame.name) +
                          ": delta expects " + to_hex(expected) + ", base holds " +
                          to_hex(computed));
           return false;
@@ -589,12 +619,12 @@ bool apply_delta(std::vector<FlatSection>& sections, std::vector<FrameEntry>& en
         break;
       }
       case kEntryRecorderAppend:
-        if (entry.kind != SectionKind::kRecorder || match == sections.end()) {
+        if (frame.kind != SectionKind::kRecorder || match == sections.end()) {
           sink.error("binary-snapshot", "append frame on non-recorder section " +
-                                            describe(entry.kind, entry.name));
+                                            describe(frame.kind, frame.name));
           return false;
         }
-        if (!splice_recorder_append(match->payload, entry.payload, *image.recorder, sink)) {
+        if (!splice_recorder_append(match->payload, frame.payload, *image.recorder, sink)) {
           return false;
         }
         break;
@@ -637,17 +667,14 @@ bool read_binary_info(std::string_view data, BinarySnapshotInfo& info,
 }
 
 std::string image_to_binary(const SnapshotImage& image) {
-  return encode_file(0, 0, 0, payload_frames(flatten_image(image)));
+  return encode_full(0, flatten_image(image));
 }
 
 bool image_from_binary(std::string_view data, SnapshotImage& image,
                        support::DiagnosticSink& sink) {
   BinarySnapshotInfo info;
-  std::vector<FrameEntry> entries;
-  if (!parse_file(data, info, entries, sink)) return false;
-  std::vector<FlatSection> sections;
-  if (!resolve_full(info, entries, sections, sink)) return false;
-  return assemble_image(sections, image, sink);
+  std::vector<Frame> frames;
+  return parse_file(data, info, frames, sink) && assemble_image(info, frames, image, sink);
 }
 
 bool image_from_binary_chain(const std::vector<std::string_view>& chain, SnapshotImage& image,
@@ -662,17 +689,23 @@ bool image_from_binary_chain(const std::vector<std::string_view>& chain, Snapsho
     return fail();
   }
   BinarySnapshotInfo info;
-  std::vector<FrameEntry> entries;
-  std::vector<FlatSection> sections;
+  std::vector<Frame> frames;
   SnapshotImage out;
-  if (!parse_file(chain.front(), info, entries, sink) ||
-      !resolve_full(info, entries, sections, sink) || !assemble_image(sections, out, sink)) {
+  if (!parse_file(chain.front(), info, frames, sink) ||
+      !assemble_image(info, frames, out, sink)) {
     return fail();
+  }
+  // The base's payloads are materialized (copied once) for the deltas'
+  // reference checks and recorder splices.
+  std::vector<FlatSection> sections;
+  sections.reserve(frames.size());
+  for (const Frame& frame : frames) {
+    sections.push_back({frame.kind, std::string(frame.name), std::string(frame.payload)});
   }
   for (rung = 1; rung < chain.size(); ++rung) {
     const std::uint64_t previous_seq = info.seq;
-    entries.clear();
-    if (!parse_file(chain[rung], info, entries, sink)) return fail();
+    frames.clear();
+    if (!parse_file(chain[rung], info, frames, sink)) return fail();
     if (!info.delta) {
       sink.error("binary-snapshot", "chain element #" + std::to_string(rung) +
                                         " is a full snapshot, expected a delta");
@@ -684,7 +717,7 @@ bool image_from_binary_chain(const std::vector<std::string_view>& chain, Snapsho
                                         ", chain holds " + std::to_string(previous_seq));
       return fail();
     }
-    if (!apply_delta(sections, entries, out, sink)) return fail();
+    if (!apply_delta(sections, frames, out, sink)) return fail();
   }
   image = std::move(out);
   return true;
@@ -740,23 +773,19 @@ bool IncrementalEncoder::encode(const SnapshotTargets& targets, bool force_full,
     result.delta = false;
     result.base_seq = 0;
     result.sections_dirty = sections.size();
-    result.bytes = encode_file(0, result.seq, 0, payload_frames(sections));
+    result.bytes = encode_full(result.seq, sections);
   } else {
     result.delta = true;
     result.base_seq = last_seq_;
-    std::vector<FrameEntry> entries;
-    entries.reserve(sections.size());
+    FileWriter file(kFlagDelta, result.seq, result.base_seq, sections);
     for (std::size_t i = 0; i < sections.size(); ++i) {
-      const std::string& previous = previous_[i].payload;
-      const std::string& current = sections[i].payload;
-      FrameEntry entry;
-      entry.kind = sections[i].kind;
-      entry.name = sections[i].name;
+      const std::string_view previous = previous_[i].payload;
+      const std::string_view current = sections[i].payload;
       bool appendable = false;
       if (sections[i].kind == SectionKind::kRecorder && current.size() > previous.size() &&
           previous.size() >= kRecorderHeadBytes &&
-          current.compare(kRecorderHeadBytes, previous.size() - kRecorderHeadBytes, previous,
-                          kRecorderHeadBytes, previous.size() - kRecorderHeadBytes) == 0) {
+          current.substr(kRecorderHeadBytes, previous.size() - kRecorderHeadBytes) ==
+              previous.substr(kRecorderHeadBytes)) {
         // The splice invariant the decoder checks: the total grew by exactly
         // the number of appended entries (a ring drop breaks this).
         ByteReader previous_head(previous);
@@ -770,29 +799,25 @@ bool IncrementalEncoder::encode(const SnapshotTargets& targets, bool force_full,
       if (current == previous) {
         // Reference frame: the payload is the expected hash of the base's
         // payload, so drift is caught when the chain is resolved.
-        ByteWriter expected;
-        expected.u64(fnv1a(current));
-        entry.entry_flags = kEntryReference;
-        entry.payload = expected.take();
+        file.begin_frame(sections[i].kind, sections[i].name, kEntryReference)
+            .u64(support::xxh64(current));
       } else if (appendable) {
         // The log only grew: ship just the new entries. (A ring wraparound
         // breaks the prefix property and falls through to a full payload.)
-        ByteWriter append;
-        append.bytes(std::string_view(current).substr(0, kRecorderHeadBytes - 4));
+        ByteWriter& append =
+            file.begin_frame(sections[i].kind, sections[i].name, kEntryRecorderAppend);
+        append.bytes(current.substr(0, kRecorderHeadBytes - 4));
         append.u32(static_cast<std::uint32_t>((current.size() - previous.size()) /
                                               kRecorderEntryBytes));
-        append.bytes(std::string_view(current).substr(previous.size()));
-        entry.entry_flags = kEntryRecorderAppend;
-        entry.payload = append.take();
+        append.bytes(current.substr(previous.size()));
         ++result.sections_dirty;
       } else {
-        entry.entry_flags = kEntryPayload;
-        entry.payload = current;
+        file.begin_frame(sections[i].kind, sections[i].name, kEntryPayload).bytes(current);
         ++result.sections_dirty;
       }
-      entries.push_back(std::move(entry));
+      file.end_frame();
     }
-    result.bytes = encode_file(kFlagDelta, result.seq, result.base_seq, entries);
+    result.bytes = file.finish();
   }
 
   previous_.clear();

@@ -11,7 +11,7 @@
 //   u64 seq                        checkpoint sequence number
 //   u64 base_seq                   predecessor in the delta chain (0 = full)
 //   u32 section_count
-//   u64 header checksum            FNV-1a over every header byte above
+//   u64 header checksum            XXH64 over every header byte above
 //   section frames ...
 //   "USNAPEND"                     8-byte trailer
 //
@@ -21,18 +21,26 @@
 //   u16 name_len + bytes           "" for kernel / fault-plan / recorder
 //   u8  entry flags                0 payload, 1 reference, 2 recorder-append
 //   u32 payload_len
-//   u64 frame checksum             FNV-1a over metadata bytes + payload bytes
+//   u64 frame checksum             XXH64 of the payload bytes, seeded with
+//                                  XXH64 of the metadata bytes above
 //   payload bytes
 //
 // The frame checksum covers the frame's metadata (kind, name, flags,
 // length) as well as its payload, so truncation and bit-flips anywhere in a
 // frame are detected and reported at section granularity (section name,
 // byte offset, stored vs computed checksum) instead of one opaque
-// document-level failure.
+// document-level failure. Checksums are support::xxh64 since version 6;
+// the layout is version 5's, and a file of any other version is refused.
+//
+// Frames are copy-free: the encoder appends each frame's metadata and
+// payload straight into the file buffer and patches the length and
+// checksum in place; the parser views names and payloads in the file
+// bytes, and a chain decode copies a payload once, when it materializes
+// the section.
 //
 // Incremental checkpoints: a delta file carries full payloads only for the
 // sections that changed since the previous checkpoint. Clean sections
-// shrink to a *reference* frame whose 8-byte payload is the expected hash
+// shrink to a *reference* frame whose 8-byte payload is the expected XXH64
 // of the base's payload, so a drifted base is caught at resolve time.
 // The event-recorder section — which only ever grows during a run — gets a
 // dedicated *append* frame carrying just the new entries, spliced onto the

@@ -49,8 +49,10 @@ namespace umlsoc::replay {
 /// just failing the document hash, and a fourth fault-plan site
 /// (checkpoint-path faults); version 4 added the fifth fault-plan site
 /// (simulated-crash ticks); version 5 dropped the process labels the kernel
-/// section carried for each pending timed entry.
-inline constexpr int kSnapshotVersion = 5;
+/// section carried for each pending timed entry; version 6 replaced the
+/// FNV-1a header, frame and reference checksums with XXH64 (same layout and
+/// sizes).
+inline constexpr int kSnapshotVersion = 6;
 
 struct MachineTarget {
   std::string name;

@@ -1,6 +1,9 @@
 #include "replay/store.hpp"
 
+#include <dirent.h>
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,7 +12,10 @@
 #include <charconv>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <system_error>
 
 namespace umlsoc::replay {
@@ -20,13 +26,36 @@ constexpr std::string_view kExtension = ".usnap";
 constexpr std::string_view kTmpSuffix = ".tmp";
 constexpr std::string_view kQuarantineSuffix = ".quarantined";
 
+/// Closes a file descriptor when it leaves scope.
+class FileDescriptor {
+ public:
+  explicit FileDescriptor(int fd) : fd_(fd) {}
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+  ~FileDescriptor() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  [[nodiscard]] int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// Reads a whole file: one open, fstat, read and close.
 bool read_file(const std::filesystem::path& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
-  if (size < 0) return false;
-  out.resize(static_cast<std::size_t>(size));
-  in.seekg(0);
-  return static_cast<bool>(in.read(out.data(), size));
+  const FileDescriptor file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  struct stat status {};
+  if (file.get() < 0 || ::fstat(file.get(), &status) != 0) return false;
+  out.resize(static_cast<std::size_t>(status.st_size));
+  // A regular file returns everything in one read; the loop covers short
+  // reads and signals. A file that shrank underneath fails the read.
+  for (std::size_t done = 0; done < out.size();) {
+    const ssize_t got = ::read(file.get(), out.data() + done, out.size() - done);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    done += static_cast<std::size_t>(got);
+  }
+  return true;
 }
 
 bool write_file(const std::filesystem::path& path, std::string_view bytes) {
@@ -55,6 +84,53 @@ bool tmp_writer_alive(std::string_view name) {
   return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
 }
 
+/// Lands `bytes` at `path`: written to a tmp sibling, then renamed into
+/// place, unless `lost` (a crash before the rename leaves the tmp).
+bool land_file(const std::filesystem::path& path, std::string_view bytes, bool lost,
+               support::DiagnosticSink& sink) {
+  // The tmp sibling carries the writer's pid: if two processes ever touch
+  // the same directory (a re-dispatched seed racing a predecessor that is
+  // being torn down), their in-flight writes cannot collide on one tmp name
+  // and clobber each other mid-rename.
+  const std::filesystem::path tmp =
+      path.string() + "." + std::to_string(::getpid()) + std::string(kTmpSuffix);
+  if (!write_file(tmp, bytes)) {
+    sink.error("checkpoint-store", "cannot write " + tmp.string());
+    return false;
+  }
+  if (lost) return true;
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    sink.error("checkpoint-store", "cannot rename " + tmp.string() + ": " + ec.message());
+    return false;
+  }
+  return true;
+}
+
+/// Calls `visit(name)` for each regular file in `directory`, following
+/// symlinks as std::filesystem::is_regular_file does. One readdir pass with
+/// no path built per entry; `name` is valid only during the call.
+template <typename Visit>
+void list_files(const std::filesystem::path& directory, Visit&& visit) {
+  const std::unique_ptr<DIR, int (*)(DIR*)> dir(::opendir(directory.c_str()), &::closedir);
+  if (dir == nullptr) return;
+  while (const dirent* entry = ::readdir(dir.get())) {
+    bool regular = entry->d_type == DT_REG;
+    if (entry->d_type == DT_UNKNOWN || entry->d_type == DT_LNK) {
+      struct stat status {};
+      regular = ::fstatat(::dirfd(dir.get()), entry->d_name, &status, 0) == 0 &&
+                S_ISREG(status.st_mode);
+    }
+    if (regular) visit(std::string_view(entry->d_name));
+  }
+}
+
+/// True when `name` starts with `<prefix>-`.
+bool has_stem(std::string_view name, std::string_view prefix) {
+  return name.size() > prefix.size() && name.starts_with(prefix) && name[prefix.size()] == '-';
+}
+
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                         std::chrono::steady_clock::now() - since)
@@ -72,26 +148,16 @@ CheckpointStore::CheckpointStore(CheckpointStoreConfig config) : config_(std::mo
 }
 
 void CheckpointStore::sweep_stray_tmps() {
-  const std::string stem = config_.prefix + "-";
-  std::error_code ec;
-  for (const auto& dirent :
-       std::filesystem::directory_iterator(config_.directory, ec)) {
-    if (!dirent.is_regular_file(ec)) continue;
-    const std::string name = dirent.path().filename().string();
-    if (name.size() < stem.size() + kTmpSuffix.size()) continue;
-    if (name.compare(0, stem.size(), stem) != 0) continue;
-    if (name.compare(name.size() - kTmpSuffix.size(), kTmpSuffix.size(),
-                     kTmpSuffix) != 0) {
-      continue;
-    }
+  list_files(config_.directory, [this](std::string_view name) {
+    if (!has_stem(name, config_.prefix) || !name.ends_with(kTmpSuffix)) return;
     // A pid-scoped tmp whose writer is still running is an in-flight
     // checkpoint of a concurrent store (the race the pid-scoped names exist
     // to tolerate) — deleting it would fail that writer's rename mid-
     // checkpoint. Only genuinely orphaned tmps are strays.
-    if (tmp_writer_alive(name)) continue;
+    if (tmp_writer_alive(name)) return;
     std::error_code rm;
-    if (std::filesystem::remove(dirent.path(), rm)) ++stats_.tmp_swept;
-  }
+    if (std::filesystem::remove(config_.directory / name, rm)) ++stats_.tmp_swept;
+  });
 }
 
 void CheckpointStore::bind_health(sim::HealthRegistry& registry) {
@@ -111,26 +177,21 @@ std::filesystem::path CheckpointStore::path_for(std::uint64_t seq) const {
   return config_.directory / (config_.prefix + "-" + digits + std::string(kExtension));
 }
 
-std::vector<CheckpointStore::ScanEntry> CheckpointStore::scan() const {
-  std::vector<ScanEntry> entries;
-  std::error_code ec;
-  for (const auto& dirent :
-       std::filesystem::directory_iterator(config_.directory, ec)) {
-    if (!dirent.is_regular_file(ec)) continue;
-    const std::string filename = dirent.path().filename().string();
-    const std::string stem = config_.prefix + "-";
-    if (filename.size() != stem.size() + 8 + kExtension.size()) continue;
-    if (filename.compare(0, stem.size(), stem) != 0) continue;
-    if (filename.compare(stem.size() + 8, kExtension.size(), kExtension) != 0) continue;
+std::vector<std::uint64_t> CheckpointStore::scan() const {
+  std::vector<std::uint64_t> seqs;
+  const std::size_t digits_at = config_.prefix.size() + 1;
+  list_files(config_.directory, [&](std::string_view name) {
+    if (name.size() != digits_at + 8 + kExtension.size() || !has_stem(name, config_.prefix) ||
+        !name.ends_with(kExtension)) {
+      return;
+    }
     std::uint64_t seq = 0;
-    const char* digits = filename.data() + stem.size();
+    const char* digits = name.data() + digits_at;
     const auto [ptr, parse_ec] = std::from_chars(digits, digits + 8, seq);
-    if (parse_ec != std::errc() || ptr != digits + 8) continue;
-    entries.push_back({seq, dirent.path()});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const ScanEntry& a, const ScanEntry& b) { return a.seq > b.seq; });
-  return entries;
+    if (parse_ec == std::errc() && ptr == digits + 8) seqs.push_back(seq);
+  });
+  std::sort(seqs.begin(), seqs.end(), std::greater<>());
+  return seqs;
 }
 
 bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& out,
@@ -175,41 +236,27 @@ bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& ou
     if (result.torn || result.lost || result.flipped) ++stats_.write_faults;
   }
 
-  // The tmp sibling carries the writer's pid: if two processes ever touch
-  // the same directory (a re-dispatched seed racing a predecessor that is
-  // being torn down), their in-flight writes cannot collide on one tmp name
-  // and clobber each other mid-rename.
-  const std::filesystem::path tmp = result.path.string() + "." +
-                                    std::to_string(::getpid()) +
-                                    std::string(kTmpSuffix);
-  if (!write_file(tmp, bytes)) {
-    sink.error("checkpoint-store", "cannot write " + tmp.string());
-    return false;
-  }
-  if (!result.lost) {
-    std::error_code ec;
-    std::filesystem::rename(tmp, result.path, ec);
-    if (ec) {
-      sink.error("checkpoint-store",
-                 "cannot rename " + tmp.string() + ": " + ec.message());
-      return false;
+  // Store I/O (write, rename, prune) is timed apart from the encode.
+  const auto io_started = std::chrono::steady_clock::now();
+  const bool landed = land_file(result.path, bytes, result.lost, sink);
+  if (landed) {
+    result.bytes = bytes.size();
+    ++stats_.checkpoints;
+    stats_.bytes_written += bytes.size();
+    if (encoded.delta) {
+      ++stats_.deltas;
+    } else {
+      ++stats_.fulls;
+      // A lost full must not count as a retained base: its deltas would
+      // chain to a file that never landed.
+      if (!result.lost) {
+        fulls_.push_back(encoded.seq);
+        prune(sink);
+      }
     }
   }
-  result.bytes = bytes.size();
-
-  ++stats_.checkpoints;
-  stats_.bytes_written += bytes.size();
-  if (encoded.delta) {
-    ++stats_.deltas;
-  } else {
-    ++stats_.fulls;
-    // A lost full must not count as a retained base: its deltas would chain
-    // to a file that never landed.
-    if (!result.lost) {
-      fulls_.push_back(encoded.seq);
-      prune(sink);
-    }
-  }
+  targets.kernel->note_snapshot_store(elapsed_ns(io_started));
+  if (!landed) return false;
   out = result;
   return true;
 }
@@ -218,14 +265,14 @@ void CheckpointStore::prune(support::DiagnosticSink& sink) {
   if (fulls_.size() <= config_.keep_fulls) return;
   fulls_.erase(fulls_.begin(), fulls_.end() - config_.keep_fulls);
   const std::uint64_t keep_from = fulls_.front();
-  for (const ScanEntry& entry : scan()) {
-    if (entry.seq >= keep_from) continue;
+  for (const std::uint64_t seq : scan()) {
+    if (seq >= keep_from) continue;
+    const std::filesystem::path path = path_for(seq);
     std::error_code ec;
-    if (std::filesystem::remove(entry.path, ec)) {
+    if (std::filesystem::remove(path, ec)) {
       ++stats_.pruned;
     } else if (ec) {
-      sink.warning("checkpoint-store",
-                   "cannot prune " + entry.path.string() + ": " + ec.message());
+      sink.warning("checkpoint-store", "cannot prune " + path.string() + ": " + ec.message());
     }
   }
 }
@@ -268,14 +315,14 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
   // Every pass either restores, or quarantines at least one file and
   // rescans — so the walk terminates.
   for (;;) {
-    std::vector<ScanEntry> entries = scan();
+    const std::vector<std::uint64_t> seqs = scan();
     // Rungs newer than the rewind target are skipped, not quarantined: a
     // time-travel probe must leave the rest of the ladder intact. They stay
-    // in `entries` past the tip choice so delta chains that reach *below*
+    // in `seqs` past the tip choice so delta chains that reach *below*
     // max_seq still resolve their bases.
     std::size_t first = 0;
-    while (first < entries.size() && entries[first].seq > max_seq) ++first;
-    if (first == entries.size()) {
+    while (first < seqs.size() && seqs[first] > max_seq) ++first;
+    if (first == seqs.size()) {
       sink.error("checkpoint-store",
                  "no restorable checkpoint in " + config_.directory.string() +
                      (max_seq == std::numeric_limits<std::uint64_t>::max()
@@ -289,19 +336,19 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
       return false;
     }
 
-    const ScanEntry& tip = entries[first];
+    const std::uint64_t tip = seqs[first];
     // Materialize the tip's chain, newest to oldest, via base_seq links,
     // keeping each rung's bytes for the decoder.
-    std::vector<const ScanEntry*> chain;  // tip first, base last
-    std::vector<std::string> blobs;       // parallel to chain
+    std::vector<std::uint64_t> chain;  // tip first, base last
+    std::vector<std::string> blobs;    // parallel to chain
     std::string tip_failure;
-    const ScanEntry* broken = nullptr;
-    const ScanEntry* cursor = &tip;
+    std::optional<std::uint64_t> broken;
+    std::uint64_t cursor = tip;
     for (;;) {
       std::string bytes;
       support::DiagnosticSink probe;
       BinarySnapshotInfo info;
-      if (!read_file(cursor->path, bytes)) {
+      if (!read_file(path_for(cursor), bytes)) {
         broken = cursor;
         tip_failure = "unreadable file";
         break;
@@ -314,25 +361,19 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
       chain.push_back(cursor);
       blobs.push_back(std::move(bytes));
       if (!info.delta) break;  // Reached the full base.
-      const ScanEntry* base = nullptr;
-      for (const ScanEntry& candidate : entries) {
-        if (candidate.seq == info.base_seq) {
-          base = &candidate;
-          break;
-        }
-      }
-      if (base == nullptr || chain.size() > entries.size()) {
+      if (std::find(seqs.begin(), seqs.end(), info.base_seq) == seqs.end() ||
+          chain.size() > seqs.size()) {
         // The base was lost, quarantined, or the links cycle; nothing this
         // delta chains to can be trusted, so the tip itself steps aside.
-        broken = &tip;
+        broken = tip;
         tip_failure = "delta " + std::to_string(info.seq) + " needs base checkpoint " +
                       std::to_string(info.base_seq) + ", which is missing";
         break;
       }
-      cursor = base;
+      cursor = info.base_seq;
     }
-    if (broken != nullptr) {
-      quarantine(broken->path, std::move(tip_failure), sink);
+    if (broken) {
+      quarantine(path_for(*broken), std::move(tip_failure), sink);
       continue;
     }
 
@@ -344,20 +385,20 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
     support::DiagnosticSink attempt;
     std::size_t failed = 0;
     if (!image_from_binary_chain({blobs.begin(), blobs.end()}, image, attempt, &failed)) {
-      quarantine(chain[failed]->path, attempt.str(), sink);
+      quarantine(path_for(chain[failed]), attempt.str(), sink);
       continue;
     }
 
     support::DiagnosticSink apply_sink;
     if (!apply_image(targets, image, apply_sink)) {
-      quarantine(chain.back()->path, "restore failed: " + apply_sink.str(), sink);
+      quarantine(path_for(chain.back()), "restore failed: " + apply_sink.str(), sink);
       continue;
     }
     targets.kernel->note_snapshot_restore(elapsed_ns(started));
     // Later checkpoints start a new chain numbered above every rung on disk.
-    encoder_.resume_after(entries.front().seq);
+    encoder_.resume_after(seqs.front());
     ++stats_.restores;
-    stats_.restored_seq = chain.back()->seq;
+    stats_.restored_seq = chain.back();
     sink.note("checkpoint-store",
               "restored checkpoint " + std::to_string(stats_.restored_seq) + " (chain of " +
                   std::to_string(chain.size()) + ")");

@@ -1,19 +1,24 @@
-// Crash-consistent checkpoint store with a recovery ladder.
+// Checkpoint store with a recovery ladder, consistent across process
+// crashes.
 //
 // CheckpointStore rotates binary snapshots (replay/binary.hpp) in a
 // directory: every `full_interval`-th checkpoint is a full snapshot (a
 // chain base), the ones between are dirty-section deltas chained to their
 // predecessor. Files are written atomically — payload to a `.tmp` sibling,
-// then renamed into place — so a crash mid-write leaves either the old
-// state or a stray `.tmp` the scanner ignores, never a half-visible
-// checkpoint under its final name.
+// then renamed into place — so a process that dies mid-write leaves either
+// the old state or a stray `.tmp` the scanner ignores, never a
+// half-visible checkpoint under its final name. That covers process death
+// only: nothing calls fsync, so a power loss or kernel crash can still
+// lose or tear a renamed rung (ROADMAP item 4).
 //
 // Recovery walks the ladder: restore_latest_good() materializes the newest
 // checkpoint's chain and validates every rung (header, per-section
 // checksums, chain links, payload decodes) before anything is applied.
-// Each rung file is read once and its bytes go straight to the one-pass
-// chain decoder (image_from_binary_chain), which names the rung a failure
-// belongs to. A corrupt, truncated or version-skewed file is
+// Each restore lists the directory once with readdir (other processes may
+// write it), matching rung names without building paths. Each rung file
+// is read once, with one open/fstat/read/close, and its bytes go straight
+// to the one-pass chain decoder (image_from_binary_chain), which names the
+// rung a failure belongs to. A corrupt, truncated or version-skewed file is
 // *quarantined* — renamed to `<name>.quarantined`, recorded with its
 // structured diagnostics, reported to an optional HealthRegistry as a
 // degraded unit — and the ladder steps down to the next older checkpoint
@@ -130,19 +135,16 @@ class CheckpointStore {
   /// whether a dead predecessor left a ladder worth restoring before this
   /// process writes anything of its own.
   [[nodiscard]] std::uint64_t newest_on_disk() const {
-    const std::vector<ScanEntry> entries = scan();
-    return entries.empty() ? 0 : entries.front().seq;
+    const std::vector<std::uint64_t> seqs = scan();
+    return seqs.empty() ? 0 : seqs.front();
   }
 
  private:
-  struct ScanEntry {
-    std::uint64_t seq = 0;
-    std::filesystem::path path;
-  };
-
   [[nodiscard]] std::filesystem::path path_for(std::uint64_t seq) const;
-  /// Non-quarantined checkpoint files, seq-descending.
-  [[nodiscard]] std::vector<ScanEntry> scan() const;
+  /// Sequence numbers of the non-quarantined checkpoint files,
+  /// descending. Names are matched in one directory listing; no path is
+  /// built for a rung until it is opened, pruned or quarantined.
+  [[nodiscard]] std::vector<std::uint64_t> scan() const;
   /// Shared ladder walk: restores the newest rung with seq <= max_seq.
   [[nodiscard]] bool restore_ladder(std::uint64_t max_seq, const SnapshotTargets& targets,
                                     support::DiagnosticSink& sink);

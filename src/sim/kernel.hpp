@@ -225,6 +225,7 @@ class Kernel {
     std::uint64_t sections_total = 0;   ///< Sections considered across all encodes.
     std::uint64_t encode_wall_ns = 0;   ///< Host time spent serializing.
     std::uint64_t restore_wall_ns = 0;  ///< Host time spent decoding + applying.
+    std::uint64_t store_wall_ns = 0;    ///< Host time writing, renaming, pruning rungs.
   };
 
   /// Scheduler observability counters (monotonic over the kernel's life).
@@ -253,6 +254,7 @@ class Kernel {
     ++stats_.snapshot.restores;
     stats_.snapshot.restore_wall_ns += wall_ns;
   }
+  void note_snapshot_store(std::uint64_t wall_ns) { stats_.snapshot.store_wall_ns += wall_ns; }
 
   // --- Checkpoint / restore --------------------------------------------------
 

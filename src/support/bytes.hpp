@@ -60,6 +60,17 @@ class ByteWriter {
     sequence(items, [this](const auto& item) { field(item); });
   }
 
+  /// Overwrites the unsigned integer written earlier at `offset`, such as
+  /// a length or checksum placeholder.
+  template <typename T>
+  void patch(std::size_t offset, T value) {
+    static_assert(std::is_unsigned_v<T>);
+    for (std::size_t i = 0; i < sizeof value; ++i) {
+      buffer_[offset + i] = static_cast<char>(value >> (8 * i));
+    }
+  }
+
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
   [[nodiscard]] std::string take() { return std::move(buffer_); }
   [[nodiscard]] const std::string& buffer() const { return buffer_; }
 

@@ -26,6 +26,7 @@
 #include "sim/supervise.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/model.hpp"
+#include "support/checksum.hpp"
 #include "support/rng.hpp"
 
 namespace umlsoc::replay {
@@ -230,20 +231,11 @@ void expect_same_outcome(FullRig& restored, FullRig& reference,
   EXPECT_EQ(restored.health.aggregate(), reference.health.aggregate());
 }
 
-// FNV-1a helpers matching the on-disk format, for surgically repairing the
-// header checksum after a deliberate mutation.
-constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+// Helpers matching the on-disk format (support::xxh64 checksums), for
+// surgically repairing a checksum after a deliberate mutation.
+using support::xxh64;
 constexpr std::size_t kHeaderHashedBytes = 36;  // Everything before the checksum.
 constexpr std::size_t kHeaderVersionOffset = 8;
-
-std::uint64_t fnv1a(std::string_view data, std::uint64_t hash = kFnvOffsetBasis) {
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 void put_u32(std::string& bytes, std::size_t offset, std::uint32_t value) {
   for (int i = 0; i < 4; ++i) bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
@@ -256,7 +248,7 @@ void put_u64(std::string& bytes, std::size_t offset, std::uint64_t value) {
 void patch_version(std::string& bytes, std::uint32_t version) {
   put_u32(bytes, kHeaderVersionOffset, version);
   put_u64(bytes, kHeaderHashedBytes,
-          fnv1a(std::string_view(bytes).substr(0, kHeaderHashedBytes)));
+          xxh64(std::string_view(bytes).substr(0, kHeaderHashedBytes)));
 }
 
 class BinarySnapshotTest : public ::testing::Test {
@@ -333,23 +325,58 @@ TEST_F(BinarySnapshotTest, TruncatedFilesAreRejectedAtEveryLength) {
 TEST_F(BinarySnapshotTest, EveryBitFlipIsRejected) {
   FullRig source(*machine_);
   source.run(kMidRunPs);
-  std::string snapshot;
+  IncrementalEncoder encoder;
+  IncrementalEncoder::Result full;
+  IncrementalEncoder::Result delta;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/true, full, sink)) << sink.str();
+  source.run(45000);
+  ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/false, delta, sink)) << sink.str();
+  ASSERT_LT(delta.sections_dirty, delta.sections_total) << "the delta needs reference frames";
+  // Recorder kind, empty name, entry flags 2: a recorder append frame.
+  ASSERT_NE(delta.bytes.find(std::string("\x03\x00\x00\x02", 4)), std::string::npos)
+      << "the delta needs a recorder append frame";
+
+  const auto decodes_full = [](const std::string& bytes) {
+    SnapshotImage image;
+    support::DiagnosticSink attempt;
+    return image_from_binary(bytes, image, attempt);
+  };
+  const auto decodes_chain = [&](const std::string& bytes) {
+    SnapshotImage image;
+    support::DiagnosticSink attempt;
+    return image_from_binary_chain({full.bytes, bytes}, image, attempt);
+  };
+  // Flips each of the eight bits of every byte, together with the same bit
+  // `stride` bytes further on when `stride` is nonzero; counts the decodes
+  // that still succeed.
+  const auto accepted_flips = [](std::string bytes, std::size_t stride, const auto& decodes) {
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i + stride < bytes.size(); ++i) {
+      for (unsigned bit = 0; bit < 8; ++bit) {
+        const char mask = static_cast<char>(1u << bit);
+        bytes[i] ^= mask;
+        if (stride != 0) bytes[i + stride] ^= mask;
+        if (decodes(bytes)) ++accepted;
+        bytes[i] ^= mask;
+        if (stride != 0) bytes[i + stride] ^= mask;
+      }
+    }
+    return accepted;
+  };
+  ASSERT_TRUE(decodes_full(full.bytes));
+  ASSERT_TRUE(decodes_chain(delta.bytes));
 
   // Frame checksums cover metadata and payload, the header checksum covers
   // the header, and magic/trailer are compared literally — so flipping any
-  // single bit anywhere must fail the decode. Walk every byte, rotating the
-  // flipped bit position.
-  std::size_t accepted = 0;
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    std::string mutated = snapshot;
-    mutated[i] ^= static_cast<char>(1u << (i % 8));
-    SnapshotImage image;
-    support::DiagnosticSink attempt;
-    if (image_from_binary(mutated, image, attempt)) ++accepted;
-  }
-  EXPECT_EQ(accepted, 0u);
+  // bit anywhere must fail the decode, in a base and in a delta.
+  EXPECT_EQ(accepted_flips(full.bytes, 0, decodes_full), 0u);
+  EXPECT_EQ(accepted_flips(delta.bytes, 0, decodes_chain), 0u);
+  // Same-bit pairs one 32-byte stripe apart: a lane of the form
+  // (acc ^ word) * prime passes every single flip, but two bit-63 flips one
+  // stripe apart cancel in it.
+  EXPECT_EQ(accepted_flips(full.bytes, 32, decodes_full), 0u);
+  EXPECT_EQ(accepted_flips(delta.bytes, 32, decodes_chain), 0u);
 }
 
 /// Replacing, erasing or inserting bytes anywhere in a real snapshot must
@@ -524,7 +551,7 @@ TEST_F(BinarySnapshotTest, EncodingIsPinned) {
   std::string full;
   ASSERT_TRUE(save_snapshot_binary(source.targets(), full, sink)) << sink.str();
   EXPECT_EQ(full.size(), 1391u);
-  EXPECT_EQ(fnv1a(full), 0x99fba178e13f107cULL);
+  EXPECT_EQ(xxh64(full), 0x244b15b622fdd8fbULL);
 
   IncrementalEncoder encoder;
   IncrementalEncoder::Result base;
@@ -534,7 +561,7 @@ TEST_F(BinarySnapshotTest, EncodingIsPinned) {
   ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/false, delta, sink)) << sink.str();
   ASSERT_TRUE(delta.delta);
   EXPECT_EQ(delta.bytes.size(), 2185u);
-  EXPECT_EQ(fnv1a(delta.bytes), 0x7428cf99334a52ebULL);
+  EXPECT_EQ(xxh64(delta.bytes), 0xddd2032caa343c8bULL);
 }
 
 TEST_F(BinarySnapshotTest, DeltaChainRestoresBitIdentically) {
@@ -716,8 +743,8 @@ TEST_F(BinarySnapshotTest, ChainFailureNamesTheRungThatCausedIt) {
   put_u32(delta, payload, entries + 1);
   const std::size_t payload_bytes = delta.size() - kBinaryTrailer.size() - payload;
   put_u64(delta, frame + meta_bytes,
-          fnv1a(std::string_view(delta).substr(payload, payload_bytes),
-                fnv1a(std::string_view(delta).substr(frame, meta_bytes))));
+          xxh64(std::string_view(delta).substr(payload, payload_bytes),
+                xxh64(std::string_view(delta).substr(frame, meta_bytes))));
   support::DiagnosticSink decode_attempt;
   EXPECT_FALSE(resolve(malformed, failed, decode_attempt));
   EXPECT_EQ(failed, 2u);
@@ -972,13 +999,43 @@ TEST_F(CheckpointStoreTest, StrayFilesAreIgnored) {
   ASSERT_TRUE(write_file(dir_ / "ckpt-0000000x.usnap", "bad digits"));
   ASSERT_TRUE(write_file(dir_ / "other-00000001.usnap", "foreign prefix"));
   ASSERT_TRUE(write_file(dir_ / "notes.txt", "not a checkpoint"));
+  ASSERT_TRUE(write_file(dir_ / "ckpt-00000002.usnap.quarantined", "stepped aside"));
+  ASSERT_TRUE(write_file(dir_ / "ckpt-0000042.usnap", "seven digits"));
+  ASSERT_TRUE(write_file(dir_ / "ckpt-000000042.usnap", "nine digits"));
+  // Named like newer rungs, but not regular files: a scan that trusted
+  // names alone would open them and quarantine them. Symlinks are followed,
+  // so one to a directory and a dangling one are not rungs either.
+  ASSERT_TRUE(std::filesystem::create_directory(dir_ / "ckpt-00000042.usnap"));
+  std::filesystem::create_directory_symlink(dir_ / "ckpt-00000042.usnap",
+                                            dir_ / "ckpt-00000043.usnap");
+  std::filesystem::create_symlink(dir_ / "missing", dir_ / "ckpt-00000044.usnap");
+
+  FullRig restored(*machine_);
+  CheckpointStore recovery(config());
+  EXPECT_EQ(recovery.newest_on_disk(), 3u);
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().restored_seq, 3u);
+  EXPECT_EQ(recovery.stats().quarantines, 0u);
+  EXPECT_TRUE(std::filesystem::is_directory(dir_ / "ckpt-00000042.usnap"));
+}
+
+TEST_F(CheckpointStoreTest, StoreWritesAreTimedApartFromEncodeAndRestore) {
+  FullRig source(*machine_);
+  CheckpointStore store(config());
+  write_checkpoints(source, store, 2);
+  const sim::Kernel::SnapshotStats& written = source.kernel.stats().snapshot;
+  EXPECT_EQ(written.encodes, 2u);
+  EXPECT_GT(written.store_wall_ns, 0u) << "the write, rename and prune are timed";
 
   FullRig restored(*machine_);
   CheckpointStore recovery(config());
   support::DiagnosticSink sink;
   ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
-  EXPECT_EQ(recovery.stats().restored_seq, 3u);
-  EXPECT_EQ(recovery.stats().quarantines, 0u);
+  const sim::Kernel::SnapshotStats& read = restored.kernel.stats().snapshot;
+  EXPECT_EQ(read.restores, 1u);
+  EXPECT_GT(read.restore_wall_ns, 0u);
+  EXPECT_EQ(read.store_wall_ns, 0u) << "a restore writes nothing";
 }
 
 /// Faults in the middle of a chain. Two chains (fulls at seq 1 and 5,

@@ -219,6 +219,7 @@ TEST(FleetDeterminism, WallTimeDoesNotBreakDeterministicEquality) {
   b.wall_ns = 456789;
   // Host wall time (and snapshot wall ns inside kernel stats) may differ.
   b.kernel.snapshot.encode_wall_ns = 999;
+  b.kernel.snapshot.store_wall_ns = 888;
   EXPECT_TRUE(a.deterministic_equal(b));
   b.slo.delivered += 1;
   EXPECT_FALSE(a.deterministic_equal(b));
@@ -294,6 +295,20 @@ TEST(FleetReportTest, EmptyFleetHasBenignRates) {
   EXPECT_DOUBLE_EQ(report.checkpoint_overhead(), 0.0);
 }
 
+TEST(FleetReportTest, CheckpointOverheadCountsStoreWrites) {
+  std::vector<RigOutcome> outcomes(2);
+  outcomes[0].wall_ns = 600;
+  outcomes[0].kernel.snapshot.encode_wall_ns = 60;
+  outcomes[0].kernel.snapshot.store_wall_ns = 90;
+  outcomes[1].wall_ns = 400;
+  outcomes[1].kernel.snapshot.restore_wall_ns = 20;
+  outcomes[1].kernel.snapshot.store_wall_ns = 30;
+  const FleetReport report = FleetReport::aggregate(outcomes);
+  EXPECT_EQ(report.kernel.snapshot.store_wall_ns, 120u);
+  // (60 encode + 20 restore + 120 store) / 1000 rig wall.
+  EXPECT_DOUBLE_EQ(report.checkpoint_overhead(), 0.2);
+}
+
 TEST(FleetReportTest, FingerprintExcludesWallTime) {
   std::vector<RigOutcome> a(2);
   a[0].seed = 1;
@@ -306,6 +321,7 @@ TEST(FleetReportTest, FingerprintExcludesWallTime) {
   std::vector<RigOutcome> b = a;
   b[0].wall_ns = 99999;
   b[0].kernel.snapshot.encode_wall_ns = 77777;
+  b[0].kernel.snapshot.store_wall_ns = 88888;
   EXPECT_EQ(FleetReport::aggregate(a).fingerprint(),
             FleetReport::aggregate(b).fingerprint());
   b[1].slo.delivered = 1;

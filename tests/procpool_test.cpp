@@ -103,7 +103,8 @@ RigOutcome distinct_outcome() {
         &out.kernel.snapshot.encodes, &out.kernel.snapshot.restores,
         &out.kernel.snapshot.bytes_written, &out.kernel.snapshot.sections_dirty,
         &out.kernel.snapshot.sections_total, &out.kernel.snapshot.encode_wall_ns,
-        &out.kernel.snapshot.restore_wall_ns, &out.wall_ns, &out.resumed_from_seq}) {
+        &out.kernel.snapshot.restore_wall_ns, &out.kernel.snapshot.store_wall_ns,
+        &out.wall_ns, &out.resumed_from_seq}) {
     *field = next++;
   }
   out.fault_template = 3;
@@ -131,6 +132,10 @@ TEST(HandoffCodec, ResultRoundTripsEveryFieldBitExactly) {
   EXPECT_EQ(decoded.wall_ns, original.wall_ns);
   EXPECT_EQ(decoded.attempts, original.attempts);
   EXPECT_EQ(decoded.resumed_from_seq, original.resumed_from_seq);
+  // deterministic_equal() skips the kernel's wall-clock fields.
+  EXPECT_EQ(decoded.kernel.snapshot.encode_wall_ns, original.kernel.snapshot.encode_wall_ns);
+  EXPECT_EQ(decoded.kernel.snapshot.restore_wall_ns, original.kernel.snapshot.restore_wall_ns);
+  EXPECT_EQ(decoded.kernel.snapshot.store_wall_ns, original.kernel.snapshot.store_wall_ns);
   EXPECT_TRUE(decoded.deterministic_equal(original));
 }
 
@@ -186,8 +191,8 @@ std::uint64_t fnv1a(std::string_view bytes) {
 // bumping kResultVersion and re-pinning these values.
 TEST(HandoffCodec, EncodingIsPinned) {
   const std::string result = encode_result(77, distinct_outcome());
-  EXPECT_EQ(result.size(), 421u);
-  EXPECT_EQ(fnv1a(result), 0xdfca9e1d4269a228ULL);
+  EXPECT_EQ(result.size(), 429u);
+  EXPECT_EQ(fnv1a(result), 0xbce5b92da99cb0a9ULL);
   const std::string assign = encode_assign({Grant{9, 1009, 2, 3}, Grant{0, 1000, 0, 0}});
   EXPECT_EQ(assign.size(), 52u);
   EXPECT_EQ(fnv1a(assign), 0xa9929404bd49ac30ULL);

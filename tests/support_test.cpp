@@ -1,6 +1,10 @@
-// Unit tests for the support module: strings, rng, graph, diagnostics, ids.
+// Unit tests for the support module: strings, rng, graph, diagnostics, ids,
+// checksum.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "support/checksum.hpp"
 #include "support/diagnostics.hpp"
 #include "support/graph.hpp"
 #include "support/ids.hpp"
@@ -93,6 +97,27 @@ TEST(Strings, IsIdentifier) {
 TEST(Strings, CountNonemptyLines) {
   EXPECT_EQ(count_nonempty_lines("a\n\n b\n  \nc"), 3u);
   EXPECT_EQ(count_nonempty_lines(""), 0u);
+}
+
+TEST(Checksum, MatchesTheSpecificationVectors) {
+  EXPECT_EQ(xxh64(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh64("abc"), 0x44BC2CF5AD770999ULL);
+  // python-xxhash's documented example; 39 bytes take the stripe path.
+  EXPECT_EQ(xxh64("Nobody inspects the spammish repetition"), 0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(Checksum, EveryTailPathIsPinned) {
+  const auto bytes = [](std::size_t size) {
+    std::string out(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) out[i] = static_cast<char>((i * 131 + 7) & 0xff);
+    return out;
+  };
+  EXPECT_EQ(xxh64(bytes(7)), 0x2744460DD675D2C0ULL);     // 4-byte word, 3 bytes.
+  EXPECT_EQ(xxh64(bytes(31)), 0x6711D55E306B5D8FULL);    // No stripe; 8-, 4-, 1-byte tails.
+  EXPECT_EQ(xxh64(bytes(32)), 0x07F7B8E3BC5D6E25ULL);    // One stripe, no tail.
+  EXPECT_EQ(xxh64(bytes(33)), 0x09F85EEB4E1CBE9FULL);    // One stripe, one byte.
+  EXPECT_EQ(xxh64(bytes(1000)), 0x0BF0BDBCC82EB373ULL);  // 31 stripes, one 8-byte word.
+  EXPECT_EQ(xxh64(bytes(100), 0x1234567890ABCDEFULL), 0x18FE7F970EFDCB2CULL);
 }
 
 TEST(Rng, Deterministic) {

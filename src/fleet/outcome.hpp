@@ -140,9 +140,11 @@ struct RigOutcome {
   std::uint32_t attempts = 0;          ///< Dispatches it took to land this outcome.
   std::uint64_t resumed_from_seq = 0;  ///< Handoff resume rung (0 = ran from scratch).
 
-  /// Deterministic equality: every field except wall_ns. The fleet
-  /// determinism gate compares per-seed outcomes across thread counts with
-  /// this, not operator==.
+  /// Deterministic equality: every field except the host-dependent ones —
+  /// wall_ns, attempts, resumed_from_seq and the kernel's three wall-clock
+  /// fields (snapshot encode_wall_ns, restore_wall_ns, store_wall_ns). The
+  /// fleet determinism gate compares per-seed outcomes across thread counts
+  /// with this, not operator==.
   [[nodiscard]] bool deterministic_equal(const RigOutcome& other) const;
 };
 

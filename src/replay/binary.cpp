@@ -98,36 +98,14 @@ void transfer(Io& io, SnapshotImage::RecorderState& recorder) {
 }
 
 template <typename Io>
-void transfer(Io& io, std::vector<statechart::InstanceSnapshot::EventRecord>& records) {
-  io.sequence(records, [&io](statechart::InstanceSnapshot::EventRecord& record) {
-    io.field(record.name);
-    io.field(record.data);
-    io.field(record.tag);
-  });
-}
-
-template <typename Io>
 void transfer(Io& io, statechart::InstanceSnapshot& machine) {
-  const auto pair = [&io](auto& entry) {
-    io.field(entry.first);
-    io.field(entry.second);
-  };
   io.field(machine.started);
   io.field(machine.terminated);
   io.field(machine.events_processed);
   io.field(machine.transitions_fired);
   io.field(machine.errors_raised);
   io.field(machine.errors_unhandled);
-  io.sequence(machine.active_states);
-  io.sequence(machine.active_finals);
-  io.sequence(machine.shallow_history, pair);
-  io.sequence(machine.deep_history, [&io](auto& entry) {
-    io.field(entry.first);
-    io.sequence(entry.second);
-  });
-  io.sequence(machine.variables, pair);
-  transfer(io, machine.queue);
-  transfer(io, machine.deferred);
+  statechart::transfer_execution_state(io, machine);
 }
 
 template <typename Io>

@@ -49,6 +49,9 @@
 //
 // Each section kind's payload layout is written once, as a transfer() over
 // the shared byte codec (support/bytes.hpp) that both encodes and decodes.
+// A machine section is its flags and counters followed by
+// statechart::transfer_execution_state, the body the verifier's state
+// encoding (verify/statespace.*) shares.
 #pragma once
 
 #include <cstdint>

@@ -73,16 +73,6 @@ void RecoveryCoordinator::tick() {
   if (!interval_due && !dirty_due) return;
 
   ++stats_.attempts;
-  if (!budget_allows_write()) {
-    // The skip is accounted as a completed interval: cadence bookkeeping
-    // advances exactly as if the write had happened, so the tick schedule
-    // and due-decisions stay a pure function of sim time.
-    ++stats_.budget_skips;
-    stats_.last_checkpoint_ps = now_ps;
-    events_at_last_ = events;
-    return;
-  }
-
   support::DiagnosticSink sink;
   CheckpointStore::WriteResult result;
   if (!store_.checkpoint(targets_, result, sink)) {
@@ -95,16 +85,6 @@ void RecoveryCoordinator::tick() {
   stats_.last_checkpoint_ps = now_ps;
   stats_.last_checkpoint_seq = result.seq;
   events_at_last_ = events;
-}
-
-bool RecoveryCoordinator::budget_allows_write() const {
-  if (policy_.overhead_budget_ns_per_interval == 0) return true;
-  // Token bucket over the kernel's encode-time accounting: one bucket of
-  // budget per elapsed checkpoint interval (plus the initial one).
-  const std::uint64_t intervals =
-      1 + kernel_.now().picoseconds() / policy_.checkpoint_interval.picoseconds();
-  return kernel_.stats().snapshot.encode_wall_ns <=
-         policy_.overhead_budget_ns_per_interval * intervals;
 }
 
 void RecoveryCoordinator::adopt_restored_state() {

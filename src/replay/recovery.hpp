@@ -9,11 +9,7 @@
 //     checkpoint interval has elapsed or the dirty-event threshold has been
 //     crossed. The tick reschedules itself *before* capturing, so the
 //     pending next tick is part of every checkpoint — a restored rig's
-//     ladder keeps growing without anyone re-arming it. A wall-clock
-//     overhead budget (token bucket over Kernel::Stats.snapshot encode
-//     time) can skip writes when checkpointing costs too much host time;
-//     skips never alter the tick schedule, so twin rigs with and without
-//     disk pressure still execute identical event streams.
+//     ladder keeps growing without anyone re-arming it.
 //
 //  2. Rollback escalation. attach_supervisor() installs a rollback handler
 //     one rung below the supervisor's terminal give-up: when the restart
@@ -36,10 +32,7 @@
 //     PlantUML sequence diagram of the surrounding activations.
 //
 // Determinism contract: everything the coordinator schedules depends only
-// on sim time and policy, never on wall clock or disk outcomes. The
-// overhead budget affects which ticks *write*, not when ticks *run* — so
-// enabling it changes recovery granularity, not execution. Rigs that are
-// compared bit-for-bit should leave the budget at 0 (unlimited).
+// on sim time and policy, never on wall clock or disk outcomes.
 #pragma once
 
 #include <cstdint>
@@ -69,12 +62,6 @@ struct RecoveryPolicy {
   /// Events-processed delta that forces an early checkpoint before the
   /// interval elapses (burst protection). Zero disables the trigger.
   std::uint64_t dirty_event_threshold = 0;
-  /// Wall-clock encode budget, in nanoseconds of
-  /// Kernel::Stats.snapshot.encode_wall_ns per checkpoint_interval of sim
-  /// time. Ticks that would overdraw the bucket skip the write (counted in
-  /// Stats::budget_skips). Zero: unlimited. Incompatible with bit-identical
-  /// twin comparison — wall clock decides which rungs exist.
-  std::uint64_t overhead_budget_ns_per_interval = 0;
   /// Rollback recoveries accepted before the handler lets the supervisor
   /// give up terminally.
   unsigned max_rollbacks = 3;
@@ -87,7 +74,6 @@ class RecoveryCoordinator {
     std::uint64_t attempts = 0;          ///< Due ticks that tried to write.
     std::uint64_t written = 0;           ///< Checkpoints actually written.
     std::uint64_t refusals = 0;          ///< Captures refused (retry next tick).
-    std::uint64_t budget_skips = 0;      ///< Writes skipped by the overhead budget.
     std::uint64_t rollbacks = 0;         ///< Successful rollback recoveries.
     std::uint64_t failed_rollbacks = 0;  ///< Rollbacks that ended in give-up.
     std::uint64_t last_checkpoint_ps = 0;
@@ -195,7 +181,6 @@ class RecoveryCoordinator {
   enum class ProbeOutcome { kPassed, kTripped, kError };
 
   void tick();
-  [[nodiscard]] bool budget_allows_write() const;
   void adopt_restored_state();
   [[nodiscard]] ProbeOutcome probe_prefix(
       const std::vector<sim::RecordedEvent>& expected, std::uint64_t index,

@@ -57,6 +57,36 @@ struct InstanceSnapshot {
   bool operator==(const InstanceSnapshot&) const = default;
 };
 
+/// The byte layout of a snapshot's configuration, history, variables and
+/// event pools, written once as a transfer() over support/bytes.hpp: it
+/// encodes over a ByteWriter and decodes over a ByteReader, whose
+/// sequence() appends, so a decode target's containers must start empty.
+/// The flags and counters are each caller's own head: the checkpoint codec
+/// (replay/binary.cpp) writes both ahead of this layout, the verifier's
+/// state encoding (verify/statespace.cpp) a flags word and no counters.
+template <typename Io>
+void transfer_execution_state(Io& io, InstanceSnapshot& snapshot) {
+  const auto pair = [&io](auto& entry) {
+    io.field(entry.first);
+    io.field(entry.second);
+  };
+  const auto event = [&io](InstanceSnapshot::EventRecord& record) {
+    io.field(record.name);
+    io.field(record.data);
+    io.field(record.tag);
+  };
+  io.sequence(snapshot.active_states);
+  io.sequence(snapshot.active_finals);
+  io.sequence(snapshot.shallow_history, pair);
+  io.sequence(snapshot.deep_history, [&io](auto& entry) {
+    io.field(entry.first);
+    io.sequence(entry.second);
+  });
+  io.sequence(snapshot.variables, pair);
+  io.sequence(snapshot.queue, event);
+  io.sequence(snapshot.deferred, event);
+}
+
 /// One executing state machine, independent of execution strategy.
 class Engine {
  public:

@@ -1,5 +1,6 @@
 // Little-endian byte codec shared by the binary snapshot format
-// (replay/binary.*) and the fleet wire protocol (fleet/handoff.*).
+// (replay/binary.*), the fleet wire protocol (fleet/handoff.*) and the
+// verifier's state encoding (verify/statespace.*).
 //
 // Each record layout is written once, as a `transfer(Io&, Record&)`
 // template that runs over a ByteWriter to encode and over a ByteReader to
@@ -22,11 +23,17 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 
 namespace umlsoc::support {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Appends to `buffer`, keeping its bytes and capacity; take() hands it
+  /// back.
+  explicit ByteWriter(std::string buffer) : buffer_(std::move(buffer)) {}
+
   void u8(std::uint8_t value) { buffer_.push_back(static_cast<char>(value)); }
   void u16(std::uint16_t value) { raw(&value, sizeof value); }
   void u32(std::uint32_t value) { raw(&value, sizeof value); }

@@ -1,6 +1,7 @@
 // XXH64, the 64-bit xxHash, written from its published specification
 // (github.com/Cyan4973/xxHash, doc/xxhash_spec.md). It checksums the binary
-// snapshot format's header and frames (replay/binary.*).
+// snapshot format's header and frames (replay/binary.*) and fingerprints
+// the verifier's visited states (verify/statespace.*).
 //
 // Four independent lanes take one 8-byte word each per 32-byte stripe, so
 // it hashes several bytes per cycle where a byte-serial FNV-1a hashes one.

@@ -121,7 +121,7 @@ struct ExploreOptions {
   /// Stop at the first violation (default), or keep exploring and collect
   /// at most one violation per property.
   bool stop_at_first_violation = true;
-  /// Fingerprint override for tests; null = FNV-1a.
+  /// Fingerprint override for tests; null = XXH64 (support::xxh64).
   StateStore::HashFn hash_override = nullptr;
 };
 

@@ -1,243 +1,86 @@
 #include "verify/statespace.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
-namespace umlsoc::verify {
+#include "support/bytes.hpp"
+#include "support/checksum.hpp"
 
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (char c : bytes) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
+namespace umlsoc::verify {
 
 // --- Encoding ------------------------------------------------------------------
 
 namespace {
 
-// The format is little-endian; on LE hosts the fields memcpy straight in,
-// the byte loops are the big-endian fallback. The writers sit on the
-// explorer's per-edge path (every successor is re-encoded), so they are
-// worth the branch.
-void put_u32(std::string& out, std::uint32_t v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    char bytes[4];
-    std::memcpy(bytes, &v, 4);
-    out.append(bytes, 4);
-  } else {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+using statechart::InstanceSnapshot;
+
+constexpr std::uint32_t kStarted = 1u;
+constexpr std::uint32_t kTerminated = 2u;
+
+/// One instance: a u32 flags word, then the shared execution-state layout.
+void write_instance(support::ByteWriter& out, const InstanceSnapshot& snapshot) {
+  out.u32((snapshot.started ? kStarted : 0u) | (snapshot.terminated ? kTerminated : 0u));
+  // The writer only reads the snapshot.
+  statechart::transfer_execution_state(out, const_cast<InstanceSnapshot&>(snapshot));
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    char bytes[8];
-    std::memcpy(bytes, &v, 8);
-    out.append(bytes, 8);
-  } else {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-void put_event(std::string& out, const statechart::InstanceSnapshot::EventRecord& event) {
-  put_str(out, event.name);
-  put_u64(out, static_cast<std::uint64_t>(event.data));
-  put_str(out, event.tag);
-}
-
-/// Bounds-checked little-endian reader over an encoding.
-struct Reader {
-  std::string_view data;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool take_u32(std::uint32_t& out) {
-    if (!ok || data.size() - pos < 4) return fail();
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&out, data.data() + pos, 4);
-    } else {
-      out = 0;
-      for (int i = 0; i < 4; ++i) {
-        out |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data[pos + i])) << (8 * i);
-      }
-    }
-    pos += 4;
-    return true;
-  }
-
-  bool take_u64(std::uint64_t& out) {
-    if (!ok || data.size() - pos < 8) return fail();
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&out, data.data() + pos, 8);
-    } else {
-      out = 0;
-      for (int i = 0; i < 8; ++i) {
-        out |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data[pos + i])) << (8 * i);
-      }
-    }
-    pos += 8;
-    return true;
-  }
-
-  bool take_str(std::string& out) {
-    std::uint32_t length = 0;
-    if (!take_u32(length) || data.size() - pos < length) return fail();
-    out.assign(data.substr(pos, length));
-    pos += length;
-    return true;
-  }
-
-  bool take_event(statechart::InstanceSnapshot::EventRecord& out) {
-    std::uint64_t data_bits = 0;
-    if (!take_str(out.name) || !take_u64(data_bits) || !take_str(out.tag)) return fail();
-    out.data = static_cast<std::int64_t>(data_bits);
-    return true;
-  }
-
-  bool fail() {
-    ok = false;
-    return false;
-  }
-};
-
-/// Element-count sanity bound: no well-formed encoding holds a list longer
-/// than its remaining bytes, so a corrupt count fails fast instead of
-/// driving a multi-gigabyte reserve.
-bool plausible_count(const Reader& reader, std::uint32_t count) {
-  return count <= reader.data.size() - reader.pos;
-}
-
-bool decode_snapshot(Reader& reader, statechart::InstanceSnapshot& out) {
-  std::uint32_t flags = 0;
-  if (!reader.take_u32(flags) || (flags & ~3u) != 0) return reader.fail();
-  out.started = (flags & 1u) != 0;
-  out.terminated = (flags & 2u) != 0;
-  // Counters are not part of the encoding; the contract is that decoded
-  // snapshots carry zeros (decode targets are reused as scratch, so the
-  // previous decode's values would leak through otherwise).
-  out.events_processed = 0;
-  out.transitions_fired = 0;
-  out.errors_raised = 0;
-  out.errors_unhandled = 0;
-
-  std::uint32_t count = 0;
-  if (!reader.take_u32(count) || !plausible_count(reader, count)) return reader.fail();
-  out.active_states.resize(count);
-  for (std::uint32_t& index : out.active_states) {
-    if (!reader.take_u32(index)) return false;
-  }
-  if (!reader.take_u32(count) || !plausible_count(reader, count)) return reader.fail();
-  out.active_finals.resize(count);
-  for (std::uint32_t& index : out.active_finals) {
-    if (!reader.take_u32(index)) return false;
-  }
-  if (!reader.take_u32(count) || !plausible_count(reader, count)) return reader.fail();
-  out.shallow_history.resize(count);
-  for (auto& [region, state] : out.shallow_history) {
-    if (!reader.take_u32(region) || !reader.take_u32(state)) return false;
-  }
-  if (!reader.take_u32(count) || !plausible_count(reader, count)) return reader.fail();
-  out.deep_history.resize(count);
-  for (auto& [region, leaves] : out.deep_history) {
-    std::uint32_t leaf_count = 0;
-    if (!reader.take_u32(region) || !reader.take_u32(leaf_count) ||
-        !plausible_count(reader, leaf_count)) {
-      return reader.fail();
-    }
-    leaves.resize(leaf_count);
-    for (std::uint32_t& leaf : leaves) {
-      if (!reader.take_u32(leaf)) return false;
-    }
-  }
-  if (!reader.take_u32(count) || !plausible_count(reader, count)) return reader.fail();
-  out.variables.resize(count);
-  for (auto& [name, value] : out.variables) {
-    std::uint64_t bits = 0;
-    if (!reader.take_str(name) || !reader.take_u64(bits)) return false;
-    value = static_cast<std::int64_t>(bits);
-  }
-  if (!reader.take_u32(count) || !plausible_count(reader, count)) return reader.fail();
-  out.queue.resize(count);
-  for (auto& event : out.queue) {
-    if (!reader.take_event(event)) return false;
-  }
-  if (!reader.take_u32(count) || !plausible_count(reader, count)) return reader.fail();
-  out.deferred.resize(count);
-  for (auto& event : out.deferred) {
-    if (!reader.take_event(event)) return false;
-  }
-  return true;
+/// Decodes one instance into a reused scratch snapshot, keeping its
+/// containers' capacity.
+void read_instance(support::ByteReader& in, InstanceSnapshot& snapshot) {
+  const std::uint32_t flags = in.u32();
+  support::check(in, (flags & ~(kStarted | kTerminated)) == 0);
+  snapshot.started = (flags & kStarted) != 0;
+  snapshot.terminated = (flags & kTerminated) != 0;
+  // The counters are not encoded, so a decoded snapshot carries zeros
+  // rather than the previous decode's values.
+  snapshot.events_processed = 0;
+  snapshot.transitions_fired = 0;
+  snapshot.errors_raised = 0;
+  snapshot.errors_unhandled = 0;
+  // ByteReader::sequence appends.
+  snapshot.active_states.clear();
+  snapshot.active_finals.clear();
+  snapshot.shallow_history.clear();
+  snapshot.deep_history.clear();
+  snapshot.variables.clear();
+  snapshot.queue.clear();
+  snapshot.deferred.clear();
+  statechart::transfer_execution_state(in, snapshot);
 }
 
 }  // namespace
 
-void encode_snapshot(const statechart::InstanceSnapshot& snapshot, std::string& out) {
-  std::uint32_t flags = 0;
-  if (snapshot.started) flags |= 1u;
-  if (snapshot.terminated) flags |= 2u;
-  put_u32(out, flags);
-
-  put_u32(out, static_cast<std::uint32_t>(snapshot.active_states.size()));
-  for (std::uint32_t index : snapshot.active_states) put_u32(out, index);
-  put_u32(out, static_cast<std::uint32_t>(snapshot.active_finals.size()));
-  for (std::uint32_t index : snapshot.active_finals) put_u32(out, index);
-  put_u32(out, static_cast<std::uint32_t>(snapshot.shallow_history.size()));
-  for (const auto& [region, state] : snapshot.shallow_history) {
-    put_u32(out, region);
-    put_u32(out, state);
-  }
-  put_u32(out, static_cast<std::uint32_t>(snapshot.deep_history.size()));
-  for (const auto& [region, leaves] : snapshot.deep_history) {
-    put_u32(out, region);
-    put_u32(out, static_cast<std::uint32_t>(leaves.size()));
-    for (std::uint32_t leaf : leaves) put_u32(out, leaf);
-  }
-  put_u32(out, static_cast<std::uint32_t>(snapshot.variables.size()));
-  for (const auto& [name, value] : snapshot.variables) {
-    put_str(out, name);
-    put_u64(out, static_cast<std::uint64_t>(value));
-  }
-  put_u32(out, static_cast<std::uint32_t>(snapshot.queue.size()));
-  for (const auto& event : snapshot.queue) put_event(out, event);
-  put_u32(out, static_cast<std::uint32_t>(snapshot.deferred.size()));
-  for (const auto& event : snapshot.deferred) put_event(out, event);
+void encode_snapshot(const InstanceSnapshot& snapshot, std::string& out) {
+  support::ByteWriter writer(std::move(out));
+  write_instance(writer, snapshot);
+  out = writer.take();
 }
 
-std::string encode_network(const std::vector<statechart::InstanceSnapshot>& snapshots) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(snapshots.size()));
-  for (const statechart::InstanceSnapshot& snapshot : snapshots) {
-    encode_snapshot(snapshot, out);
-  }
-  return out;
+std::string encode_network(const std::vector<InstanceSnapshot>& snapshots) {
+  support::ByteWriter writer;
+  writer.sequence(snapshots, [&writer](const InstanceSnapshot& snapshot) {
+    write_instance(writer, snapshot);
+  });
+  return writer.take();
 }
 
-bool decode_network(std::string_view encoding,
-                    std::vector<statechart::InstanceSnapshot>& out,
+bool decode_network(std::string_view encoding, std::vector<InstanceSnapshot>& out,
                     std::vector<std::pair<std::size_t, std::size_t>>* segments) {
-  Reader reader{encoding};
-  std::uint32_t count = 0;
-  if (!reader.take_u32(count) || !plausible_count(reader, count)) return false;
-  // resize, not assign: decode_snapshot overwrites every field, and keeping
-  // the inner vectors' capacity spares the explorer an allocation storm when
-  // it re-decodes its scratch snapshots on every expansion.
+  support::ByteReader in(encoding);
+  const std::uint32_t count = in.u32();
+  // Every instance takes at least one byte, so a larger count is corrupt;
+  // it must fail before it sizes `out`.
+  if (count > in.remaining()) return false;
+  // resize, not assign: the explorer re-decodes into the same scratch
+  // snapshots on every expansion, and their buffers are kept.
   out.resize(count);
   if (segments != nullptr) segments->resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::size_t begin = reader.pos;
-    if (!decode_snapshot(reader, out[i])) return false;
-    if (segments != nullptr) (*segments)[i] = {begin, reader.pos - begin};
+  for (std::uint32_t i = 0; i < count && !in.failed(); ++i) {
+    const std::size_t begin = in.position();
+    read_instance(in, out[i]);
+    if (segments != nullptr) (*segments)[i] = {begin, in.position() - begin};
   }
-  return reader.ok && reader.pos == encoding.size();
+  return in.exhausted();
 }
 
 // --- StateStore ----------------------------------------------------------------
@@ -289,8 +132,8 @@ bool StateStore::grow_slots() {
 
 StateStore::InsertResult StateStore::insert(std::string_view encoding, std::uint32_t parent,
                                             std::uint32_t action) {
-  const HashFn hash = config_.hash != nullptr ? config_.hash : &fnv1a;
-  const std::uint64_t fingerprint = hash(encoding);
+  const std::uint64_t fingerprint =
+      config_.hash != nullptr ? config_.hash(encoding) : support::xxh64(encoding);
 
   // A probe over a full table never terminates; when the budget blocked
   // earlier growth and the table has filled up anyway, fail structurally.

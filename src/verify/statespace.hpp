@@ -6,19 +6,22 @@
 // encoding reuses PR 3's InstanceSnapshot capture — already canonical:
 // indices ascending, variables sorted — serialized to a compact binary
 // string *minus the monotonic counters* (events_processed and friends
-// would make every state unique and the search diverge). The encoding is
-// bidirectional: the explorer stores only encodings and decodes them back
-// into snapshots to re-seat the interpreters on a state before expanding
-// it.
+// would make every state unique and the search diverge). Each instance is
+// a u32 flags word followed by the execution-state layout the checkpoint
+// codec also writes (statechart::transfer_execution_state over
+// support/bytes.hpp). The encoding is bidirectional: the explorer stores
+// only encodings and decodes them back into snapshots to re-seat the
+// interpreters on a state before expanding it.
 //
 // The StateStore is an open-addressing hash set over encodings keyed by a
-// 64-bit FNV-1a fingerprint. A fingerprint match is never trusted on its
-// own: the full encodings are compared byte-for-byte, so two distinct
-// states that collide on the fingerprint stay distinct (the collision is
-// counted, not conflated). The store runs under a configurable memory
-// budget covering the encoding arena, the entry table and the slot array;
-// an insert that would exceed it returns a structured kOutOfMemory instead
-// of aborting, which the explorer surfaces as a "bound reached" result.
+// 64-bit XXH64 fingerprint (support/checksum.hpp). A fingerprint match is
+// never trusted on its own: the full encodings are compared byte-for-byte,
+// so two distinct states that collide on the fingerprint stay distinct
+// (the collision is counted, not conflated). The store runs under a
+// configurable memory budget covering the encoding arena, the entry table
+// and the slot array; an insert that would exceed it returns a structured
+// kOutOfMemory instead of aborting, which the explorer surfaces as a
+// "bound reached" result.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +34,12 @@
 
 namespace umlsoc::verify {
 
-/// 64-bit FNV-1a over `bytes` (the default state fingerprint).
-[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes);
-
 /// Appends the canonical encoding of one instance's execution state to
-/// `out`. Captured: started/terminated flags, active configuration, final
-/// flags, history, variables, pending and deferred event pools. Excluded:
-/// the monotonic counters (events_processed, transitions_fired,
-/// errors_raised, errors_unhandled) — they never repeat, so including them
-/// would make every explored state fresh.
+/// `out`, keeping its capacity. Captured: started/terminated flags, active
+/// configuration, final flags, history, variables, pending and deferred
+/// event pools. Excluded: the monotonic counters (events_processed,
+/// transitions_fired, errors_raised, errors_unhandled) — they never repeat,
+/// so including them would make every explored state fresh.
 void encode_snapshot(const statechart::InstanceSnapshot& snapshot, std::string& out);
 
 /// Canonical encoding of a network state (instance count, then each
@@ -48,8 +48,9 @@ void encode_snapshot(const statechart::InstanceSnapshot& snapshot, std::string& 
     const std::vector<statechart::InstanceSnapshot>& snapshots);
 
 /// Inverse of encode_network. Returns false (leaving `out` unspecified) on
-/// a malformed encoding: truncation, trailing bytes, or counts that do not
-/// match the payload. Counters in the decoded snapshots are zero. When
+/// a malformed encoding: truncation, trailing bytes, undefined flag bits, or
+/// counts that do not match the payload. Counters in the decoded snapshots
+/// are zero, and snapshots already in `out` are reused as scratch. When
 /// `segments` is non-null it receives each instance's (offset, length) byte
 /// span within `encoding` — the explorer splices successor encodings from
 /// these spans instead of re-encoding untouched instances.
@@ -68,7 +69,7 @@ class StateStore {
     /// Budget over arena bytes + entry table + slot array. Exceeding it
     /// makes insert() return kOutOfMemory (the store stays queryable).
     std::size_t memory_budget_bytes = std::size_t{64} << 20;
-    /// Fingerprint override for tests (forcing collisions); null = fnv1a.
+    /// Fingerprint override for tests (forcing collisions); null = XXH64.
     HashFn hash = nullptr;
   };
 

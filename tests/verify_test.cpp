@@ -15,6 +15,7 @@
 #include "statechart/compile.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/model.hpp"
+#include "support/checksum.hpp"
 #include "verify/counterexample.hpp"
 #include "verify/explore.hpp"
 #include "verify/property.hpp"
@@ -147,6 +148,61 @@ TEST(VerifyEncoding, ExcludesMonotonicCounters) {
   EXPECT_EQ(encode_network({one.capture()}), encode_network({two.capture()}));
 }
 
+/// A snapshot with every encoded field set, and nonzero counters that the
+/// encoding must leave out.
+statechart::InstanceSnapshot full_snapshot() {
+  statechart::InstanceSnapshot snapshot;
+  snapshot.started = true;
+  snapshot.active_states = {0, 2, 5};
+  snapshot.active_finals = {6};
+  snapshot.shallow_history = {{1, 2}, {3, 5}};
+  snapshot.deep_history = {{2, {5, 7}}, {4, {}}};
+  snapshot.variables = {{"retries", 3}, {"x", -7}};
+  snapshot.queue = {{"tick", 0, ""}, {"rx", 42, "uart0"}};
+  snapshot.deferred = {{"flush", 0, ""}};
+  snapshot.events_processed = 11;
+  snapshot.transitions_fired = 7;
+  snapshot.errors_raised = 2;
+  snapshot.errors_unhandled = 1;
+  return snapshot;
+}
+
+/// A started and terminated snapshot with one active state.
+statechart::InstanceSnapshot terminated_snapshot() {
+  statechart::InstanceSnapshot snapshot;
+  snapshot.started = true;
+  snapshot.terminated = true;
+  snapshot.active_states = {3};
+  return snapshot;
+}
+
+TEST(VerifyEncoding, EncodingIsPinned) {
+  // The state store keys on these bytes and the explorer splices them, so a
+  // change that moves the encoder and decoder together still fails here.
+  const statechart::InstanceSnapshot a = full_snapshot();
+  const statechart::InstanceSnapshot b = terminated_snapshot();
+  const std::string both = encode_network({a, b});
+  const std::string one = encode_network({b});
+  EXPECT_EQ(both.size(), 224u);
+  EXPECT_EQ(support::xxh64(both), 0xa051c6dfee1f8bccULL);
+  EXPECT_EQ(one.size(), 40u);
+  EXPECT_EQ(support::xxh64(one), 0x98c0be7d7dbfbc6eULL);
+
+  statechart::InstanceSnapshot uncounted = a;
+  uncounted.events_processed = 0;
+  uncounted.transitions_fired = 0;
+  uncounted.errors_raised = 0;
+  uncounted.errors_unhandled = 0;
+  EXPECT_EQ(encode_network({uncounted, b}), both);
+
+  std::vector<statechart::InstanceSnapshot> decoded;
+  ASSERT_TRUE(decode_network(both, decoded));
+  EXPECT_EQ(decoded, (std::vector<statechart::InstanceSnapshot>{uncounted, b}));
+  EXPECT_EQ(encode_network(decoded), both);
+  ASSERT_TRUE(decode_network(one, decoded));
+  EXPECT_EQ(encode_network(decoded), one);
+}
+
 TEST(VerifyEncoding, RejectsMalformedEncodings) {
   auto machine = make_diamond();
   StateMachineInstance instance(*machine);
@@ -160,6 +216,26 @@ TEST(VerifyEncoding, RejectsMalformedEncodings) {
   std::string corrupt = encoding;
   corrupt[0] = static_cast<char>(0xff);  // Instance count far beyond payload.
   EXPECT_FALSE(decode_network(corrupt, decoded));
+
+  const std::string full = encode_network({full_snapshot(), terminated_snapshot()});
+  for (std::size_t length = 0; length < full.size(); ++length) {
+    EXPECT_FALSE(decode_network(full.substr(0, length), decoded)) << "length " << length;
+  }
+  std::string flags = full;
+  flags[4] = static_cast<char>(flags[4] | 0x04);  // The first instance's flags word.
+  EXPECT_FALSE(decode_network(flags, decoded));
+}
+
+TEST(VerifyEncoding, ReusedScratchDecodesLikeFresh) {
+  // The explorer decodes every expanded state into the same scratch
+  // snapshots; a decode must not keep anything of the previous one.
+  const std::string encoding = encode_network({terminated_snapshot()});
+  std::vector<statechart::InstanceSnapshot> scratch = {full_snapshot()};
+  std::vector<statechart::InstanceSnapshot> fresh;
+  ASSERT_TRUE(decode_network(encoding, scratch));
+  ASSERT_TRUE(decode_network(encoding, fresh));
+  EXPECT_EQ(scratch, fresh);
+  EXPECT_EQ(fresh, std::vector<statechart::InstanceSnapshot>{terminated_snapshot()});
 }
 
 // --- StateStore ---------------------------------------------------------------

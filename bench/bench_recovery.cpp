@@ -5,14 +5,19 @@
 // latency as the delta chain under the newest rung grows, and the
 // root-cause binary search (restore + verify-replay per probe) as the
 // window between the last good checkpoint and the failure widens.
+// Restore latency is timed cold (a fresh store per restore, so the chain is
+// decoded every time) and warm (one store restoring an unchanged chain, as
+// root-cause probes do, reusing its decode).
 // Expected shape: checkpoint overhead scales with write cadence and stays
-// small at crash-recovery-useful intervals; restore latency grows roughly
-// linearly with chain length; root-cause probes grow as log2(window) while
+// small at crash-recovery-useful intervals; cold restore latency grows
+// roughly linearly with chain length, and a warm restore costs its reads,
+// header checks and apply; root-cause probes grow as log2(window) while
 // per-probe cost grows with the replayed prefix.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -151,38 +156,57 @@ BENCHMARK(BM_RecoveryCheckpointCadence)
 
 // --- Restore latency vs chain length ----------------------------------------------------
 
-/// Arg: deltas stacked on the base full. restore_latest_good validates the
-/// whole chain, materializes it and applies the image, so latency is the
-/// crash-recovery (and rollback) critical path.
-void BM_RecoveryRestoreLatency(benchmark::State& state) {
-  const std::uint64_t chain = static_cast<std::uint64_t>(state.range(0));
-  const std::filesystem::path dir = scratch_dir();
-  std::filesystem::remove_all(dir);
-  support::DiagnosticSink sink;
-
-  replay::CheckpointStoreConfig config = store_config(dir);
-  config.full_interval = static_cast<unsigned>(chain) + 1;  // One base, then deltas.
+/// Writes one full base and `deltas` deltas chained on it into a fresh
+/// scratch store directory. Returns false when a checkpoint fails.
+bool write_ladder(const replay::CheckpointStoreConfig& config, std::uint64_t deltas,
+                  support::DiagnosticSink& sink) {
+  std::filesystem::remove_all(config.directory);
   replay::CheckpointStore store(config);
   WorkerRig source;
   source.start();
-  for (std::uint64_t i = 0; i <= chain; ++i) {
+  for (std::uint64_t i = 0; i <= deltas; ++i) {
     source.kernel.run(SimTime((100 + i * 25) * WorkerRig::kWorkerPs));
     replay::CheckpointStore::WriteResult result;
-    if (!store.checkpoint(source.targets(), result, sink)) {
-      state.SkipWithError("checkpoint failed");
-      return;
-    }
+    if (!store.checkpoint(source.targets(), result, sink)) return false;
+  }
+  return true;
+}
+
+replay::CheckpointStoreConfig ladder_config(std::uint64_t deltas) {
+  replay::CheckpointStoreConfig config = store_config(scratch_dir());
+  config.full_interval = static_cast<unsigned>(deltas) + 1;  // One base, then deltas.
+  return config;
+}
+
+/// Arg: deltas stacked on the base full. restore_latest_good validates the
+/// whole chain, materializes it and applies the image, so latency is the
+/// crash-recovery (and rollback) critical path. Each iteration restores
+/// through a fresh store (built with timing paused), which has no decode to
+/// reuse: this row times a cold decode and keeps the chain-length gate
+/// meaningful.
+void BM_RecoveryRestoreLatency(benchmark::State& state) {
+  const std::uint64_t chain = static_cast<std::uint64_t>(state.range(0));
+  const replay::CheckpointStoreConfig config = ladder_config(chain);
+  support::DiagnosticSink sink;
+  if (!write_ladder(config, chain, sink)) {
+    state.SkipWithError("checkpoint failed");
+    return;
   }
 
   WorkerRig victim;
+  std::optional<replay::CheckpointStore> store;
   for (auto _ : state) {
-    if (!store.restore_latest_good(victim.targets(), sink)) {
+    state.PauseTiming();
+    store.emplace(config);
+    state.ResumeTiming();
+    if (!store->restore_latest_good(victim.targets(), sink)) {
       state.SkipWithError("restore failed");
       return;
     }
     benchmark::DoNotOptimize(victim.ticks);
   }
-  std::filesystem::remove_all(dir);
+  store.reset();
+  std::filesystem::remove_all(config.directory);
   state.counters["chain"] = static_cast<double>(chain + 1);
   state.counters["restores/s"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
@@ -193,6 +217,40 @@ BENCHMARK(BM_RecoveryRestoreLatency)
     ->Arg(16)
     ->Arg(64)
     ->Unit(benchmark::kMicrosecond);
+
+/// The root-cause probe pattern: one store restores the same unchanged
+/// chain over and over. Every restore still lists the directory, reads
+/// every rung and checks every header, then applies the image the untimed
+/// first restore decoded (`reused` is the share of timed restores that
+/// did).
+void BM_RecoveryRestoreLatencyWarm(benchmark::State& state) {
+  const std::uint64_t chain = static_cast<std::uint64_t>(state.range(0));
+  const replay::CheckpointStoreConfig config = ladder_config(chain);
+  support::DiagnosticSink sink;
+  if (!write_ladder(config, chain, sink)) {
+    state.SkipWithError("checkpoint failed");
+    return;
+  }
+
+  WorkerRig victim;
+  replay::CheckpointStore store(config);
+  if (!store.restore_latest_good(victim.targets(), sink)) {
+    state.SkipWithError("restore failed");
+    return;
+  }
+  for (auto _ : state) {
+    if (!store.restore_latest_good(victim.targets(), sink)) {
+      state.SkipWithError("restore failed");
+      return;
+    }
+    benchmark::DoNotOptimize(victim.ticks);
+  }
+  std::filesystem::remove_all(config.directory);
+  state.counters["chain"] = static_cast<double>(chain + 1);
+  state.counters["reused"] = static_cast<double>(store.stats().reused_decodes) /
+                             static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_RecoveryRestoreLatencyWarm)->Arg(0)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 // --- Root-cause binary search -----------------------------------------------------------
 

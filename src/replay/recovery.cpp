@@ -264,9 +264,13 @@ RecoveryCoordinator::RootCauseReport RecoveryCoordinator::root_cause(
   // Epilogue for every path that ran at least one probe: leave the rig
   // rewound to the last good rung, and clear a suspension a probed
   // escalation may have latched on a supervisor that is not itself a
-  // snapshot target (mirrors maybe_rollback's resume).
+  // snapshot target (mirrors maybe_rollback's resume). A rewind that cannot
+  // restore says so; adopting the state either way keeps the tick's due
+  // math anchored to the rig's clock.
   const auto rewind = [&] {
-    (void)store_.restore_latest_good(targets_, sink);
+    if (!store_.restore_latest_good(targets_, sink)) {
+      report.summary += "; the rig could not be rewound and holds the last probe's state";
+    }
     if (supervisor_ != nullptr) supervisor_->resume_after_rollback();
     adopt_restored_state();
   };

@@ -159,13 +159,17 @@ class RecoveryCoordinator {
   /// the earliest activation at which `failed` first reports true (or, when
   /// `failed` is null, at which the replay itself first diverges). Each
   /// probe rewinds the rig to the last good rung and verify-replays the
-  /// prefix through the probe instant; a restore that fails mid-search
-  /// aborts with a "ladder exhausted during probing" summary instead of
-  /// skewing the search. The rig is left rewound to the last good
-  /// checkpoint, with an attached supervisor resumed (a probed escalation
-  /// suspends it, and a supervisor outside the snapshot targets is not
-  /// un-suspended by the restore); callers that want the failure state back
-  /// must replay it themselves.
+  /// prefix through the probe instant. Every probe's restore re-reads and
+  /// re-checks that rung's chain from disk; only its decode is reused while
+  /// the bytes read back unchanged (see CheckpointStore). A restore that
+  /// fails mid-search aborts with a "ladder exhausted during probing"
+  /// summary instead of skewing the search. The rig is left rewound to the
+  /// last good checkpoint, with an attached supervisor resumed (a probed
+  /// escalation suspends it, and a supervisor outside the snapshot targets
+  /// is not un-suspended by the restore); when that final rewind cannot
+  /// restore, the summary says the rig holds the last probe's state
+  /// instead. Callers that want the failure state back must replay it
+  /// themselves.
   [[nodiscard]] RootCauseReport root_cause(const std::vector<sim::RecordedEvent>& expected,
                                            std::uint64_t failure_index,
                                            const std::function<bool()>& failed,

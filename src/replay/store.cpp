@@ -14,7 +14,6 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <system_error>
 
@@ -41,9 +40,29 @@ class FileDescriptor {
   int fd_;
 };
 
-/// Reads a whole file: one open, fstat, read and close.
-bool read_file(const std::filesystem::path& path, std::string& out) {
-  const FileDescriptor file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+/// The store directory, open for one pass: listed with readdir, and the
+/// directory that rung names are opened relative to. A directory that
+/// cannot be opened lists as empty and reads nothing.
+class Directory {
+ public:
+  explicit Directory(const std::filesystem::path& path) : stream_(::opendir(path.c_str())) {}
+  Directory(const Directory&) = delete;
+  Directory& operator=(const Directory&) = delete;
+  ~Directory() {
+    if (stream_ != nullptr) ::closedir(stream_);
+  }
+  [[nodiscard]] DIR* stream() const { return stream_; }
+  /// The descriptor for *at() calls; -1 when the directory did not open.
+  [[nodiscard]] int fd() const { return stream_ == nullptr ? -1 : ::dirfd(stream_); }
+
+ private:
+  DIR* stream_;
+};
+
+/// Reads the whole file `name` in `directory`: one openat, fstat, read and
+/// close.
+bool read_file(const Directory& directory, const char* name, std::string& out) {
+  const FileDescriptor file(::openat(directory.fd(), name, O_RDONLY | O_CLOEXEC));
   struct stat status {};
   if (file.get() < 0 || ::fstat(file.get(), &status) != 0) return false;
   out.resize(static_cast<std::size_t>(status.st_size));
@@ -109,26 +128,59 @@ bool land_file(const std::filesystem::path& path, std::string_view bytes, bool l
 }
 
 /// Calls `visit(name)` for each regular file in `directory`, following
-/// symlinks as std::filesystem::is_regular_file does. One readdir pass with
-/// no path built per entry; `name` is valid only during the call.
+/// symlinks as std::filesystem::is_regular_file does. One readdir pass
+/// from where the stream stands (every caller lists a Directory it just
+/// opened), with no path built per entry; `name` is valid only during the
+/// call.
 template <typename Visit>
-void list_files(const std::filesystem::path& directory, Visit&& visit) {
-  const std::unique_ptr<DIR, int (*)(DIR*)> dir(::opendir(directory.c_str()), &::closedir);
-  if (dir == nullptr) return;
-  while (const dirent* entry = ::readdir(dir.get())) {
+void list_files(Directory& directory, Visit&& visit) {
+  if (directory.stream() == nullptr) return;
+  while (const dirent* entry = ::readdir(directory.stream())) {
     bool regular = entry->d_type == DT_REG;
     if (entry->d_type == DT_UNKNOWN || entry->d_type == DT_LNK) {
       struct stat status {};
-      regular = ::fstatat(::dirfd(dir.get()), entry->d_name, &status, 0) == 0 &&
+      regular = ::fstatat(directory.fd(), entry->d_name, &status, 0) == 0 &&
                 S_ISREG(status.st_mode);
     }
     if (regular) visit(std::string_view(entry->d_name));
   }
 }
 
+/// Writes rung `seq`'s file name, `<prefix>-NNNNNNNN.usnap` (the low eight
+/// decimal digits), into `name`, reusing its capacity.
+void rung_name(std::string_view prefix, std::uint64_t seq, std::string& name) {
+  name.assign(prefix);
+  name += "-00000000";
+  name += kExtension;
+  for (std::size_t i = prefix.size() + 8; i > prefix.size(); --i) {
+    name[i] = static_cast<char>('0' + seq % 10);
+    seq /= 10;
+  }
+}
+
 /// True when `name` starts with `<prefix>-`.
 bool has_stem(std::string_view name, std::string_view prefix) {
   return name.size() > prefix.size() && name.starts_with(prefix) && name[prefix.size()] == '-';
+}
+
+/// Sequence numbers of the non-quarantined checkpoint files in
+/// `directory`, descending. Names are matched in one listing; no path is
+/// built for a rung until it is pruned or quarantined.
+std::vector<std::uint64_t> scan(Directory& directory, std::string_view prefix) {
+  std::vector<std::uint64_t> seqs;
+  const std::size_t digits_at = prefix.size() + 1;
+  list_files(directory, [&](std::string_view name) {
+    if (name.size() != digits_at + 8 + kExtension.size() || !has_stem(name, prefix) ||
+        !name.ends_with(kExtension)) {
+      return;
+    }
+    std::uint64_t seq = 0;
+    const char* digits = name.data() + digits_at;
+    const auto [ptr, parse_ec] = std::from_chars(digits, digits + 8, seq);
+    if (parse_ec == std::errc() && ptr == digits + 8) seqs.push_back(seq);
+  });
+  std::sort(seqs.begin(), seqs.end(), std::greater<>());
+  return seqs;
 }
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
@@ -148,7 +200,8 @@ CheckpointStore::CheckpointStore(CheckpointStoreConfig config) : config_(std::mo
 }
 
 void CheckpointStore::sweep_stray_tmps() {
-  list_files(config_.directory, [this](std::string_view name) {
+  Directory directory(config_.directory);
+  list_files(directory, [this](std::string_view name) {
     if (!has_stem(name, config_.prefix) || !name.ends_with(kTmpSuffix)) return;
     // A pid-scoped tmp whose writer is still running is an in-flight
     // checkpoint of a concurrent store (the race the pid-scoped names exist
@@ -166,32 +219,15 @@ void CheckpointStore::bind_health(sim::HealthRegistry& registry) {
 }
 
 std::filesystem::path CheckpointStore::path_for(std::uint64_t seq) const {
-  char digits[9];
-  char* end = digits + sizeof digits - 1;
-  *end = '\0';
-  char* first = digits;
-  for (int i = 7; i >= 0; --i) {
-    first[i] = static_cast<char>('0' + seq % 10);
-    seq /= 10;
-  }
-  return config_.directory / (config_.prefix + "-" + digits + std::string(kExtension));
+  std::string name;
+  rung_name(config_.prefix, seq, name);
+  return config_.directory / name;
 }
 
-std::vector<std::uint64_t> CheckpointStore::scan() const {
-  std::vector<std::uint64_t> seqs;
-  const std::size_t digits_at = config_.prefix.size() + 1;
-  list_files(config_.directory, [&](std::string_view name) {
-    if (name.size() != digits_at + 8 + kExtension.size() || !has_stem(name, config_.prefix) ||
-        !name.ends_with(kExtension)) {
-      return;
-    }
-    std::uint64_t seq = 0;
-    const char* digits = name.data() + digits_at;
-    const auto [ptr, parse_ec] = std::from_chars(digits, digits + 8, seq);
-    if (parse_ec == std::errc() && ptr == digits + 8) seqs.push_back(seq);
-  });
-  std::sort(seqs.begin(), seqs.end(), std::greater<>());
-  return seqs;
+std::uint64_t CheckpointStore::newest_on_disk() const {
+  Directory directory(config_.directory);
+  const std::vector<std::uint64_t> seqs = scan(directory, config_.prefix);
+  return seqs.empty() ? 0 : seqs.front();
 }
 
 bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& out,
@@ -265,7 +301,8 @@ void CheckpointStore::prune(support::DiagnosticSink& sink) {
   if (fulls_.size() <= config_.keep_fulls) return;
   fulls_.erase(fulls_.begin(), fulls_.end() - config_.keep_fulls);
   const std::uint64_t keep_from = fulls_.front();
-  for (const std::uint64_t seq : scan()) {
+  Directory directory(config_.directory);
+  for (const std::uint64_t seq : scan(directory, config_.prefix)) {
     if (seq >= keep_from) continue;
     const std::filesystem::path path = path_for(seq);
     std::error_code ec;
@@ -312,10 +349,12 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
     return false;
   }
   const auto started = std::chrono::steady_clock::now();
+  std::string name;  // The rung being read, relative to the directory.
   // Every pass either restores, or quarantines at least one file and
   // rescans — so the walk terminates.
   for (;;) {
-    const std::vector<std::uint64_t> seqs = scan();
+    Directory directory(config_.directory);
+    const std::vector<std::uint64_t> seqs = scan(directory, config_.prefix);
     // Rungs newer than the rewind target are skipped, not quarantined: a
     // time-travel probe must leave the rest of the ladder intact. They stay
     // in `seqs` past the tip choice so delta chains that reach *below*
@@ -348,7 +387,8 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
       std::string bytes;
       support::DiagnosticSink probe;
       BinarySnapshotInfo info;
-      if (!read_file(path_for(cursor), bytes)) {
+      rung_name(config_.prefix, cursor, name);
+      if (!read_file(directory, name.c_str(), bytes)) {
         broken = cursor;
         tip_failure = "unreadable file";
         break;
@@ -381,27 +421,36 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
     // and names the rung a failure belongs to.
     std::reverse(chain.begin(), chain.end());
     std::reverse(blobs.begin(), blobs.end());
-    SnapshotImage image;
-    support::DiagnosticSink attempt;
-    std::size_t failed = 0;
-    if (!image_from_binary_chain({blobs.begin(), blobs.end()}, image, attempt, &failed)) {
-      quarantine(path_for(chain[failed]), attempt.str(), sink);
-      continue;
+    // The decode is a function of the rung bytes alone: a chain that read
+    // back byte for byte as the remembered one gets the remembered image.
+    const bool reused = chain == decoded_.seqs && blobs == decoded_.rungs;
+    if (!reused) {
+      decoded_ = {};
+      support::DiagnosticSink attempt;
+      std::size_t failed = 0;
+      if (!image_from_binary_chain({blobs.begin(), blobs.end()}, decoded_.image, attempt,
+                                   &failed)) {
+        quarantine(path_for(chain[failed]), attempt.str(), sink);
+        continue;
+      }
+      decoded_.seqs = std::move(chain);
+      decoded_.rungs = std::move(blobs);
     }
 
     support::DiagnosticSink apply_sink;
-    if (!apply_image(targets, image, apply_sink)) {
-      quarantine(path_for(chain.back()), "restore failed: " + apply_sink.str(), sink);
+    if (!apply_image(targets, decoded_.image, apply_sink)) {
+      quarantine(path_for(decoded_.seqs.back()), "restore failed: " + apply_sink.str(), sink);
       continue;
     }
     targets.kernel->note_snapshot_restore(elapsed_ns(started));
     // Later checkpoints start a new chain numbered above every rung on disk.
     encoder_.resume_after(seqs.front());
     ++stats_.restores;
-    stats_.restored_seq = chain.back();
+    if (reused) ++stats_.reused_decodes;
+    stats_.restored_seq = decoded_.seqs.back();
     sink.note("checkpoint-store",
               "restored checkpoint " + std::to_string(stats_.restored_seq) + " (chain of " +
-                  std::to_string(chain.size()) + ")");
+                  std::to_string(decoded_.seqs.size()) + ")");
     return true;
   }
 }

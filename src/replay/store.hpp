@@ -14,19 +14,35 @@
 // Recovery walks the ladder: restore_latest_good() materializes the newest
 // checkpoint's chain and validates every rung (header, per-section
 // checksums, chain links, payload decodes) before anything is applied.
-// Each restore lists the directory once with readdir (other processes may
-// write it), matching rung names without building paths. Each rung file
-// is read once, with one open/fstat/read/close, and its bytes go straight
-// to the one-pass chain decoder (image_from_binary_chain), which names the
-// rung a failure belongs to. A corrupt, truncated or version-skewed file is
-// *quarantined* — renamed to `<name>.quarantined`, recorded with its
-// structured diagnostics, reported to an optional HealthRegistry as a
-// degraded unit — and the ladder steps down to the next older checkpoint
-// until one restores or the directory is exhausted. Supervision warm
-// restarts ride on this: a supervisor restart callback that calls
-// restore_latest_good() recovers the newest state that still checks out.
-// After a successful restore the next checkpoint starts a new chain,
-// numbered above every rung the restore's own directory scan found.
+// Each pass of a restore opens the directory once and works relative to
+// that descriptor: it lists the directory with readdir (other processes
+// may write it), matching rung names without building paths, and reads
+// each rung of the chain with one openat/fstat/read/close of its short
+// name. The rung bytes go straight to the one-pass chain decoder
+// (image_from_binary_chain), which names the rung a failure belongs to. A
+// corrupt, truncated or version-skewed file is *quarantined* — renamed to
+// `<name>.quarantined`, recorded with its structured diagnostics, reported
+// to an optional HealthRegistry as a degraded unit — and the ladder steps
+// down to the next older checkpoint until one restores or the directory is
+// exhausted. Supervision warm restarts ride on this: a supervisor restart
+// callback that calls restore_latest_good() recovers the newest state that
+// still checks out. After a successful restore the next checkpoint starts
+// a new chain, numbered above every rung the restore's own directory scan
+// found.
+//
+// Decode reuse: the store remembers the chain its last successful restore
+// decoded — rung seqs, the rung bytes that passed every check, and the
+// decoded image. A later restore still lists the directory, reads every
+// rung of its chain and checks every header; when the chain it read has
+// the same seqs and every rung is byte-for-byte equal to the remembered
+// bytes, it applies the remembered image instead of decoding again
+// (Stats::reused_decodes counts these). The decode is a pure function of
+// those bytes, and the key is the bytes read from disk in that same pass,
+// so nothing on disk is trusted without being read: a new rung, a prune, a
+// quarantine, an in-place bit flip or another process's write reads back
+// differently and decodes afresh. A failed decode forgets the chain. The
+// store holds one chain; root-cause probes, which restore the same
+// last-good chain over and over, are the pattern this serves.
 //
 // Fault injection: an installed FaultPlan is consulted once per write at
 // FaultSite::kCheckpoint. kError tears the file (half written), kBitFlip
@@ -87,6 +103,9 @@ class CheckpointStore {
     std::uint64_t restored_seq = 0;  ///< Seq of the last successful restore.
     std::uint64_t pruned = 0;        ///< Files deleted by rotation.
     std::uint64_t tmp_swept = 0;     ///< Stray tmp files removed at open.
+    /// Restores that applied the remembered image of a byte-identical chain
+    /// instead of decoding it again (counted in `restores` too).
+    std::uint64_t reused_decodes = 0;
   };
 
   explicit CheckpointStore(CheckpointStoreConfig config);
@@ -134,17 +153,17 @@ class CheckpointStore {
   /// name scan, no validation — the cross-process handoff uses it to decide
   /// whether a dead predecessor left a ladder worth restoring before this
   /// process writes anything of its own.
-  [[nodiscard]] std::uint64_t newest_on_disk() const {
-    const std::vector<std::uint64_t> seqs = scan();
-    return seqs.empty() ? 0 : seqs.front();
-  }
+  [[nodiscard]] std::uint64_t newest_on_disk() const;
 
  private:
+  /// The chain the last successful restore decoded, oldest first.
+  struct DecodedChain {
+    std::vector<std::uint64_t> seqs;
+    std::vector<std::string> rungs;  ///< File bytes, parallel to `seqs`.
+    SnapshotImage image;
+  };
+
   [[nodiscard]] std::filesystem::path path_for(std::uint64_t seq) const;
-  /// Sequence numbers of the non-quarantined checkpoint files,
-  /// descending. Names are matched in one directory listing; no path is
-  /// built for a rung until it is opened, pruned or quarantined.
-  [[nodiscard]] std::vector<std::uint64_t> scan() const;
   /// Shared ladder walk: restores the newest rung with seq <= max_seq.
   [[nodiscard]] bool restore_ladder(std::uint64_t max_seq, const SnapshotTargets& targets,
                                     support::DiagnosticSink& sink);
@@ -166,6 +185,7 @@ class CheckpointStore {
   std::uint64_t count_ = 0;             ///< Checkpoints attempted (cadence clock).
   std::vector<std::uint64_t> fulls_;    ///< Seqs of retained full snapshots, ascending.
   std::vector<QuarantineRecord> quarantined_;
+  DecodedChain decoded_;  ///< Empty until a restore decodes a chain.
   Stats stats_;
 };
 

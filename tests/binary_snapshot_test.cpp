@@ -3,7 +3,8 @@
 // bit-flips, replaced/erased/inserted bytes, duplicated sections, version
 // skew), incremental delta chains, and the CheckpointStore recovery ladder
 // (corrupt/version-skewed/missing files quarantined, write faults injected
-// through FaultSite::kCheckpoint).
+// through FaultSite::kCheckpoint, and a store reusing its last decode only
+// while the chain reads back byte-identical).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -1038,6 +1039,141 @@ TEST_F(CheckpointStoreTest, StoreWritesAreTimedApartFromEncodeAndRestore) {
   EXPECT_EQ(read.store_wall_ns, 0u) << "a restore writes nothing";
 }
 
+TEST_F(CheckpointStoreTest, UnchangedChainIsDecodedOnceForTwoRestores) {
+  FullRig reference(*machine_);
+  reference.run();
+  const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
+
+  FullRig source(*machine_);
+  CheckpointStore store(config());
+  write_checkpoints(source, store, 5);
+
+  // One store restores the same untouched chain into two rigs: the second
+  // restore reads and checks every rung again but reuses the decode.
+  CheckpointStore recovery(config());
+  FullRig first(*machine_);
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(recovery.restore_latest_good(first.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().restored_seq, 5u);
+  EXPECT_EQ(recovery.stats().reused_decodes, 0u);
+  FullRig second(*machine_);
+  ASSERT_TRUE(recovery.restore_latest_good(second.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().restores, 2u);
+  EXPECT_EQ(recovery.stats().reused_decodes, 1u);
+  EXPECT_EQ(recovery.stats().restored_seq, 5u);
+  EXPECT_EQ(recovery.stats().quarantines, 0u);
+  // A reused decode reports like a decoded one: timed on the kernel, noted
+  // on the sink, and the encoder resumes above the newest rung.
+  EXPECT_EQ(second.kernel.stats().snapshot.restores, 1u);
+  EXPECT_GT(second.kernel.stats().snapshot.restore_wall_ns, 0u);
+  const std::string notes = sink.str();
+  const std::string note = "restored checkpoint 5 (chain of 2)";
+  const std::size_t at = notes.find(note);
+  ASSERT_NE(at, std::string::npos) << notes;
+  EXPECT_NE(notes.find(note, at + note.size()), std::string::npos) << notes;
+
+  first.run();
+  expect_same_outcome(first, reference, reference_log);
+  CheckpointStore::WriteResult next;
+  second.run(kMidRunPs + 20000 * 5);
+  ASSERT_TRUE(recovery.checkpoint(second.targets(), next, sink)) << sink.str();
+  EXPECT_EQ(next.seq, 6u);
+  EXPECT_FALSE(next.delta) << "a restore starts a new chain";
+  second.run();
+  expect_same_outcome(second, reference, reference_log);
+}
+
+TEST_F(CheckpointStoreTest, RungWrittenAfterARestoreIsTheNextRestore) {
+  FullRig reference(*machine_);
+  reference.run();
+  const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
+
+  FullRig source(*machine_);
+  CheckpointStore store(config());
+  write_checkpoints(source, store, 5);
+
+  // The store that restored seq 5 writes seq 6 itself; the next restore
+  // must land on it, not on the chain it remembers.
+  CheckpointStore recovery(config());
+  FullRig resumed(*machine_);
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(recovery.restore_latest_good(resumed.targets(), sink)) << sink.str();
+  ASSERT_EQ(recovery.stats().restored_seq, 5u);
+  write_checkpoints(resumed, recovery, 1, /*first=*/5);
+
+  FullRig restored(*machine_);
+  ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().restored_seq, 6u);
+  EXPECT_EQ(recovery.stats().reused_decodes, 0u);
+  EXPECT_EQ(restored.kernel.now(), resumed.kernel.now());
+  EXPECT_EQ(restored.ticks, resumed.ticks);
+  restored.run();
+  expect_same_outcome(restored, reference, reference_log);
+}
+
+TEST_F(CheckpointStoreTest, LadderRewrittenUnderTheSameSeqsIsDecodedAfresh) {
+  FullRig reference(*machine_);
+  reference.run();
+  const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
+
+  FullRig source(*machine_);
+  CheckpointStore store(config());
+  write_checkpoints(source, store, 5);
+  CheckpointStore recovery(config());
+  FullRig first(*machine_);
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(recovery.restore_latest_good(first.targets(), sink)) << sink.str();
+  ASSERT_EQ(recovery.stats().restored_seq, 5u);
+
+  // Another writer that never restored numbers from 1 again: it replaces
+  // seqs 1..5, chain 4..5 included, with savepoints taken 20ns later.
+  FullRig later(*machine_);
+  CheckpointStore rewriter(config());
+  write_checkpoints(later, rewriter, 5, /*first=*/1);
+  ASSERT_EQ(snapshot_files(dir_).size(), 5u);
+
+  FullRig restored(*machine_);
+  ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().restored_seq, 5u);
+  EXPECT_EQ(recovery.stats().reused_decodes, 0u);
+  EXPECT_EQ(restored.kernel.now(), later.kernel.now());
+  EXPECT_EQ(restored.ticks, later.ticks);
+  EXPECT_NE(restored.ticks, first.ticks);
+  restored.run();
+  expect_same_outcome(restored, reference, reference_log);
+}
+
+TEST_F(CheckpointStoreTest, RestoreToARungInsideTheRememberedChain) {
+  FullRig reference(*machine_);
+  reference.run();
+  const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
+
+  FullRig source(*machine_);
+  CheckpointStore store(config(/*full_interval=*/8));
+  write_checkpoints(source, store, 5);
+
+  // The store remembers chain 1..5; rewinding to 3, a prefix of it, must
+  // restore rung 3's state.
+  CheckpointStore recovery(config(8));
+  FullRig latest(*machine_);
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(recovery.restore_latest_good(latest.targets(), sink)) << sink.str();
+  ASSERT_EQ(recovery.stats().restored_seq, 5u);
+  FullRig rewound(*machine_);
+  ASSERT_TRUE(recovery.restore_to(3, rewound.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().restored_seq, 3u);
+  EXPECT_EQ(recovery.stats().reused_decodes, 0u);
+  FullRig at_rung_3(*machine_);
+  at_rung_3.run(kMidRunPs + 20000 * 2);
+  EXPECT_EQ(rewound.kernel.now(), at_rung_3.kernel.now());
+  EXPECT_EQ(rewound.ticks, at_rung_3.ticks);
+  EXPECT_NE(rewound.ticks, latest.ticks);
+  EXPECT_NE(sink.str().find("restored checkpoint 3 (chain of 3)"), std::string::npos)
+      << sink.str();
+  rewound.run();
+  expect_same_outcome(rewound, reference, reference_log);
+}
+
 /// Faults in the middle of a chain. Two chains (fulls at seq 1 and 5,
 /// full_interval 4); the newest chain's second delta, seq 7, is damaged.
 /// The ladder must blame seq 7 itself when it is present, quarantine the
@@ -1061,10 +1197,16 @@ class CheckpointStoreMidChainTest : public CheckpointStoreTest {
   /// Restores through a fresh store and expects exactly `quarantined` —
   /// (seq, reason substring) in ladder order — and a restore of seq 6.
   void expect_ladder(const std::vector<std::pair<std::uint64_t, std::string>>& quarantined) {
+    CheckpointStore recovery(config(4));
+    expect_ladder(recovery, quarantined);
+  }
+
+  /// The same through `recovery`, which may have restored before.
+  void expect_ladder(CheckpointStore& recovery,
+                     const std::vector<std::pair<std::uint64_t, std::string>>& quarantined) {
     FullRig reference(*machine_);
     reference.run();
     FullRig restored(*machine_);
-    CheckpointStore recovery(config(4));
     support::DiagnosticSink sink;
     ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
     ASSERT_EQ(recovery.quarantined().size(), quarantined.size()) << sink.str();
@@ -1079,16 +1221,55 @@ class CheckpointStoreMidChainTest : public CheckpointStoreTest {
     expect_same_outcome(restored, reference, reference.recorder.log());
   }
 
+  /// Restores the undamaged ladder (seq 8) through `recovery`, so that it
+  /// remembers the chain 5..8 when the damage lands.
+  void restore_undamaged(CheckpointStore& recovery) {
+    FullRig restored(*machine_);
+    support::DiagnosticSink sink;
+    ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+    ASSERT_EQ(recovery.stats().restored_seq, 8u);
+    ASSERT_EQ(recovery.stats().quarantines, 0u);
+  }
+
+  /// Flips a bit of rung 7's last payload byte before the trailer, in
+  /// place: only its frame checksum can notice.
+  void flip_payload_bit_of_rung_7() {
+    std::string bytes;
+    ASSERT_TRUE(read_file(rung(7), bytes));
+    bytes[bytes.size() - kBinaryTrailer.size() - 1] ^= 0x04;
+    ASSERT_TRUE(write_file(rung(7), bytes));
+  }
+
+  /// Overwrites rung 7 with the seq 7 of a rig that ran exactly as ours but
+  /// marked its `dma` unit degraded before its seq 6. Every frame of that
+  /// rung matches ours in size and checksum, and so does its header; only
+  /// the health section's reference checksum, which points at a seq 6 that
+  /// is not ours, tells the two apart.
+  void write_same_size_foreign_rung_7() {
+    FullRig other(*machine_);
+    CheckpointStoreConfig foreign = config(4);
+    foreign.directory = dir_.string() + "-foreign";
+    CheckpointStore foreign_store(foreign);
+    write_checkpoints(other, foreign_store, 5);
+    other.health.set_health(other.dma_unit, sim::UnitHealth::kDegraded);
+    write_checkpoints(other, foreign_store, 2, /*first=*/5);
+    const std::filesystem::path theirs = snapshot_files(foreign.directory)[6];
+    std::string bytes;
+    std::string ours;
+    ASSERT_TRUE(read_file(theirs, bytes));
+    ASSERT_TRUE(read_file(rung(7), ours));
+    ASSERT_EQ(bytes.size(), ours.size());
+    ASSERT_EQ(bytes.substr(0, kHeaderHashedBytes + 8), ours.substr(0, kHeaderHashedBytes + 8))
+        << "same header";
+    ASSERT_NE(bytes, ours);
+    ASSERT_TRUE(write_file(rung(7), bytes));
+  }
+
   std::vector<std::filesystem::path> files_;
 };
 
 TEST_F(CheckpointStoreMidChainTest, BitFlipInAFrameQuarantinesTheDeltaAndItsDependent) {
-  std::string bytes;
-  ASSERT_TRUE(read_file(rung(7), bytes));
-  // The last payload byte before the trailer: only its frame checksum can
-  // notice.
-  bytes[bytes.size() - kBinaryTrailer.size() - 1] ^= 0x04;
-  ASSERT_TRUE(write_file(rung(7), bytes));
+  flip_payload_bit_of_rung_7();
   expect_ladder({{7, "section checksum mismatch in <bank name='memory'>"},
                  {8, "delta 8 needs base checkpoint 7, which is missing"}});
 }
@@ -1115,6 +1296,29 @@ TEST_F(CheckpointStoreMidChainTest, ForeignDeltaIsCaughtByItsReferenceChecksums)
   ASSERT_TRUE(write_file(rung(7), bytes));
   expect_ladder({{7, "reference checksum mismatch in <kernel>"},
                  {8, "delta 8 needs base checkpoint 7, which is missing"}});
+}
+
+// The same damage landing after a store has restored the chain: the store's
+// next restore reads the damaged bytes, so it neither reuses its decode nor
+// ladders any differently from a fresh store.
+TEST_F(CheckpointStoreMidChainTest, BitFlipAfterARestoreBypassesTheRememberedDecode) {
+  CheckpointStore recovery(config(4));
+  restore_undamaged(recovery);
+  flip_payload_bit_of_rung_7();
+  expect_ladder(recovery, {{7, "section checksum mismatch in <bank name='memory'>"},
+                           {8, "delta 8 needs base checkpoint 7, which is missing"}});
+  EXPECT_EQ(recovery.stats().restores, 2u);
+  EXPECT_EQ(recovery.stats().reused_decodes, 0u);
+}
+
+TEST_F(CheckpointStoreMidChainTest, SameSizeForeignDeltaAfterARestoreBypassesTheRememberedDecode) {
+  CheckpointStore recovery(config(4));
+  restore_undamaged(recovery);
+  write_same_size_foreign_rung_7();
+  expect_ladder(recovery, {{7, "reference checksum mismatch in <health name='health'>"},
+                           {8, "delta 8 needs base checkpoint 7, which is missing"}});
+  EXPECT_EQ(recovery.stats().restores, 2u);
+  EXPECT_EQ(recovery.stats().reused_decodes, 0u);
 }
 
 TEST_F(CheckpointStoreMidChainTest, MissingDeltaQuarantinesTheDeltaThatNeedsIt) {

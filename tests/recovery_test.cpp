@@ -514,6 +514,10 @@ TEST_F(RecoveryTest, RootCauseSurfacesALadderFailureMidSearch) {
   EXPECT_FALSE(report.found);
   EXPECT_NE(report.summary.find("ladder exhausted during probing"), std::string::npos)
       << report.summary;
+  // The final rewind has no ladder either: the report must not claim it.
+  EXPECT_NE(report.summary.find("could not be rewound and holds the last probe's state"),
+            std::string::npos)
+      << report.summary;
 }
 
 TEST_F(RecoveryTest, RootCauseResumesASupervisorOutsideTheSnapshotTargets) {

@@ -10,34 +10,6 @@
 
 namespace umlsoc::fleet {
 
-void SloCounters::add(const SloCounters& other) {
-  requests += other.requests;
-  delivered += other.delivered;
-  lost += other.lost;
-  transactions += other.transactions;
-  timeouts += other.timeouts;
-  retries += other.retries;
-  recovered += other.recovered;
-  exhausted += other.exhausted;
-  errors_raised += other.errors_raised;
-  errors_unhandled += other.errors_unhandled;
-  restarts += other.restarts;
-  escalations += other.escalations;
-  give_ups += other.give_ups;
-  watchdog_trips += other.watchdog_trips;
-  breaker_opens += other.breaker_opens;
-  breaker_closes += other.breaker_closes;
-  breaker_fast_failed += other.breaker_fast_failed;
-  rollbacks += other.rollbacks;
-  checkpoints_written += other.checkpoints_written;
-  checkpoint_write_faults += other.checkpoint_write_faults;
-  rungs_quarantined += other.rungs_quarantined;
-  ladder_recoveries += other.ladder_recoveries;
-  crash_recoveries += other.crash_recoveries;
-  seeds_poisoned += other.seeds_poisoned;
-  lost_work_ps_max = std::max(lost_work_ps_max, other.lost_work_ps_max);
-}
-
 void HealthRollup::add(const sim::HealthRegistry& registry) {
   for (sim::HealthRegistry::UnitId unit = 0; unit < registry.unit_count(); ++unit) {
     switch (registry.health(unit)) {
@@ -48,57 +20,19 @@ void HealthRollup::add(const sim::HealthRegistry& registry) {
   }
 }
 
-void HealthRollup::add(const HealthRollup& other) {
-  healthy += other.healthy;
-  degraded += other.degraded;
-  failed += other.failed;
-}
-
-void reduce(sim::Kernel::Stats& into, const sim::Kernel::Stats& stats) {
-  into.timed_peak = std::max(into.timed_peak, stats.timed_peak);
-  into.max_deltas_per_instant =
-      std::max(into.max_deltas_per_instant, stats.max_deltas_per_instant);
-  into.wheel_hits += stats.wheel_hits;
-  into.heap_hits += stats.heap_hits;
-  into.cascades += stats.cascades;
-  into.processes_registered += stats.processes_registered;
-  into.collapsed_notifications += stats.collapsed_notifications;
-  into.snapshot.encodes += stats.snapshot.encodes;
-  into.snapshot.restores += stats.snapshot.restores;
-  into.snapshot.bytes_written += stats.snapshot.bytes_written;
-  into.snapshot.sections_dirty += stats.snapshot.sections_dirty;
-  into.snapshot.sections_total += stats.snapshot.sections_total;
-  into.snapshot.encode_wall_ns += stats.snapshot.encode_wall_ns;
-  into.snapshot.restore_wall_ns += stats.snapshot.restore_wall_ns;
-  into.snapshot.store_wall_ns += stats.snapshot.store_wall_ns;
-}
-
 bool RigOutcome::deterministic_equal(const RigOutcome& other) const {
-  // Kernel wall-clock fields are host-time measurements of deterministic
-  // work; everything else in Stats is simulation-deterministic.
-  const auto deterministic_kernel = [](sim::Kernel::Stats stats) {
-    stats.snapshot.encode_wall_ns = 0;
-    stats.snapshot.restore_wall_ns = 0;
-    stats.snapshot.store_wall_ns = 0;
-    return stats;
+  bool same = seed == other.seed && ok == other.ok && failure == other.failure &&
+              sim_time_ps == other.sim_time_ps &&
+              events_processed == other.events_processed &&
+              fault_template == other.fault_template;
+  const auto compare = [&same](const char*, sim::Counter kind, std::uint64_t mine,
+                               std::uint64_t theirs) {
+    same = same && (kind == sim::Counter::kWall || mine == theirs);
   };
-  const sim::Kernel::Stats mine = deterministic_kernel(kernel);
-  const sim::Kernel::Stats theirs = deterministic_kernel(other.kernel);
-  return seed == other.seed && ok == other.ok && failure == other.failure &&
-         sim_time_ps == other.sim_time_ps &&
-         events_processed == other.events_processed && slo == other.slo &&
-         health == other.health && fault_template == other.fault_template &&
-         mine.timed_peak == theirs.timed_peak &&
-         mine.max_deltas_per_instant == theirs.max_deltas_per_instant &&
-         mine.wheel_hits == theirs.wheel_hits && mine.heap_hits == theirs.heap_hits &&
-         mine.cascades == theirs.cascades &&
-         mine.processes_registered == theirs.processes_registered &&
-         mine.collapsed_notifications == theirs.collapsed_notifications &&
-         mine.snapshot.encodes == theirs.snapshot.encodes &&
-         mine.snapshot.restores == theirs.snapshot.restores &&
-         mine.snapshot.bytes_written == theirs.snapshot.bytes_written &&
-         mine.snapshot.sections_dirty == theirs.snapshot.sections_dirty &&
-         mine.snapshot.sections_total == theirs.snapshot.sections_total;
+  SloCounters::counters(compare, slo, other.slo);
+  HealthRollup::counters(compare, health, other.health);
+  sim::Kernel::Stats::counters(compare, kernel, other.kernel);
+  return same;
 }
 
 FleetDriver::FleetDriver(FleetConfig config) : config_(config) {}

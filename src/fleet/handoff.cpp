@@ -24,8 +24,8 @@ void transfer(Io& io, Grant& grant) {
   io.field(grant.fault_template);
 }
 
-/// Every RigOutcome field in wire order, which is declaration order except
-/// that seeds_poisoned precedes lost_work_ps_max.
+/// Every RigOutcome field in wire order; the three counter records in
+/// their counters() order.
 template <typename Io>
 void transfer(Io& io, RigOutcome& outcome) {
   io.field(outcome.seed);
@@ -33,26 +33,12 @@ void transfer(Io& io, RigOutcome& outcome) {
   io.field(outcome.failure);
   io.field(outcome.sim_time_ps);
   io.field(outcome.events_processed);
-  SloCounters& slo = outcome.slo;
-  sim::Kernel::Stats& kernel = outcome.kernel;
-  for (std::uint64_t* field :
-       {&slo.requests, &slo.delivered, &slo.lost, &slo.transactions, &slo.timeouts,
-        &slo.retries, &slo.recovered, &slo.exhausted, &slo.errors_raised,
-        &slo.errors_unhandled, &slo.restarts, &slo.escalations, &slo.give_ups,
-        &slo.watchdog_trips, &slo.breaker_opens, &slo.breaker_closes,
-        &slo.breaker_fast_failed, &slo.rollbacks, &slo.checkpoints_written,
-        &slo.checkpoint_write_faults, &slo.rungs_quarantined, &slo.ladder_recoveries,
-        &slo.crash_recoveries, &slo.seeds_poisoned, &slo.lost_work_ps_max,
-        &outcome.health.healthy, &outcome.health.degraded, &outcome.health.failed,
-        &kernel.timed_peak, &kernel.max_deltas_per_instant, &kernel.wheel_hits,
-        &kernel.heap_hits, &kernel.cascades, &kernel.processes_registered,
-        &kernel.collapsed_notifications, &kernel.snapshot.encodes,
-        &kernel.snapshot.restores, &kernel.snapshot.bytes_written,
-        &kernel.snapshot.sections_dirty, &kernel.snapshot.sections_total,
-        &kernel.snapshot.encode_wall_ns, &kernel.snapshot.restore_wall_ns,
-        &kernel.snapshot.store_wall_ns}) {
-    io.field(*field);
-  }
+  const auto counter = [&io](const char*, sim::Counter, std::uint64_t& field) {
+    io.field(field);
+  };
+  SloCounters::counters(counter, outcome.slo);
+  HealthRollup::counters(counter, outcome.health);
+  sim::Kernel::Stats::counters(counter, outcome.kernel);
   io.field(outcome.fault_template);
   io.field(outcome.wall_ns);
   io.field(outcome.attempts);
@@ -116,10 +102,6 @@ bool FrameReader::next(Frame& out) {
 }
 
 std::string encode_hello(std::uint64_t pid) { return encode_fields(pid); }
-
-bool decode_hello(std::string_view payload, std::uint64_t& pid) {
-  return decode_fields(payload, pid);
-}
 
 std::string encode_start_seed(std::uint64_t index, std::uint32_t attempt) {
   return encode_fields(index, attempt);

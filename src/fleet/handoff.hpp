@@ -85,7 +85,6 @@ class FrameReader {
 // false on truncated or malformed input (never read out of bounds, never
 // throw, never size a container from a count read off the wire).
 [[nodiscard]] std::string encode_hello(std::uint64_t pid);
-[[nodiscard]] bool decode_hello(std::string_view payload, std::uint64_t& pid);
 [[nodiscard]] std::string encode_start_seed(std::uint64_t index, std::uint32_t attempt);
 [[nodiscard]] bool decode_start_seed(std::string_view payload, std::uint64_t& index,
                                      std::uint32_t& attempt);

@@ -8,10 +8,19 @@
 // rollup and a reduced kernel Stats record. Outcomes are pure functions of
 // the rig's seed — nothing in them may depend on which worker ran the rig
 // or in what order — which is what makes fleet results bit-identical across
-// `--jobs` counts. Host wall time is the one deliberate exception; it lives
-// in a clearly-marked field excluded from the determinism fingerprint.
+// `--jobs` counts. Host wall time is the one deliberate exception: the
+// host-side RigOutcome fields and the kWall kernel counters, all excluded
+// from the determinism checks.
+//
+// Each of the three counter records (SloCounters, HealthRollup and
+// sim::Kernel::Stats) names its fields once, in a static counters() list
+// that tags each with its sim::Counter kind. The fold (reduce), the
+// determinism check, the wire codec (handoff.cpp) and the report
+// fingerprint all walk those lists; a static_assert per record fails the
+// build when a field has no list entry.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -84,11 +93,42 @@ struct SloCounters {
   // Cross-process fleet.
   std::uint64_t seeds_poisoned = 0;  ///< Seeds quarantined after killing K workers.
 
-  /// Element-wise accumulation (max for lost_work_ps_max).
-  void add(const SloCounters& other);
+  /// Every counter once, in wire order (seeds_poisoned precedes
+  /// lost_work_ps_max): `visit(name, kind, r.field...)`.
+  template <typename Visit, typename... Self>
+  static constexpr void counters(Visit&& visit, Self&... r) {
+    using enum sim::Counter;
+    visit("requests", kSum, r.requests...);
+    visit("delivered", kSum, r.delivered...);
+    visit("lost", kSum, r.lost...);
+    visit("transactions", kSum, r.transactions...);
+    visit("timeouts", kSum, r.timeouts...);
+    visit("retries", kSum, r.retries...);
+    visit("recovered", kSum, r.recovered...);
+    visit("exhausted", kSum, r.exhausted...);
+    visit("errors_raised", kSum, r.errors_raised...);
+    visit("errors_unhandled", kSum, r.errors_unhandled...);
+    visit("restarts", kSum, r.restarts...);
+    visit("escalations", kSum, r.escalations...);
+    visit("give_ups", kSum, r.give_ups...);
+    visit("watchdog_trips", kSum, r.watchdog_trips...);
+    visit("breaker_opens", kSum, r.breaker_opens...);
+    visit("breaker_closes", kSum, r.breaker_closes...);
+    visit("breaker_fast_failed", kSum, r.breaker_fast_failed...);
+    visit("rollbacks", kSum, r.rollbacks...);
+    visit("checkpoints_written", kSum, r.checkpoints_written...);
+    visit("checkpoint_write_faults", kSum, r.checkpoint_write_faults...);
+    visit("rungs_quarantined", kSum, r.rungs_quarantined...);
+    visit("ladder_recoveries", kSum, r.ladder_recoveries...);
+    visit("crash_recoveries", kSum, r.crash_recoveries...);
+    visit("seeds_poisoned", kSum, r.seeds_poisoned...);
+    visit("lost_work_ps_max", kMax, r.lost_work_ps_max...);
+  }
 
   friend bool operator==(const SloCounters&, const SloCounters&) = default;
 };
+static_assert(sizeof(SloCounters) == 8 * sim::counter_count<SloCounters>(),
+              "every SloCounters field needs an entry in counters()");
 
 /// HealthRegistry rollup: unit counts per final health state. A fleet
 /// aggregates these across rigs — "how many units fleet-wide ended
@@ -101,17 +141,34 @@ struct HealthRollup {
 
   /// Counts `registry`'s units into this rollup.
   void add(const sim::HealthRegistry& registry);
-  void add(const HealthRollup& other);
+
+  /// Every counter once, in wire order: `visit(name, kind, r.field...)`.
+  template <typename Visit, typename... Self>
+  static constexpr void counters(Visit&& visit, Self&... r) {
+    using enum sim::Counter;
+    visit("healthy", kSum, r.healthy...);
+    visit("degraded", kSum, r.degraded...);
+    visit("failed", kSum, r.failed...);
+  }
 
   [[nodiscard]] std::uint64_t units() const { return healthy + degraded + failed; }
   friend bool operator==(const HealthRollup&, const HealthRollup&) = default;
 };
+static_assert(sizeof(HealthRollup) == 8 * sim::counter_count<HealthRollup>(),
+              "every HealthRollup field needs an entry in counters()");
 
-/// Kernel Stats reduction: counters sum, high-water marks take the max.
-/// Used both to fold a multi-kernel rig (e.g. the chaos soak's reference /
-/// restored / crash legs) into one record and to fold rig records into the
-/// fleet report.
-void reduce(sim::Kernel::Stats& into, const sim::Kernel::Stats& stats);
+/// Folds `from` into `into` counter by counter: kSum and kWall counters
+/// add, kMax counters keep the larger value. Folds a multi-kernel rig (e.g.
+/// the chaos soak's reference / restored / crash legs) into one record and
+/// rig records into the fleet report.
+template <typename Record>
+void reduce(Record& into, const Record& from) {
+  Record::counters(
+      [](const char*, sim::Counter kind, std::uint64_t& total, std::uint64_t value) {
+        total = kind == sim::Counter::kMax ? std::max(total, value) : total + value;
+      },
+      into, from);
+}
 
 /// Everything one rig reports back to the fleet. Aside from `wall_ns`
 /// (host time, nondeterministic by nature) every field must be a pure
@@ -141,8 +198,7 @@ struct RigOutcome {
   std::uint64_t resumed_from_seq = 0;  ///< Handoff resume rung (0 = ran from scratch).
 
   /// Deterministic equality: every field except the host-dependent ones —
-  /// wall_ns, attempts, resumed_from_seq and the kernel's three wall-clock
-  /// fields (snapshot encode_wall_ns, restore_wall_ns, store_wall_ns). The
+  /// wall_ns, attempts, resumed_from_seq and the kWall kernel counters. The
   /// fleet determinism gate compares per-seed outcomes across thread counts
   /// with this, not operator==.
   [[nodiscard]] bool deterministic_equal(const RigOutcome& other) const;

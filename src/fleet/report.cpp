@@ -5,6 +5,8 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "support/checksum.hpp"
+
 namespace umlsoc::fleet {
 
 namespace {
@@ -21,6 +23,23 @@ void append_line(std::string& out, const char* format, ...) {
   std::vsnprintf(line, sizeof(line), format, args);
   va_end(args);
   out += line;
+  out += '\n';
+}
+
+/// One line: `label` then `name=value` for each of `record`'s counters
+/// except the kWall (host time) ones.
+template <typename Record>
+void append_counters(std::string& out, const char* label, const Record& record) {
+  out += label;
+  Record::counters(
+      [&out](const char* name, sim::Counter kind, std::uint64_t value) {
+        if (kind == sim::Counter::kWall) return;
+        out += ' ';
+        out += name;
+        out += '=';
+        out += std::to_string(value);
+      },
+      record);
   out += '\n';
 }
 
@@ -61,8 +80,8 @@ FleetReport FleetReport::aggregate(const std::vector<RigOutcome>& outcomes) {
       report.failed_seeds.push_back(outcome.seed);
     }
     if (outcome.slo.seeds_poisoned != 0) report.poisoned_seeds.push_back(outcome.seed);
-    report.slo.add(outcome.slo);
-    report.health.add(outcome.health);
+    reduce(report.slo, outcome.slo);
+    reduce(report.health, outcome.health);
     reduce(report.kernel, outcome.kernel);
     report.sim_time_ps_total += outcome.sim_time_ps;
     report.sim_time_ps_max = std::max(report.sim_time_ps_max, outcome.sim_time_ps);
@@ -74,7 +93,7 @@ FleetReport FleetReport::aggregate(const std::vector<RigOutcome>& outcomes) {
     TemplateRollup& slice = report.templates[outcome.fault_template];
     ++slice.rigs;
     if (outcome.ok) ++slice.rigs_ok;
-    slice.slo.add(outcome.slo);
+    reduce(slice.slo, outcome.slo);
   }
   return report;
 }
@@ -89,35 +108,9 @@ std::string FleetReport::fingerprint() const {
     out += ',';
   }
   out += '\n';
-  append_line(out,
-              "traffic=%" PRIu64 "/%" PRIu64 "/%" PRIu64
-              " bus=%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64,
-              slo.requests, slo.delivered, slo.lost, slo.transactions, slo.timeouts,
-              slo.retries, slo.recovered, slo.exhausted);
-  append_line(out, "errors=%" PRIu64 "/%" PRIu64, slo.errors_raised,
-              slo.errors_unhandled);
-  append_line(out,
-              "supervision=%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64
-              " breaker=%" PRIu64 "/%" PRIu64 "/%" PRIu64 " rollbacks=%" PRIu64,
-              slo.restarts, slo.escalations, slo.give_ups, slo.watchdog_trips,
-              slo.breaker_opens, slo.breaker_closes, slo.breaker_fast_failed,
-              slo.rollbacks);
-  append_line(out,
-              "recovery=%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64
-              " lost-work-ps=%" PRIu64,
-              slo.checkpoints_written, slo.checkpoint_write_faults,
-              slo.rungs_quarantined, slo.ladder_recoveries, slo.crash_recoveries,
-              slo.lost_work_ps_max);
-  append_line(out, "health=%" PRIu64 "/%" PRIu64 "/%" PRIu64, health.healthy,
-              health.degraded, health.failed);
-  append_line(out,
-              "kernel=%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64
-              "/%" PRIu64 " snapshot=%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64 "/%" PRIu64,
-              kernel.timed_peak, kernel.max_deltas_per_instant, kernel.wheel_hits,
-              kernel.heap_hits, kernel.cascades, kernel.processes_registered,
-              kernel.collapsed_notifications, kernel.snapshot.encodes,
-              kernel.snapshot.restores, kernel.snapshot.bytes_written,
-              kernel.snapshot.sections_dirty, kernel.snapshot.sections_total);
+  append_counters(out, "slo", slo);
+  append_counters(out, "health", health);
+  append_counters(out, "kernel", kernel);
   append_line(out, "sim-time=%" PRIu64 "/%" PRIu64 " events=%" PRIu64,
               sim_time_ps_total, sim_time_ps_max, events_total);
   out += "poisoned-seeds=";
@@ -128,14 +121,10 @@ std::string FleetReport::fingerprint() const {
   out += '\n';
   for (std::size_t t = 0; t < templates.size(); ++t) {
     const TemplateRollup& slice = templates[t];
-    append_line(out,
-                "template[%zu]=%" PRIu64 "/%" PRIu64 " traffic=%" PRIu64 "/%" PRIu64
-                "/%" PRIu64 " bus=%" PRIu64 "/%" PRIu64 "/%" PRIu64
-                " errors=%" PRIu64 "/%" PRIu64 " giveups=%" PRIu64,
-                t, slice.rigs_ok, slice.rigs, slice.slo.requests, slice.slo.delivered,
-                slice.slo.lost, slice.slo.transactions, slice.slo.timeouts,
-                slice.slo.exhausted, slice.slo.errors_raised,
-                slice.slo.errors_unhandled, slice.slo.give_ups);
+    char label[64];
+    std::snprintf(label, sizeof(label), "template[%zu]=%" PRIu64 "/%" PRIu64, t,
+                  slice.rigs_ok, slice.rigs);
+    append_counters(out, label, slice.slo);
   }
   return out;
 }
@@ -211,6 +200,7 @@ std::string FleetReport::str(const FleetStats* stats) const {
                   slice.slo.exhausted, slice.slo.lost, slice.slo.errors_unhandled);
     }
   }
+  append_line(out, "  fingerprint: %016" PRIx64, support::xxh64(fingerprint()));
   if (stats != nullptr && stats->wall_ns > 0) {
     const double seconds = static_cast<double>(stats->wall_ns) / 1e9;
     append_line(out,

@@ -27,8 +27,8 @@ struct FleetReport {
   std::vector<std::uint64_t> failed_seeds;  ///< Seed order (result-index order).
   std::vector<std::uint64_t> poisoned_seeds;  ///< Quarantined by the process pool.
 
-  SloCounters slo;          ///< Summed across rigs.
-  HealthRollup health;      ///< Final per-unit health counts across rigs.
+  SloCounters slo;            ///< reduce()d across rigs.
+  HealthRollup health;        ///< Final per-unit health counts across rigs.
   sim::Kernel::Stats kernel;  ///< reduce()d across rigs.
 
   /// Per-fault-template slice of the rollup: how each swept fault
@@ -74,11 +74,15 @@ struct FleetReport {
   [[nodiscard]] static FleetReport aggregate(const std::vector<RigOutcome>& outcomes);
 
   /// Canonical serialization of every deterministic field — the value the
-  /// jobs=1 vs jobs=N gate compares. Wall-time fields are excluded.
+  /// jobs=1 vs jobs=N gate compares. Each counter record prints every
+  /// counter of its counters() list as `name=value`, except the kWall ones;
+  /// the other wall-time fields are excluded too.
   [[nodiscard]] std::string fingerprint() const;
 
-  /// Multi-line human rollup ("fleet SLO rollup: ..."); includes the
-  /// wall-time-derived throughput numbers when `stats` is provided.
+  /// Multi-line human rollup ("fleet SLO rollup: ..."), ending in a
+  /// "fingerprint: <xxh64 of fingerprint()>" line that covers the counters
+  /// the rollup does not print; includes the wall-time-derived throughput
+  /// numbers when `stats` is provided.
   [[nodiscard]] std::string str(const FleetStats* stats = nullptr) const;
 };
 

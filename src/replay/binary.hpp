@@ -168,8 +168,6 @@ class IncrementalEncoder {
     if (next_seq_ <= seq) next_seq_ = seq + 1;
   }
 
-  [[nodiscard]] std::uint64_t last_seq() const { return last_seq_; }
-
  private:
   struct PrevSection {
     SectionKind kind;

@@ -65,12 +65,9 @@ void RecoveryCoordinator::tick() {
   if (pending_.has_value()) return;
 
   const std::uint64_t now_ps = kernel_.now().picoseconds();
-  const std::uint64_t events = kernel_.events_processed();
-  const bool interval_due =
-      now_ps - stats_.last_checkpoint_ps >= policy_.checkpoint_interval.picoseconds();
-  const bool dirty_due = policy_.dirty_event_threshold != 0 &&
-                         events - events_at_last_ >= policy_.dirty_event_threshold;
-  if (!interval_due && !dirty_due) return;
+  if (now_ps - stats_.last_checkpoint_ps < policy_.checkpoint_interval.picoseconds()) {
+    return;
+  }
 
   ++stats_.attempts;
   support::DiagnosticSink sink;
@@ -84,13 +81,11 @@ void RecoveryCoordinator::tick() {
   ++stats_.written;
   stats_.last_checkpoint_ps = now_ps;
   stats_.last_checkpoint_seq = result.seq;
-  events_at_last_ = events;
 }
 
 void RecoveryCoordinator::adopt_restored_state() {
   stats_.last_checkpoint_ps = kernel_.now().picoseconds();
   stats_.last_checkpoint_seq = store_.stats().restored_seq;
-  events_at_last_ = kernel_.events_processed();
 }
 
 bool RecoveryCoordinator::recover(support::DiagnosticSink& sink) {
@@ -193,7 +188,6 @@ bool RecoveryCoordinator::maybe_rollback(support::DiagnosticSink& sink) {
   if (store_.checkpoint(targets_, resume_rung, sink)) {
     stats_.last_checkpoint_ps = kernel_.now().picoseconds();
     stats_.last_checkpoint_seq = resume_rung.seq;
-    events_at_last_ = kernel_.events_processed();
   }
   ++stats_.rollbacks;
   sink.note("recovery",

@@ -6,10 +6,9 @@
 //
 //  1. Policy-driven background checkpointing. A kernel process ticks at a
 //     fixed sim-time cadence; each tick writes the next ladder rung when the
-//     checkpoint interval has elapsed or the dirty-event threshold has been
-//     crossed. The tick reschedules itself *before* capturing, so the
-//     pending next tick is part of every checkpoint — a restored rig's
-//     ladder keeps growing without anyone re-arming it.
+//     checkpoint interval has elapsed. The tick reschedules itself *before*
+//     capturing, so the pending next tick is part of every checkpoint — a
+//     restored rig's ladder keeps growing without anyone re-arming it.
 //
 //  2. Rollback escalation. attach_supervisor() installs a rollback handler
 //     one rung below the supervisor's terminal give-up: when the restart
@@ -59,9 +58,6 @@ struct RecoveryPolicy {
   /// derived cadence back, so policy() always reports the effective value
   /// (lost-work bounds can be built from it either way).
   sim::SimTime tick_interval{0};
-  /// Events-processed delta that forces an early checkpoint before the
-  /// interval elapses (burst protection). Zero disables the trigger.
-  std::uint64_t dirty_event_threshold = 0;
   /// Rollback recoveries accepted before the handler lets the supervisor
   /// give up terminally.
   unsigned max_rollbacks = 3;
@@ -203,7 +199,6 @@ class RecoveryCoordinator {
   bool started_ = false;
   bool running_ = true;
   bool replaying_ = false;  ///< Inside a verify replay (rollback or probe).
-  std::uint64_t events_at_last_ = 0;  ///< events_processed at the last written rung.
   Stats stats_;
 };
 

@@ -139,6 +139,22 @@ class Updatable {
   virtual void update() = 0;
 };
 
+/// How a fleet folds one counter of a stats record across rigs.
+enum class Counter : std::uint8_t {
+  kSum,   ///< Summed.
+  kMax,   ///< High-water mark: the maximum.
+  kWall,  ///< Summed host time; determinism checks skip it.
+};
+
+/// Entries in `Record::counters()`, the record's one list of its counters.
+/// Walked with no record, the list visits each counter's name and kind.
+template <typename Record>
+constexpr std::size_t counter_count() {
+  std::size_t count = 0;
+  Record::counters([&count](const char*, Counter) { ++count; });
+  return count;
+}
+
 /// The scheduler.
 class Kernel {
  public:
@@ -160,9 +176,6 @@ class Kernel {
   /// the scheduling path.
   [[nodiscard]] ProcessId register_process(std::function<void()> body, std::string label);
 
-  void set_process_label(ProcessId process, std::string label) {
-    labels_[process] = std::move(label);
-  }
   /// Label given at registration, or "" for unlabeled processes.
   [[nodiscard]] const std::string& process_label(ProcessId process) const {
     return labels_[process];
@@ -238,6 +251,28 @@ class Kernel {
     std::uint64_t processes_registered = 0;   ///< register_process calls
     std::uint64_t collapsed_notifications = 0;///< delta notify() calls absorbed by a pending one
     SnapshotStats snapshot;                   ///< checkpoint encode/restore accounting
+
+    /// Every counter once, in fleet wire order: `visit(name, kind,
+    /// r.field...)` over the records `r` (none, one, or two in step).
+    template <typename Visit, typename... Self>
+    static constexpr void counters(Visit&& visit, Self&... r) {
+      using enum Counter;
+      visit("timed_peak", kMax, r.timed_peak...);
+      visit("max_deltas_per_instant", kMax, r.max_deltas_per_instant...);
+      visit("wheel_hits", kSum, r.wheel_hits...);
+      visit("heap_hits", kSum, r.heap_hits...);
+      visit("cascades", kSum, r.cascades...);
+      visit("processes_registered", kSum, r.processes_registered...);
+      visit("collapsed_notifications", kSum, r.collapsed_notifications...);
+      visit("snapshot.encodes", kSum, r.snapshot.encodes...);
+      visit("snapshot.restores", kSum, r.snapshot.restores...);
+      visit("snapshot.bytes_written", kSum, r.snapshot.bytes_written...);
+      visit("snapshot.sections_dirty", kSum, r.snapshot.sections_dirty...);
+      visit("snapshot.sections_total", kSum, r.snapshot.sections_total...);
+      visit("snapshot.encode_wall_ns", kWall, r.snapshot.encode_wall_ns...);
+      visit("snapshot.restore_wall_ns", kWall, r.snapshot.restore_wall_ns...);
+      visit("snapshot.store_wall_ns", kWall, r.snapshot.store_wall_ns...);
+    }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -416,6 +451,9 @@ class Kernel {
 
   Stats stats_;
 };
+
+static_assert(sizeof(Kernel::Stats) == 8 * counter_count<Kernel::Stats>(),
+              "every Kernel::Stats field needs an entry in Stats::counters()");
 
 // ---- inline hot path ------------------------------------------------------
 // Scheduling an already-registered handle is the per-event steady-state

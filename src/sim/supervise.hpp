@@ -356,10 +356,6 @@ class Supervisor {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] RestartStrategy strategy() const { return strategy_; }
   [[nodiscard]] const RestartPolicy& policy() const { return policy_; }
-  [[nodiscard]] std::size_t child_count() const { return children_.size(); }
-  [[nodiscard]] const std::string& child_name(ChildId child) const {
-    return children_[child].name;
-  }
 
   struct ChildStats {
     std::uint64_t failures = 0;         ///< report_failure calls for this child.

@@ -25,7 +25,6 @@ class Digraph {
     return predecessors_[node];
   }
   [[nodiscard]] std::size_t in_degree(std::size_t node) const { return predecessors_[node].size(); }
-  [[nodiscard]] std::size_t out_degree(std::size_t node) const { return successors_[node].size(); }
 
   /// Kahn topological order; nullopt when the graph has a cycle.
   [[nodiscard]] std::optional<std::vector<std::size_t>> topological_order() const;

@@ -3,22 +3,26 @@
 // identical per-seed outcomes and an identical aggregated FleetReport
 // whether the fleet runs on 1 worker or 8 — plus the driver mechanics
 // (every rig runs exactly once, chunk config honored, exceptions contained
-// to their rig, progress serialized) and the report arithmetic.
+// to their rig, progress serialized) and the report arithmetic, with every
+// fleet counter swept through its record's counters() list.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fleet/driver.hpp"
+#include "fleet/handoff.hpp"
 #include "fleet/report.hpp"
 #include "sim/fault.hpp"
 #include "sim/kernel.hpp"
 #include "sim/supervise.hpp"
+#include "support/checksum.hpp"
 
 namespace umlsoc::fleet {
 namespace {
@@ -380,6 +384,85 @@ TEST(FleetOutcome, HealthRollupCountsRegistryUnits) {
   EXPECT_EQ(rollup.degraded, 1u);
   EXPECT_EQ(rollup.failed, 1u);
   EXPECT_EQ(rollup.units(), 3u);
+}
+
+TEST(FleetReportTest, StrPrintsTheFingerprintHash) {
+  std::vector<RigOutcome> outcomes(1);
+  outcomes[0].ok = true;
+  outcomes[0].kernel.cascades = 3;  // Printed by fingerprint(), not by str().
+  const FleetReport report = FleetReport::aggregate(outcomes);
+  char line[64];
+  std::snprintf(line, sizeof(line), "\n  fingerprint: %016llx\n",
+                static_cast<unsigned long long>(support::xxh64(report.fingerprint())));
+  EXPECT_NE(report.str().find(line), std::string::npos) << report.str();
+}
+
+/// The counter at `position` in `record`'s counters() list.
+template <typename Record>
+std::uint64_t& counter_at(Record& record, std::size_t position) {
+  std::uint64_t* slot = nullptr;
+  std::size_t index = 0;
+  Record::counters(
+      [&](const char*, sim::Counter, std::uint64_t& field) {
+        if (index++ == position) slot = &field;
+      },
+      record);
+  return *slot;
+}
+
+struct CounterSweep {
+  std::size_t total = 0;
+  std::set<std::string> max_names;
+  std::set<std::string> wall_names;
+};
+
+/// Walks `Record`'s counters() list. Each counter is set to 3 in one rig
+/// and 5 in another; the fleet report must sum or max it by its kind.
+/// Raising the larger value moves the fold whatever the kind, so the
+/// determinism check and the fingerprint must see the raise unless the
+/// counter is kWall. The wire codec must carry it.
+template <typename Record>
+void sweep_counters(Record RigOutcome::*member, Record FleetReport::*rollup,
+                    CounterSweep& sweep) {
+  std::size_t position = 0;
+  Record::counters([&](const char* name, sim::Counter kind) {
+    SCOPED_TRACE(name);
+    ++sweep.total;
+    if (kind == sim::Counter::kMax) sweep.max_names.insert(name);
+    if (kind == sim::Counter::kWall) sweep.wall_names.insert(name);
+
+    std::vector<RigOutcome> rigs(2);
+    counter_at(rigs[0].*member, position) = 3;
+    counter_at(rigs[1].*member, position) = 5;
+    FleetReport report = FleetReport::aggregate(rigs);
+    EXPECT_EQ(counter_at(report.*rollup, position), kind == sim::Counter::kMax ? 5u : 8u);
+
+    std::vector<RigOutcome> raised = rigs;
+    ++counter_at(raised[1].*member, position);
+    const bool deterministic = kind != sim::Counter::kWall;
+    EXPECT_EQ(!raised[1].deterministic_equal(rigs[1]), deterministic);
+    EXPECT_EQ(FleetReport::aggregate(raised).fingerprint() != report.fingerprint(),
+              deterministic);
+
+    std::uint64_t index = 0;
+    RigOutcome decoded;
+    EXPECT_TRUE(decode_result(encode_result(0, raised[1]), index, decoded));
+    EXPECT_EQ(counter_at(decoded.*member, position), 6u);
+    ++position;
+  });
+}
+
+TEST(FleetCounters, EveryCounterFoldsComparesAndCrossesTheWireByItsKind) {
+  CounterSweep sweep;
+  sweep_counters(&RigOutcome::slo, &FleetReport::slo, sweep);
+  sweep_counters(&RigOutcome::health, &FleetReport::health, sweep);
+  sweep_counters(&RigOutcome::kernel, &FleetReport::kernel, sweep);
+  EXPECT_EQ(sweep.total, 43u);
+  EXPECT_EQ(sweep.max_names,
+            (std::set<std::string>{"timed_peak", "max_deltas_per_instant", "lost_work_ps_max"}));
+  EXPECT_EQ(sweep.wall_names,
+            (std::set<std::string>{"snapshot.encode_wall_ns", "snapshot.restore_wall_ns",
+                                   "snapshot.store_wall_ns"}));
 }
 
 TEST(FleetDriver, ResolveJobsHonorsExplicitCounts) {

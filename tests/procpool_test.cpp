@@ -87,26 +87,14 @@ RigOutcome distinct_outcome() {
   out.sim_time_ps = 102;
   out.events_processed = 103;
   std::uint64_t next = 200;
-  for (std::uint64_t* field :
-       {&out.slo.requests, &out.slo.delivered, &out.slo.lost, &out.slo.transactions,
-        &out.slo.timeouts, &out.slo.retries, &out.slo.recovered, &out.slo.exhausted,
-        &out.slo.errors_raised, &out.slo.errors_unhandled, &out.slo.restarts,
-        &out.slo.escalations, &out.slo.give_ups, &out.slo.watchdog_trips,
-        &out.slo.breaker_opens, &out.slo.breaker_closes, &out.slo.breaker_fast_failed,
-        &out.slo.rollbacks, &out.slo.checkpoints_written,
-        &out.slo.checkpoint_write_faults, &out.slo.rungs_quarantined,
-        &out.slo.ladder_recoveries, &out.slo.crash_recoveries, &out.slo.seeds_poisoned,
-        &out.slo.lost_work_ps_max, &out.health.healthy, &out.health.degraded,
-        &out.health.failed, &out.kernel.timed_peak, &out.kernel.max_deltas_per_instant,
-        &out.kernel.wheel_hits, &out.kernel.heap_hits, &out.kernel.cascades,
-        &out.kernel.processes_registered, &out.kernel.collapsed_notifications,
-        &out.kernel.snapshot.encodes, &out.kernel.snapshot.restores,
-        &out.kernel.snapshot.bytes_written, &out.kernel.snapshot.sections_dirty,
-        &out.kernel.snapshot.sections_total, &out.kernel.snapshot.encode_wall_ns,
-        &out.kernel.snapshot.restore_wall_ns, &out.kernel.snapshot.store_wall_ns,
-        &out.wall_ns, &out.resumed_from_seq}) {
-    *field = next++;
-  }
+  const auto fill = [&next](const char*, sim::Counter, std::uint64_t& field) {
+    field = next++;
+  };
+  SloCounters::counters(fill, out.slo);
+  HealthRollup::counters(fill, out.health);
+  sim::Kernel::Stats::counters(fill, out.kernel);
+  out.wall_ns = next++;
+  out.resumed_from_seq = next++;
   out.fault_template = 3;
   out.attempts = 4;
   return out;

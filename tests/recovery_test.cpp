@@ -1,5 +1,5 @@
 // RecoveryCoordinator tests: policy-driven background checkpointing
-// (interval, dirty-threshold, co-batched refusal-retry),
+// (interval, co-batched refusal-retry),
 // crash recovery through the ladder with a bounded lost-work window,
 // supervisor rollback escalation (poison suppression and bounded retries
 // ending in terminal give-up), time travel via restore_to, and the
@@ -168,22 +168,6 @@ TEST_F(RecoveryTest, BackgroundTicksWriteAtTheCheckpointInterval) {
   EXPECT_EQ(stats.last_checkpoint_seq, store.stats().checkpoints);
   EXPECT_EQ(stats.written + stats.refusals, stats.attempts);
   EXPECT_GT(store.stats().deltas, 0u) << "full-every-Nth cadence emits deltas between bases";
-}
-
-TEST_F(RecoveryTest, DirtyEventThresholdForcesEarlyCheckpoints) {
-  WorkerRig rig;
-  CheckpointStore store(store_config());
-  RecoveryPolicy policy;
-  policy.checkpoint_interval = SimTime::us(1000);  // Interval never elapses.
-  policy.tick_interval = SimTime(20'001);
-  policy.dirty_event_threshold = 20;
-  RecoveryCoordinator coordinator(rig.kernel, store, rig.targets(), policy);
-  coordinator.start();
-  rig.start();
-  rig.kernel.run(SimTime::us(2));
-
-  EXPECT_GE(coordinator.stats().written, 4u)
-      << "the event burst must trigger writes long before the interval";
 }
 
 TEST_F(RecoveryTest, CoBatchedTickIsRefusedAndRetries) {

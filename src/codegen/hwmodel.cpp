@@ -32,7 +32,7 @@ std::uint64_t HwModuleSim::read_register(std::uint64_t offset) {
   ++bus_reads_;
   auto it = registers_.find(offset);
   if (it == registers_.end() || !it->second.readable) return 0;
-  dispatch("read_" + it->second.name, static_cast<std::int64_t>(it->second.value));
+  dispatch("read_", it->second.name, static_cast<std::int64_t>(it->second.value));
   return it->second.value;
 }
 
@@ -41,7 +41,7 @@ void HwModuleSim::write_register(std::uint64_t offset, std::uint64_t value) {
   auto it = registers_.find(offset);
   if (it == registers_.end() || !it->second.writable) return;
   it->second.value = value;
-  dispatch("write_" + it->second.name, static_cast<std::int64_t>(value));
+  dispatch("write_", it->second.name, static_cast<std::int64_t>(value));
 }
 
 sim::BusStatus HwModuleSim::read_register_checked(std::uint64_t offset, std::uint64_t& value) {
@@ -124,10 +124,13 @@ void HwModuleSim::sync_from_behavior() {
   }
 }
 
-void HwModuleSim::dispatch(const std::string& event, std::int64_t data) {
+void HwModuleSim::dispatch(const char* prefix, const std::string& register_name,
+                           std::int64_t data) {
+  // Checked before the event name is built, so a register file without a
+  // behavior allocates nothing per access.
   if (behavior_ == nullptr) return;
   sync_to_behavior();
-  behavior_->dispatch(statechart::Event{event, data});
+  behavior_->dispatch(statechart::Event{prefix + register_name, data});
   sync_from_behavior();
 }
 

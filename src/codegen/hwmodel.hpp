@@ -83,7 +83,8 @@ class HwModuleSim {
 
   void sync_to_behavior();
   void sync_from_behavior();
-  void dispatch(const std::string& event, std::int64_t data);
+  /// Dispatches `prefix + register_name` to the attached behavior, if any.
+  void dispatch(const char* prefix, const std::string& register_name, std::int64_t data);
 
   std::string name_;
   std::map<std::uint64_t, Register> registers_;  // Keyed by offset.

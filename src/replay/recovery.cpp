@@ -1,6 +1,7 @@
 #include "replay/recovery.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "codegen/plantuml.hpp"
@@ -204,7 +205,7 @@ bool RecoveryCoordinator::restore_to(std::uint64_t seq, support::DiagnosticSink&
 }
 
 RecoveryCoordinator::ProbeOutcome RecoveryCoordinator::probe_prefix(
-    const std::vector<sim::RecordedEvent>& expected, std::uint64_t index,
+    const sim::SharedEventLog& expected, std::uint64_t index,
     const std::function<bool()>& failed,
     std::optional<sim::EventRecorder::Divergence>& divergence,
     support::DiagnosticSink& sink) {
@@ -216,7 +217,7 @@ RecoveryCoordinator::ProbeOutcome RecoveryCoordinator::probe_prefix(
   // Timestamp granularity: the probe executes through the whole instant
   // containing the indexed event.
   replaying_ = true;
-  kernel_.run(sim::SimTime(expected[index].at_ps));
+  kernel_.run(sim::SimTime((*expected)[index].at_ps));
   replaying_ = false;
   bool bad = recorder->divergence().has_value();
   if (bad) divergence = recorder->divergence();
@@ -269,11 +270,15 @@ RecoveryCoordinator::RootCauseReport RecoveryCoordinator::root_cause(
     adopt_restored_state();
   };
 
+  // Every probe verifies against this one copy of the log.
+  const sim::SharedEventLog shared_expected =
+      std::make_shared<const std::vector<sim::RecordedEvent>>(expected);
+
   // The search invariant needs probe(failure_index) to trip the oracle.
   std::optional<sim::EventRecorder::Divergence> culprit_divergence;
   ++report.probes;
   const ProbeOutcome anchor =
-      probe_prefix(expected, failure_index, failed, culprit_divergence, sink);
+      probe_prefix(shared_expected, failure_index, failed, culprit_divergence, sink);
   if (anchor == ProbeOutcome::kError) {
     report.summary = "checkpoint ladder exhausted during probing";
     rewind();
@@ -293,7 +298,7 @@ RecoveryCoordinator::RootCauseReport RecoveryCoordinator::root_cause(
     const std::uint64_t mid = lo + (hi - lo) / 2;
     ++report.probes;
     std::optional<sim::EventRecorder::Divergence> div;
-    const ProbeOutcome outcome = probe_prefix(expected, mid, failed, div, sink);
+    const ProbeOutcome outcome = probe_prefix(shared_expected, mid, failed, div, sink);
     if (outcome == ProbeOutcome::kError) {
       report.summary = "checkpoint ladder exhausted during probing (after " +
                        std::to_string(report.probes) + " probes)";

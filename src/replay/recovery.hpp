@@ -157,14 +157,15 @@ class RecoveryCoordinator {
   /// probe rewinds the rig to the last good rung and verify-replays the
   /// prefix through the probe instant. Every probe's restore re-reads and
   /// re-checks that rung's chain from disk; only its decode is reused while
-  /// the bytes read back unchanged (see CheckpointStore). A restore that
-  /// fails mid-search aborts with a "ladder exhausted during probing"
-  /// summary instead of skewing the search. The rig is left rewound to the
-  /// last good checkpoint, with an attached supervisor resumed (a probed
-  /// escalation suspends it, and a supervisor outside the snapshot targets
-  /// is not un-suspended by the restore); when that final rewind cannot
-  /// restore, the summary says the rig holds the last probe's state
-  /// instead. Callers that want the failure state back must replay it
+  /// the bytes read back unchanged (see CheckpointStore). The search makes
+  /// one shared copy of `expected` and verifies every probe against it. A
+  /// restore that fails mid-search aborts with a "ladder exhausted during
+  /// probing" summary instead of skewing the search. The rig is left
+  /// rewound to the last good checkpoint, with an attached supervisor
+  /// resumed (a probed escalation suspends it, and a supervisor outside the
+  /// snapshot targets is not un-suspended by the restore); when that final
+  /// rewind cannot restore, the summary says the rig holds the last probe's
+  /// state instead. Callers that want the failure state back must replay it
   /// themselves.
   [[nodiscard]] RootCauseReport root_cause(const std::vector<sim::RecordedEvent>& expected,
                                            std::uint64_t failure_index,
@@ -183,7 +184,7 @@ class RecoveryCoordinator {
   void tick();
   void adopt_restored_state();
   [[nodiscard]] ProbeOutcome probe_prefix(
-      const std::vector<sim::RecordedEvent>& expected, std::uint64_t index,
+      const sim::SharedEventLog& expected, std::uint64_t index,
       const std::function<bool()>& failed,
       std::optional<sim::EventRecorder::Divergence>& divergence,
       support::DiagnosticSink& sink);

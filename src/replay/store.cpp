@@ -12,10 +12,10 @@
 #include <charconv>
 #include <chrono>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <system_error>
+#include <utility>
 
 namespace umlsoc::replay {
 
@@ -25,7 +25,7 @@ constexpr std::string_view kExtension = ".usnap";
 constexpr std::string_view kTmpSuffix = ".tmp";
 constexpr std::string_view kQuarantineSuffix = ".quarantined";
 
-/// Closes a file descriptor when it leaves scope.
+/// Closes a file descriptor when it leaves scope, unless released.
 class FileDescriptor {
  public:
   explicit FileDescriptor(int fd) : fd_(fd) {}
@@ -35,6 +35,8 @@ class FileDescriptor {
     if (fd_ >= 0) ::close(fd_);
   }
   [[nodiscard]] int get() const { return fd_; }
+  /// Hands the descriptor to the caller, who closes it.
+  int release() { return std::exchange(fd_, -1); }
 
  private:
   int fd_;
@@ -59,17 +61,17 @@ class Directory {
   DIR* stream_;
 };
 
-/// Reads the whole file `name` in `directory`: one openat, fstat, read and
-/// close.
-bool read_file(const Directory& directory, const char* name, std::string& out) {
-  const FileDescriptor file(::openat(directory.fd(), name, O_RDONLY | O_CLOEXEC));
-  struct stat status {};
-  if (file.get() < 0 || ::fstat(file.get(), &status) != 0) return false;
+/// Reads the whole open file `fd` into `out`, from offset 0 whatever the
+/// descriptor's position: one fstat and one pread. `status` receives the
+/// fstat result.
+bool read_whole(int fd, std::string& out, struct stat& status) {
+  if (::fstat(fd, &status) != 0) return false;
   out.resize(static_cast<std::size_t>(status.st_size));
-  // A regular file returns everything in one read; the loop covers short
+  // A regular file returns everything in one pread; the loop covers short
   // reads and signals. A file that shrank underneath fails the read.
   for (std::size_t done = 0; done < out.size();) {
-    const ssize_t got = ::read(file.get(), out.data() + done, out.size() - done);
+    const ssize_t got = ::pread(fd, out.data() + done, out.size() - done,
+                                static_cast<off_t>(done));
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) return false;
     done += static_cast<std::size_t>(got);
@@ -127,22 +129,25 @@ bool land_file(const std::filesystem::path& path, std::string_view bytes, bool l
   return true;
 }
 
-/// Calls `visit(name)` for each regular file in `directory`, following
-/// symlinks as std::filesystem::is_regular_file does. One readdir pass
-/// from where the stream stands (every caller lists a Directory it just
-/// opened), with no path built per entry; `name` is valid only during the
-/// call.
+/// Calls `visit(name, inode)` for each regular file in `directory`,
+/// following symlinks as std::filesystem::is_regular_file does; `inode` is
+/// the file's d_ino, or the fstatat st_ino of an entry that had to be
+/// stat'ed (unknown type or a symlink). One readdir pass from where the
+/// stream stands (every caller lists a Directory it just opened), with no
+/// path built per entry; `name` is valid only during the call.
 template <typename Visit>
 void list_files(Directory& directory, Visit&& visit) {
   if (directory.stream() == nullptr) return;
   while (const dirent* entry = ::readdir(directory.stream())) {
     bool regular = entry->d_type == DT_REG;
+    std::uint64_t inode = entry->d_ino;
     if (entry->d_type == DT_UNKNOWN || entry->d_type == DT_LNK) {
       struct stat status {};
       regular = ::fstatat(directory.fd(), entry->d_name, &status, 0) == 0 &&
                 S_ISREG(status.st_mode);
+      inode = status.st_ino;
     }
-    if (regular) visit(std::string_view(entry->d_name));
+    if (regular) visit(std::string_view(entry->d_name), inode);
   }
 }
 
@@ -163,13 +168,15 @@ bool has_stem(std::string_view name, std::string_view prefix) {
   return name.size() > prefix.size() && name.starts_with(prefix) && name[prefix.size()] == '-';
 }
 
-/// Sequence numbers of the non-quarantined checkpoint files in
-/// `directory`, descending. Names are matched in one listing; no path is
-/// built for a rung until it is pruned or quarantined.
-std::vector<std::uint64_t> scan(Directory& directory, std::string_view prefix) {
-  std::vector<std::uint64_t> seqs;
+/// The non-quarantined checkpoint files in `directory`, with their inodes,
+/// into `rungs`, by seq descending. Names are matched in one listing; no
+/// path is built for a rung until it is pruned or quarantined. (`Rung` is
+/// CheckpointStore::ListedRung, a private type this function cannot name.)
+template <typename Rung>
+void scan(Directory& directory, std::string_view prefix, std::vector<Rung>& rungs) {
+  rungs.clear();
   const std::size_t digits_at = prefix.size() + 1;
-  list_files(directory, [&](std::string_view name) {
+  list_files(directory, [&](std::string_view name, std::uint64_t inode) {
     if (name.size() != digits_at + 8 + kExtension.size() || !has_stem(name, prefix) ||
         !name.ends_with(kExtension)) {
       return;
@@ -177,10 +184,10 @@ std::vector<std::uint64_t> scan(Directory& directory, std::string_view prefix) {
     std::uint64_t seq = 0;
     const char* digits = name.data() + digits_at;
     const auto [ptr, parse_ec] = std::from_chars(digits, digits + 8, seq);
-    if (parse_ec == std::errc() && ptr == digits + 8) seqs.push_back(seq);
+    if (parse_ec == std::errc() && ptr == digits + 8) rungs.push_back({seq, inode});
   });
-  std::sort(seqs.begin(), seqs.end(), std::greater<>());
-  return seqs;
+  std::sort(rungs.begin(), rungs.end(),
+            [](const Rung& a, const Rung& b) { return a.seq > b.seq; });
 }
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
@@ -199,9 +206,48 @@ CheckpointStore::CheckpointStore(CheckpointStoreConfig config) : config_(std::mo
   sweep_stray_tmps();
 }
 
+CheckpointStore::~CheckpointStore() {
+  close_held_if([](const HeldRung&) { return true; });
+}
+
+template <typename Drop>
+void CheckpointStore::close_held_if(Drop&& drop) {
+  std::erase_if(held_, [&drop](const HeldRung& held) {
+    if (!drop(held)) return false;
+    ::close(held.fd);
+    return true;
+  });
+}
+
+bool CheckpointStore::read_rung(int directory_fd, std::uint64_t seq, std::uint64_t inode,
+                                std::string& out) {
+  struct stat status {};
+  const auto held = std::find_if(held_.begin(), held_.end(),
+                                 [seq](const HeldRung& rung) { return rung.seq == seq; });
+  if (held != held_.end()) {
+    // The held descriptor pins its inode, so an equal listed inode means
+    // the name still links to this very file.
+    if (held->inode == inode) {
+      ++stats_.held_reads;
+      return read_whole(held->fd, out, status);
+    }
+    ::close(held->fd);
+    held_.erase(held);
+  }
+  rung_name(config_.prefix, seq, name_);
+  FileDescriptor file(::openat(directory_fd, name_.c_str(), O_RDONLY | O_CLOEXEC));
+  if (file.get() < 0) return false;
+  const bool read = read_whole(file.get(), out, status);
+  if (read && status.st_ino == inode) {
+    held_.push_back({seq, inode, -1});
+    held_.back().fd = file.release();
+  }
+  return read;
+}
+
 void CheckpointStore::sweep_stray_tmps() {
   Directory directory(config_.directory);
-  list_files(directory, [this](std::string_view name) {
+  list_files(directory, [this](std::string_view name, std::uint64_t) {
     if (!has_stem(name, config_.prefix) || !name.ends_with(kTmpSuffix)) return;
     // A pid-scoped tmp whose writer is still running is an in-flight
     // checkpoint of a concurrent store (the race the pid-scoped names exist
@@ -226,8 +272,9 @@ std::filesystem::path CheckpointStore::path_for(std::uint64_t seq) const {
 
 std::uint64_t CheckpointStore::newest_on_disk() const {
   Directory directory(config_.directory);
-  const std::vector<std::uint64_t> seqs = scan(directory, config_.prefix);
-  return seqs.empty() ? 0 : seqs.front();
+  std::vector<ListedRung> rungs;
+  scan(directory, config_.prefix, rungs);
+  return rungs.empty() ? 0 : rungs.front().seq;
 }
 
 bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& out,
@@ -301,10 +348,13 @@ void CheckpointStore::prune(support::DiagnosticSink& sink) {
   if (fulls_.size() <= config_.keep_fulls) return;
   fulls_.erase(fulls_.begin(), fulls_.end() - config_.keep_fulls);
   const std::uint64_t keep_from = fulls_.front();
+  close_held_if([keep_from](const HeldRung& held) { return held.seq < keep_from; });
   Directory directory(config_.directory);
-  for (const std::uint64_t seq : scan(directory, config_.prefix)) {
-    if (seq >= keep_from) continue;
-    const std::filesystem::path path = path_for(seq);
+  std::vector<ListedRung> rungs;
+  scan(directory, config_.prefix, rungs);
+  for (const ListedRung& rung : rungs) {
+    if (rung.seq >= keep_from) continue;
+    const std::filesystem::path path = path_for(rung.seq);
     std::error_code ec;
     if (std::filesystem::remove(path, ec)) {
       ++stats_.pruned;
@@ -314,8 +364,10 @@ void CheckpointStore::prune(support::DiagnosticSink& sink) {
   }
 }
 
-void CheckpointStore::quarantine(const std::filesystem::path& path, std::string reason,
+void CheckpointStore::quarantine(std::uint64_t seq, std::string reason,
                                  support::DiagnosticSink& sink) {
+  close_held_if([seq](const HeldRung& held) { return held.seq == seq; });
+  const std::filesystem::path path = path_for(seq);
   std::error_code ec;
   std::filesystem::rename(path, path.string() + std::string(kQuarantineSuffix), ec);
   if (ec) {
@@ -349,19 +401,18 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
     return false;
   }
   const auto started = std::chrono::steady_clock::now();
-  std::string name;  // The rung being read, relative to the directory.
   // Every pass either restores, or quarantines at least one file and
   // rescans — so the walk terminates.
   for (;;) {
     Directory directory(config_.directory);
-    const std::vector<std::uint64_t> seqs = scan(directory, config_.prefix);
+    scan(directory, config_.prefix, listed_);
     // Rungs newer than the rewind target are skipped, not quarantined: a
     // time-travel probe must leave the rest of the ladder intact. They stay
-    // in `seqs` past the tip choice so delta chains that reach *below*
+    // in the listing past the tip choice so delta chains that reach *below*
     // max_seq still resolve their bases.
     std::size_t first = 0;
-    while (first < seqs.size() && seqs[first] > max_seq) ++first;
-    if (first == seqs.size()) {
+    while (first < listed_.size() && listed_[first].seq > max_seq) ++first;
+    if (first == listed_.size()) {
       sink.error("checkpoint-store",
                  "no restorable checkpoint in " + config_.directory.string() +
                      (max_seq == std::numeric_limits<std::uint64_t>::max()
@@ -372,37 +423,40 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
         health_->set_health(health_unit_, sim::UnitHealth::kFailed,
                             "recovery ladder exhausted");
       }
+      // Nothing listed is left to read; failed passes may have opened rungs
+      // of chains that never restored.
+      close_held_if([](const HeldRung&) { return true; });
       return false;
     }
 
-    const std::uint64_t tip = seqs[first];
+    const std::uint64_t tip = listed_[first].seq;
     // Materialize the tip's chain, newest to oldest, via base_seq links,
-    // keeping each rung's bytes for the decoder.
-    std::vector<std::uint64_t> chain;  // tip first, base last
-    std::vector<std::string> blobs;    // parallel to chain
+    // reading rung i of chain_ into read_[i].
+    chain_.clear();
     std::string tip_failure;
     std::optional<std::uint64_t> broken;
-    std::uint64_t cursor = tip;
+    const ListedRung* cursor = &listed_[first];
     for (;;) {
-      std::string bytes;
+      if (read_.size() == chain_.size()) read_.emplace_back();
+      std::string& bytes = read_[chain_.size()];
       support::DiagnosticSink probe;
       BinarySnapshotInfo info;
-      rung_name(config_.prefix, cursor, name);
-      if (!read_file(directory, name.c_str(), bytes)) {
-        broken = cursor;
+      if (!read_rung(directory.fd(), cursor->seq, cursor->inode, bytes)) {
+        broken = cursor->seq;
         tip_failure = "unreadable file";
         break;
       }
       if (!read_binary_info(bytes, info, probe)) {
-        broken = cursor;
+        broken = cursor->seq;
         tip_failure = probe.str();
         break;
       }
-      chain.push_back(cursor);
-      blobs.push_back(std::move(bytes));
+      chain_.push_back(cursor->seq);
       if (!info.delta) break;  // Reached the full base.
-      if (std::find(seqs.begin(), seqs.end(), info.base_seq) == seqs.end() ||
-          chain.size() > seqs.size()) {
+      const auto base = std::find_if(
+          listed_.begin(), listed_.end(),
+          [&info](const ListedRung& rung) { return rung.seq == info.base_seq; });
+      if (base == listed_.end() || chain_.size() > listed_.size()) {
         // The base was lost, quarantined, or the links cycle; nothing this
         // delta chains to can be trusted, so the tip itself steps aside.
         broken = tip;
@@ -410,41 +464,54 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
                       std::to_string(info.base_seq) + ", which is missing";
         break;
       }
-      cursor = info.base_seq;
+      cursor = &*base;
     }
     if (broken) {
-      quarantine(path_for(*broken), std::move(tip_failure), sink);
+      quarantine(*broken, std::move(tip_failure), sink);
       continue;
     }
 
-    // Oldest-first for the decoder, which validates the chain in one pass
-    // and names the rung a failure belongs to.
-    std::reverse(chain.begin(), chain.end());
-    std::reverse(blobs.begin(), blobs.end());
     // The decode is a function of the rung bytes alone: a chain that read
-    // back byte for byte as the remembered one gets the remembered image.
-    const bool reused = chain == decoded_.seqs && blobs == decoded_.rungs;
+    // back byte for byte as the remembered one (kept oldest first) gets the
+    // remembered image.
+    const std::size_t length = chain_.size();
+    bool reused = length == decoded_.seqs.size();
+    for (std::size_t i = 0; reused && i < length; ++i) {
+      const std::size_t remembered = length - 1 - i;
+      reused = chain_[i] == decoded_.seqs[remembered] && read_[i] == decoded_.rungs[remembered];
+    }
     if (!reused) {
-      decoded_ = {};
+      // Forget the remembered chain; its rung buffers are swapped into
+      // read_ below for the next pass.
+      decoded_.seqs.clear();
+      decoded_.image = {};
+      // Oldest first for the decoder, which validates the chain in one
+      // pass and names the rung a failure belongs to.
+      const std::vector<std::string_view> oldest_first(read_.rend() - length, read_.rend());
       support::DiagnosticSink attempt;
       std::size_t failed = 0;
-      if (!image_from_binary_chain({blobs.begin(), blobs.end()}, decoded_.image, attempt,
-                                   &failed)) {
-        quarantine(path_for(chain[failed]), attempt.str(), sink);
+      if (!image_from_binary_chain(oldest_first, decoded_.image, attempt, &failed)) {
+        close_held_if([](const HeldRung&) { return true; });
+        quarantine(chain_[length - 1 - failed], attempt.str(), sink);
         continue;
       }
-      decoded_.seqs = std::move(chain);
-      decoded_.rungs = std::move(blobs);
+      decoded_.seqs.assign(chain_.rbegin(), chain_.rend());
+      decoded_.rungs.resize(length);
+      for (std::size_t i = 0; i < length; ++i) decoded_.rungs[i].swap(read_[length - 1 - i]);
     }
 
     support::DiagnosticSink apply_sink;
     if (!apply_image(targets, decoded_.image, apply_sink)) {
-      quarantine(path_for(decoded_.seqs.back()), "restore failed: " + apply_sink.str(), sink);
+      quarantine(decoded_.seqs.back(), "restore failed: " + apply_sink.str(), sink);
       continue;
     }
+    // Keep exactly the restored chain's rungs open.
+    close_held_if([this](const HeldRung& held) {
+      return std::find(chain_.begin(), chain_.end(), held.seq) == chain_.end();
+    });
     targets.kernel->note_snapshot_restore(elapsed_ns(started));
     // Later checkpoints start a new chain numbered above every rung on disk.
-    encoder_.resume_after(seqs.front());
+    encoder_.resume_after(listed_.front().seq);
     ++stats_.restores;
     if (reused) ++stats_.reused_decodes;
     stats_.restored_seq = decoded_.seqs.back();

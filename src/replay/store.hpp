@@ -16,10 +16,11 @@
 // checksums, chain links, payload decodes) before anything is applied.
 // Each pass of a restore opens the directory once and works relative to
 // that descriptor: it lists the directory with readdir (other processes
-// may write it), matching rung names without building paths, and reads
-// each rung of the chain with one openat/fstat/read/close of its short
-// name. The rung bytes go straight to the one-pass chain decoder
-// (image_from_binary_chain), which names the rung a failure belongs to. A
+// may write it), matching rung names without building paths and noting
+// the inode each name links to, and reads every rung of the chain in full
+// into buffers the store keeps (see "Held rung files" below for how). The
+// rung bytes go to the one-pass chain decoder (image_from_binary_chain),
+// which names the rung a failure belongs to. A
 // corrupt, truncated or version-skewed file is *quarantined* — renamed to
 // `<name>.quarantined`, recorded with its structured diagnostics, reported
 // to an optional HealthRegistry as a degraded unit — and the ladder steps
@@ -43,6 +44,26 @@
 // differently and decodes afresh. A failed decode forgets the chain. The
 // store holds one chain; root-cause probes, which restore the same
 // last-good chain over and over, are the pattern this serves.
+//
+// Held rung files: the store also keeps each rung of the remembered chain
+// open (read-only, close-on-exec) with the inode it was opened on, and a
+// later pass reads a rung through that descriptor (one fstat and one pread
+// from offset 0) when its own listing shows the same inode under the
+// rung's name; otherwise it opens the name (openat, fstat, pread, close)
+// and keeps the descriptor only when its st_ino equals the listed inode.
+// An open descriptor pins its inode, so no other file can take that number
+// while the store holds it: an equal inode means the name still links to
+// that very file. An in-place write or truncation is read by the pread; a
+// rename over the name, a delete or a recreate lists a new inode and the
+// name is opened afresh. Where a file system's d_ino differs from st_ino
+// no descriptor is kept and every rung is opened by name. Either way every
+// rung is read in full in every pass, and the decode key is the bytes that
+// pass read. Lifetime: after a successful restore the store holds exactly
+// the restored chain's descriptors and closes every other; a failed
+// decode or an exhausted ladder closes them all, a quarantine or a prune
+// of a rung closes its descriptor, and so does the destructor. So between
+// calls a store holds at most one chain's rungs open, and it is not
+// copyable.
 //
 // Fault injection: an installed FaultPlan is consulted once per write at
 // FaultSite::kCheckpoint. kError tears the file (half written), kBitFlip
@@ -106,9 +127,15 @@ class CheckpointStore {
     /// Restores that applied the remembered image of a byte-identical chain
     /// instead of decoding it again (counted in `restores` too).
     std::uint64_t reused_decodes = 0;
+    /// Rung reads served through a descriptor the store held from an
+    /// earlier read instead of opening the rung's name.
+    std::uint64_t held_reads = 0;
   };
 
   explicit CheckpointStore(CheckpointStoreConfig config);
+  CheckpointStore(const CheckpointStore&) = delete;
+  CheckpointStore& operator=(const CheckpointStore&) = delete;
+  ~CheckpointStore();
 
   /// Installs (or clears) the fault plan consulted per write at
   /// FaultSite::kCheckpoint.
@@ -163,12 +190,34 @@ class CheckpointStore {
     SnapshotImage image;
   };
 
+  /// A checkpoint file found by one listing: its seq and the inode its name
+  /// linked to then.
+  struct ListedRung {
+    std::uint64_t seq = 0;
+    std::uint64_t inode = 0;
+  };
+
+  /// A rung file kept open across restores, and the inode it was opened on.
+  struct HeldRung {
+    std::uint64_t seq = 0;
+    std::uint64_t inode = 0;
+    int fd = -1;
+  };
+
   [[nodiscard]] std::filesystem::path path_for(std::uint64_t seq) const;
   /// Shared ladder walk: restores the newest rung with seq <= max_seq.
   [[nodiscard]] bool restore_ladder(std::uint64_t max_seq, const SnapshotTargets& targets,
                                     support::DiagnosticSink& sink);
-  void quarantine(const std::filesystem::path& path, std::string reason,
-                  support::DiagnosticSink& sink);
+  /// Reads rung `seq`, listed with `inode`, in full into `out`: through its
+  /// held descriptor when that was opened on `inode`, else by opening its
+  /// name relative to `directory_fd` (holding the new descriptor when its
+  /// inode is `inode`).
+  [[nodiscard]] bool read_rung(int directory_fd, std::uint64_t seq, std::uint64_t inode,
+                               std::string& out);
+  /// Closes the held descriptors whose rung `drop` selects.
+  template <typename Drop>
+  void close_held_if(Drop&& drop);
+  void quarantine(std::uint64_t seq, std::string reason, support::DiagnosticSink& sink);
   void prune(support::DiagnosticSink& sink);
   /// Deletes stray `*.tmp` siblings left by a crashed (or SIGKILLed) writer.
   /// Called at open: by then any previous owner of the directory is dead —
@@ -186,6 +235,15 @@ class CheckpointStore {
   std::vector<std::uint64_t> fulls_;    ///< Seqs of retained full snapshots, ascending.
   std::vector<QuarantineRecord> quarantined_;
   DecodedChain decoded_;  ///< Empty until a restore decodes a chain.
+  /// Open rung files; between calls, at most the rungs of `decoded_`.
+  std::vector<HeldRung> held_;
+  /// Per-pass scratch, kept so that a pass allocates nothing per rung: the
+  /// listing, the chain's seqs tip first, the rung bytes read in that order
+  /// and the name of the rung being opened.
+  std::vector<ListedRung> listed_;
+  std::vector<std::uint64_t> chain_;
+  std::vector<std::string> read_;
+  std::string name_;
   Stats stats_;
 };
 

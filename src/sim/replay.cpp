@@ -1,5 +1,7 @@
 #include "sim/replay.hpp"
 
+#include <algorithm>
+
 namespace umlsoc::sim {
 
 namespace {
@@ -41,19 +43,24 @@ std::vector<RecordedEvent> EventRecorder::log() const {
   return out;
 }
 
-void EventRecorder::restore_log(std::vector<RecordedEvent> events, std::uint64_t total) {
-  events_ = std::move(events);
+void EventRecorder::restore_log(const std::vector<RecordedEvent>& events,
+                                std::uint64_t total) {
+  // A ring keeps only the newest ring_capacity_ events.
+  const std::size_t kept = ring_capacity_ == 0 ? events.size()
+                                               : std::min(events.size(), ring_capacity_);
+  events_.assign(events.end() - static_cast<std::ptrdiff_t>(kept), events.end());
   ring_head_ = 0;
   total_ = total;
-  if (ring_capacity_ != 0 && events_.size() > ring_capacity_) {
-    events_.erase(events_.begin(),
-                  events_.end() - static_cast<std::ptrdiff_t>(ring_capacity_));
-  }
   divergence_.reset();
 }
 
 void EventRecorder::begin_verify(std::vector<RecordedEvent> expected,
                                  std::uint64_t start_index) {
+  begin_verify(std::make_shared<const std::vector<RecordedEvent>>(std::move(expected)),
+               start_index);
+}
+
+void EventRecorder::begin_verify(SharedEventLog expected, std::uint64_t start_index) {
   mode_ = Mode::kVerify;
   expected_ = std::move(expected);
   total_ = start_index;
@@ -63,15 +70,15 @@ void EventRecorder::begin_verify(std::vector<RecordedEvent> expected,
 void EventRecorder::end_verify() {
   if (mode_ != Mode::kVerify) return;
   mode_ = Mode::kRecord;
-  expected_.clear();
+  expected_.reset();
 }
 
 std::optional<EventRecorder::Divergence> EventRecorder::missing_events() const {
   if (divergence_.has_value()) return divergence_;
-  if (mode_ != Mode::kVerify || total_ >= expected_.size()) return std::nullopt;
+  if (mode_ != Mode::kVerify || total_ >= expected_->size()) return std::nullopt;
   Divergence divergence;
   divergence.index = total_;
-  divergence.expected = expected_[total_];
+  divergence.expected = (*expected_)[total_];
   divergence.actual = RecordedEvent{};  // process == kInvalidProcess: end of run.
   return divergence;
 }
@@ -82,17 +89,18 @@ void EventRecorder::on_event_slow(std::uint64_t at_ps, ProcessId process,
   const std::uint64_t index = total_++;
 
   if (mode_ == Mode::kVerify && !divergence_.has_value()) {
-    if (index >= expected_.size()) {
+    const std::vector<RecordedEvent>& expected = *expected_;
+    if (index >= expected.size()) {
       Divergence divergence;
       divergence.index = index;
       divergence.extra_event = true;
       divergence.actual = event;
       divergence.actual_label = kernel.process_label(process);
       divergence_ = std::move(divergence);
-    } else if (expected_[index] != event) {
+    } else if (expected[index] != event) {
       Divergence divergence;
       divergence.index = index;
-      divergence.expected = expected_[index];
+      divergence.expected = expected[index];
       divergence.actual = event;
       if (divergence.expected.process < kernel.process_count()) {
         divergence.expected_label = kernel.process_label(divergence.expected.process);

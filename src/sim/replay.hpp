@@ -16,11 +16,19 @@
 //    crashing or silently drifting. Recording continues during verification
 //    so the actual log stays available for inspection.
 //
+// The expected log is held as a SharedEventLog, a shared pointer to an
+// immutable vector: a caller that verifies many windows against one
+// recording (a root-cause search runs one per probe) makes one shared copy
+// and hands it to every begin_verify, instead of copying the log per
+// window. The recorder keeps the log alive for as long as it verifies
+// against it, so no caller has to.
+//
 // Cost: detached, one pointer null check per event in the kernel hot path;
 // attached, one bounds check and a 16-byte append.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,6 +44,9 @@ struct RecordedEvent {
 
   friend bool operator==(const RecordedEvent&, const RecordedEvent&) = default;
 };
+
+/// An immutable event log shared by every verify window that reads it.
+using SharedEventLog = std::shared_ptr<const std::vector<RecordedEvent>>;
 
 class EventRecorder {
  public:
@@ -74,14 +85,20 @@ class EventRecorder {
   /// Replaces the log (snapshot restore): `events` become the retained
   /// prefix and `total` the running count. Recording continues after them,
   /// so a restored run's final log is directly comparable with an
-  /// uninterrupted run's.
-  void restore_log(std::vector<RecordedEvent> events, std::uint64_t total);
+  /// uninterrupted run's. The events are copied into the buffer the
+  /// recorder already holds, so a restore allocates only when the log
+  /// outgrows it.
+  void restore_log(const std::vector<RecordedEvent>& events, std::uint64_t total);
 
   /// Switches to verify mode: events from stream position `start_index`
   /// onward are compared against `expected[start_index...]`. Pass the full
   /// expected log with start_index = total_events() to verify a restored
-  /// run's continuation against an uninterrupted reference.
+  /// run's continuation against an uninterrupted reference. This overload
+  /// moves `expected` into a new shared log; a caller passing an lvalue
+  /// copies it.
   void begin_verify(std::vector<RecordedEvent> expected, std::uint64_t start_index = 0);
+  /// As above, verifying against `expected` (not null) without copying it.
+  void begin_verify(SharedEventLog expected, std::uint64_t start_index = 0);
 
   /// Returns to record mode after a verify window, keeping the stream
   /// position and the retained log. Events past the expected log's end no
@@ -126,7 +143,7 @@ class EventRecorder {
   std::vector<RecordedEvent> events_;  // Ring when ring_capacity_ != 0.
   std::size_t ring_head_ = 0;          // Oldest retained entry (ring mode).
   std::uint64_t total_ = 0;
-  std::vector<RecordedEvent> expected_;
+  SharedEventLog expected_;  // Set in verify mode only.
   std::optional<Divergence> divergence_;
 };
 

@@ -19,6 +19,11 @@
 #include "statechart/model.hpp"
 #include "support/diagnostics.hpp"
 
+namespace umlsoc::support {
+class ByteReader;
+class ByteWriter;
+}  // namespace umlsoc::support
+
 namespace umlsoc::statechart {
 
 /// Checkpointable execution state of one engine. Vertices and regions are
@@ -64,6 +69,9 @@ struct InstanceSnapshot {
 /// The flags and counters are each caller's own head: the checkpoint codec
 /// (replay/binary.cpp) writes both ahead of this layout, the verifier's
 /// state encoding (verify/statespace.cpp) a flags word and no counters.
+/// Both codec instantiations are compiled once, in engine.cpp (see the
+/// extern declarations below), so every binary runs the same copy whatever
+/// order its libraries link in.
 template <typename Io>
 void transfer_execution_state(Io& io, InstanceSnapshot& snapshot) {
   const auto pair = [&io](auto& entry) {
@@ -86,6 +94,9 @@ void transfer_execution_state(Io& io, InstanceSnapshot& snapshot) {
   io.sequence(snapshot.queue, event);
   io.sequence(snapshot.deferred, event);
 }
+
+extern template void transfer_execution_state(support::ByteWriter&, InstanceSnapshot&);
+extern template void transfer_execution_state(support::ByteReader&, InstanceSnapshot&);
 
 /// One executing state machine, independent of execution strategy.
 class Engine {

@@ -83,7 +83,7 @@ ReplayReport replay_counterexample(Network& network,
   // Reproduction check at the path's end state.
   if (property->kind() == Property::Kind::kState) {
     const EventChoice* step = violation.path.empty() ? nullptr : &violation.path.back();
-    PropertyContext context{network, step, std::move(last_deltas), last_fired};
+    PropertyContext context{network, step, last_deltas, last_fired};
     report.reproduced = property->check(context).has_value();
     if (!report.reproduced) report.detail = "property held at the replayed end state";
   } else {

@@ -363,7 +363,7 @@ class Explorer {
 
   /// Runs every state property; records at most one violation per property.
   /// Returns true when a new violation was recorded.
-  bool check_state_properties(const EventChoice* step, const std::vector<StepDelta>& deltas,
+  bool check_state_properties(const EventChoice* step, std::span<const StepDelta> deltas,
                               bool fired, std::uint32_t state_id, ExploreResult& result) {
     if (!has_state_properties()) return false;
     PropertyContext context{network_, step, deltas, fired};

@@ -17,8 +17,8 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace umlsoc::verify {
 
@@ -40,8 +40,9 @@ struct PropertyContext {
   /// The alphabet entry just delivered; null at the initial state and for
   /// deadlock checks (which evaluate the state itself, not a step).
   const EventChoice* step = nullptr;
-  /// Parallel to the network's instances; empty when step is null.
-  std::vector<StepDelta> deltas;
+  /// Parallel to the network's instances; empty when step is null. A view
+  /// of the caller's deltas, valid for the check.
+  std::span<const StepDelta> deltas;
   /// True when `step` fired at least one transition in some instance.
   bool any_transition_fired = false;
 };

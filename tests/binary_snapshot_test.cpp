@@ -3,9 +3,12 @@
 // bit-flips, replaced/erased/inserted bytes, duplicated sections, version
 // skew), incremental delta chains, and the CheckpointStore recovery ladder
 // (corrupt/version-skewed/missing files quarantined, write faults injected
-// through FaultSite::kCheckpoint, and a store reusing its last decode only
-// while the chain reads back byte-identical).
+// through FaultSite::kCheckpoint, a store reusing its last decode only
+// while the chain reads back byte-identical, and the rung descriptors it
+// holds: reused only for the inode they were opened on, at most one chain
+// of them, none left on a quarantined or pruned rung).
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -780,6 +783,34 @@ bool write_file(const std::filesystem::path& path, std::string_view bytes) {
   return out.good();
 }
 
+/// Where each of this process's open descriptors links to, read from
+/// /proc/self/fd (the listing's own descriptor is gone by the time its link
+/// is read, so it does not show).
+std::vector<std::string> open_descriptor_links() {
+  std::vector<std::string> links;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::filesystem::path target = std::filesystem::read_symlink(entry.path(), ec);
+    if (!ec) links.push_back(target.string());
+  }
+  return links;
+}
+
+/// Open descriptors whose link ends in `.quarantined` or ` (deleted)`.
+std::vector<std::string> descriptors_on_dead_rungs() {
+  std::vector<std::string> dead;
+  for (const std::string& link : open_descriptor_links()) {
+    if (link.ends_with(".quarantined") || link.ends_with(" (deleted)")) dead.push_back(link);
+  }
+  return dead;
+}
+
+std::uint64_t inode_of(const std::filesystem::path& path) {
+  struct stat status {};
+  EXPECT_EQ(::stat(path.c_str(), &status), 0) << path;
+  return status.st_ino;
+}
+
 std::vector<std::filesystem::path> snapshot_files(const std::filesystem::path& dir) {
   std::vector<std::filesystem::path> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -1174,6 +1205,95 @@ TEST_F(CheckpointStoreTest, RestoreToARungInsideTheRememberedChain) {
   expect_same_outcome(rewound, reference, reference_log);
 }
 
+TEST_F(CheckpointStoreTest, RungRecreatedUnderItsNameIsReopened) {
+  FullRig reference(*machine_);
+  reference.run();
+  const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
+
+  FullRig source(*machine_);
+  CheckpointStore store(config(/*full_interval=*/8));
+  write_checkpoints(source, store, 5);
+
+  // The first restore opens the five rungs of chain 1..5 by name and holds
+  // them; the second reads all five through the held descriptors.
+  CheckpointStore recovery(config(8));
+  support::DiagnosticSink sink;
+  FullRig first(*machine_);
+  ASSERT_TRUE(recovery.restore_latest_good(first.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().held_reads, 0u);
+  FullRig second(*machine_);
+  ASSERT_TRUE(recovery.restore_latest_good(second.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().held_reads, 5u);
+  EXPECT_EQ(recovery.stats().reused_decodes, 1u);
+
+  // Rung 3 is recreated under its name with the same bytes: a new file,
+  // renamed over the old one. The store must open the name again, not read
+  // the file it holds (which no name links to any more).
+  const std::filesystem::path rung_3 = snapshot_files(dir_)[2];
+  const std::uint64_t old_inode = inode_of(rung_3);
+  std::string bytes;
+  ASSERT_TRUE(read_file(rung_3, bytes));
+  const std::filesystem::path copy = rung_3.string() + ".copy";
+  ASSERT_TRUE(write_file(copy, bytes));
+  std::filesystem::rename(copy, rung_3);
+  ASSERT_NE(inode_of(rung_3), old_inode) << "the held descriptor pins the old inode";
+
+  FullRig third(*machine_);
+  ASSERT_TRUE(recovery.restore_latest_good(third.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().held_reads, 5u + 4u) << "rung 3 is opened by name";
+  EXPECT_EQ(recovery.stats().reused_decodes, 2u) << "the bytes read are the same";
+  EXPECT_EQ(recovery.stats().restored_seq, 5u);
+  third.run();
+  expect_same_outcome(third, reference, reference_log);
+
+  // The new file's descriptor is held from then on.
+  FullRig fourth(*machine_);
+  ASSERT_TRUE(recovery.restore_latest_good(fourth.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().held_reads, 9u + 5u);
+  fourth.run();
+  expect_same_outcome(fourth, reference, reference_log);
+}
+
+TEST_F(CheckpointStoreTest, StoreHoldsAtMostOneChainOfDescriptors) {
+  FullRig source(*machine_);
+  CheckpointStore store(config(/*full_interval=*/8));
+  write_checkpoints(source, store, 5);
+
+  const std::size_t before = open_descriptor_links().size();
+  {
+    CheckpointStore recovery(config(8));
+    support::DiagnosticSink sink;
+    for (int restore = 0; restore < 6; ++restore) {
+      FullRig restored(*machine_);
+      ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+      EXPECT_LE(open_descriptor_links().size(), before + 5) << "chain 1..5 has five rungs";
+    }
+    EXPECT_EQ(recovery.stats().held_reads, 5u * 5u);
+    // Rewinding to rung 3 keeps rungs 1..3 open and closes 4 and 5.
+    FullRig rewound(*machine_);
+    ASSERT_TRUE(recovery.restore_to(3, rewound.targets(), sink)) << sink.str();
+    EXPECT_LE(open_descriptor_links().size(), before + 3);
+  }
+  EXPECT_EQ(open_descriptor_links().size(), before) << "the destructor closes them all";
+}
+
+TEST_F(CheckpointStoreTest, PrunedRungLeavesNoDescriptorOpen) {
+  FullRig source(*machine_);
+  CheckpointStore store(config());
+  write_checkpoints(source, store, 5);
+
+  // The store that restored chain 4..5 writes on until its rotation
+  // deletes that chain.
+  CheckpointStore recovery(config(/*full_interval=*/3, /*keep_fulls=*/1));
+  FullRig resumed(*machine_);
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(recovery.restore_latest_good(resumed.targets(), sink)) << sink.str();
+  write_checkpoints(resumed, recovery, 4, /*first=*/5);
+  ASSERT_GT(recovery.stats().pruned, 0u);
+  ASSERT_FALSE(std::filesystem::exists(dir_ / "ckpt-00000005.usnap"));
+  EXPECT_EQ(descriptors_on_dead_rungs(), std::vector<std::string>{});
+}
+
 /// Faults in the middle of a chain. Two chains (fulls at seq 1 and 5,
 /// full_interval 4); the newest chain's second delta, seq 7, is damaged.
 /// The ladder must blame seq 7 itself when it is present, quarantine the
@@ -1319,6 +1439,15 @@ TEST_F(CheckpointStoreMidChainTest, SameSizeForeignDeltaAfterARestoreBypassesThe
                            {8, "delta 8 needs base checkpoint 7, which is missing"}});
   EXPECT_EQ(recovery.stats().restores, 2u);
   EXPECT_EQ(recovery.stats().reused_decodes, 0u);
+}
+
+TEST_F(CheckpointStoreMidChainTest, QuarantinedRungLeavesNoDescriptorOpen) {
+  CheckpointStore recovery(config(4));
+  restore_undamaged(recovery);
+  flip_payload_bit_of_rung_7();
+  expect_ladder(recovery, {{7, "section checksum mismatch in <bank name='memory'>"},
+                           {8, "delta 8 needs base checkpoint 7, which is missing"}});
+  EXPECT_EQ(descriptors_on_dead_rungs(), std::vector<std::string>{});
 }
 
 TEST_F(CheckpointStoreMidChainTest, MissingDeltaQuarantinesTheDeltaThatNeedsIt) {

@@ -407,6 +407,43 @@ TEST_F(ReplayTest, VerifyModePassesOnFaithfulReplay) {
   EXPECT_EQ(replayed.recorder.missing_events(), std::nullopt);
 }
 
+TEST_F(ReplayTest, SharedExpectedLogVerifiesAsACopiedLogDoes) {
+  Rig reference(*machine_);
+  reference.run();
+  const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
+  const sim::SharedEventLog shared =
+      std::make_shared<const std::vector<sim::RecordedEvent>>(reference_log);
+
+  // Two verify windows of one rig against the one shared log, as two
+  // root-cause probes run: up to mid-run, then on to the end.
+  Rig replayed(*machine_);
+  replayed.recorder.begin_verify(shared);
+  replayed.run(kMidRunPs);
+  EXPECT_EQ(replayed.recorder.divergence(), std::nullopt);
+  replayed.recorder.end_verify();
+  EXPECT_EQ(shared.use_count(), 1) << "end_verify lets go of the log";
+  replayed.recorder.begin_verify(shared, replayed.recorder.total_events());
+  replayed.run();
+  EXPECT_EQ(replayed.recorder.divergence(), std::nullopt);
+  EXPECT_EQ(replayed.recorder.missing_events(), std::nullopt);
+  EXPECT_EQ(replayed.recorder.log(), reference_log);
+
+  // A perturbed run latches the same divergence against either log.
+  const auto diverge = [this](const auto& expected) {
+    Rig perturbed(*machine_);
+    perturbed.recorder.begin_verify(expected);
+    perturbed.kernel.schedule(SimTime::ns(1), perturbed.perturb);
+    perturbed.run();
+    return perturbed.recorder.divergence();
+  };
+  const std::optional<sim::EventRecorder::Divergence> copied = diverge(reference_log);
+  const std::optional<sim::EventRecorder::Divergence> from_shared = diverge(shared);
+  ASSERT_TRUE(copied.has_value());
+  ASSERT_TRUE(from_shared.has_value());
+  EXPECT_EQ(from_shared->str(), copied->str());
+  EXPECT_EQ(*shared, reference_log);
+}
+
 TEST_F(ReplayTest, VerifyModeReportsRunsThatStopShort) {
   Rig reference(*machine_);
   reference.run();

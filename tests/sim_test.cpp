@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "sim/bus.hpp"
+#include "sim/replay.hpp"
 #include "sim/signal.hpp"
 #include "sim/trace.hpp"
 
@@ -534,6 +535,24 @@ TEST(Kernel, SteadyStateSignalTrafficIsAllocationFree) {
   kernel.run(SimTime::us(20));
   EXPECT_GT(edges, 1000L);
   EXPECT_EQ(g_heap_allocations.load(), allocations_before);
+}
+
+TEST(EventRecorder, RestoreLogCopiesIntoTheBufferItHolds) {
+  // A snapshot restore replaces the log with a shorter one; the recorder
+  // keeps its buffer, so neither the restore nor recording back up to the
+  // old length allocates.
+  Kernel kernel;
+  EventRecorder recorder;
+  for (std::uint64_t i = 0; i < 1000; ++i) recorder.on_event(i, 0, kernel);
+  const std::vector<RecordedEvent> full = recorder.log();
+  const std::vector<RecordedEvent> prefix(full.begin(), full.begin() + 400);
+  const std::uint64_t allocations_before = g_heap_allocations.load();
+  recorder.restore_log(prefix, prefix.size());
+  EXPECT_EQ(recorder.total_events(), 400u);
+  for (std::uint64_t i = 400; i < 1000; ++i) recorder.on_event(i, 0, kernel);
+  EXPECT_EQ(g_heap_allocations.load(), allocations_before);
+  EXPECT_EQ(recorder.log(), full);
+  EXPECT_EQ(recorder.total_events(), 1000u);
 }
 
 // Property: N producers and one consumer over a fifo — every produced item

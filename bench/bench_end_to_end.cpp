@@ -136,7 +136,10 @@ void BM_BehavioralHwModelDispatch(benchmark::State& state) {
   top.add_transition(initial, idle);
   top.add_transition(idle, busy).set_trigger("write_tx_data");
   top.add_transition(busy, idle).set_trigger("write_tx_data");
-  module.attach_behavior(machine);
+  if (!module.attach_behavior(machine, sink)) {
+    state.SkipWithError(sink.str().c_str());
+    return;
+  }
 
   for (auto _ : state) {
     module.write_register(0x0, 0x55);

@@ -7,7 +7,7 @@
 
 #include "codegen/plantuml.hpp"
 #include "interaction/trace.hpp"
-#include "statechart/interpreter.hpp"
+#include "statechart/compile.hpp"
 #include "statechart/validate.hpp"
 #include "usecase/model.hpp"
 
@@ -92,8 +92,15 @@ int main() {
   std::printf("--- sequence diagram ---\n%s\n",
               codegen::to_plantuml_sequence(spec).c_str());
 
-  // Execute the machine and record the externally visible trace.
-  statechart::StateMachineInstance instance(*machine);
+  // Compile the machine to plan tables, execute it and record the
+  // externally visible trace.
+  const std::unique_ptr<statechart::CompiledMachine> compiled =
+      statechart::compile(*machine, sink);
+  if (compiled == nullptr) {
+    std::fputs(sink.str().c_str(), stderr);
+    return 1;
+  }
+  statechart::Engine& instance = *compiled;
   instance.start();
   interaction::Trace observed;
   auto drive = [&](const char* event, std::int64_t data = 0) {

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "codegen/plantuml.hpp"
-#include "statechart/interpreter.hpp"
+#include "statechart/compile.hpp"
 #include "statechart/validate.hpp"
 #include "uml/validate.hpp"
 #include "xmi/serialize.hpp"
@@ -47,13 +47,18 @@ int main() {
     return 1;
   }
 
-  // 3. Execute it.
-  statechart::StateMachineInstance instance(machine);
-  instance.start();
-  for (int i = 0; i < 5; ++i) instance.dispatch({"toggle"});
+  // 3. Compile it to plan tables and execute it.
+  const std::unique_ptr<statechart::CompiledMachine> instance =
+      statechart::compile(machine, sink);
+  if (instance == nullptr) {
+    std::fputs(sink.str().c_str(), stderr);
+    return 1;
+  }
+  instance->start();
+  for (int i = 0; i < 5; ++i) instance->dispatch({"toggle"});
   std::printf("after 5 toggles: state=%s blink_count=%lld\n",
-              instance.active_leaf_names().front().c_str(),
-              static_cast<long long>(instance.variable("blink_count")));
+              instance->active_leaf_names().front().c_str(),
+              static_cast<long long>(instance->variable("blink_count")));
 
   // 4. Diagrams as PlantUML text.
   std::printf("\n--- class diagram ---\n%s",

@@ -374,8 +374,6 @@ int run_check_variant(bool seeded_bug, support::DiagnosticSink& sink) {
   const auto driver = soak::compile_machine(models.driver);
   const auto monitor = soak::compile_machine(models.monitor);
   models.monitor_instance = monitor.get();
-  driver->set_trace_enabled(false);
-  monitor->set_trace_enabled(false);
   driver->start();
   monitor->start();
 
@@ -527,7 +525,6 @@ int run_demo(const soak::Model& model, support::DiagnosticSink& sink) {
   htop.add_transition(degraded, dead).set_trigger("bus_failed");
   const std::unique_ptr<statechart::CompiledMachine> health =
       soak::compile_machine(health_machine);
-  health->set_trace_enabled(false);
   health->start();
 
   sim::Kernel faulty_kernel;

@@ -7,7 +7,7 @@
 
 #include "codegen/asl_binding.hpp"
 #include "codegen/plantuml.hpp"
-#include "statechart/interpreter.hpp"
+#include "statechart/compile.hpp"
 #include "xmi/behavior.hpp"
 
 using namespace umlsoc;
@@ -69,17 +69,22 @@ int main() {
     return 1;
   }
 
-  // 3. Run a purchase.
-  statechart::StateMachineInstance instance(*machine);
-  instance.start();
-  instance.dispatch({"select", 3});  // Not enough credit.
-  instance.dispatch({"coin", 100});
-  instance.dispatch({"coin", 100});
-  instance.dispatch({"select", 7});  // Item 7; completion goes to Vending.
-  instance.dispatch({"dispensed"});
+  // 3. Compile the bound machine and run a purchase.
+  const std::unique_ptr<statechart::CompiledMachine> instance =
+      statechart::compile(*machine, sink);
+  if (instance == nullptr) {
+    std::fputs(sink.str().c_str(), stderr);
+    return 1;
+  }
+  instance->start();
+  instance->dispatch({"select", 3});  // Not enough credit.
+  instance->dispatch({"coin", 100});
+  instance->dispatch({"coin", 100});
+  instance->dispatch({"select", 7});  // Item 7; completion goes to Vending.
+  instance->dispatch({"dispensed"});
 
   std::printf("state: %s, credit: %s, served: %s\n",
-              instance.active_leaf_names().front().c_str(),
+              instance->active_leaf_names().front().c_str(),
               vending_object.get_attribute("credit").str().c_str(),
               vending_object.get_attribute("served").str().c_str());
   std::printf("signals sent by the model:\n");
@@ -92,7 +97,7 @@ int main() {
   }
 
   std::printf("\n--- diagram ---\n%s", codegen::to_plantuml_statechart(*machine).c_str());
-  const bool ok = instance.is_in("Idle") &&
+  const bool ok = instance->is_in("Idle") &&
                   vending_object.get_attribute("credit").as_int() == 50 &&
                   vending_object.get_attribute("served").as_int() == 1;
   std::printf("\n%s\n", ok ? "PASS" : "FAIL");

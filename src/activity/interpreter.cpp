@@ -34,7 +34,6 @@ void ActivityExecution::start() {
 
 void ActivityExecution::place_token(const ActivityEdge& edge, Token token) {
   marking_[&edge].push_back(token);
-  ++tokens_produced_;
 }
 
 std::size_t ActivityExecution::tokens_on(const ActivityEdge& edge) const {

@@ -54,7 +54,6 @@ class ActivityExecution {
   [[nodiscard]] std::uint64_t firings() const { return firings_; }
   [[nodiscard]] std::uint64_t firings_of(const ActivityNode& node) const;
   [[nodiscard]] std::uint64_t tokens_consumed() const { return tokens_consumed_; }
-  [[nodiscard]] std::uint64_t tokens_produced() const { return tokens_produced_; }
 
   /// Values of tokens destroyed at flow-final / activity-final nodes, in
   /// arrival order: the activity's observable output.
@@ -84,7 +83,6 @@ class ActivityExecution {
   bool terminated_ = false;
   std::uint64_t firings_ = 0;
   std::uint64_t tokens_consumed_ = 0;
-  std::uint64_t tokens_produced_ = 0;
 };
 
 }  // namespace umlsoc::activity

@@ -3,7 +3,7 @@
 #include <memory>
 
 #include "asl/parser.hpp"
-#include "statechart/interpreter.hpp"
+#include "statechart/engine.hpp"
 
 namespace umlsoc::codegen {
 

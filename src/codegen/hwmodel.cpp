@@ -84,11 +84,8 @@ void HwModuleSim::poke(const std::string& register_name, std::uint64_t value) {
 void HwModuleSim::reset() {
   for (auto& [offset, reg] : registers_) reg.value = reg.reset;
   if (behavior_ != nullptr) {
-    behavior_ = std::make_unique<statechart::StateMachineInstance>(behavior_->machine());
-    behavior_->set_trace_enabled(false);
-    sync_to_behavior();
-    behavior_->start();
-    sync_from_behavior();
+    support::DiagnosticSink sink;  // compile() accepted this machine at attach.
+    attach_behavior(behavior_->machine(), sink);
   }
 }
 
@@ -104,12 +101,14 @@ void HwModuleSim::map_onto(sim::MemoryMappedBus& bus, std::uint64_t base) {
       });
 }
 
-void HwModuleSim::attach_behavior(const statechart::StateMachine& machine) {
-  behavior_ = std::make_unique<statechart::StateMachineInstance>(machine);
-  behavior_->set_trace_enabled(false);
+bool HwModuleSim::attach_behavior(const statechart::StateMachine& machine,
+                                  support::DiagnosticSink& sink) {
+  behavior_ = statechart::compile(machine, sink);
+  if (behavior_ == nullptr) return false;
   sync_to_behavior();
   behavior_->start();
   sync_from_behavior();
+  return true;
 }
 
 void HwModuleSim::sync_to_behavior() {

@@ -2,8 +2,10 @@
 // generators. A HwModuleSim is built directly from a hardware-PSM class —
 // register file with addresses/access/reset from the «Register» tags — and
 // can be mapped onto a sim::MemoryMappedBus and driven by an attached state
-// machine. This realizes the paper's "early prototyping and inherent
-// software simulation capabilities" (§4) without a C++ compile step.
+// machine, which runs on its plan tables (statechart::compile) like every
+// other production machine. This realizes the paper's "early prototyping
+// and inherent software simulation capabilities" (§4) without a C++
+// compile step.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +17,7 @@
 
 #include "sim/bus.hpp"
 #include "soc/profile.hpp"
-#include "statechart/interpreter.hpp"
+#include "statechart/compile.hpp"
 #include "support/diagnostics.hpp"
 
 namespace umlsoc::codegen {
@@ -43,18 +45,22 @@ class HwModuleSim {
   [[nodiscard]] std::uint64_t peek(const std::string& register_name) const;
   void poke(const std::string& register_name, std::uint64_t value);
 
-  /// Restores every register to its reset tag value.
+  /// Restores every register to its reset tag value and restarts the
+  /// attached behavior, if any, from a fresh compile of its machine.
   void reset();
 
   /// Maps this module at `base` on the bus.
   void map_onto(sim::MemoryMappedBus& bus, std::uint64_t base);
 
-  /// Attaches a behavior machine. Bus writes to register R become events
-  /// "write_R" (data = value); reads become "read_R". Machine variables
-  /// named like registers are synchronized both ways around each dispatch,
-  /// so transition effects can update registers.
-  void attach_behavior(const statechart::StateMachine& machine);
-  [[nodiscard]] statechart::StateMachineInstance* behavior() { return behavior_.get(); }
+  /// Compiles and starts a behavior machine (statechart::compile). Bus
+  /// writes to register R become events "write_R" (data = value); reads
+  /// become "read_R". Machine variables named like registers are
+  /// synchronized both ways around each dispatch, so transition effects can
+  /// update registers. A machine compile() rejects is reported through
+  /// `sink` and leaves no behavior attached (returns false). `machine` must
+  /// outlive this module.
+  bool attach_behavior(const statechart::StateMachine& machine, support::DiagnosticSink& sink);
+  [[nodiscard]] statechart::Engine* behavior() { return behavior_.get(); }
 
   [[nodiscard]] std::uint64_t bus_reads() const { return bus_reads_; }
   [[nodiscard]] std::uint64_t bus_writes() const { return bus_writes_; }
@@ -63,7 +69,7 @@ class HwModuleSim {
   /// every register (key = register name, ascending offset order) plus the
   /// access counters under the reserved keys "#bus-reads" / "#bus-writes"
   /// ('#' cannot occur in a model property name). The attached behavior
-  /// machine is snapshotted separately through its StateMachineInstance.
+  /// machine is snapshotted separately through its Engine.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> capture_values() const;
 
   /// Restores a capture_values() view. Unknown keys report through `sink`
@@ -88,7 +94,7 @@ class HwModuleSim {
 
   std::string name_;
   std::map<std::uint64_t, Register> registers_;  // Keyed by offset.
-  std::unique_ptr<statechart::StateMachineInstance> behavior_;
+  std::unique_ptr<statechart::CompiledMachine> behavior_;
   std::uint64_t bus_reads_ = 0;
   std::uint64_t bus_writes_ = 0;
 };

@@ -187,9 +187,6 @@ class Kernel {
   /// The same process may be pending any number of times.
   void schedule(SimTime delay, ProcessId process);
 
-  /// Runs the registered process in the next delta cycle's evaluate phase.
-  void schedule_delta(ProcessId process);
-
   /// Registers a signal update for the current delta's update phase.
   void request_update(Updatable& target) { update_requests_.push_back(&target); }
 
@@ -501,10 +498,6 @@ inline void Kernel::push_timed(std::uint64_t at_ps, ProcessId process) {
 
 inline void Kernel::schedule(SimTime delay, ProcessId process) {
   push_timed((now_ + delay).picoseconds(), process);
-}
-
-inline void Kernel::schedule_delta(ProcessId process) {
-  next_runnable_.push_back(process);
 }
 
 inline void Kernel::enqueue_delta_subscribers(SimEvent& event) {

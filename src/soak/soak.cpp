@@ -594,7 +594,6 @@ DegradedRig::DegradedRig(const Model& model, const TrafficFaults& faults, std::u
   site.max_faults = faults.max_faults;
   plan.configure(sim::FaultSite::kBusWrite, site);
   bus.install_fault_plan(&plan);
-  link->set_trace_enabled(false);
   link->start();
   // The known-good restart point: the just-started link. Supervisor
   // restarts warm-rewind to here.

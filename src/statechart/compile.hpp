@@ -32,8 +32,9 @@
 //    the resolved path. That program is built on first use and cached by
 //    the live configuration and the resolved path.
 //
-// The interpreter remains the reference semantics; the differential
-// harness (tests/statechart_differential_test.cpp) holds this engine to it
+// The reference interpreter (interpreter.hpp), built only into the test
+// oracle library, defines the semantics; the differential harness
+// (tests/statechart_differential_test.cpp) holds this engine to it
 // snapshot-for-snapshot after every dispatch.
 #pragma once
 
@@ -63,8 +64,8 @@ class CompiledMachine;
                                                        support::DiagnosticSink& sink);
 
 /// One compiled machine: the plan tables plus one execution context over
-/// them. Implements the full Engine contract — snapshots are
-/// interchangeable with the interpreter's.
+/// them. Implements the full Engine contract; its snapshots equal the
+/// reference interpreter's.
 class CompiledMachine final : public Engine {
  public:
   /// Step opcodes of a firing program, executed in order. `a`/`b` operands

@@ -1,12 +1,12 @@
-// Execution-engine abstraction for state machines. Two engines implement
-// it: the hierarchical reference interpreter (interpreter.hpp) and the
-// AOT-compiled plan-table stepper (compile.hpp). Guards and actions see the
-// engine only through ActionContext (model.hpp), and harnesses — the verify
-// network, the sim-kernel timer binding, replay snapshots — program against
-// this interface, so either engine slots in without the caller knowing.
+// Execution-engine interface for state machines. Production code runs the
+// AOT-compiled plan-table stepper (compile.hpp); guards and actions see it
+// only through ActionContext (model.hpp), and harnesses — the verify
+// network, the sim-kernel timer binding, replay snapshots, HwModuleSim —
+// program against this interface.
 //
-// The interpreter remains the reference semantics; the compiled engine is
-// held to it by the differential harness (statechart_differential_test).
+// The reference interpreter (interpreter.hpp, umlsoc_statechart_oracle)
+// implements it too, so tests can hold the compiled engine to it snapshot
+// for snapshot (statechart_differential_test).
 #pragma once
 
 #include <cstdint>

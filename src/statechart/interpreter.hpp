@@ -2,6 +2,10 @@
 // paper ref [2]). One instance holds the active configuration, event pool,
 // and history memory of one machine execution.
 //
+// This tree-walking interpreter is the reference semantics that tests hold
+// the plan tables (compile.hpp) to. It is built only into the
+// umlsoc_statechart_oracle library; production code runs compile().
+//
 // Semantics implemented:
 //  * RTC step: one event is dispatched, a maximal conflict-free set of
 //    enabled transitions fires (innermost-first priority), then completion
@@ -167,13 +171,6 @@ class StateMachineInstance final : public Engine {
 
   /// Greedy maximal conflict-free selection, innermost priority.
   std::vector<const Transition*> select_transitions(const Event* event);
-
-  /// Pre-order position of `vertex` in machine().all_vertices() — the
-  /// document order used as the deterministic tie-break wherever same-depth
-  /// states compete (transition selection, exit order, history leaves).
-  [[nodiscard]] std::uint32_t vertex_order(const Vertex& vertex) const {
-    return vertex_order_.at(&vertex);
-  }
 
   const StateMachine& machine_;
   // Snapshot addressing and ordering caches, built once at construction:

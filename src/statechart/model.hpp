@@ -27,7 +27,6 @@ class Engine;
 class Region;
 class State;
 class StateMachine;
-class StateMachineInstance;
 class Transition;
 
 /// An event instance offered to a machine. `data` carries a scalar payload
@@ -43,8 +42,7 @@ struct Event {
 };
 
 /// Runtime context passed to guards and actions. `instance` is the engine
-/// executing the machine (interpreter or compiled stepper — see
-/// engine.hpp), so behaviors written against it run under either.
+/// executing the machine (see engine.hpp).
 struct ActionContext {
   Engine& instance;
   const Event* event = nullptr;  // Null for entry/exit/completion contexts.
@@ -74,10 +72,6 @@ enum class VertexKind {
 };
 
 [[nodiscard]] std::string_view to_string(VertexKind kind);
-
-[[nodiscard]] constexpr bool is_pseudostate(VertexKind kind) {
-  return kind != VertexKind::kState && kind != VertexKind::kFinal;
-}
 
 /// Node of the state graph: a State, FinalState, or pseudostate.
 class Vertex {

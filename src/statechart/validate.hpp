@@ -1,5 +1,5 @@
 // Well-formedness checks for state machines, mirroring the constraints the
-// interpreter relies on.
+// engines rely on.
 #pragma once
 
 #include "statechart/model.hpp"

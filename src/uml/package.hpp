@@ -51,16 +51,6 @@ class Package : public NamedElement {
   /// unregister the subtree from the Model — use uml::remove_member.
   std::unique_ptr<NamedElement> release_member(NamedElement& member);
 
-  /// All direct members of dynamic type T.
-  template <typename T>
-  [[nodiscard]] std::vector<T*> members_of_type() const {
-    std::vector<T*> out;
-    for (const auto& member : members_) {
-      if (auto* typed = dynamic_cast<T*>(member.get())) out.push_back(typed);
-    }
-    return out;
-  }
-
  protected:
   void collect_owned(std::vector<Element*>& out) const override;
 

@@ -29,7 +29,6 @@ struct Multiplicity {
   [[nodiscard]] bool is_valid() const {
     return lower >= 0 && (upper == kUnlimited || upper >= lower);
   }
-  [[nodiscard]] bool is_many() const { return upper == kUnlimited || upper > 1; }
   [[nodiscard]] std::string str() const;
 
   friend bool operator==(const Multiplicity&, const Multiplicity&) = default;

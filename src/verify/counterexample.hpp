@@ -2,14 +2,14 @@
 // "Explicit-state verification"): a Violation's event path is not just a
 // diagnostic — it is a replayable schedule and a renderable scenario.
 //
-//  * replay_counterexample re-runs the path through the *real* interpreter
-//    driven by the real simulation kernel: one registered process per step,
-//    scheduled 1ns apart, with an EventRecorder attached. The run happens
-//    twice — once recording, once in verify mode against the recorded log —
-//    so the schedule is certified deterministic by the same machinery that
-//    certifies checkpoint/restore replays (sim/replay). The report says
-//    whether the violation reproduced and whether the verifier accepted the
-//    schedule.
+//  * replay_counterexample re-runs the path through the network's own
+//    engines driven by the real simulation kernel: one registered process
+//    per step, scheduled 1ns apart, with an EventRecorder attached. The run
+//    happens twice — once recording, once in verify mode against the
+//    recorded log — so the schedule is certified deterministic by the same
+//    machinery that certifies checkpoint/restore replays (sim/replay). The
+//    report says whether the violation reproduced and whether the verifier
+//    accepted the schedule.
 //
 //  * counterexample_trace/_interaction convert the path into an
 //    interaction::Trace ("env->Driver:bus_timeout", "fault->..." labels)
@@ -37,7 +37,7 @@ struct ReplayReport {
 };
 
 /// Replays `violation`'s event path from `initial` (the snapshot tuple
-/// returned by explore()) through the network's interpreters under a
+/// returned by explore()) through the network's engines under a
 /// simulation kernel, twice (record, then verify). `properties` must
 /// contain the violated property by name.
 [[nodiscard]] ReplayReport replay_counterexample(

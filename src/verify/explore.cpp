@@ -184,8 +184,7 @@ class Explorer {
     }
 
     // Properties hold at the initial state too.
-    if (check_state_properties(nullptr, {}, false, seed.id, result) &&
-        options_.stop_at_first_violation) {
+    if (check_state_properties(nullptr, {}, false, seed.id, result)) {
       result.termination = ExploreResult::Termination::kViolation;
       finish(result);
       return result;
@@ -297,8 +296,7 @@ class Explorer {
       for (const StepDelta& delta : deltas_) fired |= delta.transitions_fired != 0;
       any_choice_fired |= fired;
 
-      const bool violated = check_state_properties(&choice, deltas_, fired, id, result);
-      if (violated && options_.stop_at_first_violation) {
+      if (check_state_properties(&choice, deltas_, fired, id, result)) {
         result.termination = ExploreResult::Termination::kViolation;
         return Expand::kStop;
       }
@@ -353,7 +351,7 @@ class Explorer {
         result.termination = ExploreResult::Termination::kError;
         return Expand::kStop;
       }
-      if (check_deadlock_properties(id, result) && options_.stop_at_first_violation) {
+      if (check_deadlock_properties(id, result)) {
         result.termination = ExploreResult::Termination::kViolation;
         return Expand::kStop;
       }
@@ -361,8 +359,8 @@ class Explorer {
     return Expand::kContinue;
   }
 
-  /// Runs every state property; records at most one violation per property.
-  /// Returns true when a new violation was recorded.
+  /// Runs every state property and records a violation for each one that
+  /// fails. Returns true when any was recorded.
   bool check_state_properties(const EventChoice* step, std::span<const StepDelta> deltas,
                               bool fired, std::uint32_t state_id, ExploreResult& result) {
     if (!has_state_properties()) return false;
@@ -370,7 +368,6 @@ class Explorer {
     bool recorded = false;
     for (const Property& property : properties_) {
       if (property.kind() != Property::Kind::kState) continue;
-      if (already_violated(property.name(), result)) continue;
       if (std::optional<std::string> message = property.check(context)) {
         record_violation(property.name(), *message, state_id, step, result);
         recorded = true;
@@ -384,7 +381,6 @@ class Explorer {
     bool recorded = false;
     for (const Property& property : properties_) {
       if (property.kind() != Property::Kind::kDeadlock) continue;
-      if (already_violated(property.name(), result)) continue;
       if (std::optional<std::string> message = property.check(context)) {
         record_violation(property.name(), *message, state_id, nullptr, result);
         recorded = true;
@@ -403,13 +399,6 @@ class Explorer {
   [[nodiscard]] bool has_state_properties() const {
     for (const Property& property : properties_) {
       if (property.kind() == Property::Kind::kState) return true;
-    }
-    return false;
-  }
-
-  static bool already_violated(const std::string& name, const ExploreResult& result) {
-    for (const Violation& violation : result.violations) {
-      if (violation.property == name) return true;
     }
     return false;
   }

@@ -107,6 +107,8 @@ class Network {
   std::vector<std::size_t> pending_before_;  ///< deliver() scratch.
 };
 
+/// Search strategy and bounds of one exploration. Every run stops at the
+/// first state that violates a property (Termination::kViolation).
 struct ExploreOptions {
   enum class Strategy : std::uint8_t { kBfs, kDfs };
 
@@ -118,9 +120,6 @@ struct ExploreOptions {
   std::uint32_t max_depth = 0xffffffffu;
   /// Visited-store budget (see StateStore::Config).
   std::size_t memory_budget_bytes = std::size_t{64} << 20;
-  /// Stop at the first violation (default), or keep exploring and collect
-  /// at most one violation per property.
-  bool stop_at_first_violation = true;
   /// Fingerprint override for tests; null = XXH64 (support::xxh64).
   StateStore::HashFn hash_override = nullptr;
 };
@@ -150,13 +149,15 @@ struct Violation {
 struct ExploreResult {
   enum class Termination : std::uint8_t {
     kExhausted,   ///< Full state space visited within all bounds.
-    kViolation,   ///< Stopped at the first violation (stop_at_first_violation).
+    kViolation,   ///< Stopped at the first state that violates a property.
     kStateBound,  ///< max_states or max_depth cut the search short.
     kMemoryBound, ///< The visited store hit its memory budget.
     kError,       ///< Setup failure (unstarted instance, restore error).
   };
 
   Termination termination = Termination::kError;
+  /// One entry per property that fails at the violating state, in property
+  /// order (empty unless termination is kViolation).
   std::vector<Violation> violations;
   ExploreStats stats;
   /// Snapshot of the initial state, for counterexample replay.

@@ -11,7 +11,7 @@
 // codec also writes (statechart::transfer_execution_state over
 // support/bytes.hpp). The encoding is bidirectional: the explorer stores
 // only encodings and decodes them back into snapshots to re-seat the
-// interpreters on a state before expanding it.
+// engines on a state before expanding it.
 //
 // The StateStore is an open-addressing hash set over encodings keyed by a
 // 64-bit XXH64 fingerprint (support/checksum.hpp). A fingerprint match is

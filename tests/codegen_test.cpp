@@ -723,7 +723,7 @@ TEST(HwModel, BehaviorMachineReactsToWrites) {
 
   support::DiagnosticSink sink;
   HwModuleSim module(*f.uart, f.profile, sink);
-  module.attach_behavior(machine);
+  EXPECT_TRUE(module.attach_behavior(machine, sink));
   ASSERT_NE(module.behavior(), nullptr);
   EXPECT_TRUE(module.behavior()->is_in("Idle"));
 
@@ -734,6 +734,72 @@ TEST(HwModel, BehaviorMachineReactsToWrites) {
   module.write_register(0x8, 8);  // write_divisor event.
   EXPECT_TRUE(module.behavior()->is_in("Idle"));
   EXPECT_EQ(module.peek("status"), 1u);
+}
+
+TEST(HwModel, ResetRestoresRegistersAndRestartsTheBehavior) {
+  HwFixture f;
+  statechart::StateMachine machine("uart_ctrl");
+  statechart::Region& top = machine.top();
+  statechart::Pseudostate& initial = top.add_initial();
+  statechart::State& idle = top.add_state("Idle");
+  statechart::State& busy = top.add_state("Busy");
+  top.add_transition(initial, idle);
+  top.add_transition(idle, busy)
+      .set_trigger("write_tx_data")
+      .set_effect("status := 0", [](statechart::ActionContext& ctx) {
+        ctx.instance.set_variable("status", 0);
+      });
+  top.add_transition(busy, idle).set_trigger("write_divisor");
+
+  support::DiagnosticSink sink;
+  HwModuleSim module(*f.uart, f.profile, sink);
+  module.attach_behavior(machine, sink);
+  ASSERT_NE(module.behavior(), nullptr);
+  module.write_register(0x8, 99);    // Idle ignores write_divisor.
+  module.write_register(0x0, 0x55);  // write_tx_data: Idle -> Busy.
+  ASSERT_TRUE(module.behavior()->is_in("Busy"));
+  ASSERT_EQ(module.peek("status"), 0u);
+
+  module.reset();
+  EXPECT_EQ(module.peek("tx_data"), 0u);
+  EXPECT_EQ(module.peek("status"), 1u);
+  EXPECT_EQ(module.peek("divisor"), 16u);
+  ASSERT_NE(module.behavior(), nullptr);
+  EXPECT_TRUE(module.behavior()->is_in("Idle"));
+  EXPECT_FALSE(module.behavior()->is_in("Busy"));
+  EXPECT_EQ(module.behavior()->variable("status"), 1);
+
+  const std::uint64_t fired = module.behavior()->transitions_fired();
+  module.write_register(0x0, 0x41);  // Fires again from the restarted Idle.
+  EXPECT_TRUE(module.behavior()->is_in("Busy"));
+  EXPECT_EQ(module.behavior()->transitions_fired(), fired + 1);
+  EXPECT_EQ(module.peek("status"), 0u);
+  EXPECT_EQ(module.peek("tx_data"), 0x41u);
+  EXPECT_FALSE(sink.has_errors());
+}
+
+TEST(HwModel, BehaviorThatCompileRejectsIsReportedAndNotAttached) {
+  HwFixture f;
+  statechart::StateMachine machine("bad_ctrl");
+  statechart::Region& top = machine.top();
+  statechart::Pseudostate& initial = top.add_initial();
+  statechart::State& idle = top.add_state("Idle");
+  top.add_transition(initial, idle);
+  top.add_transition(idle, initial).set_trigger("write_tx_data");
+
+  support::DiagnosticSink sink;
+  HwModuleSim module(*f.uart, f.profile, sink);
+  EXPECT_FALSE(module.attach_behavior(machine, sink));
+  EXPECT_EQ(module.behavior(), nullptr);
+  EXPECT_TRUE(sink.has_errors());
+  EXPECT_NE(sink.str().find("targets an initial pseudostate"), std::string::npos);
+
+  // The register file still works without a behavior, reset included.
+  module.write_register(0x0, 7);
+  EXPECT_EQ(module.peek("tx_data"), 7u);
+  module.reset();
+  EXPECT_EQ(module.peek("tx_data"), 0u);
+  EXPECT_EQ(module.behavior(), nullptr);
 }
 
 TEST(HwModel, MappedOntoBusAndDrivenByAslDriver) {

@@ -15,6 +15,7 @@
 #include "mda/transform.hpp"
 #include "soc/iplibrary.hpp"
 #include "soc/validate.hpp"
+#include "statechart/interpreter.hpp"
 #include "uml/compare.hpp"
 #include "uml/query.hpp"
 #include "uml/validate.hpp"

@@ -1,5 +1,5 @@
 // E18 "Recovery orchestration": what the RecoveryCoordinator costs and
-// buys. Three measurements on a worker rig (kernel + unbounded recorder +
+// buys. Three measurements on a worker rig (kernel + event recorder +
 // supervisor + value bank): wall overhead of background checkpointing at
 // varying cadence vs an uncheckpointed baseline, restore_latest_good
 // latency as the delta chain under the newest rung grows, and the
@@ -49,8 +49,7 @@ struct WorkerRig {
   std::uint64_t corrupt_at_tick = 0;  ///< 0: never.
 
   WorkerRig()
-      : recorder(/*ring_capacity=*/0),
-        supervisor(kernel, "soc", sim::RestartStrategy::kOneForOne, sim::RestartPolicy{}) {
+      : supervisor(kernel, "soc", sim::RestartStrategy::kOneForOne, sim::RestartPolicy{}) {
     worker = kernel.register_process([this] { work(); }, "bench.worker");
     kernel.set_recorder(&recorder);
   }

@@ -198,15 +198,14 @@ BENCHMARK(BM_BusBreaker)->Arg(0)->Arg(1);
 void BM_KernelReplay(benchmark::State& state) {
   // Recorder overhead on the timed-event hot path (EXPERIMENTS.md E13).
   // Arg(0): no recorder (the detached cost is one null check per event).
-  // Arg(1): full-log recording. Arg(2): bounded ring (flight-recorder
-  // configuration, 4096 entries).
+  // Arg(1): recording, into a fresh recorder per iteration.
   constexpr int kEventsPerIter = 100000;
   double total_events = 0;
   std::uint64_t recorded = 0;
   for (auto _ : state) {
     state.PauseTiming();
     Kernel kernel;
-    EventRecorder recorder(state.range(0) == 2 ? 4096 : 0);
+    EventRecorder recorder;
     if (state.range(0) != 0) kernel.set_recorder(&recorder);
     int remaining = kEventsPerIter;
     ProcessId id = kInvalidProcess;
@@ -223,15 +222,18 @@ void BM_KernelReplay(benchmark::State& state) {
   state.counters["events/s"] =
       benchmark::Counter(total_events, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_KernelReplay)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelReplay)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_BusReplay(benchmark::State& state) {
   // Recorder overhead on a realistic workload: bus transactions whose
   // per-event cost includes decode, data phase and completion callbacks.
-  // Arg(0): recorder detached. Arg(1): 4096-entry ring attached (the
-  // flight-recorder configuration for long adversarial runs).
+  // Arg(0): recorder detached. Arg(1): recording. The log keeps every
+  // event, so a fresh recorder takes over every kBatch transactions, as
+  // BM_KernelReplay starts one per iteration: memory stays bounded however
+  // many iterations the run picks.
+  constexpr std::int64_t kBatch = 4096;
   Kernel kernel;
-  EventRecorder recorder(/*ring_capacity=*/4096);
+  EventRecorder recorder;
   if (state.range(0) != 0) kernel.set_recorder(&recorder);
   MemoryMappedBus bus(kernel, "axi", SimTime::ns(8));
   std::uint64_t mem[64] = {};
@@ -239,14 +241,23 @@ void BM_BusReplay(benchmark::State& state) {
       "ram", 0, sizeof(mem), [&](std::uint64_t a) { return mem[(a / 8) % 64]; },
       [&](std::uint64_t a, std::uint64_t v) { mem[(a / 8) % 64] = v; });
   std::uint64_t address = 0;
+  std::uint64_t recorded = 0;
+  std::int64_t in_batch = 0;
   for (auto _ : state) {
+    if (++in_batch == kBatch) {
+      state.PauseTiming();
+      recorded += recorder.total_events();
+      recorder = EventRecorder();
+      in_batch = 0;
+      state.ResumeTiming();
+    }
     bool done = false;
     bus.write(address % 512, address, [&done](BusStatus) { done = true; });
     kernel.run(kernel.now() + SimTime::ns(8));
     benchmark::DoNotOptimize(done);
     address += 8;
   }
-  state.counters["recorded"] = static_cast<double>(recorder.total_events());
+  state.counters["recorded"] = static_cast<double>(recorded + recorder.total_events());
   state.counters["xfers/s"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }

@@ -19,7 +19,7 @@
 #include "sim/kernel.hpp"
 #include "sim/replay.hpp"
 #include "sim/supervise.hpp"
-#include "statechart/interpreter.hpp"
+#include "statechart/compile.hpp"
 #include "statechart/model.hpp"
 #include "support/checksum.hpp"
 #include "support/rng.hpp"
@@ -57,7 +57,7 @@ struct BenchRig {
   sim::Supervisor supervisor;
   sim::HealthRegistry health;
   std::unique_ptr<statechart::StateMachine> machine = make_machine();
-  std::vector<std::unique_ptr<statechart::StateMachineInstance>> instances;
+  std::vector<std::unique_ptr<statechart::CompiledMachine>> instances;
   std::vector<std::uint64_t> memory = std::vector<std::uint64_t>(64, 0);
   sim::ProcessId ticker = sim::kInvalidProcess;
   std::uint64_t ticks = 0;
@@ -67,7 +67,6 @@ struct BenchRig {
       : bus(kernel, "mem", SimTime::ns(4)),
         plan(/*seed=*/7),
         watchdog(kernel, "dog", SimTime::us(10)),
-        recorder(/*ring_capacity=*/0),
         port(kernel, bus, "port"),
         breaker(kernel, port, "dma"),
         supervisor(kernel, "soc") {
@@ -82,10 +81,10 @@ struct BenchRig {
     bus.install_fault_plan(&plan);
     breaker.bind_health(&health, health.register_unit("dma"));
     supervisor.add_child("link", [] { return true; });
+    support::DiagnosticSink sink;
     for (std::size_t i = 0; i < machine_count; ++i) {
-      instances.push_back(std::make_unique<statechart::StateMachineInstance>(*machine));
-      statechart::StateMachineInstance& instance = *instances.back();
-      instance.set_trace_enabled(false);
+      instances.push_back(statechart::compile(*machine, sink));
+      statechart::CompiledMachine& instance = *instances.back();
       instance.start();
       for (int v = 0; v < 16; ++v) {
         instance.set_variable("v" + std::to_string(v),
@@ -104,7 +103,7 @@ struct BenchRig {
     bus.read((ticks % memory.size()) * 8,
              sim::MemoryMappedBus::ReadCompletion(
                  [this](sim::BusStatus, std::uint64_t value) { read_sum += value; }));
-    statechart::StateMachineInstance& instance = *instances[ticks % instances.size()];
+    statechart::CompiledMachine& instance = *instances[ticks % instances.size()];
     instance.dispatch(statechart::Event{instance.is_in("Idle") ? "go" : "done",
                                         static_cast<std::int64_t>(ticks)});
     kernel.schedule(SimTime(kTickPs), ticker);

@@ -65,6 +65,13 @@ constexpr const char* kDriverScript =
     "  i := i + 1;"
     "}";
 
+/// Prints what stopped a soak loop (run_phase, run_recovery_tail); true
+/// when it ran through.
+bool ran(const std::string& stall) {
+  if (!stall.empty()) std::printf("%s\n", stall.c_str());
+  return stall.empty();
+}
+
 /// Checkpoint + deterministic replay on the soak rig, under the baseline
 /// fault template and the first soak seed. The reference runs uninterrupted
 /// with its event recorder on; an identical rig is checkpointed after the
@@ -78,21 +85,21 @@ int run_replay_demo(const soak::Model& model, support::DiagnosticSink& sink) {
   faults.error_rate = soak::kSoakTemplates[0].error_rate;
   faults.drop_rate = soak::kSoakTemplates[0].drop_rate;
   const auto finish_script = [](soak::DegradedRig& rig) {
-    if (!soak::run_phase(rig, 64) || !soak::run_recovery_tail(rig)) return false;
+    if (!ran(soak::run_phase(rig, 64)) || !ran(soak::run_recovery_tail(rig))) return false;
     soak::finish_run(rig);
     return true;
   };
 
   soak::DegradedRig reference(model, faults, kSeed, sink);
-  if (!soak::run_phase(reference, 32) || !soak::run_to_save_point(reference, nullptr) ||
+  if (!ran(soak::run_phase(reference, 32)) || !soak::run_to_save_point(reference, nullptr) ||
       !finish_script(reference)) {
     return 1;
   }
-  const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
+  const std::vector<sim::RecordedEvent>& reference_log = reference.recorder.log();
 
   soak::DegradedRig checkpointed(model, faults, kSeed, sink);
   std::string snapshot;
-  if (!soak::run_phase(checkpointed, 32) ||
+  if (!ran(soak::run_phase(checkpointed, 32)) ||
       !soak::run_to_save_point(checkpointed, &snapshot)) {
     std::printf("checkpointed rig found no save point\n");
     return 1;
@@ -167,7 +174,7 @@ int run_degraded_demo(const soak::Model& model, support::DiagnosticSink& sink) {
                 reason.data());
   });
 
-  if (!soak::run_phase(rig, 4)) return 1;
+  if (!ran(soak::run_phase(rig, 4))) return 1;
   if (rig.breaker.state() != sim::CircuitBreaker::State::kOpen) {
     std::printf("breaker did not open after the error burst (state=%s)\n",
                 std::string(sim::to_string(rig.breaker.state())).c_str());
@@ -178,12 +185,12 @@ int run_degraded_demo(const soak::Model& model, support::DiagnosticSink& sink) {
               static_cast<unsigned long long>(rig.breaker.stats().failures),
               rig.link->is_in("Fallback") ? "Fallback" : "?");
 
-  if (!soak::run_phase(rig, 8)) return 1;
+  if (!ran(soak::run_phase(rig, 8))) return 1;
   if (rig.via_pio == 0) {
     std::printf("no byte fell back to PIO while the breaker was open\n");
     return 1;
   }
-  if (!soak::run_recovery_tail(rig)) return 1;
+  if (!ran(soak::run_recovery_tail(rig))) return 1;
   if (rig.breaker.state() != sim::CircuitBreaker::State::kClosed ||
       !rig.link->is_in("Normal") || rig.breaker.stats().probes == 0) {
     std::printf("recovery incomplete: breaker=%s probes=%llu link-normal=%d\n",
@@ -262,12 +269,16 @@ int run_chaos_soak(const soak::Model& model, int seed_count, const fleet::FleetC
                   static_cast<unsigned long long>(total));
     }
   });
-  const std::vector<fleet::RigOutcome> outcomes =
-      soak::run_fleet(model, driver, 1000, static_cast<std::uint64_t>(seed_count),
-                      "chaos-soak-failure");
+  const char* const artifact_root = "chaos-soak-failure";
+  const std::vector<fleet::RigOutcome> outcomes = soak::run_fleet(
+      model, driver, 1000, static_cast<std::uint64_t>(seed_count), artifact_root);
 
   const fleet::FleetReport report = fleet::FleetReport::aggregate(outcomes);
   if (report.rigs_failed != 0) {
+    for (unsigned long long seed : report.failed_seeds) {
+      std::printf("  seed %llu: ladder + event logs preserved in %s/seed-%llu\n", seed,
+                  artifact_root, seed);
+    }
     std::printf("chaos soak FAILED for %llu seed(s):",
                 static_cast<unsigned long long>(report.rigs_failed));
     for (std::uint64_t seed : report.failed_seeds) {

@@ -4,24 +4,7 @@
 #include <memory>
 #include <utility>
 
-#include "codegen/plantuml.hpp"
-#include "interaction/from_trace.hpp"
-#include "interaction/trace.hpp"
-
 namespace umlsoc::replay {
-
-namespace {
-
-// Trace labels are "From->To:message"; a process label containing the
-// separator tokens would corrupt the parse, so they are rewritten.
-std::string sanitize_participant(std::string label) {
-  for (char& c : label) {
-    if (c == ':' || c == '>' || c == '-') c = '_';
-  }
-  return label;
-}
-
-}  // namespace
 
 RecoveryCoordinator::RecoveryCoordinator(sim::Kernel& kernel, CheckpointStore& store,
                                          SnapshotTargets targets, RecoveryPolicy policy)
@@ -131,13 +114,15 @@ bool RecoveryCoordinator::maybe_rollback(support::DiagnosticSink& sink) {
     if (supervisor_ != nullptr) supervisor_->force_give_up("rollback failed: no recorder");
     return false;
   }
-  // Snapshot the failure run's log BEFORE the restore overwrites it.
+  // Snapshot the failure run's log BEFORE the restore overwrites it. The
+  // replay needs every counted event in it; a begin_verify from a start
+  // index other than the log's length leaves the count out of step.
   std::vector<sim::RecordedEvent> expected = recorder->log();
   if (recorder->total_events() != expected.size() ||
       poison.event_index >= expected.size()) {
     ++stats_.failed_rollbacks;
     sink.error("recovery",
-               "rollback requires an unbounded recorder (ring overwrote the suffix)");
+               "rollback requires a recorder log that holds every counted event");
     if (supervisor_ != nullptr) {
       supervisor_->force_give_up("rollback failed: recorder log incomplete");
     }
@@ -325,26 +310,9 @@ RecoveryCoordinator::RootCauseReport RecoveryCoordinator::root_cause(
       " probes from checkpoint " + std::to_string(base_seq) + " at stream position " +
       std::to_string(base_total) + ")";
 
-  // Sequence diagram of the activations surrounding the culprit: each
-  // recorded activation is drawn as a kernel->process dispatch message.
-  interaction::Trace trace;
-  const std::uint64_t window_begin = std::max<std::uint64_t>(
-      base_total, hi >= 4 ? hi - 4 : 0);
-  const std::uint64_t window_end =
-      std::min<std::uint64_t>(expected.size(), hi + 4);
-  for (std::uint64_t i = window_begin; i < window_end; ++i) {
-    const sim::RecordedEvent& event = expected[i];
-    std::string participant = sanitize_participant(kernel_.process_label(event.process));
-    if (participant.empty()) participant = "p" + std::to_string(event.process);
-    std::string message = "activate #" + std::to_string(i) + " at " +
-                          sim::SimTime(event.at_ps).str();
-    if (i == hi) message += " [first divergent]";
-    trace.push_back("kernel->" + participant + ":" + message);
-  }
-  const auto diagram = interaction::interaction_from_trace("root-cause", trace);
-  if (diagram != nullptr) {
-    report.sequence_diagram = codegen::to_plantuml_sequence(*diagram);
-  }
+  // The activations surrounding the culprit, within the replayed suffix.
+  report.window_begin = std::max<std::uint64_t>(base_total, hi >= 4 ? hi - 4 : 0);
+  report.window_end = std::min<std::uint64_t>(expected.size(), hi + 4);
 
   // The final probe left the rig mid-replay somewhere inside the window.
   rewind();

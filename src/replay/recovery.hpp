@@ -27,8 +27,10 @@
 //     rung, and root_cause() binary-searches the recorded event log between
 //     the last good checkpoint and a failure point — restoring and
 //     verify-replaying a probe prefix per step — to find the earliest
-//     activation at which the failure oracle first trips, rendered as a
-//     PlantUML sequence diagram of the surrounding activations.
+//     activation at which the failure oracle first trips. It returns the
+//     stream bounds of the activations around it; a caller that wants a
+//     picture renders that slice of the log itself (interaction/from_trace
+//     turns it into a sequence diagram).
 //
 // Determinism contract: everything the coordinator schedules depends only
 // on sim time and policy, never on wall clock or disk outcomes.
@@ -86,21 +88,25 @@ class RecoveryCoordinator {
   /// Root-cause search result. `first_bad_index` is the earliest recorder
   /// stream index whose replay-probe trips the failure oracle; probes run
   /// at timestamp granularity (the probe executes through the whole instant
-  /// containing the indexed event).
+  /// containing the indexed event). When found, `expected[window_begin,
+  /// window_end)` holds it with up to four activations before it and three
+  /// after, clipped to the last good rung's stream position and the log's
+  /// end.
   struct RootCauseReport {
     bool found = false;
     std::uint64_t first_bad_index = 0;
+    std::uint64_t window_begin = 0;
+    std::uint64_t window_end = 0;
     std::uint64_t probes = 0;
     std::optional<sim::EventRecorder::Divergence> divergence;
     std::string summary;
-    std::string sequence_diagram;  ///< PlantUML of activations around the culprit.
   };
 
-  /// `targets` must include the kernel and, for rollback/root-cause, an
-  /// unbounded (non-ring) recorder. All referenced components must outlive
-  /// the coordinator. Registers the tick process immediately (construction
-  /// order is part of the deterministic-setup contract), but nothing runs
-  /// until start() or recover().
+  /// `targets` must include the kernel and, for rollback/root-cause, a
+  /// recorder. All referenced components must outlive the coordinator.
+  /// Registers the tick process immediately (construction order is part of
+  /// the deterministic-setup contract), but nothing runs until start() or
+  /// recover().
   RecoveryCoordinator(sim::Kernel& kernel, CheckpointStore& store, SnapshotTargets targets,
                       RecoveryPolicy policy);
 

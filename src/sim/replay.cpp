@@ -28,28 +28,9 @@ std::string EventRecorder::Divergence::str() const {
   return out;
 }
 
-EventRecorder::EventRecorder(std::size_t ring_capacity) : ring_capacity_(ring_capacity) {
-  if (ring_capacity_ != 0) events_.reserve(ring_capacity_);
-}
-
-std::vector<RecordedEvent> EventRecorder::log() const {
-  if (ring_capacity_ == 0 || events_.size() < ring_capacity_) return events_;
-  std::vector<RecordedEvent> out;
-  out.reserve(events_.size());
-  out.insert(out.end(), events_.begin() + static_cast<std::ptrdiff_t>(ring_head_),
-             events_.end());
-  out.insert(out.end(), events_.begin(),
-             events_.begin() + static_cast<std::ptrdiff_t>(ring_head_));
-  return out;
-}
-
 void EventRecorder::restore_log(const std::vector<RecordedEvent>& events,
                                 std::uint64_t total) {
-  // A ring keeps only the newest ring_capacity_ events.
-  const std::size_t kept = ring_capacity_ == 0 ? events.size()
-                                               : std::min(events.size(), ring_capacity_);
-  events_.assign(events.end() - static_cast<std::ptrdiff_t>(kept), events.end());
-  ring_head_ = 0;
+  events_.assign(events.begin(), events.end());
   total_ = total;
   divergence_.reset();
 }
@@ -110,16 +91,7 @@ void EventRecorder::on_event_slow(std::uint64_t at_ps, ProcessId process,
     }
   }
 
-  if (ring_capacity_ == 0) {
-    events_.push_back(event);
-    return;
-  }
-  if (events_.size() < ring_capacity_) {
-    events_.push_back(event);
-    return;
-  }
-  events_[ring_head_] = event;
-  ring_head_ = (ring_head_ + 1) % ring_capacity_;
+  events_.push_back(event);
 }
 
 std::optional<EventRecorder::Divergence> first_divergence(

@@ -8,9 +8,7 @@
 // differ.
 //
 // Two modes:
-//  * kRecord — append events to the log (optionally a bounded ring that
-//    keeps the last N events: the flight-recorder configuration for long
-//    adversarial runs).
+//  * kRecord — append events to the log, which always holds the whole run.
 //  * kVerify — compare each event against an expected log and latch the
 //    first divergence (expected vs actual process, time, label) instead of
 //    crashing or silently drifting. Recording continues during verification
@@ -66,23 +64,17 @@ class EventRecorder {
     [[nodiscard]] std::string str() const;
   };
 
-  /// ring_capacity 0 keeps the full log; otherwise only the most recent
-  /// `ring_capacity` events are retained (total_events() still counts all).
-  explicit EventRecorder(std::size_t ring_capacity = 0);
-
   [[nodiscard]] Mode mode() const { return mode_; }
-  [[nodiscard]] std::size_t ring_capacity() const { return ring_capacity_; }
 
-  /// Events observed over the recorder's life (including overwritten ring
-  /// entries and events restored from a snapshot).
+  /// Stream position: events observed over the recorder's life, including
+  /// events restored from a snapshot. Equals log().size() unless
+  /// begin_verify or restore_log set another count.
   [[nodiscard]] std::uint64_t total_events() const { return total_; }
-  /// Events no longer retained (ring overwrites).
-  [[nodiscard]] std::uint64_t dropped_events() const { return total_ - retained_count(); }
 
-  /// Retained events, oldest first.
-  [[nodiscard]] std::vector<RecordedEvent> log() const;
+  /// Every recorded event, oldest first.
+  [[nodiscard]] const std::vector<RecordedEvent>& log() const { return events_; }
 
-  /// Replaces the log (snapshot restore): `events` become the retained
+  /// Replaces the log (snapshot restore): `events` become the recorded
   /// prefix and `total` the running count. Recording continues after them,
   /// so a restored run's final log is directly comparable with an
   /// uninterrupted run's. The events are copied into the buffer the
@@ -101,10 +93,10 @@ class EventRecorder {
   void begin_verify(SharedEventLog expected, std::uint64_t start_index = 0);
 
   /// Returns to record mode after a verify window, keeping the stream
-  /// position and the retained log. Events past the expected log's end no
-  /// longer latch an extra-event divergence — required when a rollback
-  /// replays a verified suffix and then *resumes* live execution beyond
-  /// the recording. Any divergence latched during the window survives.
+  /// position and the log. Events past the expected log's end no longer
+  /// latch an extra-event divergence — required when a rollback replays a
+  /// verified suffix and then *resumes* live execution beyond the
+  /// recording. Any divergence latched during the window survives.
   void end_verify();
 
   /// First mismatch latched so far (std::nullopt: no divergence yet).
@@ -114,18 +106,12 @@ class EventRecorder {
   /// expected log has unconsumed events (the verified run stopped short).
   [[nodiscard]] std::optional<Divergence> missing_events() const;
 
-  /// Kernel hook: called once per executed process. The common case —
-  /// unbounded recording — inlines to a 16-byte append; ring and verify
-  /// modes take the out-of-line path.
+  /// Kernel hook: called once per executed process. Recording inlines to a
+  /// 16-byte append; verify mode takes the out-of-line path.
   void on_event(std::uint64_t at_ps, ProcessId process, const Kernel& kernel) {
     if (mode_ == Mode::kRecord) {
       ++total_;
-      if (ring_capacity_ == 0 || events_.size() < ring_capacity_) {
-        events_.push_back(RecordedEvent{at_ps, process});
-        return;
-      }
-      events_[ring_head_] = RecordedEvent{at_ps, process};
-      if (++ring_head_ == ring_capacity_) ring_head_ = 0;
+      events_.push_back(RecordedEvent{at_ps, process});
       return;
     }
     on_event_slow(at_ps, process, kernel);
@@ -134,14 +120,8 @@ class EventRecorder {
  private:
   void on_event_slow(std::uint64_t at_ps, ProcessId process, const Kernel& kernel);
 
-  [[nodiscard]] std::uint64_t retained_count() const {
-    return events_.size();
-  }
-
   Mode mode_ = Mode::kRecord;
-  std::size_t ring_capacity_ = 0;
-  std::vector<RecordedEvent> events_;  // Ring when ring_capacity_ != 0.
-  std::size_t ring_head_ = 0;          // Oldest retained entry (ring mode).
+  std::vector<RecordedEvent> events_;
   std::uint64_t total_ = 0;
   SharedEventLog expected_;  // Set in verify mode only.
   std::optional<Divergence> divergence_;

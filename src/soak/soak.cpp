@@ -1,7 +1,6 @@
 #include "soak/soak.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <random>
 #include <stdexcept>
@@ -168,18 +167,40 @@ struct ScriptDriver {
   void kick() { rig.kernel.schedule(sim::SimTime(DegradedRig::kSendPeriodPs), rig.sender); }
 };
 
-/// Writes a recorded event log as one "index at_ps label" line per event —
-/// the forensic artifact uploaded alongside a failing seed's ladder.
-void dump_event_log(const std::filesystem::path& path,
-                    const std::vector<sim::RecordedEvent>& log, const sim::Kernel& kernel) {
-  std::ofstream out(path);
-  std::uint64_t index = 0;
-  for (const sim::RecordedEvent& event : log) {
-    const std::string& label = kernel.process_label(event.process);
-    out << index++ << ' ' << event.at_ps << ' ' << event.process << ' '
-        << (label.empty() ? "?" : label) << '\n';
+/// A reference rig's recorded event log, written to `path` as one "index
+/// at_ps process label" line per event when the seed fails: the forensic
+/// artifact run_fleet preserves next to a failing seed's ladder. It writes
+/// when it goes out of scope unless pass() was called, so every return
+/// after the rig was built leaves the log as far as the rig ran, and a
+/// passing seed writes none. Declare it after the rig, so it writes before
+/// the rig is destroyed.
+class EventLogOnFailure {
+ public:
+  EventLogOnFailure(std::filesystem::path path, const DegradedRig& rig)
+      : path_(std::move(path)), rig_(rig) {}
+  EventLogOnFailure(const EventLogOnFailure&) = delete;
+  EventLogOnFailure& operator=(const EventLogOnFailure&) = delete;
+
+  ~EventLogOnFailure() {
+    if (passed_) return;
+    std::error_code ec;
+    std::filesystem::create_directories(path_.parent_path(), ec);
+    std::ofstream out(path_);
+    std::uint64_t index = 0;
+    for (const sim::RecordedEvent& event : rig_.recorder.log()) {
+      const std::string& label = rig_.kernel.process_label(event.process);
+      out << index++ << ' ' << event.at_ps << ' ' << event.process << ' '
+          << (label.empty() ? "?" : label) << '\n';
+    }
   }
-}
+
+  void pass() { passed_ = true; }
+
+ private:
+  std::filesystem::path path_;
+  const DegradedRig& rig_;
+  bool passed_ = false;
+};
 
 /// The legs of one seed (see soak.hpp). Returns an empty string on success,
 /// else the failure description; fills `outcome` with the seed's counters.
@@ -202,11 +223,21 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   faults.error_rate = soak_template.error_rate;
   faults.drop_rate = soak_template.drop_rate;
 
+  namespace fs = std::filesystem;
+  const fs::path seed_dir = scratch / ("seed-" + std::to_string(seed));
+
   DegradedRig reference(model, faults, seed, sink);
-  if (!run_phase(reference, 32)) return "reference stalled in phase 1";
+  EventLogOnFailure reference_events(seed_dir / "reference-events.log", reference);
+  if (std::string stall = run_phase(reference, 32); !stall.empty()) {
+    return "reference stalled in phase 1: " + stall;
+  }
   if (!run_to_save_point(reference, nullptr)) return "reference found no save point";
-  if (!run_phase(reference, 64)) return "reference stalled in phase 2";
-  if (!run_recovery_tail(reference)) return "reference never recovered";
+  if (std::string stall = run_phase(reference, 64); !stall.empty()) {
+    return "reference stalled in phase 2: " + stall;
+  }
+  if (std::string stall = run_recovery_tail(reference); !stall.empty()) {
+    return "reference never recovered: " + stall;
+  }
   finish_run(reference);
   if (!reference.health.all_healthy()) {
     return "reference ended unhealthy: " + reference.health.str();
@@ -215,10 +246,7 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   if (reference.sup.gave_up()) {
     return "reference supervisor gave up: " + reference.sup.give_up_reason();
   }
-  const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
-
-  namespace fs = std::filesystem;
-  const fs::path seed_dir = scratch / ("seed-" + std::to_string(seed));
+  const std::vector<sim::RecordedEvent>& reference_log = reference.recorder.log();
 
   // --- Cross-process handoff resume ------------------------------------------
   // A re-dispatched seed (attempt > 0) may inherit handoff rungs a dead
@@ -243,9 +271,15 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
       // every rung) is not an error — the seed simply re-runs from scratch.
       if (inherited.restore_latest_good(resumed.targets(), resume_sink)) {
         resumed.recorder.begin_verify(reference_log, resumed.recorder.total_events());
-        if (!run_phase(resumed, 32)) return "handoff-resumed rig stalled in phase 1";
-        if (!run_phase(resumed, 64)) return "handoff-resumed rig stalled in phase 2";
-        if (!run_recovery_tail(resumed)) return "handoff-resumed rig never recovered";
+        if (std::string stall = run_phase(resumed, 32); !stall.empty()) {
+          return "handoff-resumed rig stalled in phase 1: " + stall;
+        }
+        if (std::string stall = run_phase(resumed, 64); !stall.empty()) {
+          return "handoff-resumed rig stalled in phase 2: " + stall;
+        }
+        if (std::string stall = run_recovery_tail(resumed); !stall.empty()) {
+          return "handoff-resumed rig never recovered: " + stall;
+        }
         finish_run(resumed);
         if (const std::string problem =
                 compare_final_state(reference, resumed, "handoff-resumed");
@@ -260,7 +294,6 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   std::error_code cleanup_ec;
   fs::remove_all(seed_dir, cleanup_ec);
   fs::create_directories(seed_dir, cleanup_ec);
-  dump_event_log(seed_dir / "reference-events.log", reference_log, reference.kernel);
 
   DegradedRig checkpointed(model, faults, seed, sink);
   // Handoff rung 1: the t=0 base. Written on every attempt and in every
@@ -273,7 +306,9 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   replay::CheckpointStore::WriteResult handoff_rung;
   (void)handoff_store.checkpoint(checkpointed.targets(), handoff_rung, handoff_sink);
   std::string snapshot;
-  if (!run_phase(checkpointed, 32)) return "checkpointed rig stalled";
+  if (std::string stall = run_phase(checkpointed, 32); !stall.empty()) {
+    return "checkpointed rig stalled: " + stall;
+  }
   if (!run_to_save_point(checkpointed, &snapshot)) return "no checkpointable state";
   // Handoff rung 2: the save point a successor resumes from. The state was
   // just proven checkpointable, so a failure here is a real bug.
@@ -287,8 +322,12 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
     return "restore failed: " + restore_sink.str();
   }
   restored.recorder.begin_verify(reference_log, restored.recorder.total_events());
-  if (!run_phase(restored, 64)) return "restored rig stalled";
-  if (!run_recovery_tail(restored)) return "restored rig never recovered";
+  if (std::string stall = run_phase(restored, 64); !stall.empty()) {
+    return "restored rig stalled: " + stall;
+  }
+  if (std::string stall = run_recovery_tail(restored); !stall.empty()) {
+    return "restored rig never recovered: " + stall;
+  }
   finish_run(restored);
 
   if (const std::string problem = compare_final_state(reference, restored, "restored");
@@ -324,7 +363,9 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
 
   replay::CheckpointStore::WriteResult write_result;
   support::DiagnosticSink store_sink;
-  if (!run_phase(ladder, 32)) return "ladder rig stalled in phase 1";
+  if (std::string stall = run_phase(ladder, 32); !stall.empty()) {
+    return "ladder rig stalled in phase 1: " + stall;
+  }
   if (!run_to_save_point(ladder, nullptr)) return "ladder rig found no save point";
   // The first checkpoint lands before the faults arm: a good base is
   // guaranteed, so every seed can recover no matter what the dice do later.
@@ -332,13 +373,17 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
     return "clean base checkpoint failed: " + store_sink.str();
   }
   store.install_fault_plan(&corruption);
-  if (!run_phase(ladder, 64)) return "ladder rig stalled in phase 2";
+  if (std::string stall = run_phase(ladder, 64); !stall.empty()) {
+    return "ladder rig stalled in phase 2: " + stall;
+  }
   // Mid-script checkpoints only land when the rig happens to be
   // checkpointable (no in-flight retry expectation); a refusal just means
   // fewer rungs. Capture has no simulation side effects, so the ladder rig
   // stays on the reference timeline either way.
   (void)store.checkpoint(ladder.targets(), write_result, store_sink);
-  if (!run_recovery_tail(ladder)) return "ladder rig never recovered";
+  if (std::string stall = run_recovery_tail(ladder); !stall.empty()) {
+    return "ladder rig never recovered: " + stall;
+  }
   (void)store.checkpoint(ladder.targets(), write_result, store_sink);
   finish_run(ladder);
 
@@ -369,9 +414,15 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   recovered.recorder.begin_verify(reference_log, recovered.recorder.total_events());
   // Replay the whole script: phases the restored rung already completed
   // return immediately, the rest continues on the reference timeline.
-  if (!run_phase(recovered, 32)) return "recovered rig stalled in phase 1";
-  if (!run_phase(recovered, 64)) return "recovered rig stalled in phase 2";
-  if (!run_recovery_tail(recovered)) return "recovered rig never recovered";
+  if (std::string stall = run_phase(recovered, 32); !stall.empty()) {
+    return "recovered rig stalled in phase 1: " + stall;
+  }
+  if (std::string stall = run_phase(recovered, 64); !stall.empty()) {
+    return "recovered rig stalled in phase 2: " + stall;
+  }
+  if (std::string stall = run_recovery_tail(recovered); !stall.empty()) {
+    return "recovered rig never recovered: " + stall;
+  }
   finish_run(recovered);
   if (const std::string problem = compare_final_state(reference, recovered, "ladder");
       !problem.empty()) {
@@ -405,6 +456,8 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   const sim::SimTime crash_horizon = sim::SimTime::us(1000);
 
   DegradedRig crash_reference(model, faults, seed, sink);
+  EventLogOnFailure crash_reference_events(seed_dir / "crash-reference-events.log",
+                                           crash_reference);
   ScriptDriver reference_script(crash_reference);
   sim::CrashInjector reference_injector(crash_reference.kernel, nullptr,
                                         crash_tick_interval);
@@ -419,10 +472,7 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   crash_ref_coordinator.stop();
   crash_reference.kernel.run(crash_horizon);
   if (!reference_script.done()) return "crash reference never finished its script";
-  const std::vector<sim::RecordedEvent> crash_reference_log =
-      crash_reference.recorder.log();
-  dump_event_log(seed_dir / "crash-reference-events.log", crash_reference_log,
-                 crash_reference.kernel);
+  const std::vector<sim::RecordedEvent>& crash_reference_log = crash_reference.recorder.log();
 
   DegradedRig crash_rig(model, faults, seed, sink);
   ScriptDriver crash_script(crash_rig);
@@ -535,9 +585,11 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
     fleet::reduce(outcome.kernel, kernel->stats());
     outcome.events_processed += kernel->events_processed();
   }
-  fs::remove_all(seed_dir, cleanup_ec);
 
   if (sink.has_errors()) return "diagnostics: " + sink.str();
+  reference_events.pass();
+  crash_reference_events.pass();
+  fs::remove_all(seed_dir, cleanup_ec);
   return {};
 }
 
@@ -559,7 +611,7 @@ bool Model::build(support::DiagnosticSink& sink) {
   psm_profile = soc::SocProfile::find(*hw->psm);
   psm_uart = dynamic_cast<uml::Component*>(uml::find_by_qualified_name(*hw->psm, "ip.Uart"));
   if (psm_uart == nullptr || !psm_profile.has_value()) {
-    std::fputs("hardware PSM missing ip.Uart\n", stderr);
+    sink.error("soak", "hardware PSM missing ip.Uart");
     return false;
   }
   if (!hw->memory_map.empty()) base = hw->memory_map[0].base;
@@ -694,20 +746,18 @@ replay::SnapshotTargets DegradedRig::targets() {
   return out;
 }
 
-bool run_phase(DegradedRig& rig, std::uint64_t total) {
+std::string run_phase(DegradedRig& rig, std::uint64_t total) {
   rig.target = total;
   if (rig.sent < rig.target) {
     rig.kernel.schedule(sim::SimTime(DegradedRig::kSendPeriodPs), rig.sender);
   }
   for (int guard = 0; guard < 100000; ++guard) {
-    if (rig.sent >= rig.target && rig.bus.pending_transactions() == 0) return true;
+    if (rig.sent >= rig.target && rig.bus.pending_transactions() == 0) return {};
     rig.kernel.run(rig.kernel.now() + sim::SimTime::us(1));
   }
-  std::printf("traffic phase stalled: sent=%llu target=%llu pending=%zu\n",
-              static_cast<unsigned long long>(rig.sent),
-              static_cast<unsigned long long>(rig.target),
-              rig.bus.pending_transactions());
-  return false;
+  return "traffic phase stalled: sent=" + std::to_string(rig.sent) +
+         " target=" + std::to_string(rig.target) +
+         " pending=" + std::to_string(rig.bus.pending_transactions());
 }
 
 bool run_to_save_point(DegradedRig& rig, std::string* out) {
@@ -723,20 +773,19 @@ bool run_to_save_point(DegradedRig& rig, std::string* out) {
   return false;
 }
 
-bool run_recovery_tail(DegradedRig& rig) {
+std::string run_recovery_tail(DegradedRig& rig) {
   const sim::SimTime limit = rig.kernel.now() + sim::SimTime::us(500);
   for (int guard = 0; guard < 2000; ++guard) {
     if (rig.breaker.state() == sim::CircuitBreaker::State::kClosed &&
         rig.health.all_healthy() && rig.sup.quiescent()) {
-      return true;
+      return {};
     }
     if (rig.kernel.now() > limit) break;
-    if (!run_phase(rig, rig.target + 1)) return false;
+    if (std::string stall = run_phase(rig, rig.target + 1); !stall.empty()) return stall;
   }
-  std::printf("recovery tail did not converge: breaker=%s health=%s sup=%s\n",
-              std::string(sim::to_string(rig.breaker.state())).c_str(),
-              rig.health.str().c_str(), rig.sup.str().c_str());
-  return false;
+  return "recovery tail did not converge: breaker=" +
+         std::string(sim::to_string(rig.breaker.state())) + " health=" + rig.health.str() +
+         " sup=" + rig.sup.str();
 }
 
 void finish_run(DegradedRig& rig) {
@@ -823,9 +872,6 @@ std::vector<fleet::RigOutcome> run_fleet(const Model& model, fleet::FleetDriver&
              fs::copy_options::recursive | fs::copy_options::overwrite_existing,
              copy_ec);
     std::ofstream(artifact_dir / "problem.txt") << outcome.failure << '\n';
-    std::printf("  seed %llu: ladder + event logs preserved in %s\n",
-                static_cast<unsigned long long>(outcome.seed),
-                artifact_dir.string().c_str());
   }
   std::error_code cleanup_ec;
   fs::remove_all(scratch, cleanup_ec);

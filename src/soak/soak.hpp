@@ -37,9 +37,10 @@
 // predecessor left and replays the remainder under the verifier, proving
 // resume-from-ladder, before re-running the legs from scratch.
 //
-// Per-seed scratch (checkpoint ladders, event logs) lives under a temp
-// directory and is removed on success; run_fleet copies a failing seed's
-// scratch to `<artifact_root>/seed-N` with a problem.txt for forensics.
+// Per-seed scratch (checkpoint ladders) lives under a temp directory and is
+// removed on success. A failing seed also writes the event logs of the
+// reference rigs its legs ran, and run_fleet copies its scratch to
+// `<artifact_root>/seed-N` with a problem.txt for forensics.
 #pragma once
 
 #include <cstdint>
@@ -81,8 +82,8 @@ struct Model {
   statechart::StateMachine link{"UartLink"};
 
   /// Instantiates the Uart IP, maps it to the hardware platform and builds
-  /// the link machine. False (with diagnostics in `sink`, or a line on
-  /// stderr) when the PSM has no ip.Uart.
+  /// the link machine. False, with the problem in `sink`, when the PSM has
+  /// no ip.Uart.
   bool build(support::DiagnosticSink& sink);
 };
 
@@ -166,7 +167,8 @@ struct DegradedRig {
 /// Streams bytes until `total` have been sent and the bus has drained.
 /// State-driven (no wall-count of run calls), so a reference run, a
 /// checkpointed run and a restored run walk identical event sequences.
-bool run_phase(DegradedRig& rig, std::uint64_t total);
+/// Returns an empty string on success, else what stalled.
+std::string run_phase(DegradedRig& rig, std::uint64_t total);
 
 /// Runs until the rig reaches a checkpointable state (e.g. no in-flight
 /// port expectation from a retry) and captures a snapshot. `out == nullptr`
@@ -178,8 +180,9 @@ bool run_to_save_point(DegradedRig& rig, std::string* out);
 /// Drives the rig to full recovery: breaker closed, every unit healthy,
 /// no supervision work pending. Each iteration sends one keepalive byte —
 /// routed around an open breaker — so simulated time advances through open
-/// durations and restart backoffs.
-bool run_recovery_tail(DegradedRig& rig);
+/// durations and restart backoffs. Returns an empty string on success, else
+/// why it did not converge.
+std::string run_recovery_tail(DegradedRig& rig);
 
 /// Disarms supervision and drains the queue; stale timer/check events
 /// fizzle by design.
@@ -195,7 +198,8 @@ std::string compare_final_state(const DegradedRig& reference, const DegradedRig&
 /// One chaos-soak seed: every leg above under the job's fault template,
 /// with per-seed scratch in `scratch / "seed-N"` (removed on success, left
 /// in place on failure). `ok` is false and `failure` names the first
-/// broken leg when the seed fails. Everything it touches is rig-local or
+/// broken leg, with the stalled loop's detail where one stalled, when the
+/// seed fails. Everything it touches is rig-local or
 /// the read-only `model`, so fleet workers may run seeds concurrently.
 fleet::RigOutcome run_seed(const Model& model, const fleet::RigJob& job,
                            const std::filesystem::path& scratch);
@@ -203,8 +207,8 @@ fleet::RigOutcome run_seed(const Model& model, const fleet::RigJob& job,
 /// Runs seeds [first_seed, first_seed + count) through `driver` with
 /// run_seed, under a fresh scratch root in the system temp directory.
 /// Copies each failing seed's scratch to `artifact_root / "seed-N"` with
-/// its failure in problem.txt (and says so on stdout), then removes the
-/// scratch root. Returns the outcomes in seed order.
+/// its failure in problem.txt, then removes the scratch root. Prints
+/// nothing. Returns the outcomes in seed order.
 std::vector<fleet::RigOutcome> run_fleet(const Model& model, fleet::FleetDriver& driver,
                                          std::uint64_t first_seed, std::uint64_t count,
                                          const std::filesystem::path& artifact_root);

@@ -80,7 +80,6 @@ struct FullRig {
         plan(/*seed=*/7),
         instance(machine),
         watchdog(kernel, "rig", SimTime::us(1)),
-        recorder(/*ring_capacity=*/0),
         port(kernel, bus, "port"),
         breaker(kernel, port, "dma", breaker_config()),
         supervisor(kernel, "soc", sim::RestartStrategy::kOneForOne, restart_policy()) {

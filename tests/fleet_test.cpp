@@ -19,7 +19,7 @@
 #include "fleet/driver.hpp"
 #include "fleet/handoff.hpp"
 #include "fleet/report.hpp"
-#include "sim/fault.hpp"
+#include "mini_rig.hpp"
 #include "sim/kernel.hpp"
 #include "sim/supervise.hpp"
 #include "support/checksum.hpp"
@@ -27,50 +27,9 @@
 namespace umlsoc::fleet {
 namespace {
 
-/// A miniature but real rig: one kernel, a seeded fault plan and a health
-/// registry, driven by a self-rescheduling process whose behavior depends
-/// only on the seed. Exercises the actual simulation stack on worker
-/// threads (the TSAN job's target) while staying fast enough for a fleet
-/// of hundreds.
-RigOutcome run_mini_rig(const RigJob& job) {
-  sim::Kernel kernel;
-  sim::FaultPlan plan(job.seed);
-  sim::FaultPlan::SiteConfig site;
-  site.error_rate = 0.05;
-  site.drop_rate = 0.02;
-  plan.configure(sim::FaultSite::kBusWrite, site);
-  sim::HealthRegistry health;
-  const sim::HealthRegistry::UnitId unit = health.register_unit("worker");
-
-  RigOutcome outcome;
-  std::uint64_t ticks = 0;
-  sim::ProcessId worker = sim::kInvalidProcess;
-  worker = kernel.register_process(
-      [&] {
-        ++ticks;
-        ++outcome.slo.requests;
-        const sim::FaultDecision decision = plan.consult(sim::FaultSite::kBusWrite);
-        if (decision.faulted()) {
-          ++outcome.slo.lost;
-          health.set_health(unit, sim::UnitHealth::kDegraded, "fault");
-        } else {
-          ++outcome.slo.delivered;
-          health.set_health(unit, sim::UnitHealth::kHealthy, "ok");
-        }
-        if (ticks < 200) kernel.schedule(sim::SimTime::ns(10), worker);
-      },
-      "fleet-test.worker");
-  kernel.schedule(sim::SimTime::ns(10), worker);
-  kernel.run();
-
-  outcome.ok = outcome.slo.lost * 10 < outcome.slo.requests;  // <10% loss SLO.
-  if (!outcome.ok) outcome.failure = "loss SLO violated";
-  outcome.sim_time_ps = kernel.now().picoseconds();
-  outcome.events_processed = kernel.events_processed();
-  outcome.health.add(health);
-  reduce(outcome.kernel, kernel.stats());
-  return outcome;
-}
+/// 200 requests per seed under the loss SLO, so the determinism checks see
+/// failing seeds as well as passing ones.
+constexpr MiniRig run_mini_rig{200, /*loss_slo=*/true};
 
 TEST(FleetDriver, RunsEveryRigExactlyOnceAcrossChunks) {
   const std::uint64_t kRigs = 103;  // Deliberately not a multiple of anything.

@@ -24,6 +24,7 @@
 #include "fleet/driver.hpp"
 #include "fleet/handoff.hpp"
 #include "fleet/report.hpp"
+#include "mini_rig.hpp"
 #include "replay/store.hpp"
 #include "sim/fault.hpp"
 #include "sim/kernel.hpp"
@@ -33,48 +34,9 @@
 namespace umlsoc::fleet {
 namespace {
 
-/// Same miniature rig as fleet_test: one kernel, a seeded fault plan and a
-/// health registry driven by a self-rescheduling process. The outcome is a
-/// pure function of the seed, which is what the process-vs-thread parity
-/// tests pin.
-RigOutcome run_mini_rig(const RigJob& job) {
-  sim::Kernel kernel;
-  sim::FaultPlan plan(job.seed);
-  sim::FaultPlan::SiteConfig site;
-  site.error_rate = 0.05;
-  site.drop_rate = 0.02;
-  plan.configure(sim::FaultSite::kBusWrite, site);
-  sim::HealthRegistry health;
-  const sim::HealthRegistry::UnitId unit = health.register_unit("worker");
-
-  RigOutcome outcome;
-  std::uint64_t ticks = 0;
-  sim::ProcessId worker = sim::kInvalidProcess;
-  worker = kernel.register_process(
-      [&] {
-        ++ticks;
-        ++outcome.slo.requests;
-        const sim::FaultDecision decision = plan.consult(sim::FaultSite::kBusWrite);
-        if (decision.faulted()) {
-          ++outcome.slo.lost;
-          health.set_health(unit, sim::UnitHealth::kDegraded, "fault");
-        } else {
-          ++outcome.slo.delivered;
-          health.set_health(unit, sim::UnitHealth::kHealthy, "ok");
-        }
-        if (ticks < 100) kernel.schedule(sim::SimTime::ns(10), worker);
-      },
-      "procpool-test.worker");
-  kernel.schedule(sim::SimTime::ns(10), worker);
-  kernel.run();
-
-  outcome.ok = true;
-  outcome.sim_time_ps = kernel.now().picoseconds();
-  outcome.events_processed = kernel.events_processed();
-  outcome.health.add(health);
-  reduce(outcome.kernel, kernel.stats());
-  return outcome;
-}
+/// 100 requests per seed; every seed passes, so a failed outcome can only
+/// come from the pool.
+constexpr MiniRig run_mini_rig{100, /*loss_slo=*/false};
 
 /// A RigOutcome with every field set to a distinct value, so a codec that
 /// drops or reorders a field cannot round-trip it.

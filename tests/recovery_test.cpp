@@ -3,7 +3,8 @@
 // crash recovery through the ladder with a bounded lost-work window,
 // supervisor rollback escalation (poison suppression and bounded retries
 // ending in terminal give-up), time travel via restore_to, and the
-// root-cause binary search pinpointing a seeded poison event.
+// root-cause binary search pinpointing a seeded poison event and clipping
+// the window it reports.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,6 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "codegen/plantuml.hpp"
+#include "interaction/from_trace.hpp"
+#include "interaction/trace.hpp"
 #include "replay/recovery.hpp"
 #include "replay/snapshot.hpp"
 #include "replay/store.hpp"
@@ -51,8 +55,7 @@ struct WorkerRig {
   std::uint64_t fail_from_tick = kNever;  ///< First tick reporting a child failure.
 
   WorkerRig()
-      : recorder(/*ring_capacity=*/0),
-        supervisor(kernel, "soc", sim::RestartStrategy::kOneForOne, restart_policy()) {
+      : supervisor(kernel, "soc", sim::RestartStrategy::kOneForOne, restart_policy()) {
     child = supervisor.add_child("worker", [this] {
       ++restarts;
       return true;
@@ -415,16 +418,78 @@ TEST_F(RecoveryTest, RootCausePinpointsTheSeededPoisonEvent) {
   EXPECT_NE(report.summary.find("earliest divergent activation"), std::string::npos)
       << report.summary;
   EXPECT_NE(report.summary.find("rig.worker"), std::string::npos) << report.summary;
-  EXPECT_NE(report.sequence_diagram.find("@startuml"), std::string::npos)
-      << report.sequence_diagram;
-  EXPECT_NE(report.sequence_diagram.find("rig.worker"), std::string::npos)
-      << report.sequence_diagram;
-  EXPECT_NE(report.sequence_diagram.find("first divergent"), std::string::npos)
-      << report.sequence_diagram;
+
+  // The window brackets the culprit (at most four activations before it,
+  // three after) and starts no earlier than the rung the rig was rewound
+  // to.
+  EXPECT_LE(report.window_begin, report.first_bad_index);
+  EXPECT_LT(report.first_bad_index, report.window_end);
+  EXPECT_LE(report.window_end - report.window_begin, 8u);
+  EXPECT_LE(report.window_end, expected.size());
+  EXPECT_GE(report.window_begin, rig.recorder.total_events());
+
+  // The window renders as a sequence diagram: each activation a
+  // kernel->process dispatch message, the culprit marked.
+  interaction::Trace trace;
+  for (std::uint64_t i = report.window_begin; i < report.window_end; ++i) {
+    std::string message = "activate #" + std::to_string(i) + " at " +
+                          SimTime(expected[i].at_ps).str();
+    if (i == report.first_bad_index) message += " [first divergent]";
+    trace.push_back("kernel->" + rig.kernel.process_label(expected[i].process) + ":" + message);
+  }
+  std::size_t skipped = 0;
+  const auto diagram = interaction::interaction_from_trace("root-cause", trace, &skipped);
+  ASSERT_NE(diagram, nullptr);
+  EXPECT_EQ(skipped, 0u) << "every label parses as From->To:message";
+  const std::string plantuml = codegen::to_plantuml_sequence(*diagram);
+  EXPECT_NE(plantuml.find("@startuml"), std::string::npos) << plantuml;
+  EXPECT_NE(plantuml.find("rig.worker"), std::string::npos) << plantuml;
+  EXPECT_NE(plantuml.find("first divergent"), std::string::npos) << plantuml;
 
   // The rig is left rewound to the last good rung, before the poison.
   EXPECT_LT(rig.ticks, 30u);
   EXPECT_EQ(rig.counter, rig.ticks);
+}
+
+TEST_F(RecoveryTest, RootCauseWindowIsClippedToTheRungAndTheLogEnd) {
+  // The same workload as above, checkpointed until 200 ns (last rung at
+  // ~150 ns) and run to 600 ns, poisoned at the first tick after the rung
+  // or at the very last activation of the log.
+  const auto search = [this](std::uint64_t poison_tick, const char* subdir,
+                             std::uint64_t& rewound_position) {
+    WorkerRig rig;
+    rig.corrupt_at_tick = poison_tick;
+    CheckpointStoreConfig config = store_config();
+    config.directory = dir_ / subdir;
+    CheckpointStore store(config);
+    RecoveryPolicy policy;
+    policy.checkpoint_interval = SimTime::ns(50);
+    policy.tick_interval = SimTime(10'001);
+    RecoveryCoordinator coordinator(rig.kernel, store, rig.targets(), policy);
+    coordinator.start();
+    rig.start();
+    rig.kernel.run(SimTime::ns(200));
+    coordinator.stop();
+    rig.kernel.run(SimTime::ns(600));
+    const std::vector<sim::RecordedEvent> expected = rig.recorder.log();
+    support::DiagnosticSink sink;
+    const RecoveryCoordinator::RootCauseReport report = coordinator.root_cause(
+        expected, expected.size() - 1, [&rig] { return rig.counter != rig.ticks; }, sink);
+    EXPECT_TRUE(report.found) << report.summary << "\n" << sink.str();
+    rewound_position = rig.recorder.total_events();
+    return std::make_pair(report, expected.size());
+  };
+
+  std::uint64_t rung = 0;
+  const auto [early, early_size] = search(16, "early", rung);
+  ASSERT_LT(early.first_bad_index, rung + 4) << "the culprit sits right after the rung";
+  EXPECT_EQ(early.window_begin, rung);
+  EXPECT_EQ(early.window_end, early.first_bad_index + 4);
+
+  const auto [late, late_size] = search(60, "late", rung);
+  ASSERT_GT(late.first_bad_index + 4, late_size) << "the culprit sits near the log's end";
+  EXPECT_EQ(late.window_begin, late.first_bad_index - 4);
+  EXPECT_EQ(late.window_end, late_size);
 }
 
 TEST_F(RecoveryTest, RootCauseProbesNeverWriteLadderRungs) {

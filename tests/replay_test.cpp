@@ -61,13 +61,11 @@ struct Rig {
   int ticks = 0;
   std::uint64_t read_sum = 0;
 
-  explicit Rig(const statechart::StateMachine& machine, std::size_t ring_capacity = 0,
-               SimTime port_timeout = SimTime())
+  explicit Rig(const statechart::StateMachine& machine, SimTime port_timeout = SimTime())
       : bus(kernel, "mem", SimTime::ns(4)),
         plan(/*seed=*/7),
         instance(machine),
-        watchdog(kernel, "rig", SimTime::us(1)),
-        recorder(ring_capacity) {
+        watchdog(kernel, "rig", SimTime::us(1)) {
     if (port_timeout.picoseconds() != 0) {
       sim::RetryPolicy policy;
       policy.timeout = port_timeout;
@@ -455,23 +453,6 @@ TEST_F(ReplayTest, VerifyModeReportsRunsThatStopShort) {
   ASSERT_TRUE(replayed.recorder.missing_events().has_value());
 }
 
-TEST_F(ReplayTest, RingRecorderKeepsTheTail) {
-  Rig rig(*machine_, /*ring_capacity=*/8);
-  rig.run();
-  EXPECT_GT(rig.recorder.total_events(), 8u);
-  const std::vector<sim::RecordedEvent> log = rig.recorder.log();
-  ASSERT_EQ(log.size(), 8u);
-  EXPECT_EQ(rig.recorder.dropped_events(), rig.recorder.total_events() - 8);
-
-  // The retained tail equals the tail of a full recording.
-  Rig full(*machine_);
-  full.run();
-  const std::vector<sim::RecordedEvent> full_log = full.recorder.log();
-  ASSERT_GE(full_log.size(), 8u);
-  const std::vector<sim::RecordedEvent> tail(full_log.end() - 8, full_log.end());
-  EXPECT_EQ(log, tail);
-}
-
 TEST_F(ReplayTest, StatechartRestoreRejectsForeignIndices) {
   Rig source(*machine_);
   source.run(kMidRunPs);
@@ -493,10 +474,10 @@ TEST_F(ReplayTest, StatechartRestoreRejectsForeignIndices) {
 // landing one tick late.
 void expect_live_restore_replays_faithfully(const statechart::StateMachine& machine,
                                             SimTime port_timeout) {
-  Rig reference(machine, 0, port_timeout);
+  Rig reference(machine, port_timeout);
   reference.run();
 
-  Rig rig(machine, 0, port_timeout);
+  Rig rig(machine, port_timeout);
   rig.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;

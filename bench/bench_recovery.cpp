@@ -179,7 +179,7 @@ replay::CheckpointStoreConfig ladder_config(std::uint64_t deltas) {
 
 /// Arg: deltas stacked on the base full. restore_latest_good validates the
 /// whole chain, materializes it and applies the image, so latency is the
-/// crash-recovery (and rollback) critical path. Each iteration restores
+/// crash-recovery critical path. Each iteration restores
 /// through a fresh store (built with timing paused), which has no decode to
 /// reuse: this row times a cold decode and keeps the chain-length gate
 /// meaningful.

@@ -242,6 +242,11 @@ void BM_SnapshotIncremental(benchmark::State& state) {
   state.counters["machines"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_SnapshotIncremental)->Arg(8)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
+// A delta's cost grows with the log before it, so the mean per delta
+// depends on how many deltas a run encodes. These rows pin the count: the
+// 1k and 16k means are comparable run to run.
+BENCHMARK(BM_SnapshotIncremental)->Arg(8)->Iterations(1000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SnapshotIncremental)->Arg(8)->Iterations(16000)->Unit(benchmark::kMicrosecond);
 
 /// Byte-serial FNV-1a: the reference row for the checksum speed gate.
 std::uint64_t fnv1a(std::string_view data) {

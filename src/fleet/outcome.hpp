@@ -80,7 +80,6 @@ struct SloCounters {
   std::uint64_t breaker_opens = 0;
   std::uint64_t breaker_closes = 0;
   std::uint64_t breaker_fast_failed = 0;
-  std::uint64_t rollbacks = 0;       ///< Coordinator-driven rollback recoveries.
 
   // Checkpointing and recovery.
   std::uint64_t checkpoints_written = 0;
@@ -115,7 +114,6 @@ struct SloCounters {
     visit("breaker_opens", kSum, r.breaker_opens...);
     visit("breaker_closes", kSum, r.breaker_closes...);
     visit("breaker_fast_failed", kSum, r.breaker_fast_failed...);
-    visit("rollbacks", kSum, r.rollbacks...);
     visit("checkpoints_written", kSum, r.checkpoints_written...);
     visit("checkpoint_write_faults", kSum, r.checkpoint_write_faults...);
     visit("rungs_quarantined", kSum, r.rungs_quarantined...);

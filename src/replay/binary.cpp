@@ -765,7 +765,8 @@ bool IncrementalEncoder::encode(const SnapshotTargets& targets, bool force_full,
           current.substr(kRecorderHeadBytes, previous.size() - kRecorderHeadBytes) ==
               previous.substr(kRecorderHeadBytes)) {
         // The splice invariant the decoder checks: the total grew by exactly
-        // the number of appended entries (a ring drop breaks this).
+        // the number of appended entries. A log replaced by restore_log or
+        // begin_verify with a count other than its length breaks this.
         ByteReader previous_head(previous);
         ByteReader current_head(current);
         const std::uint64_t previous_total = previous_head.u64();
@@ -780,8 +781,9 @@ bool IncrementalEncoder::encode(const SnapshotTargets& targets, bool force_full,
         file.begin_frame(sections[i].kind, sections[i].name, kEntryReference)
             .u64(support::xxh64(current));
       } else if (appendable) {
-        // The log only grew: ship just the new entries. (A ring wraparound
-        // breaks the prefix property and falls through to a full payload.)
+        // The log only grew: ship just the new entries. (A log replaced
+        // since the last rung breaks the prefix property or the count and
+        // falls through to a full payload.)
         ByteWriter& append =
             file.begin_frame(sections[i].kind, sections[i].name, kEntryRecorderAppend);
         append.bytes(current.substr(0, kRecorderHeadBytes - 4));

@@ -33,20 +33,14 @@ void RecoveryCoordinator::tick() {
   // every checkpoint captured at this instant, so a restored rig's ladder
   // keeps growing on its own.
   kernel_.schedule(policy_.tick_interval, tick_process_);
-  // Inside a verify replay (rollback or root-cause probe) the restored
-  // schedule re-executes this tick, but stats_.last_checkpoint_ps still
-  // holds the pre-restore value — the due-math would underflow and a rung
-  // of mid-replay (possibly diverged) state would land at the top of the
+  // Inside a root-cause probe's verify replay the restored schedule
+  // re-executes this tick, but stats_.last_checkpoint_ps still holds the
+  // pre-restore value — the due-math would underflow and a rung of
+  // mid-replay (possibly diverged) state would land at the top of the
   // ladder, which the next restore_latest_good would adopt as newest-good.
   // Writes stay gated until adopt_restored_state() refreshes the clocks.
   if (replaying_) return;
   if (!running_) return;
-  // With a rollback latched, the rig is running post-poison state until the
-  // driver gets around to maybe_rollback(); writing rungs now would let the
-  // restore land *after* the poison instant. The pending flag is set inside
-  // the simulation (the escalation is a process body), so skipping here is
-  // just as sim-deterministic as writing.
-  if (pending_.has_value()) return;
 
   const std::uint64_t now_ps = kernel_.now().picoseconds();
   if (now_ps - stats_.last_checkpoint_ps < policy_.checkpoint_interval.picoseconds()) {
@@ -79,107 +73,6 @@ bool RecoveryCoordinator::recover(support::DiagnosticSink& sink) {
   // reschedules itself — the chain continues without a fresh start().
   started_ = true;
   running_ = true;
-  return true;
-}
-
-void RecoveryCoordinator::attach_supervisor(sim::Supervisor& supervisor) {
-  supervisor_ = &supervisor;
-  supervisor.set_rollback_handler([this](const std::string& reason) {
-    // An escalation re-executed under verify replay must reproduce the
-    // original acceptance (the recorded trajectory suspended here) without
-    // latching a new poison or spending rollback budget.
-    if (replaying_) return true;
-    if (pending_.has_value()) return false;
-    if (stats_.rollbacks >= policy_.max_rollbacks) return false;
-    sim::EventRecorder* recorder = targets_.recorder;
-    if (recorder == nullptr || recorder->total_events() == 0) return false;
-    // The poison is the most recently recorded activation: run_process
-    // records before the body runs, and the escalation is synchronous
-    // within the failing body.
-    pending_ = PoisonPoint{reason, recorder->total_events() - 1,
-                           kernel_.now().picoseconds()};
-    return true;
-  });
-}
-
-bool RecoveryCoordinator::maybe_rollback(support::DiagnosticSink& sink) {
-  if (!pending_.has_value()) return true;
-  const PoisonPoint poison = *pending_;
-  pending_.reset();
-
-  sim::EventRecorder* recorder = targets_.recorder;
-  if (recorder == nullptr) {
-    ++stats_.failed_rollbacks;
-    sink.error("recovery", "rollback requires a recorder target");
-    if (supervisor_ != nullptr) supervisor_->force_give_up("rollback failed: no recorder");
-    return false;
-  }
-  // Snapshot the failure run's log BEFORE the restore overwrites it. The
-  // replay needs every counted event in it; a begin_verify from a start
-  // index other than the log's length leaves the count out of step.
-  std::vector<sim::RecordedEvent> expected = recorder->log();
-  if (recorder->total_events() != expected.size() ||
-      poison.event_index >= expected.size()) {
-    ++stats_.failed_rollbacks;
-    sink.error("recovery",
-               "rollback requires a recorder log that holds every counted event");
-    if (supervisor_ != nullptr) {
-      supervisor_->force_give_up("rollback failed: recorder log incomplete");
-    }
-    return false;
-  }
-
-  if (!store_.restore_latest_good(targets_, sink)) {
-    ++stats_.failed_rollbacks;
-    if (supervisor_ != nullptr) {
-      supervisor_->force_give_up("rollback failed: checkpoint ladder exhausted (" +
-                                 poison.reason + ")");
-    }
-    return false;
-  }
-
-  // Replay the recorded suffix up to — but excluding — the poison instant,
-  // under verification: a restored rig that does not reproduce its own
-  // history bit-for-bit must not be resumed.
-  const std::uint64_t poison_at = expected[poison.event_index].at_ps;
-  const std::uint64_t restored_total = recorder->total_events();
-  std::vector<sim::RecordedEvent> prefix(
-      expected.begin(), expected.begin() + static_cast<std::ptrdiff_t>(poison.event_index));
-  recorder->begin_verify(std::move(prefix), restored_total);
-  replaying_ = true;
-  if (poison_at > 0) kernel_.run(sim::SimTime(poison_at - 1));
-  replaying_ = false;
-  const std::optional<sim::EventRecorder::Divergence> divergence = recorder->divergence();
-  recorder->end_verify();
-  if (divergence.has_value()) {
-    ++stats_.failed_rollbacks;
-    if (supervisor_ != nullptr) {
-      supervisor_->force_give_up("rollback replay diverged: " + divergence->str());
-    }
-    return false;
-  }
-
-  // The model's chance to suppress the poison before it re-executes live.
-  if (on_rollback_ != nullptr) on_rollback_(poison.reason);
-  if (supervisor_ != nullptr) supervisor_->resume_after_rollback();
-  adopt_restored_state();
-  running_ = true;
-  // The resume itself is a host-side discontinuity (suspension and restart
-  // window cleared between run() slices) that no recorded activation marks,
-  // so a later rollback must never verify-replay across it: seed the ladder
-  // with a fresh post-resume rung. A refused capture here is tolerable —
-  // the background tick retries, and a replay that does cross the gap fails
-  // closed as a divergence.
-  CheckpointStore::WriteResult resume_rung;
-  if (store_.checkpoint(targets_, resume_rung, sink)) {
-    stats_.last_checkpoint_ps = kernel_.now().picoseconds();
-    stats_.last_checkpoint_seq = resume_rung.seq;
-  }
-  ++stats_.rollbacks;
-  sink.note("recovery",
-            "rolled back to checkpoint " + std::to_string(stats_.last_checkpoint_seq) +
-                ", replayed " + std::to_string(poison.event_index - restored_total) +
-                " events to " + kernel_.now().str() + " (" + poison.reason + ")");
   return true;
 }
 
@@ -242,16 +135,13 @@ RecoveryCoordinator::RootCauseReport RecoveryCoordinator::root_cause(
   }
 
   // Epilogue for every path that ran at least one probe: leave the rig
-  // rewound to the last good rung, and clear a suspension a probed
-  // escalation may have latched on a supervisor that is not itself a
-  // snapshot target (mirrors maybe_rollback's resume). A rewind that cannot
-  // restore says so; adopting the state either way keeps the tick's due
-  // math anchored to the rig's clock.
+  // rewound to the last good rung. A rewind that cannot restore says so;
+  // adopting the state either way keeps the tick's due math anchored to
+  // the rig's clock.
   const auto rewind = [&] {
     if (!store_.restore_latest_good(targets_, sink)) {
       report.summary += "; the rig could not be rewound and holds the last probe's state";
     }
-    if (supervisor_ != nullptr) supervisor_->resume_after_rollback();
     adopt_restored_state();
   };
 

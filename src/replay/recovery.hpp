@@ -1,29 +1,17 @@
 // Recovery orchestration over the checkpoint ladder.
 //
-// RecoveryCoordinator closes the loop between the checkpoint machinery
-// (replay/store.hpp), the event recorder (sim/replay.hpp) and supervision
-// (sim/supervise.hpp). Three capabilities, one owner:
+// RecoveryCoordinator drives the checkpoint machinery (replay/store.hpp)
+// and the event recorder (sim/replay.hpp) during a run. Two capabilities,
+// one owner:
 //
 //  1. Policy-driven background checkpointing. A kernel process ticks at a
 //     fixed sim-time cadence; each tick writes the next ladder rung when the
 //     checkpoint interval has elapsed. The tick reschedules itself *before*
 //     capturing, so the pending next tick is part of every checkpoint — a
 //     restored rig's ladder keeps growing without anyone re-arming it.
+//     recover() cold-starts a crashed rig's fresh twin from that ladder.
 //
-//  2. Rollback escalation. attach_supervisor() installs a rollback handler
-//     one rung below the supervisor's terminal give-up: when the restart
-//     budget is exhausted at the root, the coordinator accepts the failure
-//     (bounded by policy.max_rollbacks), latches the poison point, and the
-//     supervisor suspends instead of giving up. The driver then calls
-//     maybe_rollback() between run() slices: the newest good checkpoint is
-//     restored into the live rig, the recorded suffix up to (but excluding)
-//     the poison instant is replayed under verify mode, and — if the replay
-//     is bit-identical — the rig resumes with the on_rollback hook given a
-//     chance to suppress the poison (disarm a fault site, drop a request).
-//     A diverged replay, an exhausted ladder or a spent retry budget
-//     escalates to Supervisor::force_give_up.
-//
-//  3. Time travel. restore_to(seq) rewinds the live rig to any surviving
+//  2. Time travel. restore_to(seq) rewinds the live rig to any surviving
 //     rung, and root_cause() binary-searches the recorded event log between
 //     the last good checkpoint and a failure point — restoring and
 //     verify-replaying a probe prefix per step — to find the earliest
@@ -45,7 +33,6 @@
 #include "replay/store.hpp"
 #include "sim/kernel.hpp"
 #include "sim/replay.hpp"
-#include "sim/supervise.hpp"
 #include "support/diagnostics.hpp"
 
 namespace umlsoc::replay {
@@ -60,29 +47,17 @@ struct RecoveryPolicy {
   /// derived cadence back, so policy() always reports the effective value
   /// (lost-work bounds can be built from it either way).
   sim::SimTime tick_interval{0};
-  /// Rollback recoveries accepted before the handler lets the supervisor
-  /// give up terminally.
-  unsigned max_rollbacks = 3;
 };
 
 class RecoveryCoordinator {
  public:
   struct Stats {
-    std::uint64_t ticks = 0;             ///< Background tick executions.
-    std::uint64_t attempts = 0;          ///< Due ticks that tried to write.
-    std::uint64_t written = 0;           ///< Checkpoints actually written.
-    std::uint64_t refusals = 0;          ///< Captures refused (retry next tick).
-    std::uint64_t rollbacks = 0;         ///< Successful rollback recoveries.
-    std::uint64_t failed_rollbacks = 0;  ///< Rollbacks that ended in give-up.
+    std::uint64_t ticks = 0;     ///< Background tick executions.
+    std::uint64_t attempts = 0;  ///< Due ticks that tried to write.
+    std::uint64_t written = 0;   ///< Checkpoints actually written.
+    std::uint64_t refusals = 0;  ///< Captures refused (retry next tick).
     std::uint64_t last_checkpoint_ps = 0;
     std::uint64_t last_checkpoint_seq = 0;
-  };
-
-  /// The poison point latched when a supervisor escalates into rollback.
-  struct PoisonPoint {
-    std::string reason;          ///< The exhausted-budget escalation reason.
-    std::uint64_t event_index = 0;  ///< Recorder stream index of the poison event.
-    std::uint64_t at_ps = 0;        ///< Sim time of the escalation.
   };
 
   /// Root-cause search result. `first_bad_index` is the earliest recorder
@@ -102,10 +77,10 @@ class RecoveryCoordinator {
     std::string summary;
   };
 
-  /// `targets` must include the kernel and, for rollback/root-cause, a
-  /// recorder. All referenced components must outlive the coordinator.
-  /// Registers the tick process immediately (construction order is part of
-  /// the deterministic-setup contract), but nothing runs until start() or
+  /// `targets` must include the kernel and, for root_cause, a recorder.
+  /// All referenced components must outlive the coordinator. Registers the
+  /// tick process immediately (construction order is part of the
+  /// deterministic-setup contract), but nothing runs until start() or
   /// recover().
   RecoveryCoordinator(sim::Kernel& kernel, CheckpointStore& store, SnapshotTargets targets,
                       RecoveryPolicy policy);
@@ -126,32 +101,6 @@ class RecoveryCoordinator {
   /// Returns false when the ladder is exhausted.
   [[nodiscard]] bool recover(support::DiagnosticSink& sink);
 
-  /// Installs this coordinator as `supervisor`'s rollback escalation
-  /// handler. The handler accepts failures while the rollback budget lasts,
-  /// latching the poison point for maybe_rollback().
-  void attach_supervisor(sim::Supervisor& supervisor);
-
-  /// Hook invoked after a successful rollback replay, before the rig
-  /// resumes — the model's chance to suppress the poison (disarm a fault
-  /// site, drop the offending request) so the failure does not simply
-  /// recur. Receives the escalation reason.
-  void set_on_rollback(std::function<void(const std::string& reason)> hook) {
-    on_rollback_ = std::move(hook);
-  }
-
-  [[nodiscard]] bool rollback_pending() const { return pending_.has_value(); }
-  [[nodiscard]] const std::optional<PoisonPoint>& poison() const { return pending_; }
-
-  /// Executes a pending rollback; call between run() slices when
-  /// rollback_pending(). Restores the newest good checkpoint into the live
-  /// rig, verify-replays the recorded suffix up to (but excluding) the
-  /// poison instant, invokes the on_rollback hook, clears the supervisor's
-  /// suspension and resumes checkpointing. Returns true when the rig is
-  /// live again; false means terminal give-up (ladder exhausted or replay
-  /// diverged) and the supervisor has been force_give_up'd. With no pending
-  /// rollback, returns true and does nothing.
-  [[nodiscard]] bool maybe_rollback(support::DiagnosticSink& sink);
-
   /// Time travel: rewinds the live rig to the newest rung with sequence
   /// <= `seq` and resumes checkpointing from there (chain reset, next write
   /// is a full). Returns false when no such rung restores.
@@ -167,11 +116,9 @@ class RecoveryCoordinator {
   /// one shared copy of `expected` and verifies every probe against it. A
   /// restore that fails mid-search aborts with a "ladder exhausted during
   /// probing" summary instead of skewing the search. The rig is left
-  /// rewound to the last good checkpoint, with an attached supervisor
-  /// resumed (a probed escalation suspends it, and a supervisor outside the
-  /// snapshot targets is not un-suspended by the restore); when that final
-  /// rewind cannot restore, the summary says the rig holds the last probe's
-  /// state instead. Callers that want the failure state back must replay it
+  /// rewound to the last good checkpoint; when that final rewind cannot
+  /// restore, the summary says the rig holds the last probe's state
+  /// instead. Callers that want the failure state back must replay it
   /// themselves.
   [[nodiscard]] RootCauseReport root_cause(const std::vector<sim::RecordedEvent>& expected,
                                            std::uint64_t failure_index,
@@ -200,12 +147,9 @@ class RecoveryCoordinator {
   SnapshotTargets targets_;
   RecoveryPolicy policy_;
   sim::ProcessId tick_process_ = sim::kInvalidProcess;
-  sim::Supervisor* supervisor_ = nullptr;
-  std::function<void(const std::string&)> on_rollback_;
-  std::optional<PoisonPoint> pending_;
   bool started_ = false;
   bool running_ = true;
-  bool replaying_ = false;  ///< Inside a verify replay (rollback or probe).
+  bool replaying_ = false;  ///< Inside a root-cause probe's verify replay.
   Stats stats_;
 };
 

@@ -9,7 +9,7 @@
 // the old state or a stray `.tmp` the scanner ignores, never a
 // half-visible checkpoint under its final name. That covers process death
 // only: nothing calls fsync, so a power loss or kernel crash can still
-// lose or tear a renamed rung (ROADMAP item 4).
+// lose or tear a renamed rung (ROADMAP item 2).
 //
 // Recovery walks the ladder: restore_latest_good() materializes the newest
 // checkpoint's chain and validates every rung (header, per-section

@@ -1,7 +1,5 @@
 #include "sim/replay.hpp"
 
-#include <algorithm>
-
 namespace umlsoc::sim {
 
 namespace {
@@ -92,39 +90,6 @@ void EventRecorder::on_event_slow(std::uint64_t at_ps, ProcessId process,
   }
 
   events_.push_back(event);
-}
-
-std::optional<EventRecorder::Divergence> first_divergence(
-    const std::vector<RecordedEvent>& expected, const std::vector<RecordedEvent>& actual,
-    const Kernel* kernel) {
-  const std::size_t common = std::min(expected.size(), actual.size());
-  auto label_of = [&](ProcessId process) -> std::string {
-    if (kernel == nullptr || process >= kernel->process_count()) return {};
-    return kernel->process_label(process);
-  };
-  for (std::size_t i = 0; i < common; ++i) {
-    if (expected[i] == actual[i]) continue;
-    EventRecorder::Divergence divergence;
-    divergence.index = i;
-    divergence.expected = expected[i];
-    divergence.actual = actual[i];
-    divergence.expected_label = label_of(expected[i].process);
-    divergence.actual_label = label_of(actual[i].process);
-    return divergence;
-  }
-  if (expected.size() == actual.size()) return std::nullopt;
-  EventRecorder::Divergence divergence;
-  divergence.index = common;
-  if (actual.size() > expected.size()) {
-    divergence.extra_event = true;
-    divergence.actual = actual[common];
-    divergence.actual_label = label_of(actual[common].process);
-  } else {
-    divergence.expected = expected[common];
-    divergence.actual = RecordedEvent{};
-    divergence.expected_label = label_of(expected[common].process);
-  }
-  return divergence;
 }
 
 }  // namespace umlsoc::sim

@@ -94,9 +94,9 @@ class EventRecorder {
 
   /// Returns to record mode after a verify window, keeping the stream
   /// position and the log. Events past the expected log's end no longer
-  /// latch an extra-event divergence — required when a rollback replays a
-  /// verified suffix and then *resumes* live execution beyond the
-  /// recording. Any divergence latched during the window survives.
+  /// latch an extra-event divergence, so a rig that verified a replayed
+  /// prefix can run on live beyond the recording. Any divergence latched
+  /// during the window survives.
   void end_verify();
 
   /// First mismatch latched so far (std::nullopt: no divergence yet).
@@ -126,12 +126,5 @@ class EventRecorder {
   SharedEventLog expected_;  // Set in verify mode only.
   std::optional<Divergence> divergence_;
 };
-
-/// Offline comparison of two complete logs; labels resolved through
-/// `kernel` when provided. Returns the first mismatch (including length
-/// mismatches) or std::nullopt when identical.
-[[nodiscard]] std::optional<EventRecorder::Divergence> first_divergence(
-    const std::vector<RecordedEvent>& expected, const std::vector<RecordedEvent>& actual,
-    const Kernel* kernel = nullptr);
 
 }  // namespace umlsoc::sim

@@ -492,30 +492,10 @@ void Supervisor::escalate(std::string_view reason) {
     parent_->report_failure(id_in_parent_, "escalation: " + std::string(reason));
     return;
   }
-  const std::string exhausted = "restart budget exhausted (" +
-                                std::to_string(policy_.max_restarts) + " restarts in " +
-                                policy_.window.str() + "): " + std::string(reason);
-  // Root escalation ladder: rollback before terminal give-up. An accepting
-  // handler suspends the tree and leaves recovery to the orchestrator; a
-  // rejecting (or absent) handler falls through to give-up.
-  if (rollback_handler_ != nullptr && rollback_handler_(exhausted)) {
-    suspended_ = true;
-    emit("supervisor_rollback", static_cast<std::int64_t>(escalations_));
-    return;
-  }
   gave_up_ = true;
-  give_up_reason_ = exhausted;
+  give_up_reason_ = "restart budget exhausted (" + std::to_string(policy_.max_restarts) +
+                    " restarts in " + policy_.window.str() + "): " + std::string(reason);
   emit("supervisor_give_up", static_cast<std::int64_t>(escalations_));
-  if (on_give_up_ != nullptr) on_give_up_(give_up_reason_);
-}
-
-void Supervisor::force_give_up(std::string_view reason) {
-  if (gave_up_) return;
-  suspended_ = false;
-  gave_up_ = true;
-  give_up_reason_ = std::string(reason);
-  emit("supervisor_give_up", static_cast<std::int64_t>(escalations_));
-  if (on_give_up_ != nullptr) on_give_up_(give_up_reason_);
 }
 
 bool Supervisor::reset_and_restart_all() {

@@ -315,35 +315,6 @@ class Supervisor {
                          HealthRegistry::UnitId unit);
 
   void set_error_emitter(ErrorEmitter emitter) { emitter_ = std::move(emitter); }
-  void set_on_give_up(std::function<void(const std::string& reason)> handler) {
-    on_give_up_ = std::move(handler);
-  }
-
-  /// Rollback escalation hook, consulted at the *root* when the restart
-  /// budget is exhausted — one rung below terminal give-up. A handler that
-  /// returns true accepts the failure for rollback recovery: the supervisor
-  /// suspends (ignoring further reports) instead of giving up, and the
-  /// orchestrator (replay::RecoveryCoordinator) later restores pre-failure
-  /// state from the checkpoint ladder and resumes. A false return falls
-  /// through to the normal terminal give-up. Emits "supervisor_rollback"
-  /// when accepted.
-  void set_rollback_handler(std::function<bool(const std::string& reason)> handler) {
-    rollback_handler_ = std::move(handler);
-  }
-
-  /// Clears the suspension entered when the rollback handler accepted a
-  /// failure. Called by the rollback orchestrator when the supervisor is
-  /// not itself a snapshot target (a targeted supervisor's suspension is
-  /// cleared by the restored checkpoint instead).
-  void resume_after_rollback() {
-    suspended_ = false;
-    window_.clear();
-  }
-
-  /// Terminal give-up driven from outside the escalation path: the rollback
-  /// machinery accepted a failure but could not recover (ladder exhausted,
-  /// replay diverged, retry budget spent).
-  void force_give_up(std::string_view reason);
 
   /// Reports a child failure. Ignored while the supervisor is suspended
   /// (escalated, waiting for its parent) or after it gave up.
@@ -454,8 +425,6 @@ class Supervisor {
   RestartStrategy strategy_;
   RestartPolicy policy_;
   ErrorEmitter emitter_;
-  std::function<void(const std::string&)> on_give_up_;
-  std::function<bool(const std::string&)> rollback_handler_;
   Supervisor* parent_ = nullptr;
   ChildId id_in_parent_ = kInvalidChild;
   ProcessId restart_process_ = kInvalidProcess;

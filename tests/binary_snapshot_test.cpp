@@ -213,8 +213,7 @@ constexpr std::uint64_t kMidRunPs = 25000;
 
 void expect_same_outcome(FullRig& restored, FullRig& reference,
                          const std::vector<sim::RecordedEvent>& reference_log) {
-  EXPECT_EQ(sim::first_divergence(reference_log, restored.recorder.log(), &restored.kernel),
-            std::nullopt);
+  EXPECT_EQ(restored.recorder.log(), reference_log);
   EXPECT_EQ(restored.kernel.now(), reference.kernel.now());
   EXPECT_EQ(restored.kernel.events_processed(), reference.kernel.events_processed());
   EXPECT_EQ(restored.ticks, reference.ticks);

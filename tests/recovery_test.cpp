@@ -1,16 +1,13 @@
 // RecoveryCoordinator tests: policy-driven background checkpointing
-// (interval, co-batched refusal-retry),
-// crash recovery through the ladder with a bounded lost-work window,
-// supervisor rollback escalation (poison suppression and bounded retries
-// ending in terminal give-up), time travel via restore_to, and the
-// root-cause binary search pinpointing a seeded poison event and clipping
-// the window it reports.
+// (interval, co-batched refusal-retry), crash recovery through the ladder
+// with a bounded lost-work window, time travel via restore_to, and the
+// root-cause binary search pinpointing a seeded poison event, clipping the
+// window it reports and never writing rungs from a probe's replay.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,54 +21,30 @@
 #include "sim/fault.hpp"
 #include "sim/kernel.hpp"
 #include "sim/replay.hpp"
-#include "sim/supervise.hpp"
 
 namespace umlsoc::replay {
 namespace {
 
 using sim::SimTime;
 
-constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-
-/// A minimal supervised workload: a worker process ticks every 10 ns,
-/// incrementing a checkpointed counter. Host-side knobs (not checkpointed,
-/// playing the role of an external fault source) can corrupt the counter at
-/// one tick or report child failures from a tick onward. Construction order
-/// is identical across instances, so ProcessIds line up for replay.
+/// A minimal workload: a worker process ticks every 10 ns, incrementing a
+/// checkpointed counter. A host-side knob (not checkpointed, playing the
+/// role of an external fault source) can corrupt the counter at one tick;
+/// the corruption recurs on every replay. Construction order is identical
+/// across instances, so ProcessIds line up for replay.
 struct WorkerRig {
   static constexpr std::uint64_t kWorkerPs = 10'000;  // 10 ns.
 
   sim::Kernel kernel;
   sim::EventRecorder recorder;
-  sim::Supervisor supervisor;
   sim::ProcessId worker = sim::kInvalidProcess;
-  sim::Supervisor::ChildId child = 0;
   std::uint64_t ticks = 0;
   std::uint64_t counter = 0;
-  std::uint64_t restarts = 0;
-  // Host-side fault knobs: the seeded corruption/failure reoccurs on every
-  // replay until a rollback hook (the "operator") changes the knob.
-  std::uint64_t corrupt_at_tick = 0;      ///< 0: never.
-  std::uint64_t fail_from_tick = kNever;  ///< First tick reporting a child failure.
+  std::uint64_t corrupt_at_tick = 0;  ///< 0: never.
 
-  WorkerRig()
-      : supervisor(kernel, "soc", sim::RestartStrategy::kOneForOne, restart_policy()) {
-    child = supervisor.add_child("worker", [this] {
-      ++restarts;
-      return true;
-    });
+  WorkerRig() {
     worker = kernel.register_process([this] { work(); }, "rig.worker");
     kernel.set_recorder(&recorder);
-  }
-
-  static sim::RestartPolicy restart_policy() {
-    sim::RestartPolicy policy;
-    policy.backoff = SimTime::ns(100);
-    policy.backoff_multiplier = 1;
-    policy.max_backoff = SimTime::ns(100);
-    policy.max_restarts = 2;
-    policy.window = SimTime::us(50);
-    return policy;
   }
 
   void start() { kernel.schedule(SimTime(kWorkerPs), worker); }
@@ -82,19 +55,17 @@ struct WorkerRig {
     ++ticks;
     ++counter;
     if (corrupt_at_tick != 0 && ticks == corrupt_at_tick) counter += 1000;
-    if (ticks >= fail_from_tick) supervisor.report_failure(child, "seeded fault");
   }
 
   [[nodiscard]] SnapshotTargets targets() {
     SnapshotTargets out;
     out.kernel = &kernel;
     out.recorder = &recorder;
-    out.supervisors.push_back({"soc", &supervisor});
     out.banks.push_back(
         {"state",
          [this] {
-           return std::vector<std::pair<std::string, std::uint64_t>>{
-               {"ticks", ticks}, {"counter", counter}, {"restarts", restarts}};
+           return std::vector<std::pair<std::string, std::uint64_t>>{{"ticks", ticks},
+                                                                     {"counter", counter}};
          },
          [this](const std::vector<std::pair<std::string, std::uint64_t>>& values,
                 support::DiagnosticSink& sink) {
@@ -103,8 +74,6 @@ struct WorkerRig {
                ticks = value;
              } else if (key == "counter") {
                counter = value;
-             } else if (key == "restarts") {
-               restarts = value;
              } else {
                sink.error("state", "unknown key '" + key + "'");
                return false;
@@ -269,82 +238,6 @@ TEST_F(RecoveryTest, RecoverFailsCleanlyOnAnEmptyLadder) {
   support::DiagnosticSink sink;
   EXPECT_FALSE(coordinator.recover(sink));
   EXPECT_NE(sink.str().find("no restorable checkpoint"), std::string::npos) << sink.str();
-}
-
-TEST_F(RecoveryTest, RollbackRestoresReplaysAndResumesWithPoisonSuppressed) {
-  WorkerRig rig;
-  rig.fail_from_tick = 150;  // Failure storm from 1.5us on.
-  CheckpointStore store(store_config());
-  RecoveryCoordinator coordinator(rig.kernel, store, rig.targets(), policy_100ns());
-  coordinator.attach_supervisor(rig.supervisor);
-  std::string seen_reason;
-  coordinator.set_on_rollback([&](const std::string& reason) {
-    // The "operator": suppress the seeded fault so it does not recur.
-    seen_reason = reason;
-    rig.fail_from_tick = kNever;
-  });
-  coordinator.start();
-  rig.start();
-
-  const SimTime horizon = SimTime::us(10);
-  while (rig.kernel.now() < horizon && !coordinator.rollback_pending()) {
-    rig.kernel.run(rig.kernel.now() + SimTime::ns(500));
-  }
-  ASSERT_TRUE(coordinator.rollback_pending())
-      << "the exhausted restart budget must escalate into rollback";
-  EXPECT_TRUE(rig.supervisor.suspended());
-  EXPECT_FALSE(rig.supervisor.gave_up());
-  const std::uint64_t poison_ps = coordinator.poison()->at_ps;
-  EXPECT_GE(poison_ps, 150 * WorkerRig::kWorkerPs);
-
-  support::DiagnosticSink sink;
-  const std::uint64_t rungs_before = store.stats().checkpoints;
-  ASSERT_TRUE(coordinator.maybe_rollback(sink)) << sink.str();
-  EXPECT_EQ(store.stats().checkpoints, rungs_before + 1)
-      << "exactly the post-resume rung: the verify replay must not write";
-  EXPECT_FALSE(coordinator.rollback_pending());
-  EXPECT_FALSE(rig.supervisor.suspended());
-  EXPECT_FALSE(rig.supervisor.gave_up());
-  EXPECT_EQ(coordinator.stats().rollbacks, 1u);
-  EXPECT_EQ(coordinator.stats().failed_rollbacks, 0u);
-  EXPECT_LT(rig.kernel.now().picoseconds(), poison_ps) << "rolled back before the poison";
-  EXPECT_NE(seen_reason.find("restart budget exhausted"), std::string::npos) << seen_reason;
-
-  // With the poison suppressed, the rig runs through the old failure window
-  // and beyond without another escalation.
-  rig.kernel.run(horizon);
-  EXPECT_FALSE(coordinator.rollback_pending());
-  EXPECT_FALSE(rig.supervisor.gave_up());
-  EXPECT_TRUE(rig.supervisor.quiescent());
-  EXPECT_EQ(rig.counter, rig.ticks) << "no corruption in this scenario";
-  EXPECT_GT(rig.ticks, 150u) << "the rig must have resumed past the poison tick";
-}
-
-TEST_F(RecoveryTest, RollbackBudgetExhaustionEndsInTerminalGiveUp) {
-  WorkerRig rig;
-  rig.fail_from_tick = 150;
-  CheckpointStore store(store_config());
-  RecoveryPolicy policy = policy_100ns();
-  policy.max_rollbacks = 2;
-  RecoveryCoordinator coordinator(rig.kernel, store, rig.targets(), policy);
-  coordinator.attach_supervisor(rig.supervisor);
-  // No on_rollback hook: the poison recurs after every rollback.
-  coordinator.start();
-  rig.start();
-
-  const SimTime horizon = SimTime::us(50);
-  support::DiagnosticSink sink;
-  while (rig.kernel.now() < horizon && !rig.supervisor.gave_up()) {
-    rig.kernel.run(rig.kernel.now() + SimTime::ns(500));
-    if (coordinator.rollback_pending()) {
-      ASSERT_TRUE(coordinator.maybe_rollback(sink)) << sink.str();
-    }
-  }
-  EXPECT_TRUE(rig.supervisor.gave_up());
-  EXPECT_EQ(coordinator.stats().rollbacks, 2u) << "exactly max_rollbacks recoveries";
-  EXPECT_NE(rig.supervisor.give_up_reason().find("restart budget exhausted"),
-            std::string::npos)
-      << rig.supervisor.give_up_reason();
 }
 
 TEST_F(RecoveryTest, RestoreToTravelsToAnEarlierRung) {
@@ -567,37 +460,6 @@ TEST_F(RecoveryTest, RootCauseSurfacesALadderFailureMidSearch) {
   EXPECT_NE(report.summary.find("could not be rewound and holds the last probe's state"),
             std::string::npos)
       << report.summary;
-}
-
-TEST_F(RecoveryTest, RootCauseResumesASupervisorOutsideTheSnapshotTargets) {
-  WorkerRig rig;
-  rig.corrupt_at_tick = 30;
-  rig.fail_from_tick = 150;
-  CheckpointStore store(store_config());
-  // The supervisor is attached for escalation but NOT a snapshot target:
-  // probe restores never touch its suspension, so root_cause must clear it
-  // when forensics complete (mirroring maybe_rollback's resume).
-  SnapshotTargets targets = rig.targets();
-  targets.supervisors.clear();
-  RecoveryCoordinator coordinator(rig.kernel, store, targets, policy_100ns());
-  coordinator.attach_supervisor(rig.supervisor);
-  coordinator.start();
-  rig.start();
-
-  const SimTime horizon = SimTime::us(10);
-  while (rig.kernel.now() < horizon && !coordinator.rollback_pending()) {
-    rig.kernel.run(rig.kernel.now() + SimTime::ns(500));
-  }
-  ASSERT_TRUE(coordinator.rollback_pending());
-  ASSERT_TRUE(rig.supervisor.suspended());
-
-  const std::vector<sim::RecordedEvent> expected = rig.recorder.log();
-  support::DiagnosticSink sink;
-  const RecoveryCoordinator::RootCauseReport report = coordinator.root_cause(
-      expected, expected.size() - 1, [&rig] { return rig.counter != rig.ticks; }, sink);
-  EXPECT_GE(report.probes, 1u);
-  EXPECT_FALSE(rig.supervisor.suspended())
-      << "forensics must not leave an untargeted supervisor suspended";
 }
 
 TEST_F(RecoveryTest, PolicyReportsTheDerivedTickCadence) {

@@ -448,9 +448,6 @@ TEST(Supervisor, RestartStormExhaustsBudgetAndRootGivesUp) {
   std::vector<std::string> events;
   sup.set_error_emitter(
       [&events](const std::string& event, std::int64_t) { events.push_back(event); });
-  std::string give_up_reason;
-  sup.set_on_give_up([&give_up_reason](const std::string& reason) { give_up_reason = reason; });
-
   sup.report_failure(a, "crash");
   kernel.run();
 
@@ -461,7 +458,6 @@ TEST(Supervisor, RestartStormExhaustsBudgetAndRootGivesUp) {
   EXPECT_EQ(sup.child_stats(a).failures, 4u);
   EXPECT_NE(sup.give_up_reason().find("restart budget exhausted"), std::string::npos)
       << sup.give_up_reason();
-  EXPECT_EQ(give_up_reason, sup.give_up_reason());
   EXPECT_EQ(health.health(unit), UnitHealth::kFailed);
   EXPECT_EQ(std::count(events.begin(), events.end(), "restart_failed"), 3);
   EXPECT_EQ(std::count(events.begin(), events.end(), "supervisor_give_up"), 1);

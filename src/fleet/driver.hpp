@@ -5,7 +5,7 @@
 // atomic cursor (chunked work queue — claiming is one fetch_add, so the
 // steady state has no locks and no shared mutable state beyond the cursor),
 // and each claimed rig runs start-to-finish on its worker with everything
-// it owns — kernel, fault plan, supervision tree, checkpoint ladder —
+// it owns — kernel, fault plan, supervisor, checkpoint ladder —
 // constructed, used and destroyed on that thread. Rigs never share state,
 // which is both the scaling story (no cross-rig synchronization on the hot
 // path) and the determinism story (a rig's outcome is a pure function of

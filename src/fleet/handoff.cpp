@@ -11,7 +11,7 @@ namespace {
 constexpr std::uint32_t kFrameMagic = 0x55465031;  // "UFP1"
 constexpr std::size_t kHeaderSize = 4 + 1 + 4;
 constexpr std::uint32_t kMaxPayload = 16u << 20;  // Desync guard, not a real limit.
-constexpr std::uint32_t kResultVersion = 3;
+constexpr std::uint32_t kResultVersion = 4;
 
 using support::ByteReader;
 using support::ByteWriter;

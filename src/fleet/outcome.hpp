@@ -2,7 +2,7 @@
 // to the fleet-level SLO rollup.
 //
 // A fleet run executes thousands of isolated SoC rigs (one kernel + fault
-// plan + supervision tree + checkpoint ladder each) across worker threads.
+// plan + supervisor + checkpoint ladder each) across worker threads.
 // Every rig reduces its run to a RigOutcome: a verdict, the SLO-relevant
 // counters (traffic, resilience, supervision, recovery), a HealthRegistry
 // rollup and a reduced kernel Stats record. Outcomes are pure functions of
@@ -74,7 +74,6 @@ struct SloCounters {
 
   // Supervision.
   std::uint64_t restarts = 0;        ///< Successful supervised restarts.
-  std::uint64_t escalations = 0;     ///< Supervisor escalations to a parent.
   std::uint64_t give_ups = 0;        ///< Terminal supervisor give-ups.
   std::uint64_t watchdog_trips = 0;
   std::uint64_t breaker_opens = 0;
@@ -108,7 +107,6 @@ struct SloCounters {
     visit("errors_raised", kSum, r.errors_raised...);
     visit("errors_unhandled", kSum, r.errors_unhandled...);
     visit("restarts", kSum, r.restarts...);
-    visit("escalations", kSum, r.escalations...);
     visit("give_ups", kSum, r.give_ups...);
     visit("watchdog_trips", kSum, r.watchdog_trips...);
     visit("breaker_opens", kSum, r.breaker_opens...);

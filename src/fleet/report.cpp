@@ -157,8 +157,8 @@ std::string FleetReport::str(const FleetStats* stats) const {
               slo.errors_raised, slo.errors_unhandled, unhandled_error_rate());
   append_line(out,
               "  supervision: %" PRIu64 " restarts, %" PRIu64 " watchdog trips, %" PRIu64
-              " escalations, %" PRIu64 " give-ups",
-              slo.restarts, slo.watchdog_trips, slo.escalations, slo.give_ups);
+              " give-ups",
+              slo.restarts, slo.watchdog_trips, slo.give_ups);
   append_line(out,
               "  breaker: %" PRIu64 " opens, %" PRIu64 " closes, %" PRIu64
               " fast-failed",

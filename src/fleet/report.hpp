@@ -3,7 +3,7 @@
 // The rollup answers the traffic-serving questions: what fraction of rigs
 // finished healthy (availability), what fraction of traffic was delivered,
 // how often the resilience machinery had to act (timeouts, retries,
-// breaker trips, restarts, escalations), what checkpointing cost on top of
+// breaker trips, restarts, give-ups), what checkpointing cost on top of
 // the run, and how much work a crash could lose at worst. Every aggregate
 // except the wall-clock fields is a deterministic reduction of
 // deterministic per-seed outcomes, so two fleet runs over the same seed

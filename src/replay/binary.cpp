@@ -134,10 +134,8 @@ void transfer(Io& io, sim::Watchdog::Checkpoint& watchdog) {
 
 template <typename Io>
 void transfer(Io& io, sim::Supervisor::Checkpoint& supervisor) {
-  io.field(supervisor.suspended);
   io.field(supervisor.gave_up);
   io.field(supervisor.give_up_reason);
-  io.field(supervisor.escalations);
   io.sequence(supervisor.window);
   io.sequence(supervisor.children, [&io](sim::Supervisor::Checkpoint::ChildState& child) {
     io.field(child.failures);

@@ -29,8 +29,9 @@
 // length) as well as its payload, so truncation and bit-flips anywhere in a
 // frame are detected and reported at section granularity (section name,
 // byte offset, stored vs computed checksum) instead of one opaque
-// document-level failure. Checksums are support::xxh64 since version 6;
-// the layout is version 5's, and a file of any other version is refused.
+// document-level failure. Checksums are support::xxh64 since version 6.
+// Version 7 has version 6's frame layout; only the supervisor payload is
+// shorter. A file of any other version is refused.
 //
 // Frames are copy-free: the encoder appends each frame's metadata and
 // payload straight into the file buffer and patches the length and

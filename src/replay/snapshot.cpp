@@ -76,15 +76,15 @@ bool capture_image(const SnapshotTargets& targets, SnapshotImage& image,
   // supervisor's pending-restart queue in the supervisor section. Anything
   // else — an in-flight bus-port transaction, a custom expectation — holds
   // callbacks this format cannot serialize.
-  for (const auto& expectation : out.kernel.expectations) {
+  for (sim::ExpectationId id = 0; id < out.kernel.expectations.size(); ++id) {
+    const auto& expectation = out.kernel.expectations[id];
     if (expectation.outstanding == 0) continue;
     bool owned = false;
     for (const WatchdogTarget& target : targets.watchdogs) {
-      owned = owned ||
-              expectation.label == "watchdog " + target.watchdog->name() + " armed";
+      owned = owned || id == target.watchdog->expectation();
     }
     for (const SupervisorTarget& target : targets.supervisors) {
-      owned = owned || expectation.label == target.supervisor->restart_expectation_label();
+      owned = owned || id == target.supervisor->restart_expectation();
     }
     if (!owned) {
       sink.error("snapshot",
@@ -235,12 +235,6 @@ std::function<bool()> restart_from_snapshot(statechart::Engine& instance,
                                             support::DiagnosticSink& sink) {
   auto snapshot = std::make_shared<statechart::InstanceSnapshot>(instance.capture());
   return [&instance, &sink, snapshot] { return instance.restore(*snapshot, sink); };
-}
-
-std::function<bool()> restart_from_bank(ValueBank bank, support::DiagnosticSink& sink) {
-  auto values = std::make_shared<std::vector<std::pair<std::string, std::uint64_t>>>(
-      bank.capture());
-  return [bank = std::move(bank), &sink, values] { return bank.restore(*values, sink); };
 }
 
 }  // namespace umlsoc::replay

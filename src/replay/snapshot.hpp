@@ -51,8 +51,10 @@ namespace umlsoc::replay {
 /// (simulated-crash ticks); version 5 dropped the process labels the kernel
 /// section carried for each pending timed entry; version 6 replaced the
 /// FNV-1a header, frame and reference checksums with XXH64 (same layout and
-/// sizes).
-inline constexpr int kSnapshotVersion = 6;
+/// sizes); version 7 dropped the supervisor section's suspension flag and
+/// escalation counter (9 bytes per supervisor), which only a child
+/// supervisor in a supervision tree could set.
+inline constexpr int kSnapshotVersion = 7;
 
 struct MachineTarget {
   std::string name;
@@ -182,10 +184,5 @@ struct SnapshotImage {
 /// returned callback.
 [[nodiscard]] std::function<bool()> restart_from_snapshot(
     statechart::Engine& instance, support::DiagnosticSink& sink);
-
-/// As above for a ValueBank (register file, scoreboard): captures the
-/// bank's values now, restores them on every invocation.
-[[nodiscard]] std::function<bool()> restart_from_bank(ValueBank bank,
-                                                      support::DiagnosticSink& sink);
 
 }  // namespace umlsoc::replay

@@ -168,6 +168,8 @@ class Watchdog {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] SimTime deadline() const { return deadline_; }
+  /// The expectation held outstanding while the watchdog is armed.
+  [[nodiscard]] ExpectationId expectation() const { return expectation_; }
 
   /// Replaces (or clears, with nullptr) the trip callback. Supervision
   /// wiring installs its failure handler here after construction

@@ -1,6 +1,7 @@
 #include "sim/supervise.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace umlsoc::sim {
 
@@ -28,28 +29,11 @@ std::string_view to_string(CircuitBreaker::State state) {
   return "?";
 }
 
-std::string_view to_string(RestartStrategy strategy) {
-  switch (strategy) {
-    case RestartStrategy::kOneForOne:
-      return "one-for-one";
-    case RestartStrategy::kAllForOne:
-      return "all-for-one";
-  }
-  return "?";
-}
-
 // --- HealthRegistry ----------------------------------------------------------
 
 HealthRegistry::UnitId HealthRegistry::register_unit(std::string name) {
   units_.push_back(Unit{std::move(name), UnitHealth::kHealthy});
   return static_cast<UnitId>(units_.size() - 1);
-}
-
-HealthRegistry::UnitId HealthRegistry::find(std::string_view name) const {
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    if (units_[i].name == name) return static_cast<UnitId>(i);
-  }
-  return kInvalidUnit;
 }
 
 void HealthRegistry::set_health(UnitId unit, UnitHealth health, std::string_view reason) {
@@ -300,8 +284,15 @@ bool CircuitBreaker::restore_checkpoint(const Checkpoint& checkpoint,
     sink.error("breaker " + name_, "invalid state " + std::to_string(checkpoint.state));
     return false;
   }
+  // A filling window holds its outcomes in bits [0, samples) and writes the
+  // next one at `samples`; failures_in_window counts its set bits.
+  const std::uint64_t filled =
+      checkpoint.samples >= 64 ? ~0ULL : (1ULL << checkpoint.samples) - 1;
   if (checkpoint.cursor >= config_.window || checkpoint.samples > config_.window ||
-      checkpoint.failures_in_window > checkpoint.samples) {
+      (checkpoint.samples < config_.window && checkpoint.cursor != checkpoint.samples) ||
+      (checkpoint.outcomes & ~filled) != 0 ||
+      static_cast<std::uint32_t>(std::popcount(checkpoint.outcomes)) !=
+          checkpoint.failures_in_window) {
     sink.error("breaker " + name_, "window state out of range for configured window " +
                                        std::to_string(config_.window));
     return false;
@@ -326,7 +317,7 @@ Supervisor::Supervisor(Kernel& kernel, std::string name, RestartStrategy strateg
     : kernel_(kernel), name_(std::move(name)), strategy_(strategy), policy_(policy) {
   restart_process_ =
       kernel_.register_process([this] { drain_due_restarts(); }, "sup." + name_ + ".restart");
-  restart_expectation_ = kernel_.register_expectation(restart_expectation_label());
+  restart_expectation_ = kernel_.register_expectation("supervisor " + name_ + " restart pending");
 }
 
 Supervisor::ChildId Supervisor::add_child(std::string name, std::function<bool()> restart) {
@@ -335,13 +326,6 @@ Supervisor::ChildId Supervisor::add_child(std::string name, std::function<bool()
   child.restart = std::move(restart);
   children_.push_back(std::move(child));
   return static_cast<ChildId>(children_.size() - 1);
-}
-
-Supervisor::ChildId Supervisor::attach_child_supervisor(Supervisor& child) {
-  const ChildId id = add_child(child.name_, [&child] { return child.reset_and_restart_all(); });
-  child.parent_ = this;
-  child.id_in_parent_ = id;
-  return id;
 }
 
 void Supervisor::attach_watchdog(ChildId child, Watchdog& watchdog) {
@@ -394,7 +378,7 @@ bool Supervisor::budget_allows(std::uint64_t now_ps) {
 }
 
 void Supervisor::report_failure(ChildId child, std::string_view reason) {
-  if (suspended_ || gave_up_) return;
+  if (gave_up_) return;
   Child& entry = children_[child];
   ++entry.stats.failures;
   const std::uint64_t now_ps = kernel_.now().picoseconds();
@@ -409,7 +393,7 @@ void Supervisor::report_failure(ChildId child, std::string_view reason) {
   set_child_health(child, UnitHealth::kDegraded, reason);
 
   if (!budget_allows(now_ps)) {
-    escalate(reason);
+    give_up(reason);
     return;
   }
   const SimTime delay = backoff_for(child);
@@ -420,11 +404,6 @@ void Supervisor::report_failure(ChildId child, std::string_view reason) {
   } else {
     schedule_restart(child, delay);
   }
-}
-
-void Supervisor::report_recovered(ChildId child) {
-  children_[child].stats.consecutive = 0;
-  set_child_health(child, UnitHealth::kHealthy, "recovered");
 }
 
 void Supervisor::schedule_restart(ChildId child, SimTime delay) {
@@ -458,7 +437,7 @@ void Supervisor::drain_due_restarts() {
 }
 
 void Supervisor::execute_restart(ChildId child) {
-  if (suspended_ || gave_up_) return;
+  if (gave_up_) return;
   Child& entry = children_[child];
   const bool ok = entry.restart == nullptr || entry.restart();
   if (!ok) {
@@ -474,70 +453,31 @@ void Supervisor::execute_restart(ChildId child) {
   if (entry.watchdog != nullptr) entry.watchdog->arm();
 }
 
-void Supervisor::cancel_pending() {
+void Supervisor::give_up(std::string_view reason) {
   for (std::size_t i = 0; i < pending_.size(); ++i) kernel_.fulfill(restart_expectation_);
-  pending_.clear();
-  // Stale drain wakeups find an empty queue and fall through.
-}
-
-void Supervisor::escalate(std::string_view reason) {
-  ++escalations_;
-  cancel_pending();
+  pending_.clear();  // Stale drain wakeups find an empty queue and fall through.
   for (ChildId id = 0; id < static_cast<ChildId>(children_.size()); ++id) {
-    set_child_health(id, UnitHealth::kFailed, "supervisor escalated");
-  }
-  if (parent_ != nullptr) {
-    suspended_ = true;
-    emit("supervisor_escalate", static_cast<std::int64_t>(escalations_));
-    parent_->report_failure(id_in_parent_, "escalation: " + std::string(reason));
-    return;
+    set_child_health(id, UnitHealth::kFailed, "supervisor gave up");
   }
   gave_up_ = true;
   give_up_reason_ = "restart budget exhausted (" + std::to_string(policy_.max_restarts) +
                     " restarts in " + policy_.window.str() + "): " + std::string(reason);
-  emit("supervisor_give_up", static_cast<std::int64_t>(escalations_));
-}
-
-bool Supervisor::reset_and_restart_all() {
-  suspended_ = false;
-  gave_up_ = false;
-  give_up_reason_.clear();
-  window_.clear();
-  cancel_pending();
-  bool all_ok = true;
-  for (ChildId id = 0; id < static_cast<ChildId>(children_.size()); ++id) {
-    Child& entry = children_[id];
-    entry.stats.consecutive = 0;
-    const bool ok = entry.restart == nullptr || entry.restart();
-    if (!ok) {
-      ++entry.stats.failed_restarts;
-      all_ok = false;
-      continue;
-    }
-    ++entry.stats.restarts;
-    set_child_health(id, UnitHealth::kHealthy, "subtree restarted");
-    if (entry.watchdog != nullptr) entry.watchdog->arm();
-  }
-  return all_ok;
+  emit("supervisor_give_up", 1);  // Data: the give-up count; giving up is terminal.
 }
 
 std::string Supervisor::str() const {
   std::uint64_t restarts = 0;
   for (const Child& child : children_) restarts += child.stats.restarts;
   std::string out = "sup " + name_ + ": " + std::to_string(children_.size()) + " children, " +
-                    std::to_string(restarts) + " restarts, " +
-                    std::to_string(escalations_) + " escalations";
+                    std::to_string(restarts) + " restarts";
   if (gave_up_) out += ", GAVE UP (" + give_up_reason_ + ")";
-  if (suspended_) out += ", suspended";
   return out;
 }
 
 Supervisor::Checkpoint Supervisor::capture_checkpoint() const {
   Checkpoint out;
-  out.suspended = suspended_;
   out.gave_up = gave_up_;
   out.give_up_reason = give_up_reason_;
-  out.escalations = escalations_;
   out.window = window_;
   out.children.reserve(children_.size());
   for (const Child& child : children_) {
@@ -560,17 +500,29 @@ bool Supervisor::restore_checkpoint(const Checkpoint& checkpoint,
                    " children, supervisor has " + std::to_string(children_.size()));
     return false;
   }
-  for (const Checkpoint::PendingRestart& entry : checkpoint.pending) {
-    if (entry.child >= children_.size()) {
-      sink.error("supervisor " + name_,
-                 "pending restart references child " + std::to_string(entry.child));
+  // schedule_restart keeps at most one pending restart per child.
+  for (auto it = checkpoint.pending.begin(); it != checkpoint.pending.end(); ++it) {
+    const bool twice =
+        std::any_of(checkpoint.pending.begin(), it,
+                    [it](const Checkpoint::PendingRestart& e) { return e.child == it->child; });
+    if (it->child >= children_.size() || twice) {
+      sink.error("supervisor " + name_, "pending restart references child " +
+                                            std::to_string(it->child) + (twice ? " twice" : ""));
       return false;
     }
   }
-  suspended_ = checkpoint.suspended;
+  // budget_allows keeps at most max_restarts timestamps, in the order the
+  // restarts were scheduled.
+  if (checkpoint.window.size() > policy_.max_restarts ||
+      !std::is_sorted(checkpoint.window.begin(), checkpoint.window.end())) {
+    sink.error("supervisor " + name_,
+               "restart window of " + std::to_string(checkpoint.window.size()) +
+                   " timestamps is not an ascending run of at most " +
+                   std::to_string(policy_.max_restarts));
+    return false;
+  }
   gave_up_ = checkpoint.gave_up;
   give_up_reason_ = checkpoint.give_up_reason;
-  escalations_ = checkpoint.escalations;
   window_ = checkpoint.window;
   for (std::size_t i = 0; i < children_.size(); ++i) {
     const Checkpoint::ChildState& state = checkpoint.children[i];

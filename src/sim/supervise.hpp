@@ -4,12 +4,11 @@
 // error events); this layer closes the loop with *recovery*, borrowing the
 // two battle-tested shapes of fault-tolerant software:
 //
-//  * OTP-style supervision trees: a Supervisor owns restartable units
+//  * OTP-style supervision: a Supervisor owns restartable units
 //    (statechart instances, bus channels, arbitrary processes) and restarts
 //    a failed child after exponential backoff — one-for-one or all-for-one.
 //    A restart-intensity budget (max R restarts within window W) guards
-//    against restart storms: exceeding it escalates the failure to the
-//    parent supervisor, or — at the root — gives up terminally with a
+//    against restart storms: exceeding it gives up terminally with a
 //    report. Restarts are *warm*: the restart callback reinitializes the
 //    child from a restart snapshot (see replay::restart_from_snapshot),
 //    so recovery is deterministic and replay-compatible.
@@ -76,7 +75,6 @@ class HealthRegistry {
   /// Registers a unit (initially healthy) and returns its stable id.
   UnitId register_unit(std::string name);
 
-  [[nodiscard]] UnitId find(std::string_view name) const;
   [[nodiscard]] std::size_t unit_count() const { return units_.size(); }
   [[nodiscard]] const std::string& unit_name(UnitId unit) const {
     return units_[unit].name;
@@ -261,8 +259,6 @@ enum class RestartStrategy : std::uint8_t {
   kAllForOne,      ///< A failure restarts every child of the supervisor.
 };
 
-[[nodiscard]] std::string_view to_string(RestartStrategy strategy);
-
 struct RestartPolicy {
   /// Delay before the first restart attempt of a failure burst.
   SimTime backoff = SimTime::ns(100);
@@ -270,9 +266,8 @@ struct RestartPolicy {
   /// multiplies the delay; 1 keeps it constant.
   unsigned backoff_multiplier = 2;
   SimTime max_backoff = SimTime::us(100);
-  /// Restart-intensity budget: more than `max_restarts` restarts scheduled
-  /// within `window` escalates to the parent supervisor (or gives up at the
-  /// root).
+  /// Restart-intensity budget: a failure that would schedule more than
+  /// `max_restarts` restarts within `window` makes the supervisor give up.
   std::uint32_t max_restarts = 5;
   SimTime window = SimTime::us(50);
 };
@@ -298,12 +293,6 @@ class Supervisor {
   /// grows, intensity budget shrinks).
   ChildId add_child(std::string name, std::function<bool()> restart);
 
-  /// Registers `child` (another supervisor) as a unit of this one and wires
-  /// escalation: when `child` exceeds its restart budget it suspends itself
-  /// and reports the failure here; its restart resets and restarts its whole
-  /// subtree.
-  ChildId attach_child_supervisor(Supervisor& child);
-
   /// Wires a watchdog trip into the recovery path: a trip emits a
   /// "watchdog_trip" error event and reports a failure of `child`; after
   /// the child's successful restart the watchdog is re-armed.
@@ -316,17 +305,10 @@ class Supervisor {
 
   void set_error_emitter(ErrorEmitter emitter) { emitter_ = std::move(emitter); }
 
-  /// Reports a child failure. Ignored while the supervisor is suspended
-  /// (escalated, waiting for its parent) or after it gave up.
+  /// Reports a child failure. Ignored after the supervisor gave up.
   void report_failure(ChildId child, std::string_view reason);
 
-  /// Resets the child's consecutive-failure backoff (call when the unit has
-  /// proven healthy again, e.g. after a clean probe).
-  void report_recovered(ChildId child);
-
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] RestartStrategy strategy() const { return strategy_; }
-  [[nodiscard]] const RestartPolicy& policy() const { return policy_; }
 
   struct ChildStats {
     std::uint64_t failures = 0;         ///< report_failure calls for this child.
@@ -341,31 +323,24 @@ class Supervisor {
   /// The delay the next restart of `child` would use.
   [[nodiscard]] SimTime backoff_for(ChildId child) const;
 
-  /// Terminal give-up: the root supervisor exhausted its restart budget.
+  /// Terminal give-up: the supervisor exhausted its restart budget.
   [[nodiscard]] bool gave_up() const { return gave_up_; }
   [[nodiscard]] const std::string& give_up_reason() const { return give_up_reason_; }
-  /// Suspended: escalated to the parent, waiting to be restarted as a unit.
-  [[nodiscard]] bool suspended() const { return suspended_; }
-  [[nodiscard]] std::uint64_t escalations() const { return escalations_; }
   [[nodiscard]] std::size_t pending_restarts() const { return pending_.size(); }
-  /// True when no restart is pending, nothing escalated and nothing gave up.
-  [[nodiscard]] bool quiescent() const {
-    return pending_.empty() && !suspended_ && !gave_up_;
-  }
+  /// True when no restart is pending and the supervisor has not given up.
+  [[nodiscard]] bool quiescent() const { return pending_.empty() && !gave_up_; }
 
-  /// "sup soc: 2 children, 3 restarts, 0 escalations".
+  /// "sup soc: 2 children, 3 restarts".
   [[nodiscard]] std::string str() const;
 
   /// Checkpointable supervision state. The scheduled restart event lives in
   /// the kernel checkpoint (the drain process is registered); this covers
   /// the pending-restart queue payload, per-child counters, the intensity
-  /// window and the escalation/give-up flags. Restore validates the child
-  /// count against this supervisor's registrations.
+  /// window and the give-up state. Restore validates it against this
+  /// supervisor's registrations and policy.
   struct Checkpoint {
-    bool suspended = false;
     bool gave_up = false;
     std::string give_up_reason;
-    std::uint64_t escalations = 0;
     std::vector<std::uint64_t> window;  ///< Restart timestamps (ps), ascending.
     struct ChildState {
       std::uint64_t failures = 0;
@@ -384,12 +359,10 @@ class Supervisor {
   [[nodiscard]] Checkpoint capture_checkpoint() const;
   bool restore_checkpoint(const Checkpoint& checkpoint, support::DiagnosticSink& sink);
 
-  /// The expectation label this supervisor holds while restarts are pending
-  /// (capture_image accepts outstanding expectations with this label when
-  /// the supervisor is a registered snapshot target).
-  [[nodiscard]] std::string restart_expectation_label() const {
-    return "supervisor " + name_ + " restart pending";
-  }
+  /// The expectation this supervisor holds once per pending restart
+  /// (capture_image accepts it outstanding when the supervisor is a
+  /// registered snapshot target).
+  [[nodiscard]] ExpectationId restart_expectation() const { return restart_expectation_; }
 
  private:
   struct Child {
@@ -410,13 +383,9 @@ class Supervisor {
   void drain_due_restarts();
   void execute_restart(ChildId child);
   /// Prunes the intensity window and records one restart at `now_ps`;
-  /// returns false when the budget is exceeded (caller escalates).
+  /// returns false when the budget is exceeded (caller gives up).
   bool budget_allows(std::uint64_t now_ps);
-  void escalate(std::string_view reason);
-  void cancel_pending();
-  /// Parent-driven recovery of an escalated subtree: clears suspension,
-  /// resets the intensity window and burst counters, restarts every child.
-  bool reset_and_restart_all();
+  void give_up(std::string_view reason);
   void set_child_health(ChildId child, UnitHealth health, std::string_view reason);
   void emit(const char* event, std::int64_t data);
 
@@ -425,8 +394,6 @@ class Supervisor {
   RestartStrategy strategy_;
   RestartPolicy policy_;
   ErrorEmitter emitter_;
-  Supervisor* parent_ = nullptr;
-  ChildId id_in_parent_ = kInvalidChild;
   ProcessId restart_process_ = kInvalidProcess;
   ExpectationId restart_expectation_ = kInvalidExpectation;
 
@@ -434,10 +401,8 @@ class Supervisor {
   std::vector<PendingRestart> pending_;  // Insertion (FIFO) order.
   std::vector<PendingRestart> due_scratch_;
   std::vector<std::uint64_t> window_;  // Restart timestamps, ascending.
-  bool suspended_ = false;
   bool gave_up_ = false;
   std::string give_up_reason_;
-  std::uint64_t escalations_ = 0;
 };
 
 }  // namespace umlsoc::sim

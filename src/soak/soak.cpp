@@ -67,8 +67,7 @@ void build_link_machine(statechart::StateMachine& machine) {
   top.add_transition(fallback, normal).set_trigger("breaker_closed");
   top.add_transition(normal, dead).set_trigger("supervisor_give_up");
   top.add_transition(fallback, dead).set_trigger("supervisor_give_up");
-  for (const char* event :
-       {"watchdog_trip", "unit_restarted", "restart_failed", "supervisor_escalate"}) {
+  for (const char* event : {"watchdog_trip", "unit_restarted", "restart_failed"}) {
     top.add_transition(normal, normal).set_trigger(event).set_internal(true);
     top.add_transition(fallback, fallback).set_trigger(event).set_internal(true);
     top.add_transition(dead, dead).set_trigger(event).set_internal(true);
@@ -562,7 +561,6 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   outcome.slo.errors_raised = reference.link->errors_raised();
   outcome.slo.errors_unhandled = reference.link->errors_unhandled();
   outcome.slo.restarts = reference.sup.child_stats(reference.link_child).restarts;
-  outcome.slo.escalations = reference.sup.escalations();
   outcome.slo.give_ups = reference.sup.gave_up() ? 1 : 0;
   outcome.slo.watchdog_trips = reference.watchdog.trips();
   outcome.slo.breaker_opens = reference.breaker.stats().opens;

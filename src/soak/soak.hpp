@@ -1,4 +1,4 @@
-// Chaos soak: the UART SoC's supervision loop under seeded faults, one
+// Chaos soak: the supervised UART SoC under seeded traffic faults, one
 // fully isolated rig pipeline per seed, sharded by fleet::FleetDriver.
 //
 // The rig is a CPU sender streaming bytes to the UART tx register over a
@@ -8,7 +8,7 @@
 // (warm restart from a snapshot captured at the known-good point) and a
 // watchdog converts traffic starvation into a supervised failure.
 //
-// One seed runs the loop under a seeded error/drop fault plan (1% + 1%
+// One seed runs the rig under a seeded error/drop fault plan (1% + 1%
 // for the baseline template) and walks these legs, in order:
 //   - an uninterrupted reference run;
 //   - an identical rig checkpointed mid-stream, and a rig restored from
@@ -24,7 +24,18 @@
 //     recover through the coordinator with lost work bounded by the
 //     checkpoint interval and replay bit-identically to an uninterrupted
 //     twin.
-// Each seed is its own kernels, fault plans, supervision tree and
+// What the soak checks is recovery to healthy, bit-identical replay, the
+// ladder and the crash leg. It does not drive the supervision stack: at
+// the templates' 0.5-2% write-fault rates no seed of a 64-seed or a
+// 256-seed, 4-template run opens the breaker (8-outcome window, 50%
+// threshold), trips the 50 us watchdog or restarts the link. Their
+// rollups read 0 restarts, watchdog trips, give-ups, breaker opens and
+// errors raised, so the UartLink machine receives no event and "no error
+// event may go unhandled" holds with none raised. The breaker, watchdog
+// and supervisor are built, checkpointed and restored in every leg; only
+// supervise_test, the uart_soc demo and perfbench's rig take them through
+// a failure (ROADMAP item 12).
+// Each seed is its own kernels, fault plans, supervisor and
 // checkpoint ladders, so per-seed results are bit-identical regardless of
 // the fleet's job count or isolation mode, and a failure reproduces with
 // the seed alone. The outcome's SLO counters come from the reference leg
@@ -77,8 +88,8 @@ struct Model {
   std::uint64_t base = 0x40000000;
   /// UartLink: Normal <-> Fallback on breaker_open/breaker_closed, Dead on
   /// supervisor_give_up. Every other supervision signal is absorbed
-  /// internally so the soak's "zero unhandled errors" check is meaningful:
-  /// a new signal name would surface as an unhandled error event.
+  /// internally, so a new signal name would surface as an unhandled error
+  /// event.
   statechart::StateMachine link{"UartLink"};
 
   /// Instantiates the Uart IP, maps it to the hardware platform and builds

@@ -552,8 +552,8 @@ TEST_F(BinarySnapshotTest, EncodingIsPinned) {
   support::DiagnosticSink sink;
   std::string full;
   ASSERT_TRUE(save_snapshot_binary(source.targets(), full, sink)) << sink.str();
-  EXPECT_EQ(full.size(), 1391u);
-  EXPECT_EQ(xxh64(full), 0x244b15b622fdd8fbULL);
+  EXPECT_EQ(full.size(), 1382u);
+  EXPECT_EQ(xxh64(full), 0x5051dc58441ef8d9ULL);
 
   IncrementalEncoder encoder;
   IncrementalEncoder::Result base;
@@ -562,8 +562,8 @@ TEST_F(BinarySnapshotTest, EncodingIsPinned) {
   source.run();
   ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/false, delta, sink)) << sink.str();
   ASSERT_TRUE(delta.delta);
-  EXPECT_EQ(delta.bytes.size(), 2185u);
-  EXPECT_EQ(xxh64(delta.bytes), 0xddd2032caa343c8bULL);
+  EXPECT_EQ(delta.bytes.size(), 2176u);
+  EXPECT_EQ(xxh64(delta.bytes), 0x0ed9a37dd9c2ab04ULL);
 }
 
 TEST_F(BinarySnapshotTest, DeltaChainRestoresBitIdentically) {

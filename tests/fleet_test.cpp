@@ -416,7 +416,7 @@ TEST(FleetCounters, EveryCounterFoldsComparesAndCrossesTheWireByItsKind) {
   sweep_counters(&RigOutcome::slo, &FleetReport::slo, sweep);
   sweep_counters(&RigOutcome::health, &FleetReport::health, sweep);
   sweep_counters(&RigOutcome::kernel, &FleetReport::kernel, sweep);
-  EXPECT_EQ(sweep.total, 42u);
+  EXPECT_EQ(sweep.total, 41u);
   EXPECT_EQ(sweep.max_names,
             (std::set<std::string>{"timed_peak", "max_deltas_per_instant", "lost_work_ps_max"}));
   EXPECT_EQ(sweep.wall_names,

@@ -1,5 +1,5 @@
 // Supervision, circuit breaking and degraded-mode recovery (sim/supervise):
-// breaker automaton edges, supervisor restart/backoff/escalation, health
+// breaker automaton edges, supervisor restart/backoff/give-up, health
 // aggregation, watchdog-driven recovery, and checkpoint/restore of all of it
 // — both the direct Checkpoint structs and a full binary snapshot
 // (supervisor pending-restart expectations must be accepted by capture).
@@ -253,14 +253,73 @@ TEST(CircuitBreaker, CheckpointRoundtripReproducesAutomatonState) {
   EXPECT_EQ(breaker.stats().opens, 1u);
 }
 
+CircuitBreaker::Checkpoint window_state(std::uint64_t outcomes, std::uint32_t cursor,
+                                        std::uint32_t samples, std::uint32_t failures) {
+  CircuitBreaker::Checkpoint checkpoint;
+  checkpoint.outcomes = outcomes;
+  checkpoint.cursor = cursor;
+  checkpoint.samples = samples;
+  checkpoint.failures_in_window = failures;
+  return checkpoint;
+}
+
 TEST(CircuitBreaker, RestoreRejectsWindowStateOutOfRange) {
   BusRig rig;
   CircuitBreaker breaker(rig.kernel, rig.port, "dma", small_breaker_config());
-  CircuitBreaker::Checkpoint checkpoint;
-  checkpoint.cursor = 99;  // Configured window is 4.
+  // No run reaches these: the configured window is 4, a filling window holds
+  // its outcomes in bits [0, samples) and writes the next one at `samples`,
+  // and failures_in_window counts the set bits.
+  const CircuitBreaker::Checkpoint states[] = {
+      window_state(0x0, 99, 0, 0),  // Cursor past the window.
+      window_state(0xF, 0, 4, 0),   // Four failure bits, none counted.
+      window_state(0x1, 1, 1, 0),   // One failure bit, none counted.
+      window_state(0x3, 2, 2, 1),   // Two failure bits, one counted.
+      window_state(0x4, 1, 1, 1),   // The failure bit is outside the filled one.
+      window_state(0x10, 0, 4, 1),  // The failure bit is outside the window.
+      window_state(0x0, 0, 2, 0),   // Filling, but the next write would not land at 2.
+  };
+  for (const CircuitBreaker::Checkpoint& checkpoint : states) {
+    support::DiagnosticSink sink;
+    EXPECT_FALSE(breaker.restore_checkpoint(checkpoint, sink))
+        << "outcomes=" << checkpoint.outcomes << " cursor=" << checkpoint.cursor
+        << " samples=" << checkpoint.samples << " failures=" << checkpoint.failures_in_window;
+    EXPECT_TRUE(sink.has_errors());
+  }
+  // Refused restores leave the breaker as it was. Accepting {0xF, 0, 4, 0}
+  // instead, one successful write would roll a set bit out of the full
+  // window and underflow failures_in_window.
+  EXPECT_EQ(breaker.window_samples(), 0u);
+  EXPECT_EQ(breaker.window_failures(), 0u);
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+}
+
+TEST(CircuitBreaker, FullSixtyFourOutcomeWindowRoundTrips) {
+  CircuitBreaker::Config config = small_breaker_config();
+  config.window = 64;  // The widest window: every bit of the ring is filled.
+  config.min_samples = 64;
+  config.failure_threshold = 1.0;
+  BusRig source;
+  CircuitBreaker source_breaker(source.kernel, source.port, "dma", config);
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    source_breaker.write(BusRig::kBadAddress, i, nullptr);
+  }
+  source.kernel.run(SimTime::ns(90));
+  ASSERT_EQ(source_breaker.state(), CircuitBreaker::State::kOpen);
+  const CircuitBreaker::Checkpoint checkpoint = source_breaker.capture_checkpoint();
+  ASSERT_EQ(checkpoint.samples, 64u);
+  ASSERT_EQ(checkpoint.outcomes, ~0ULL);
+
+  BusRig restored;
+  CircuitBreaker breaker(restored.kernel, restored.port, "dma", config);
   support::DiagnosticSink sink;
-  EXPECT_FALSE(breaker.restore_checkpoint(checkpoint, sink));
-  EXPECT_TRUE(sink.has_errors());
+  ASSERT_TRUE(breaker.restore_checkpoint(checkpoint, sink)) << sink.str();
+  EXPECT_EQ(breaker.window_failures(), 64u);
+
+  CircuitBreaker::Checkpoint miscounted = checkpoint;
+  miscounted.failures_in_window = 63;
+  support::DiagnosticSink reject;
+  EXPECT_FALSE(breaker.restore_checkpoint(miscounted, reject));
+  EXPECT_TRUE(reject.has_errors());
 }
 
 // --- HealthRegistry ----------------------------------------------------------
@@ -270,8 +329,6 @@ TEST(HealthRegistry, AggregatesWorstAndNotifiesListeners) {
   const auto cpu = health.register_unit("cpu");
   const auto dma = health.register_unit("dma");
   EXPECT_EQ(health.aggregate(), UnitHealth::kHealthy);
-  EXPECT_EQ(health.find("dma"), dma);
-  EXPECT_EQ(health.find("nope"), HealthRegistry::kInvalidUnit);
 
   std::vector<std::string> log;
   health.add_listener([&log, &health](HealthRegistry::UnitId unit, UnitHealth from,
@@ -411,7 +468,7 @@ TEST(Supervisor, BurstResetsAfterQuietWindow) {
 
   // A quiet gap longer than the window: the burst counter resets AND the
   // intensity window drains, so the third failure is a fresh incident, not
-  // an escalation. (An idle tick actually advances kernel time; run(until)
+  // a give-up. (An idle tick actually advances kernel time; run(until)
   // alone stops at the last event.)
   kernel.schedule(SimTime::us(2), kernel.register_process([] {}));
   kernel.run();
@@ -421,19 +478,6 @@ TEST(Supervisor, BurstResetsAfterQuietWindow) {
   kernel.run();
   EXPECT_FALSE(sup.gave_up());
   EXPECT_EQ(sup.child_stats(a).restarts, 3u);
-}
-
-TEST(Supervisor, ReportRecoveredResetsTheBurst) {
-  Kernel kernel;
-  Supervisor sup(kernel, "root", RestartStrategy::kOneForOne, fast_policy());
-  const auto a = sup.add_child("a", [] { return true; });
-  sup.report_failure(a, "1");
-  kernel.run();
-  sup.report_failure(a, "2");
-  kernel.run();
-  EXPECT_EQ(sup.backoff_for(a), SimTime::ns(200));
-  sup.report_recovered(a);
-  EXPECT_EQ(sup.backoff_for(a), SimTime::ns(100));
 }
 
 TEST(Supervisor, RestartStormExhaustsBudgetAndRootGivesUp) {
@@ -453,7 +497,7 @@ TEST(Supervisor, RestartStormExhaustsBudgetAndRootGivesUp) {
 
   EXPECT_TRUE(sup.gave_up());
   EXPECT_FALSE(sup.quiescent());
-  // Budget is 3 restarts: three failed attempts, the fourth report escalates.
+  // Budget is 3 restarts: three failed attempts, the fourth report gives up.
   EXPECT_EQ(sup.child_stats(a).failed_restarts, 3u);
   EXPECT_EQ(sup.child_stats(a).failures, 4u);
   EXPECT_NE(sup.give_up_reason().find("restart budget exhausted"), std::string::npos)
@@ -464,43 +508,6 @@ TEST(Supervisor, RestartStormExhaustsBudgetAndRootGivesUp) {
   // Terminal: further failures are ignored.
   sup.report_failure(a, "more");
   EXPECT_EQ(sup.child_stats(a).failures, 4u);
-}
-
-TEST(Supervisor, EscalationSuspendsChildAndParentRestartsSubtree) {
-  Kernel kernel;
-  RestartPolicy tight = fast_policy();
-  tight.max_restarts = 1;  // The leaf supervisor tolerates one restart only.
-  Supervisor root(kernel, "root", RestartStrategy::kOneForOne, fast_policy());
-  Supervisor leaf(kernel, "leaf", RestartStrategy::kOneForOne, tight);
-  int unit_restarts = 0;
-  const auto unit = leaf.add_child("unit", [&unit_restarts] {
-    ++unit_restarts;
-    return true;
-  });
-  root.attach_child_supervisor(leaf);
-  std::vector<std::string> leaf_events;
-  leaf.set_error_emitter(
-      [&leaf_events](const std::string& event, std::int64_t) { leaf_events.push_back(event); });
-
-  leaf.report_failure(unit, "1");
-  kernel.run();
-  EXPECT_EQ(unit_restarts, 1);
-  // Second failure exceeds the leaf's budget: it suspends and escalates.
-  leaf.report_failure(unit, "2");
-  EXPECT_TRUE(leaf.suspended());
-  EXPECT_EQ(leaf.escalations(), 1u);
-  EXPECT_EQ(std::count(leaf_events.begin(), leaf_events.end(), "supervisor_escalate"), 1);
-  // While suspended the leaf ignores reports.
-  leaf.report_failure(unit, "ignored");
-  EXPECT_EQ(leaf.child_stats(unit).failures, 2u);
-
-  // The parent's restart of the leaf resets and restarts the whole subtree.
-  kernel.run();
-  EXPECT_FALSE(leaf.suspended());
-  EXPECT_TRUE(leaf.quiescent());
-  EXPECT_EQ(unit_restarts, 2);
-  EXPECT_FALSE(root.gave_up());
-  EXPECT_TRUE(root.quiescent());
 }
 
 TEST(Supervisor, PendingRestartDedupsPerChild) {
@@ -591,6 +598,35 @@ TEST(Supervisor, CheckpointRoundtripWithPendingRestart) {
   support::DiagnosticSink reject;
   EXPECT_FALSE(mismatched.restore_checkpoint(checkpoint, reject));
   EXPECT_TRUE(reject.has_errors());
+
+  // Restart windows no run produces: the supervisor records restarts in
+  // time order and keeps at most max_restarts (3) of them. Accepted, {600us,
+  // 0} would make the next failure at 600us give up after a single restart.
+  const std::uint64_t us600 = SimTime::us(600).picoseconds();
+  const std::vector<std::uint64_t> windows[] = {
+      {us600, 0},
+      {0, us600, us600 - 1},
+      {0, 1, 2, 3},
+  };
+  for (const std::vector<std::uint64_t>& window : windows) {
+    Supervisor::Checkpoint bad = checkpoint;
+    bad.window = window;
+    support::DiagnosticSink window_sink;
+    EXPECT_FALSE(restored.restore_checkpoint(bad, window_sink)) << window.size();
+    EXPECT_TRUE(window_sink.has_errors());
+  }
+  Supervisor::Checkpoint in_order = checkpoint;
+  in_order.window = {0, us600};
+  support::DiagnosticSink order_sink;
+  EXPECT_TRUE(restored.restore_checkpoint(in_order, order_sink)) << order_sink.str();
+
+  // Nor does a run queue two restarts for one child: accepted, one failure
+  // would restart it twice.
+  Supervisor::Checkpoint twice = checkpoint;
+  twice.pending.push_back(twice.pending.front());
+  support::DiagnosticSink twice_sink;
+  EXPECT_FALSE(restored.restore_checkpoint(twice, twice_sink));
+  EXPECT_TRUE(twice_sink.has_errors());
 }
 
 // --- Binary snapshot integration ---------------------------------------------
@@ -631,6 +667,48 @@ TEST(SuperviseSnapshot, PendingRestartSurvivesSaveAndRestore) {
   EXPECT_EQ(restarts, 1);
   EXPECT_EQ(kernel.now(), SimTime::ns(100)) << "restart fires at the original due time";
   EXPECT_TRUE(sup.quiescent());
+}
+
+TEST(SuperviseSnapshot, GiveUpSurvivesSaveAndRestore) {
+  Kernel source_kernel;
+  Supervisor source_sup(source_kernel, "soc", RestartStrategy::kOneForOne, fast_policy());
+  const auto a = source_sup.add_child("dma", [] { return false; });
+  source_sup.report_failure(a, "crash");
+  source_kernel.run();
+  ASSERT_TRUE(source_sup.gave_up());
+
+  replay::SnapshotTargets source_targets;
+  source_targets.kernel = &source_kernel;
+  source_targets.supervisors.push_back({"soc", &source_sup});
+  std::string snapshot;
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(replay::save_snapshot_binary(source_targets, snapshot, sink)) << sink.str();
+
+  Kernel kernel;
+  Supervisor sup(kernel, "soc", RestartStrategy::kOneForOne, fast_policy());
+  int restarts = 0;
+  sup.add_child("dma", [&restarts] {
+    ++restarts;
+    return true;
+  });
+  replay::SnapshotTargets targets;
+  targets.kernel = &kernel;
+  targets.supervisors.push_back({"soc", &sup});
+  support::DiagnosticSink restore_sink;
+  ASSERT_TRUE(replay::restore_snapshot_binary(targets, snapshot, restore_sink))
+      << restore_sink.str();
+
+  EXPECT_TRUE(sup.gave_up());
+  EXPECT_EQ(sup.give_up_reason(), source_sup.give_up_reason());
+  EXPECT_FALSE(sup.quiescent());
+  const std::uint64_t failures = sup.child_stats(a).failures;
+  EXPECT_EQ(failures, source_sup.child_stats(a).failures);
+  // Give-up is terminal across the restore too: a later failure is ignored.
+  sup.report_failure(a, "after restore");
+  EXPECT_EQ(sup.child_stats(a).failures, failures);
+  EXPECT_EQ(sup.pending_restarts(), 0u);
+  kernel.run();
+  EXPECT_EQ(restarts, 0);
 }
 
 TEST(SuperviseSnapshot, OpenBreakerSurvivesSaveAndRestore) {
@@ -708,31 +786,6 @@ TEST(SuperviseSnapshot, WarmRestartFromSnapshotRewindsAStatechart) {
   kernel.run();
   EXPECT_TRUE(instance.is_in("s1"));
   EXPECT_EQ(sup.child_stats(unit).restarts, 1u);
-}
-
-TEST(SuperviseSnapshot, RestartFromBankRestoresCapturedValues) {
-  std::uint64_t reg_a = 7;
-  std::uint64_t reg_b = 11;
-  replay::ValueBank bank;
-  bank.name = "regs";
-  bank.capture = [&reg_a, &reg_b] {
-    return std::vector<std::pair<std::string, std::uint64_t>>{{"a", reg_a}, {"b", reg_b}};
-  };
-  bank.restore = [&reg_a, &reg_b](const std::vector<std::pair<std::string, std::uint64_t>>& vs,
-                                  support::DiagnosticSink&) {
-    for (const auto& [key, value] : vs) {
-      if (key == "a") reg_a = value;
-      if (key == "b") reg_b = value;
-    }
-    return true;
-  };
-  support::DiagnosticSink sink;
-  auto restart = replay::restart_from_bank(bank, sink);
-  reg_a = 1000;
-  reg_b = 2000;
-  ASSERT_TRUE(restart());
-  EXPECT_EQ(reg_a, 7u);
-  EXPECT_EQ(reg_b, 11u);
 }
 
 }  // namespace

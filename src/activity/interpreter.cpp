@@ -2,18 +2,6 @@
 
 namespace umlsoc::activity {
 
-std::string_view to_string(RunStatus status) {
-  switch (status) {
-    case RunStatus::kTerminated:
-      return "terminated";
-    case RunStatus::kQuiescent:
-      return "quiescent";
-    case RunStatus::kStepLimit:
-      return "step-limit";
-  }
-  return "unknown";
-}
-
 ActivityExecution::ActivityExecution(const Activity& activity) : activity_(activity) {}
 
 void ActivityExecution::start() {

@@ -26,8 +26,6 @@ namespace umlsoc::activity {
 
 enum class RunStatus { kTerminated, kQuiescent, kStepLimit };
 
-[[nodiscard]] std::string_view to_string(RunStatus status);
-
 class ActivityExecution {
  public:
   explicit ActivityExecution(const Activity& activity);

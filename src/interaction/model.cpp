@@ -2,22 +2,6 @@
 
 namespace umlsoc::interaction {
 
-std::string_view to_string(MessageKind kind) {
-  switch (kind) {
-    case MessageKind::kSync:
-      return "sync";
-    case MessageKind::kAsync:
-      return "async";
-    case MessageKind::kReply:
-      return "reply";
-    case MessageKind::kCreate:
-      return "create";
-    case MessageKind::kDestroy:
-      return "destroy";
-  }
-  return "async";
-}
-
 std::string_view to_string(InteractionOperator op) {
   switch (op) {
     case InteractionOperator::kAlt:

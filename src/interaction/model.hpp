@@ -37,8 +37,6 @@ class Lifeline {
 
 enum class MessageKind { kSync, kAsync, kReply, kCreate, kDestroy };
 
-[[nodiscard]] std::string_view to_string(MessageKind kind);
-
 enum class FragmentKind { kMessage, kCombined };
 
 enum class InteractionOperator { kAlt, kOpt, kLoop, kPar, kStrict };

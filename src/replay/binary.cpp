@@ -81,9 +81,7 @@ void transfer(Io& io, SnapshotImage::FaultPlanState& plan) {
     io.field(state.counters.consults);
     io.field(state.counters.errors);
     io.field(state.counters.drops);
-    io.field(state.counters.delays);
     io.field(state.counters.bit_flips);
-    io.field(state.counters.glitches);
   });
 }
 
@@ -109,17 +107,12 @@ void transfer(Io& io, statechart::InstanceSnapshot& machine) {
 }
 
 template <typename Io>
-void transfer(Io& io, sim::MemoryMappedBus::Checkpoint& bus) {
-  io.field(bus.stats.reads);
-  io.field(bus.stats.writes);
-  io.field(bus.stats.errors);
-  io.field(bus.stats.injected_errors);
-  io.field(bus.stats.injected_drops);
-  io.field(bus.stats.injected_delays);
-  io.field(bus.stats.injected_bit_flips);
-  io.field(bus.stats.completions);
-  io.field(bus.stats.dropped_completions);
-  io.field(bus.last_completion_ps);
+void transfer(Io& io, sim::BusStats& bus) {
+  io.field(bus.reads);
+  io.field(bus.writes);
+  io.field(bus.errors);
+  io.field(bus.completions);
+  io.field(bus.dropped_completions);
 }
 
 template <typename Io>

@@ -4,7 +4,7 @@
 // on its own: kernel time, sequence counter and pending timed-event
 // metadata; fault-plan RNG stream positions and counters; statechart
 // instance configurations (active states, history, variables, event pools);
-// bus pipeline state; watchdog supervision flags; generic value banks
+// bus counters; watchdog supervision flags; generic value banks
 // (register files); and the event-recorder log. It has one encoding, the
 // checksummed binary format in replay/binary.hpp.
 //
@@ -15,13 +15,13 @@
 // replaces the *state* of those freshly built components. The contract is
 // therefore "same setup, different process", not "cold start from bytes".
 //
-// Robustness: capture refuses states it could not faithfully restore
-// (pending bus transactions, expectations owned by anything but a
-// registered watchdog or supervisor, transient one-shot processes in the
-// queue). Apply matches every section against the registered targets before
-// touching any of them; the binary decoder checks version and checksums
-// before that. Malformed, truncated, corrupted or version-bumped input fails
-// with structured diagnostics and leaves the targets unchanged.
+// Robustness: capture refuses states it could not faithfully restore (a
+// mid-delta kernel, pending bus transactions, expectations owned by
+// anything but a registered watchdog or supervisor). Apply matches every
+// section against the registered targets before touching any of them; the
+// binary decoder checks version and checksums before that. Malformed,
+// truncated, corrupted or version-bumped input fails with structured
+// diagnostics and leaves the targets unchanged.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,12 @@ namespace umlsoc::replay {
 /// FNV-1a header, frame and reference checksums with XXH64 (same layout and
 /// sizes); version 7 dropped the supervisor section's suspension flag and
 /// escalation counter (9 bytes per supervisor), which only a child
-/// supervisor in a supervision tree could set.
-inline constexpr int kSnapshotVersion = 7;
+/// supervisor in a supervision tree could set; version 8 dropped the
+/// signal fault site, each site's delay and signal-pulse counters, and the
+/// bus's injected-fault counters and completion clamp (fault-plan payload
+/// 297 -> 176 bytes, bus 80 -> 40): the delay and pulse fault kinds are
+/// gone, and the plan's site counters already count every injected fault.
+inline constexpr int kSnapshotVersion = 8;
 
 struct MachineTarget {
   std::string name;
@@ -140,7 +144,7 @@ struct SnapshotImage {
   std::optional<RecorderState> recorder;
 
   std::vector<Named<statechart::InstanceSnapshot>> machines;
-  std::vector<Named<sim::MemoryMappedBus::Checkpoint>> buses;
+  std::vector<Named<sim::BusStats>> buses;
   std::vector<Named<sim::Watchdog::Checkpoint>> watchdogs;
   std::vector<Named<sim::Supervisor::Checkpoint>> supervisors;
   std::vector<Named<sim::CircuitBreaker::Checkpoint>> breakers;
@@ -156,9 +160,9 @@ struct SnapshotImage {
 };
 
 /// Captures the targets' state into `image`. Owns the refusal rules: fails
-/// (reporting through `sink`) on a mid-delta kernel, pending transient
-/// events, in-flight bus transactions, or outstanding expectations not
-/// owned by a registered watchdog or supervisor.
+/// (reporting through `sink`) on a mid-delta kernel, in-flight bus
+/// transactions, or outstanding expectations not owned by a registered
+/// watchdog or supervisor.
 [[nodiscard]] bool capture_image(const SnapshotTargets& targets, SnapshotImage& image,
                                  support::DiagnosticSink& sink);
 

@@ -312,8 +312,6 @@ bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& ou
         break;
       }
       case sim::FaultKind::kNone:
-      case sim::FaultKind::kExtraLatency:  // No wall-clock meaning for a file write.
-      case sim::FaultKind::kGlitch:
         break;
     }
     if (result.torn || result.lost || result.flipped) ++stats_.write_faults;

@@ -6,18 +6,6 @@
 
 namespace umlsoc::sim {
 
-std::string_view to_string(BusStatus status) {
-  switch (status) {
-    case BusStatus::kOk:
-      return "ok";
-    case BusStatus::kError:
-      return "error";
-    case BusStatus::kTimeout:
-      return "timeout";
-  }
-  return "?";
-}
-
 MemoryMappedBus::MemoryMappedBus(Kernel& kernel, std::string name, SimTime latency)
     : kernel_(kernel), name_(std::move(name)), latency_(latency) {
   completion_ = kernel_.register_process([this] { complete_front(); },
@@ -48,7 +36,7 @@ const MemoryMappedBus::Window* MemoryMappedBus::find_window(std::uint64_t addres
   return nullptr;
 }
 
-void MemoryMappedBus::issue(Pending txn, SimTime extra_latency) {
+void MemoryMappedBus::issue(Pending txn) {
   if (txn.window == nullptr) {
     txn.status = BusStatus::kError;
     ++stats_.errors;
@@ -60,33 +48,19 @@ void MemoryMappedBus::issue(Pending txn, SimTime extra_latency) {
         txn.status = BusStatus::kError;
         txn.window = nullptr;  // Data phase skipped, like a decode error.
         ++stats_.errors;
-        ++stats_.injected_errors;
         break;
       case FaultKind::kDropResponse:
         txn.dropped = true;
-        ++stats_.injected_drops;
-        break;
-      case FaultKind::kExtraLatency:
-        extra_latency = extra_latency + decision.extra_latency;
-        ++stats_.injected_delays;
         break;
       case FaultKind::kBitFlip:
         txn.flip_mask = decision.flip_mask;
-        ++stats_.injected_bit_flips;
         break;
       case FaultKind::kNone:
-      case FaultKind::kGlitch:
         break;
     }
   }
-  // In-order pipeline: a delayed transaction delays everything behind it,
-  // so completion times are monotone along the FIFO and the single
-  // completion process pops the matching entry.
-  const std::uint64_t earliest = (kernel_.now() + latency_ + extra_latency).picoseconds();
-  const std::uint64_t complete_at = std::max(earliest, last_completion_ps_);
-  last_completion_ps_ = complete_at;
   pending_.push_back(std::move(txn));
-  kernel_.schedule(SimTime(complete_at - kernel_.now().picoseconds()), completion_);
+  kernel_.schedule(latency_, completion_);
 }
 
 void MemoryMappedBus::complete_front() {
@@ -113,8 +87,7 @@ void MemoryMappedBus::read(std::uint64_t address, ReadCompletion done) {
   ++stats_.reads;
   const Window* window = find_window(address);
   if (window != nullptr && window->read == nullptr) window = nullptr;
-  issue(Pending{window, BusStatus::kOk, true, false, address, 0, 0, std::move(done), nullptr},
-        SimTime());
+  issue(Pending{window, BusStatus::kOk, true, false, address, 0, 0, std::move(done), nullptr});
 }
 
 void MemoryMappedBus::write(std::uint64_t address, std::uint64_t value, WriteCompletion done) {
@@ -122,8 +95,7 @@ void MemoryMappedBus::write(std::uint64_t address, std::uint64_t value, WriteCom
   const Window* window = find_window(address);
   if (window != nullptr && window->write == nullptr) window = nullptr;
   issue(Pending{window, BusStatus::kOk, false, false, address, value, 0, nullptr,
-                std::move(done)},
-        SimTime());
+                std::move(done)});
 }
 
 // --- BusMasterPort ----------------------------------------------------------
@@ -210,7 +182,6 @@ void BusMasterPort::start_attempt(const std::shared_ptr<Txn>& txn) {
         ++stats_.late_completions;
         return;
       }
-      if (status == BusStatus::kError && policy_.retry_on_error && try_retry(txn)) return;
       finish(txn, status, value);
     });
   } else {
@@ -219,7 +190,6 @@ void BusMasterPort::start_attempt(const std::shared_ptr<Txn>& txn) {
         ++stats_.late_completions;
         return;
       }
-      if (status == BusStatus::kError && policy_.retry_on_error && try_retry(txn)) return;
       finish(txn, status, MemoryMappedBus::kBusError);
     });
   }

@@ -3,16 +3,16 @@
 // that complete (callbacks) after the bus latency.
 //
 // Completions carry a BusStatus, which resolves the classic all-ones
-// ambiguity of the legacy value-only callbacks: a device can legitimately
-// return 0xFFFF'FFFF'FFFF'FFFF, and only the status distinguishes that from
-// a decode error. The old callbacks remain as shims.
+// ambiguity: a device can legitimately return 0xFFFF'FFFF'FFFF'FFFF, and
+// only the status distinguishes that from a decode error.
 //
 // Resilience: an installed sim::FaultPlan is consulted at every issue
-// (sites kBusRead/kBusWrite) and can inject decode errors, extra latency,
-// data bit-flips, and dropped (hung-device) responses. BusMasterPort layers
-// per-master timeout supervision with configurable retry + exponential
-// backoff on top, and registers its in-flight transactions as kernel
-// expectations so hangs surface in the QuiescenceReport.
+// (sites kBusRead/kBusWrite) and can inject transaction errors, data
+// bit-flips, and dropped (hung-device) responses; the plan's site counters
+// count them. BusMasterPort layers per-master timeout supervision with
+// retry + exponential backoff on top, and registers its in-flight
+// transactions as kernel expectations so hangs surface in the
+// QuiescenceReport.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/kernel.hpp"
@@ -36,18 +35,12 @@ enum class BusStatus : std::uint8_t {
   kTimeout,  ///< Master-side timeout (reported by BusMasterPort after retries).
 };
 
-[[nodiscard]] std::string_view to_string(BusStatus status);
-
 /// Bus observability counters (monotonic over the bus's life).
 struct BusStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   std::uint64_t errors = 0;  ///< Decode errors + injected errors.
-  std::uint64_t injected_errors = 0;
-  std::uint64_t injected_drops = 0;
-  std::uint64_t injected_delays = 0;
-  std::uint64_t injected_bit_flips = 0;
-  std::uint64_t completions = 0;          ///< Data phases executed.
+  std::uint64_t completions = 0;          ///< Issued transactions whose latency elapsed.
   std::uint64_t dropped_completions = 0;  ///< Responses that never reached the master.
 };
 
@@ -96,23 +89,14 @@ class MemoryMappedBus {
   /// callback cannot be serialized.
   [[nodiscard]] std::size_t pending_transactions() const { return pending_.size(); }
 
-  /// Checkpointable bus state. `last_completion_ps` matters for determinism:
-  /// the in-order pipeline clamps every completion to be no earlier than its
-  /// predecessor's, so a restored run must continue from the same clamp.
-  struct Checkpoint {
-    BusStats stats;
-    std::uint64_t last_completion_ps = 0;
-  };
-  [[nodiscard]] Checkpoint capture_checkpoint() const {
-    return Checkpoint{stats_, last_completion_ps_};
-  }
+  /// Checkpointable bus state: the counters.
+  [[nodiscard]] const BusStats& capture_checkpoint() const { return stats_; }
   /// Capture refuses while transactions are pending, so a restored bus has
   /// none: a transaction still in flight when a live rig is rewound belongs
   /// to the abandoned timeline (its completion wakeup went with the
   /// kernel's schedule) and is dropped.
-  void restore_checkpoint(const Checkpoint& checkpoint) {
-    stats_ = checkpoint.stats;
-    last_completion_ps_ = checkpoint.last_completion_ps;
+  void restore_checkpoint(const BusStats& stats) {
+    stats_ = stats;
     pending_.clear();
   }
 
@@ -141,7 +125,7 @@ class MemoryMappedBus {
   };
 
   [[nodiscard]] const Window* find_window(std::uint64_t address) const;
-  void issue(Pending txn, SimTime extra_latency);
+  void issue(Pending txn);
   void complete_front();
 
   Kernel& kernel_;
@@ -150,15 +134,12 @@ class MemoryMappedBus {
   // deque: element addresses stay stable across map_device calls (the
   // pending transactions capture Window pointers).
   std::deque<Window> windows_;
-  // One completion process drains pending_ in FIFO order. The bus pipeline
-  // is in-order: a transaction's completion time is clamped to be no
-  // earlier than its predecessor's (injected extra latency stalls the
-  // transactions behind it, like a real in-order bus), so completions fire
-  // in issue order and the single handle needs no per-transaction closure
-  // on the kernel side.
+  // One completion process drains pending_ in FIFO order. Every
+  // transaction takes the same latency, so completions come due in issue
+  // order and the single handle needs no per-transaction closure on the
+  // kernel side.
   ProcessId completion_ = kInvalidProcess;
   std::deque<Pending> pending_;
-  std::uint64_t last_completion_ps_ = 0;
   FaultPlan* fault_plan_ = nullptr;
   BusStats stats_;
 };
@@ -173,10 +154,6 @@ struct RetryPolicy {
   /// Each retry multiplies the previous deadline by this (exponential
   /// backoff); 1 keeps a constant deadline.
   unsigned backoff_multiplier = 2;
-  /// Also retry transactions that completed with kError (treats errors as
-  /// transient, e.g. under fault injection). kTimeout exhaustion always
-  /// reports kTimeout; error exhaustion reports kError.
-  bool retry_on_error = false;
 };
 
 /// A master-side port wrapping a bus: issues transactions with timeout

@@ -21,8 +21,6 @@ std::string_view to_string(FaultSite site) {
       return "bus-read";
     case FaultSite::kBusWrite:
       return "bus-write";
-    case FaultSite::kSignal:
-      return "signal";
     case FaultSite::kCheckpoint:
       return "checkpoint";
     case FaultSite::kCrash:
@@ -31,27 +29,13 @@ std::string_view to_string(FaultSite site) {
   return "?";
 }
 
-std::string_view to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-      return "none";
-    case FaultKind::kError:
-      return "error";
-    case FaultKind::kDropResponse:
-      return "drop";
-    case FaultKind::kExtraLatency:
-      return "delay";
-    case FaultKind::kBitFlip:
-      return "bit-flip";
-    case FaultKind::kGlitch:
-      return "glitch";
-  }
-  return "?";
-}
-
 FaultPlan::FaultPlan(std::uint64_t seed) : seed_(seed) {
+  // Salt 3 belonged to a deleted signal site between kBusWrite and
+  // kCheckpoint. The sites after it keep their salts, so a recorded seed
+  // still draws the same faults at every site.
+  constexpr std::uint64_t kSalts[kFaultSiteCount] = {1, 2, 4, 5};
   for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
-    sites_[i].rng = support::Rng(mix(seed ^ (i + 1)));
+    sites_[i].rng = support::Rng(mix(seed ^ kSalts[i]));
   }
 }
 
@@ -61,13 +45,11 @@ void FaultPlan::configure(FaultSite site, SiteConfig config) {
 
 FaultDecision FaultPlan::consult(FaultSite site) {
   Site& entry = sites_[static_cast<std::size_t>(site)];
-  if (!entry.config.enabled) return {};
   ++entry.counters.consults;
   if (entry.counters.injected() >= entry.config.max_faults) return {};
 
   // One uniform draw partitioned into bands keeps the stream aligned no
-  // matter which kind fires; kind-specific parameters draw extra values
-  // only on a hit.
+  // matter which kind fires; a bit flip draws its bit only on a hit.
   const double u = entry.rng.uniform();
   double band = entry.config.error_rate;
   FaultDecision decision;
@@ -82,25 +64,11 @@ FaultDecision FaultPlan::consult(FaultSite site) {
     ++entry.counters.drops;
     return decision;
   }
-  band += entry.config.extra_latency_rate;
-  if (u < band) {
-    decision.kind = FaultKind::kExtraLatency;
-    const std::uint64_t max_ps = entry.config.max_extra_latency.picoseconds();
-    decision.extra_latency = SimTime(max_ps == 0 ? 0 : entry.rng.below(max_ps) + 1);
-    ++entry.counters.delays;
-    return decision;
-  }
   band += entry.config.bit_flip_rate;
   if (u < band) {
     decision.kind = FaultKind::kBitFlip;
     decision.flip_mask = 1ULL << entry.rng.below(64);
     ++entry.counters.bit_flips;
-    return decision;
-  }
-  band += entry.config.glitch_rate;
-  if (u < band) {
-    decision.kind = FaultKind::kGlitch;
-    ++entry.counters.glitches;
     return decision;
   }
   return decision;
@@ -121,9 +89,7 @@ std::string FaultPlan::str() const {
            std::to_string(counters.consults);
     if (counters.errors != 0) out += " errors=" + std::to_string(counters.errors);
     if (counters.drops != 0) out += " drops=" + std::to_string(counters.drops);
-    if (counters.delays != 0) out += " delays=" + std::to_string(counters.delays);
     if (counters.bit_flips != 0) out += " bit-flips=" + std::to_string(counters.bit_flips);
-    if (counters.glitches != 0) out += " glitches=" + std::to_string(counters.glitches);
     out += "}";
   }
   return out;
@@ -209,40 +175,6 @@ void CrashInjector::tick() {
   if (decision.kind != FaultKind::kError) return;
   ++crashes_;
   throw SimulatedCrash(kernel_.now().picoseconds());
-}
-
-// --- SignalGlitcher ---------------------------------------------------------
-
-SignalGlitcher::SignalGlitcher(Kernel& kernel, FaultPlan& plan, Signal<bool>& target,
-                               SimTime interval, SimTime width)
-    : kernel_(kernel), plan_(plan), target_(target), interval_(interval), width_(width) {
-  tick_process_ = kernel_.register_process([this] { tick(); },
-                                           "glitch." + target.name() + ".tick");
-  restore_process_ = kernel_.register_process([this] { target_.write(restore_value_); },
-                                              "glitch." + target.name() + ".restore");
-}
-
-void SignalGlitcher::start() {
-  if (running_) return;
-  running_ = true;
-  if (!tick_pending_) {
-    tick_pending_ = true;
-    kernel_.schedule(interval_, tick_process_);
-  }
-}
-
-void SignalGlitcher::tick() {
-  tick_pending_ = false;
-  if (!running_) return;
-  const FaultDecision decision = plan_.consult(FaultSite::kSignal);
-  if (decision.kind == FaultKind::kGlitch) {
-    ++glitches_;
-    restore_value_ = target_.read();
-    target_.write(!restore_value_);
-    kernel_.schedule(width_, restore_process_);
-  }
-  tick_pending_ = true;
-  kernel_.schedule(interval_, tick_process_);
 }
 
 }  // namespace umlsoc::sim

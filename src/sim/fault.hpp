@@ -1,15 +1,16 @@
 // Deterministic fault injection and resilience helpers.
 //
 // A FaultPlan is a seeded, reproducible source of fault decisions that
-// components consult at fixed injection sites (bus read/write issue, signal
-// glitch ticks). Each site owns an independent SplitMix64 stream derived
-// from the plan seed, so enabling or disabling one site never perturbs the
-// decision sequence of another, and a fixed seed replays the exact same
-// fault sequence for a deterministic simulation.
+// components consult at fixed injection sites (bus read/write issue,
+// checkpoint writes, crash ticks). Each site owns an independent SplitMix64
+// stream derived from the plan seed, so configuring or consulting one site
+// never perturbs the decision sequence of another, and a fixed seed replays
+// the exact same fault sequence for a deterministic simulation.
 //
 // Nothing in the simulation pays for this when no plan is installed: the
-// bus and the glitcher hold a nullable FaultPlan pointer and the only cost
-// on the fault-free path is that null check.
+// bus, the checkpoint store and the crash injector hold a nullable
+// FaultPlan pointer and the only cost on the fault-free path is that null
+// check.
 //
 // The Watchdog models the classic hardware watchdog timer: a registered
 // kernel process that trips (optionally invoking a callback) when not
@@ -26,7 +27,6 @@
 #include <string_view>
 
 #include "sim/kernel.hpp"
-#include "sim/signal.hpp"
 #include "support/rng.hpp"
 
 namespace umlsoc::sim {
@@ -37,11 +37,10 @@ namespace umlsoc::sim {
 enum class FaultSite : std::uint8_t {
   kBusRead = 0,     ///< Consulted when a bus read is issued.
   kBusWrite = 1,    ///< Consulted when a bus write is issued.
-  kSignal = 2,      ///< Consulted by SignalGlitcher ticks.
-  kCheckpoint = 3,  ///< Consulted per CheckpointStore write (torn/corrupt files).
-  kCrash = 4,       ///< Consulted by CrashInjector ticks (simulated process death).
+  kCheckpoint = 2,  ///< Consulted per CheckpointStore write (torn/corrupt files).
+  kCrash = 3,       ///< Consulted by CrashInjector ticks (simulated process death).
 };
-inline constexpr std::size_t kFaultSiteCount = 5;
+inline constexpr std::size_t kFaultSiteCount = 4;
 
 [[nodiscard]] std::string_view to_string(FaultSite site);
 
@@ -50,16 +49,11 @@ enum class FaultKind : std::uint8_t {
   kNone = 0,
   kError,         ///< Transaction completes with BusStatus::kError.
   kDropResponse,  ///< Device hangs: the completion callback never fires.
-  kExtraLatency,  ///< Transaction completes late by `extra_latency`.
   kBitFlip,       ///< Data corrupted by `flip_mask` during the data phase.
-  kGlitch,        ///< Spurious signal pulse (signal sites only).
 };
-
-[[nodiscard]] std::string_view to_string(FaultKind kind);
 
 struct FaultDecision {
   FaultKind kind = FaultKind::kNone;
-  SimTime extra_latency{};      ///< Valid for kExtraLatency.
   std::uint64_t flip_mask = 0;  ///< Valid for kBitFlip (single bit set).
 
   [[nodiscard]] bool faulted() const { return kind != FaultKind::kNone; }
@@ -70,16 +64,11 @@ class FaultPlan {
  public:
   /// Per-site behavior. Rates are probabilities per consult, resolved by a
   /// single uniform draw partitioned into bands (error, then drop, then
-  /// latency, then flip, then glitch) — at most one fault per consult.
+  /// flip) — at most one fault per consult.
   struct SiteConfig {
-    bool enabled = true;
     double error_rate = 0.0;
     double drop_rate = 0.0;
-    double extra_latency_rate = 0.0;
     double bit_flip_rate = 0.0;
-    double glitch_rate = 0.0;
-    /// Injected latency is uniform in [1ps, max_extra_latency].
-    SimTime max_extra_latency = SimTime::ns(100);
     /// Hard cap on faults injected at this site; consults past the cap
     /// decide kNone (counters keep counting consults).
     std::uint64_t max_faults = std::numeric_limits<std::uint64_t>::max();
@@ -89,13 +78,9 @@ class FaultPlan {
     std::uint64_t consults = 0;
     std::uint64_t errors = 0;
     std::uint64_t drops = 0;
-    std::uint64_t delays = 0;
     std::uint64_t bit_flips = 0;
-    std::uint64_t glitches = 0;
 
-    [[nodiscard]] std::uint64_t injected() const {
-      return errors + drops + delays + bit_flips + glitches;
-    }
+    [[nodiscard]] std::uint64_t injected() const { return errors + drops + bit_flips; }
   };
 
   explicit FaultPlan(std::uint64_t seed);
@@ -103,15 +88,6 @@ class FaultPlan {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   void configure(FaultSite site, SiteConfig config);
-  [[nodiscard]] const SiteConfig& config(FaultSite site) const {
-    return sites_[static_cast<std::size_t>(site)].config;
-  }
-
-  /// Per-site enable mask on top of the configured rates. A disabled site
-  /// decides kNone without consuming its random stream.
-  void set_enabled(FaultSite site, bool enabled) {
-    sites_[static_cast<std::size_t>(site)].config.enabled = enabled;
-  }
 
   /// Draws the next decision for `site`. Deterministic: same seed, same
   /// per-site consult sequence => same decisions.
@@ -280,35 +256,6 @@ class CrashInjector {
   bool armed_ = true;
   bool started_ = false;
   std::uint64_t crashes_ = 0;
-};
-
-/// Periodically consults the plan's kSignal site and, on a kGlitch
-/// decision, inverts a bool signal for `width` before restoring it — a
-/// spurious pulse that sensitivity lists and edge detectors observe.
-class SignalGlitcher {
- public:
-  SignalGlitcher(Kernel& kernel, FaultPlan& plan, Signal<bool>& target, SimTime interval,
-                 SimTime width);
-
-  void start();
-  void stop() { running_ = false; }
-
-  [[nodiscard]] std::uint64_t glitches() const { return glitches_; }
-
- private:
-  void tick();
-
-  Kernel& kernel_;
-  FaultPlan& plan_;
-  Signal<bool>& target_;
-  SimTime interval_;
-  SimTime width_;
-  ProcessId tick_process_ = kInvalidProcess;
-  ProcessId restore_process_ = kInvalidProcess;
-  bool restore_value_ = false;
-  bool running_ = false;
-  bool tick_pending_ = false;
-  std::uint64_t glitches_ = 0;
 };
 
 }  // namespace umlsoc::sim

@@ -682,15 +682,11 @@ bool CompiledMachine::dispatch(Event event) {
   return transitions_fired_ != fired_before;
 }
 
-void CompiledMachine::post_error(Event event) {
-  ++errors_raised_;
-  queue_.push_front(std::move(event));
-}
-
 bool CompiledMachine::dispatch_error(Event event) {
   if (terminated_) return false;
   const std::uint64_t fired_before = transitions_fired_;
-  post_error(std::move(event));
+  ++errors_raised_;
+  queue_.push_front(std::move(event));
   if (started_) run_to_quiescence();
   const bool handled = transitions_fired_ != fired_before;
   if (!handled) ++errors_unhandled_;

@@ -136,7 +136,6 @@ class CompiledMachine final : public Engine {
   bool dispatch(Event event) override;
   void post(Event event) override;
   bool dispatch_error(Event event) override;
-  void post_error(Event event) override;
   void run_to_quiescence() override;
   /// O(1) from the plan table: false when the (configuration, event) plan
   /// has no candidates, the event is not deferrable here, and no queued

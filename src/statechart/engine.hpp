@@ -121,9 +121,6 @@ class Engine {
   /// unhandled.
   virtual bool dispatch_error(Event event) = 0;
 
-  /// Queues an error event at the front without processing.
-  virtual void post_error(Event event) = 0;
-
   /// Processes queued events until the pool is empty.
   virtual void run_to_quiescence() = 0;
 

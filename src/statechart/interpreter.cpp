@@ -98,16 +98,12 @@ bool StateMachineInstance::dispatch(Event event) {
   return transitions_fired_ != fired_before;
 }
 
-void StateMachineInstance::post_error(Event event) {
-  ++errors_raised_;
-  note("error-event:" + event.name);
-  queue_.push_front(std::move(event));
-}
-
 bool StateMachineInstance::dispatch_error(Event event) {
   if (terminated_) return false;
   const std::uint64_t fired_before = transitions_fired_;
-  post_error(std::move(event));
+  ++errors_raised_;
+  note("error-event:" + event.name);
+  queue_.push_front(std::move(event));
   if (started_) run_to_quiescence();
   const bool handled = transitions_fired_ != fired_before;
   if (!handled) ++errors_unhandled_;

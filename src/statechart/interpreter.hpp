@@ -65,9 +65,6 @@ class StateMachineInstance final : public Engine {
   /// can assert that every declared fault reaches an error state.
   bool dispatch_error(Event event) override;
 
-  /// Queues an error event at the front without processing.
-  void post_error(Event event) override;
-
   /// Processes queued events until the pool is empty.
   void run_to_quiescence() override;
 

@@ -241,13 +241,6 @@ Operation& Interface::add_operation(std::string name) {
   return ref;
 }
 
-Operation* Interface::find_operation(std::string_view name) const {
-  for (const auto& operation : operations_) {
-    if (operation->name() == name) return operation.get();
-  }
-  return nullptr;
-}
-
 void Interface::collect_owned(std::vector<Element*>& out) const {
   for (const auto& operation : operations_) out.push_back(operation.get());
 }
@@ -257,13 +250,6 @@ void Interface::collect_owned(std::vector<Element*>& out) const {
 void DataType::accept(ElementVisitor& visitor) { visitor.visit(*this); }
 void PrimitiveType::accept(ElementVisitor& visitor) { visitor.visit(*this); }
 void Enumeration::accept(ElementVisitor& visitor) { visitor.visit(*this); }
-
-std::optional<std::size_t> Enumeration::literal_index(std::string_view literal) const {
-  for (std::size_t i = 0; i < literals_.size(); ++i) {
-    if (literals_[i] == literal) return i;
-  }
-  return std::nullopt;
-}
 
 // --- Signal ---------------------------------------------------------------------------
 

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -294,7 +293,6 @@ class Interface final : public Classifier {
   [[nodiscard]] const std::vector<std::unique_ptr<Operation>>& operations() const {
     return operations_;
   }
-  [[nodiscard]] Operation* find_operation(std::string_view name) const;
 
  protected:
   void collect_owned(std::vector<Element*>& out) const override;
@@ -336,7 +334,6 @@ class Enumeration final : public DataType {
 
   void add_literal(std::string literal) { literals_.push_back(std::move(literal)); }
   [[nodiscard]] const std::vector<std::string>& literals() const { return literals_; }
-  [[nodiscard]] std::optional<std::size_t> literal_index(std::string_view literal) const;
 
  private:
   std::vector<std::string> literals_;

@@ -1,6 +1,7 @@
 #include "xmi/serialize.hpp"
 
 #include <functional>
+#include <optional>
 #include <unordered_map>
 
 #include "uml/instance.hpp"

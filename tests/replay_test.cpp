@@ -224,7 +224,6 @@ TEST_F(ReplayTest, SnapshotRoundTripIsBitIdentical) {
   EXPECT_EQ(restored.memory, reference.memory);
   EXPECT_EQ(restored.bus.stats().reads, reference.bus.stats().reads);
   EXPECT_EQ(restored.bus.stats().errors, reference.bus.stats().errors);
-  EXPECT_EQ(restored.bus.stats().injected_bit_flips, reference.bus.stats().injected_bit_flips);
   EXPECT_EQ(restored.plan.str(), reference.plan.str());
   EXPECT_EQ(restored.watchdog.trips(), reference.watchdog.trips());
   EXPECT_EQ(restored.watchdog.kicks(), reference.watchdog.kicks());

@@ -14,6 +14,7 @@
 
 #include "fleet/report.hpp"
 #include "soak/soak.hpp"
+#include "support/checksum.hpp"
 
 namespace umlsoc::soak {
 namespace {
@@ -82,6 +83,30 @@ TEST(Soak, FleetSweepsTemplatesByIndexAndMatchesAcrossJobCounts) {
   EXPECT_EQ(fingerprints[0], fingerprints[1]);
   // Only a failing seed leaves forensics behind.
   EXPECT_TRUE(std::filesystem::is_empty(artifacts.path()));
+}
+
+// Pins what the soak decides: every counter the fleet fingerprint covers,
+// rung bytes included, over eight seeds and all four fault templates. A
+// change that moves this value on purpose re-pins it and says in
+// CHANGES.md why it moved; any other change must leave it alone.
+TEST(Soak, FingerprintIsPinned) {
+  Model model;
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(model.build(sink)) << sink.str();
+  TempDir artifacts;
+  fleet::FleetConfig config;
+  config.jobs = 1;
+  config.isolation = fleet::Isolation::kThread;
+  config.fault_templates = 4;
+  fleet::FleetDriver driver(config);
+  const std::vector<fleet::RigOutcome> outcomes =
+      run_fleet(model, driver, 1000, 8, artifacts.path());
+  for (const fleet::RigOutcome& outcome : outcomes) {
+    EXPECT_TRUE(outcome.ok) << "seed " << outcome.seed << ": " << outcome.failure;
+  }
+  const fleet::FleetReport report = fleet::FleetReport::aggregate(outcomes);
+  EXPECT_EQ(report.rigs_ok, 8u);
+  EXPECT_EQ(support::xxh64(report.fingerprint()), 0x28d9943ac5114472ULL);
 }
 
 }  // namespace

@@ -65,59 +65,53 @@ constexpr const char* kDriverScript =
     "  i := i + 1;"
     "}";
 
-/// Prints what stopped a soak loop (run_phase, run_recovery_tail); true
-/// when it ran through.
+/// Prints what stopped a rig's run; true when it ran through.
 bool ran(const std::string& stall) {
   if (!stall.empty()) std::printf("%s\n", stall.c_str());
   return stall.empty();
 }
 
 /// Checkpoint + deterministic replay on the soak rig, under the baseline
-/// fault template and the first soak seed. The reference runs uninterrupted
-/// with its event recorder on; an identical rig is checkpointed after the
-/// first traffic phase, and the snapshot is restored into a third freshly
-/// constructed rig, which finishes the run under the replay verifier. A
-/// restore perturbed by one extra sender activation must be flagged, and a
-/// snapshot with one flipped byte must be rejected.
+/// fault template and the first soak seed. The reference runs its script
+/// uninterrupted with its event recorder on and captures a snapshot once
+/// the first traffic phase has drained; the snapshot is restored into a
+/// freshly constructed rig, which finishes the run under the replay
+/// verifier. A restore perturbed by one extra sender activation must be
+/// flagged, and a snapshot with one flipped byte must be rejected. The
+/// demo keeps no ladder: every rig's coordinator is stopped.
 int run_replay_demo(const soak::Model& model, support::DiagnosticSink& sink) {
   constexpr std::uint64_t kSeed = 1000;
   soak::TrafficFaults faults;
   faults.error_rate = soak::kSoakTemplates[0].error_rate;
   faults.drop_rate = soak::kSoakTemplates[0].drop_rate;
-  const auto finish_script = [](soak::DegradedRig& rig) {
-    if (!ran(soak::run_phase(rig, 64)) || !ran(soak::run_recovery_tail(rig))) return false;
-    soak::finish_run(rig);
-    return true;
-  };
 
   soak::DegradedRig reference(model, faults, kSeed, sink);
-  if (!ran(soak::run_phase(reference, 32)) || !soak::run_to_save_point(reference, nullptr) ||
-      !finish_script(reference)) {
+  reference.start();
+  reference.coordinator.stop();
+  std::string snapshot;
+  if (!soak::run_to_save_point(reference, snapshot)) {
+    std::printf("reference found no save point\n");
     return 1;
   }
+  const sim::SimTime saved_at = reference.kernel.now();
+  if (!ran(soak::run_to_stop(reference, 0))) return 1;
   const std::vector<sim::RecordedEvent>& reference_log = reference.recorder.log();
 
-  soak::DegradedRig checkpointed(model, faults, kSeed, sink);
-  std::string snapshot;
-  if (!ran(soak::run_phase(checkpointed, 32)) ||
-      !soak::run_to_save_point(checkpointed, &snapshot)) {
-    std::printf("checkpointed rig found no save point\n");
-    return 1;
-  }
   const auto restore = [&](soak::DegradedRig& rig) {
     if (!replay::restore_snapshot_binary(rig.targets(), snapshot, sink)) {
       std::fputs(sink.str().c_str(), stderr);
       return false;
     }
+    rig.coordinator.stop();
     rig.recorder.begin_verify(reference_log, rig.recorder.total_events());
     return true;
   };
 
   soak::DegradedRig restored(model, faults, kSeed, sink);
-  if (!restore(restored) || !finish_script(restored)) return 1;
+  if (!restore(restored) || !ran(soak::run_to_stop(restored, 0))) return 1;
   std::printf("\ncheckpoint: %zu-byte snapshot at %s; restored run replayed %llu/%llu "
               "events\n",
-              snapshot.size(), checkpointed.kernel.now().str().c_str(),
+              snapshot.size(), saved_at.str().c_str(),
               static_cast<unsigned long long>(restored.recorder.total_events()),
               static_cast<unsigned long long>(reference.recorder.total_events()));
   if (const std::string problem = soak::compare_final_state(reference, restored, "restored");
@@ -132,7 +126,7 @@ int run_replay_demo(const soak::Model& model, support::DiagnosticSink& sink) {
   soak::DegradedRig perturbed(model, faults, kSeed, sink);
   if (!restore(perturbed)) return 1;
   perturbed.kernel.schedule(sim::SimTime::ns(1), perturbed.sender);
-  if (!finish_script(perturbed)) return 1;
+  if (!ran(soak::run_to_stop(perturbed, 0))) return 1;
   if (!perturbed.recorder.divergence().has_value()) {
     std::printf("replay verify FAILED to flag an injected divergence\n");
     return 1;
@@ -156,6 +150,26 @@ int run_replay_demo(const soak::Model& model, support::DiagnosticSink& sink) {
   return 0;
 }
 
+/// Sends bytes until `total` have gone out and the bus has drained,
+/// stepping the kernel 1 us at a time: the degraded demo's scenario is
+/// hand-stepped, because the soak's script never produces it. Prints what
+/// stalled; true when it ran through.
+bool send_until(soak::DegradedRig& rig, std::uint64_t total) {
+  rig.target = total;
+  if (rig.sent < rig.target) {
+    rig.kernel.schedule(sim::SimTime(soak::DegradedRig::kSendPeriodPs), rig.sender);
+  }
+  for (int guard = 0; guard < 1000; ++guard) {
+    if (rig.sent >= rig.target && rig.bus.pending_transactions() == 0) return true;
+    rig.kernel.run(rig.kernel.now() + sim::SimTime::us(1));
+  }
+  std::printf("traffic stalled: sent=%llu target=%llu pending=%zu\n",
+              static_cast<unsigned long long>(rig.sent),
+              static_cast<unsigned long long>(rig.target),
+              static_cast<std::size_t>(rig.bus.pending_transactions()));
+  return false;
+}
+
 /// The interactive demo: deterministic DMA error burst -> breaker opens ->
 /// PIO fallback -> half-open probe restores DMA; then a watchdog
 /// starvation trip -> supervised warm restart -> re-armed dog.
@@ -174,7 +188,7 @@ int run_degraded_demo(const soak::Model& model, support::DiagnosticSink& sink) {
                 reason.data());
   });
 
-  if (!ran(soak::run_phase(rig, 4))) return 1;
+  if (!send_until(rig, 4)) return 1;
   if (rig.breaker.state() != sim::CircuitBreaker::State::kOpen) {
     std::printf("breaker did not open after the error burst (state=%s)\n",
                 std::string(sim::to_string(rig.breaker.state())).c_str());
@@ -185,12 +199,17 @@ int run_degraded_demo(const soak::Model& model, support::DiagnosticSink& sink) {
               static_cast<unsigned long long>(rig.breaker.stats().failures),
               rig.link->is_in("Fallback") ? "Fallback" : "?");
 
-  if (!ran(soak::run_phase(rig, 8))) return 1;
+  if (!send_until(rig, 8)) return 1;
   if (rig.via_pio == 0) {
     std::printf("no byte fell back to PIO while the breaker was open\n");
     return 1;
   }
-  if (!ran(soak::run_recovery_tail(rig))) return 1;
+  // Keepalive bytes until recovered: each one advances simulated time
+  // through the breaker's open duration. The checks below report a rig
+  // that has not recovered after 1000 of them.
+  for (int keepalives = 0; !rig.recovered() && keepalives < 1000; ++keepalives) {
+    if (!send_until(rig, rig.target + 1)) return 1;
+  }
   if (rig.breaker.state() != sim::CircuitBreaker::State::kClosed ||
       !rig.link->is_in("Normal") || rig.breaker.stats().probes == 0) {
     std::printf("recovery incomplete: breaker=%s probes=%llu link-normal=%d\n",
@@ -219,7 +238,8 @@ int run_degraded_demo(const soak::Model& model, support::DiagnosticSink& sink) {
     return 1;
   }
   std::printf("watchdog trip -> supervised warm restart -> re-armed (trips=1)\n");
-  soak::finish_run(rig);
+  rig.watchdog.disarm();
+  rig.kernel.run();
 
   if (!rig.health.all_healthy() || rig.link->errors_unhandled() != 0 || rig.sup.gave_up()) {
     std::printf("end-state check failed: health=[%s] unhandled=%llu gave-up=%d\n",
@@ -276,7 +296,7 @@ int run_chaos_soak(const soak::Model& model, int seed_count, const fleet::FleetC
   const fleet::FleetReport report = fleet::FleetReport::aggregate(outcomes);
   if (report.rigs_failed != 0) {
     for (unsigned long long seed : report.failed_seeds) {
-      std::printf("  seed %llu: ladder + event logs preserved in %s/seed-%llu\n", seed,
+      std::printf("  seed %llu: ladders + event log preserved in %s/seed-%llu\n", seed,
                   artifact_root, seed);
     }
     std::printf("chaos soak FAILED for %llu seed(s):",

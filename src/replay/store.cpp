@@ -259,11 +259,6 @@ void CheckpointStore::sweep_stray_tmps() {
   });
 }
 
-void CheckpointStore::bind_health(sim::HealthRegistry& registry) {
-  health_ = &registry;
-  health_unit_ = registry.register_unit("checkpoint-store " + config_.prefix);
-}
-
 std::filesystem::path CheckpointStore::path_for(std::uint64_t seq) const {
   std::string name;
   rung_name(config_.prefix, seq, name);
@@ -376,10 +371,6 @@ void CheckpointStore::quarantine(std::uint64_t seq, std::string reason,
   sink.warning("checkpoint-store", "quarantined " + path.filename().string() + ": " + reason);
   quarantined_.push_back({path, std::move(reason)});
   ++stats_.quarantines;
-  if (health_ != nullptr) {
-    health_->set_health(health_unit_, sim::UnitHealth::kDegraded,
-                        "checkpoint quarantined: " + path.filename().string());
-  }
 }
 
 bool CheckpointStore::restore_latest_good(const SnapshotTargets& targets,
@@ -417,10 +408,6 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
                           ? ""
                           : " at or below seq " + std::to_string(max_seq)) +
                      " (" + std::to_string(quarantined_.size()) + " quarantined)");
-      if (health_ != nullptr) {
-        health_->set_health(health_unit_, sim::UnitHealth::kFailed,
-                            "recovery ladder exhausted");
-      }
       // Nothing listed is left to read; failed passes may have opened rungs
       // of chains that never restored.
       close_held_if([](const HeldRung&) { return true; });

@@ -20,11 +20,10 @@
 // the inode each name links to, and reads every rung of the chain in full
 // into buffers the store keeps (see "Held rung files" below for how). The
 // rung bytes go to the one-pass chain decoder (image_from_binary_chain),
-// which names the rung a failure belongs to. A
-// corrupt, truncated or version-skewed file is *quarantined* — renamed to
-// `<name>.quarantined`, recorded with its structured diagnostics, reported
-// to an optional HealthRegistry as a degraded unit — and the ladder steps
-// down to the next older checkpoint until one restores or the directory is
+// which names the rung a failure belongs to. A corrupt, truncated or
+// version-skewed file is *quarantined* — renamed to `<name>.quarantined`
+// and recorded with its structured diagnostics — and the ladder steps down
+// to the next older checkpoint until one restores or the directory is
 // exhausted. Supervision warm restarts ride on this: a supervisor restart
 // callback that calls restore_latest_good() recovers the newest state that
 // still checks out. After a successful restore the next checkpoint starts
@@ -80,7 +79,6 @@
 #include "replay/binary.hpp"
 #include "replay/snapshot.hpp"
 #include "sim/fault.hpp"
-#include "sim/supervise.hpp"
 #include "support/diagnostics.hpp"
 
 namespace umlsoc::replay {
@@ -141,10 +139,6 @@ class CheckpointStore {
   /// FaultSite::kCheckpoint.
   void install_fault_plan(sim::FaultPlan* plan) { fault_plan_ = plan; }
 
-  /// Registers this store as a health unit; quarantines degrade it, an
-  /// exhausted ladder fails it. The registry must outlive the store.
-  void bind_health(sim::HealthRegistry& registry);
-
   /// Captures the targets (snapshot refusal rules apply) and writes the
   /// next checkpoint in the rotation. Injected write faults do NOT fail the
   /// call — a torn or lost checkpoint is the recovery ladder's problem —
@@ -177,9 +171,7 @@ class CheckpointStore {
   [[nodiscard]] const CheckpointStoreConfig& config() const { return config_; }
 
   /// Newest rung present on disk (0 when the directory holds none). A cheap
-  /// name scan, no validation — the cross-process handoff uses it to decide
-  /// whether a dead predecessor left a ladder worth restoring before this
-  /// process writes anything of its own.
+  /// name scan, no validation.
   [[nodiscard]] std::uint64_t newest_on_disk() const;
 
  private:
@@ -229,8 +221,6 @@ class CheckpointStore {
   CheckpointStoreConfig config_;
   IncrementalEncoder encoder_;
   sim::FaultPlan* fault_plan_ = nullptr;
-  sim::HealthRegistry* health_ = nullptr;
-  sim::HealthRegistry::UnitId health_unit_ = 0;
   std::uint64_t count_ = 0;             ///< Checkpoints attempted (cadence clock).
   std::vector<std::uint64_t> fulls_;    ///< Seqs of retained full snapshots, ascending.
   std::vector<QuarantineRecord> quarantined_;

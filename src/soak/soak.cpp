@@ -105,68 +105,33 @@ sim::RestartPolicy sup_policy() {
   return policy;
 }
 
-/// In-simulation script driver for the crash leg. The host-side guard loops
-/// (run_phase, run_recovery_tail) time their sender kicks off wall-script
-/// slicing, which depends on where a restore landed — a rig recovered
-/// mid-phase would re-kick at a different instant than the uninterrupted
-/// reference and diverge. This driver runs the same script (two traffic
-/// phases, keepalive bytes until recovered, final watchdog disarm) as a
-/// kernel process whose every decision is a pure function of
-/// checkpoint-visible rig state: its activations are restored with the
-/// schedule like everything else, so a recovered rig resumes the script
-/// exactly where the checkpoint left it.
-struct ScriptDriver {
-  /// Off the 500 ns traffic grid and coprime to the coordinator/injector
-  /// cadences within the soak horizon.
-  static constexpr std::uint64_t kTickPs = 1'000'037;
+replay::RecoveryPolicy coordinator_policy() {
+  replay::RecoveryPolicy policy;
+  policy.checkpoint_interval = sim::SimTime::us(4);
+  // Off the 500 ns traffic grid: a tick sharing an instant with the sender
+  // would be co-batched and refused every time.
+  policy.tick_interval = sim::SimTime(999'001);
+  return policy;
+}
 
-  DegradedRig& rig;
-  sim::ProcessId process = sim::kInvalidProcess;
+/// The script's and the injector's tick periods: like the coordinator's,
+/// off the 500 ns traffic grid and coprime to the other cadences within
+/// the soak horizon.
+constexpr std::uint64_t kScriptTickPs = 1'000'037;
+constexpr std::uint64_t kCrashTickPs = 1'000'003;
+/// Bytes in each of the script's two traffic phases.
+constexpr std::uint64_t kPhaseBytes = 32;
+/// Slices end on whole microseconds; the horizon bounds the victim's run
+/// and every slice loop, far past the ~36 us the script takes.
+constexpr std::uint64_t kSlicePs = 1'000'000;
+constexpr std::uint64_t kHorizonPs = 1000 * kSlicePs;
 
-  explicit ScriptDriver(DegradedRig& owner) : rig(owner) {
-    process = rig.kernel.register_process([this] { tick(); }, "soak.script");
-  }
+/// The first slice end: the whole microsecond at or after now().
+std::uint64_t first_slice_end(const DegradedRig& rig) {
+  return (rig.kernel.now().picoseconds() + kSlicePs - 1) / kSlicePs * kSlicePs;
+}
 
-  void start() { rig.kernel.schedule(sim::SimTime(kTickPs), process); }
-
-  [[nodiscard]] bool recovered() const {
-    return rig.breaker.state() == sim::CircuitBreaker::State::kClosed &&
-           rig.health.all_healthy() && rig.sup.quiescent();
-  }
-
-  [[nodiscard]] bool done() const {
-    return rig.target >= 64 && rig.sent >= rig.target &&
-           rig.bus.pending_transactions() == 0 && recovered() && !rig.watchdog.armed();
-  }
-
-  void tick() {
-    // Chain first, unconditionally: a restored pending tick keeps driving.
-    rig.kernel.schedule(sim::SimTime(kTickPs), process);
-    if (rig.target < 32) {
-      rig.target = 32;
-      kick();
-      return;
-    }
-    if (rig.sent < rig.target || rig.bus.pending_transactions() != 0) return;
-    if (rig.target < 64) {
-      rig.target = 64;
-      kick();
-      return;
-    }
-    if (!recovered()) {
-      // One keepalive byte — routed around an open breaker — so simulated
-      // time advances through open durations and restart backoffs.
-      rig.target = rig.sent + 1;
-      kick();
-      return;
-    }
-    if (rig.watchdog.armed()) rig.watchdog.disarm();
-  }
-
-  void kick() { rig.kernel.schedule(sim::SimTime(DegradedRig::kSendPeriodPs), rig.sender); }
-};
-
-/// A reference rig's recorded event log, written to `path` as one "index
+/// The reference's recorded event log, written to `path` as one "index
 /// at_ps process label" line per event when the seed fails: the forensic
 /// artifact run_fleet preserves next to a failing seed's ladder. It writes
 /// when it goes out of scope unless pass() was called, so every return
@@ -201,16 +166,15 @@ class EventLogOnFailure {
   bool passed_ = false;
 };
 
-/// The legs of one seed (see soak.hpp). Returns an empty string on success,
+/// The rigs of one seed (see soak.hpp). Returns an empty string on success,
 /// else the failure description; fills `outcome` with the seed's counters.
 ///
-/// The job's fault_template picks the SoakTemplate every leg runs under,
-/// and its attempt count drives the cross-process handoff: every attempt
-/// writes two handoff rungs (the t=0 base and the post-phase-1 save point)
-/// to the seed's scratch, and a re-dispatched attempt (attempt > 0) first
+/// The job's fault_template picks the SoakTemplate every rig runs under,
+/// and its attempt count drives the cross-process handoff: every attempt's
+/// reference writes two handoff rungs (the t=0 base and the save point) to
+/// the seed's scratch, and a re-dispatched attempt (attempt > 0) also
 /// restores the newest rung a dead predecessor left behind and replays the
-/// remainder under the verifier — proving resume-from-ladder — before
-/// re-running the deterministic legs from scratch.
+/// remainder under the verifier, proving resume-from-ladder.
 std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
                            const std::filesystem::path& scratch,
                            fleet::RigOutcome& outcome) {
@@ -223,21 +187,104 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   faults.drop_rate = soak_template.drop_rate;
 
   namespace fs = std::filesystem;
+  std::error_code ec;
   const fs::path seed_dir = scratch / ("seed-" + std::to_string(seed));
+  // A dead predecessor's handoff rungs are set aside before the scratch is
+  // wiped: this attempt's reference writes its own rungs in their place.
+  const fs::path inherited_dir = scratch / ("seed-" + std::to_string(seed) + "-inherited");
+  if (job.attempt > 0 && fs::exists(seed_dir / "handoff", ec)) {
+    fs::remove_all(inherited_dir, ec);
+    fs::rename(seed_dir / "handoff", inherited_dir, ec);
+  }
+  fs::remove_all(seed_dir, ec);
+  fs::create_directories(seed_dir, ec);
+  replay::CheckpointStore::WriteResult written;
 
-  DegradedRig reference(model, faults, seed, sink);
+  // --- Crash victim ----------------------------------------------------------
+  // Simulated process death: the injector consults FaultSite::kCrash on its
+  // own plan (NOT a snapshot target, so the rig's determinism is
+  // unperturbed) and throws SimulatedCrash from inside a kernel process
+  // while the coordinator checkpoints in the background. The crashed rig is
+  // abandoned wholesale; the crash twin below recovers from its ladder.
+  replay::CheckpointStoreConfig crash_config;
+  crash_config.directory = seed_dir / "crash";
+  crash_config.prefix = "crash";
+  crash_config.full_interval = 4;
+  crash_config.keep_fulls = 2;
+  sim::FaultPlan crash_plan(seed ^ 0xDEADBEEFULL);
+  sim::FaultPlan::SiteConfig crash_site;
+  // Each tick dies with the template's crash probability ...
+  crash_site.error_rate = soak_template.crash_rate;
+  crash_site.max_faults = 1;  // ... and exactly one death per run.
+  crash_plan.configure(sim::FaultSite::kCrash, crash_site);
+  DegradedRig victim(model, faults, seed, sink, crash_config, &crash_plan);
+  victim.start();
+  // A clean base lands at time zero, before the injector's first tick, so
+  // recovery is possible by construction however early the dice kill the
+  // rig.
+  support::DiagnosticSink crash_store_sink;
+  if (!victim.store.checkpoint(victim.targets(), written, crash_store_sink)) {
+    return "crash base checkpoint failed: " + crash_store_sink.str();
+  }
+  std::uint64_t crash_ps = 0;
+  try {
+    victim.kernel.run(sim::SimTime(kHorizonPs));
+  } catch (const sim::SimulatedCrash& crash) {
+    crash_ps = crash.at_ps;
+  }
+  if (crash_ps == 0) return "crash leg: injector never fired";
+
+  // --- Reference -------------------------------------------------------------
+  // Runs uninterrupted past the crash and writes every capture the twins
+  // restore from; capturing has no side effect on the simulation.
+  replay::CheckpointStoreConfig ladder_config;
+  ladder_config.directory = seed_dir / "ladder";
+  ladder_config.prefix = "soak";
+  ladder_config.full_interval = 2;
+  // The coordinator ticks about 1000 times within the horizon, so it writes
+  // fewer bases than this and the clean base never rotates out.
+  ladder_config.keep_fulls = 1000;
+  // The corruption plan injects checkpoint-path faults (torn files, lost
+  // renames, bit-flips) at FaultSite::kCheckpoint. It is deliberately NOT a
+  // snapshot target, so the reference's own determinism is unperturbed.
+  sim::FaultPlan corruption(seed ^ 0xC0FFEEULL);
+  sim::FaultPlan::SiteConfig checkpoint_faults;
+  checkpoint_faults.error_rate = 0.2;
+  checkpoint_faults.drop_rate = 0.2;
+  checkpoint_faults.bit_flip_rate = 0.2;
+  corruption.configure(sim::FaultSite::kCheckpoint, checkpoint_faults);
+  DegradedRig reference(model, faults, seed, sink, ladder_config);
   EventLogOnFailure reference_events(seed_dir / "reference-events.log", reference);
-  if (std::string stall = run_phase(reference, 32); !stall.empty()) {
-    return "reference stalled in phase 1: " + stall;
+  reference.start();
+  // Handoff rung 1: the t=0 base. Written on every attempt and in every
+  // isolation mode — the writes feed the kernel's snapshot-encode counters,
+  // which are fingerprinted, so they must happen unconditionally. A refusal
+  // here is tolerated (and deterministic): the save-point rung below then
+  // lands as the chain's full base instead.
+  replay::CheckpointStoreConfig handoff_config;
+  handoff_config.directory = seed_dir / "handoff";
+  handoff_config.prefix = "handoff";
+  handoff_config.full_interval = 2;
+  handoff_config.keep_fulls = 2;
+  replay::CheckpointStore handoff_store(handoff_config);
+  support::DiagnosticSink store_sink;
+  (void)handoff_store.checkpoint(reference.targets(), written, store_sink);
+  // The ladder's first rung lands before the faults arm: a good base is
+  // guaranteed, so every seed can recover no matter what the dice do later.
+  if (!reference.store.checkpoint(reference.targets(), written, store_sink)) {
+    return "clean base checkpoint failed: " + store_sink.str();
   }
-  if (!run_to_save_point(reference, nullptr)) return "reference found no save point";
-  if (std::string stall = run_phase(reference, 64); !stall.empty()) {
-    return "reference stalled in phase 2: " + stall;
+  reference.store.install_fault_plan(&corruption);
+  std::string snapshot;
+  if (!run_to_save_point(reference, snapshot)) return "reference found no save point";
+  // Handoff rung 2: the save point a successor resumes from. The state was
+  // just proven checkpointable, so a failure here is a real bug.
+  if (!handoff_store.checkpoint(reference.targets(), written, store_sink)) {
+    return "handoff save-point checkpoint failed: " + store_sink.str();
   }
-  if (std::string stall = run_recovery_tail(reference); !stall.empty()) {
-    return "reference never recovered: " + stall;
+  if (std::string stall = run_to_stop(reference, crash_ps); !stall.empty()) {
+    return "reference stalled: " + stall;
   }
-  finish_run(reference);
   if (!reference.health.all_healthy()) {
     return "reference ended unhealthy: " + reference.health.str();
   }
@@ -247,306 +294,90 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   }
   const std::vector<sim::RecordedEvent>& reference_log = reference.recorder.log();
 
-  // --- Cross-process handoff resume ------------------------------------------
-  // A re-dispatched seed (attempt > 0) may inherit handoff rungs a dead
-  // predecessor left in this seed's scratch. Before the scratch is wiped,
-  // prove the handoff invariant: restore the newest good rung into a fresh
-  // rig, replay the remainder of the script under the verifier, and require
-  // the final state to match the reference. Everything this leg produces
-  // lives in fingerprint-excluded fields (resumed_from_seq) and its kernel
-  // stats are NOT reduced into the outcome — whether a kill happened, and
-  // where, is host scheduling, not simulation.
-  replay::CheckpointStoreConfig handoff_config;
-  handoff_config.directory = seed_dir / "handoff";
-  handoff_config.prefix = "handoff";
-  handoff_config.full_interval = 2;
-  handoff_config.keep_fulls = 2;
-  if (job.attempt > 0 && fs::exists(handoff_config.directory)) {
-    replay::CheckpointStore inherited(handoff_config);
-    if (inherited.newest_on_disk() != 0) {
-      DegradedRig resumed(model, faults, seed, sink);
-      support::DiagnosticSink resume_sink;
-      // An unrestorable inherited ladder (predecessor killed mid-write on
-      // every rung) is not an error — the seed simply re-runs from scratch.
-      if (inherited.restore_latest_good(resumed.targets(), resume_sink)) {
-        resumed.recorder.begin_verify(reference_log, resumed.recorder.total_events());
-        if (std::string stall = run_phase(resumed, 32); !stall.empty()) {
-          return "handoff-resumed rig stalled in phase 1: " + stall;
-        }
-        if (std::string stall = run_phase(resumed, 64); !stall.empty()) {
-          return "handoff-resumed rig stalled in phase 2: " + stall;
-        }
-        if (std::string stall = run_recovery_tail(resumed); !stall.empty()) {
-          return "handoff-resumed rig never recovered: " + stall;
-        }
-        finish_run(resumed);
-        if (const std::string problem =
-                compare_final_state(reference, resumed, "handoff-resumed");
-            !problem.empty()) {
-          return problem;
-        }
-        outcome.resumed_from_seq = inherited.stats().restored_seq;
-      }
+  // Every twin has restored a capture; it writes nothing and replays to the
+  // stop rule under the verifier against the reference's log.
+  const auto replay_twin = [&](DegradedRig& twin, const char* leg) {
+    twin.coordinator.stop();
+    twin.recorder.begin_verify(reference_log, twin.recorder.total_events());
+    if (std::string stall = run_to_stop(twin, crash_ps); !stall.empty()) {
+      return std::string(leg) + " twin stalled: " + stall;
     }
-  }
+    return compare_final_state(reference, twin, leg);
+  };
 
-  std::error_code cleanup_ec;
-  fs::remove_all(seed_dir, cleanup_ec);
-  fs::create_directories(seed_dir, cleanup_ec);
-
-  DegradedRig checkpointed(model, faults, seed, sink);
-  // Handoff rung 1: the t=0 base. Written on every attempt and in every
-  // isolation mode — the writes feed the kernel's snapshot-encode counters,
-  // which are fingerprinted, so they must happen unconditionally. A refusal
-  // here is tolerated (and deterministic): the save-point rung below then
-  // lands as the chain's full base instead.
-  replay::CheckpointStore handoff_store(handoff_config);
-  support::DiagnosticSink handoff_sink;
-  replay::CheckpointStore::WriteResult handoff_rung;
-  (void)handoff_store.checkpoint(checkpointed.targets(), handoff_rung, handoff_sink);
-  std::string snapshot;
-  if (std::string stall = run_phase(checkpointed, 32); !stall.empty()) {
-    return "checkpointed rig stalled: " + stall;
-  }
-  if (!run_to_save_point(checkpointed, &snapshot)) return "no checkpointable state";
-  // Handoff rung 2: the save point a successor resumes from. The state was
-  // just proven checkpointable, so a failure here is a real bug.
-  if (!handoff_store.checkpoint(checkpointed.targets(), handoff_rung, handoff_sink)) {
-    return "handoff save-point checkpoint failed: " + handoff_sink.str();
-  }
-
+  // --- Restored twin ---------------------------------------------------------
   DegradedRig restored(model, faults, seed, sink);
   support::DiagnosticSink restore_sink;
   if (!replay::restore_snapshot_binary(restored.targets(), snapshot, restore_sink)) {
     return "restore failed: " + restore_sink.str();
   }
-  restored.recorder.begin_verify(reference_log, restored.recorder.total_events());
-  if (std::string stall = run_phase(restored, 64); !stall.empty()) {
-    return "restored rig stalled: " + stall;
-  }
-  if (std::string stall = run_recovery_tail(restored); !stall.empty()) {
-    return "restored rig never recovered: " + stall;
-  }
-  finish_run(restored);
-
-  if (const std::string problem = compare_final_state(reference, restored, "restored");
-      !problem.empty()) {
+  if (std::string problem = replay_twin(restored, "restored"); !problem.empty()) {
     return problem;
   }
 
-  // --- Recovery-ladder leg ---------------------------------------------------
-  // The same script once more, but checkpoints stream to an on-disk
-  // CheckpointStore while a corruption plan injects checkpoint-path faults
-  // (torn files, lost renames, bit-flips) at FaultSite::kCheckpoint. The
-  // corruption plan is deliberately NOT a snapshot target, so the rig's own
-  // determinism is unperturbed. After the run the newest checkpoint is torn
-  // in half, crash-style; restore_latest_good must still find a good rung
-  // and the recovered rig must replay bit-identically to the reference.
-  const fs::path ladder_dir = seed_dir / "ladder";
-  replay::CheckpointStoreConfig store_config;
-  store_config.directory = ladder_dir;
-  store_config.prefix = "soak";
-  store_config.full_interval = 2;
-  store_config.keep_fulls = 2;
-
-  DegradedRig ladder(model, faults, seed, sink);
-  replay::CheckpointStore store(store_config);
-  sim::HealthRegistry store_health;  // The store's own registry, not a snapshot section.
-  store.bind_health(store_health);
-  sim::FaultPlan corruption(seed ^ 0xC0FFEEULL);
-  sim::FaultPlan::SiteConfig checkpoint_faults;
-  checkpoint_faults.error_rate = 0.2;
-  checkpoint_faults.drop_rate = 0.2;
-  checkpoint_faults.bit_flip_rate = 0.2;
-  corruption.configure(sim::FaultSite::kCheckpoint, checkpoint_faults);
-
-  replay::CheckpointStore::WriteResult write_result;
-  support::DiagnosticSink store_sink;
-  if (std::string stall = run_phase(ladder, 32); !stall.empty()) {
-    return "ladder rig stalled in phase 1: " + stall;
-  }
-  if (!run_to_save_point(ladder, nullptr)) return "ladder rig found no save point";
-  // The first checkpoint lands before the faults arm: a good base is
-  // guaranteed, so every seed can recover no matter what the dice do later.
-  if (!store.checkpoint(ladder.targets(), write_result, store_sink)) {
-    return "clean base checkpoint failed: " + store_sink.str();
-  }
-  store.install_fault_plan(&corruption);
-  if (std::string stall = run_phase(ladder, 64); !stall.empty()) {
-    return "ladder rig stalled in phase 2: " + stall;
-  }
-  // Mid-script checkpoints only land when the rig happens to be
-  // checkpointable (no in-flight retry expectation); a refusal just means
-  // fewer rungs. Capture has no simulation side effects, so the ladder rig
-  // stays on the reference timeline either way.
-  (void)store.checkpoint(ladder.targets(), write_result, store_sink);
-  if (std::string stall = run_recovery_tail(ladder); !stall.empty()) {
-    return "ladder rig never recovered: " + stall;
-  }
-  (void)store.checkpoint(ladder.targets(), write_result, store_sink);
-  finish_run(ladder);
-
-  // Crash-style corruption of the newest surviving checkpoint. Skipped when
+  // --- Ladder twin -----------------------------------------------------------
+  // Crash-style corruption of the newest surviving rung first. Skipped when
   // only the clean base landed: tearing the sole rung would make recovery
   // impossible by construction, not by bug.
   std::vector<fs::path> rungs;
-  for (const auto& entry : fs::directory_iterator(ladder_dir)) {
+  for (const auto& entry : fs::directory_iterator(ladder_config.directory, ec)) {
     if (entry.path().extension() == ".usnap") rungs.push_back(entry.path());
   }
   std::sort(rungs.begin(), rungs.end());  // Zero-padded names: seq order.
-  if (rungs.size() > 1) {
-    std::ifstream in(rungs.back(), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
-    bytes.resize(bytes.size() / 2);
-    std::ofstream torn(rungs.back(), std::ios::binary | std::ios::trunc);
-    torn.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  DegradedRig recovered(model, faults, seed, sink);
-  replay::CheckpointStore recovery(store_config);
+  if (rungs.size() > 1) fs::resize_file(rungs.back(), fs::file_size(rungs.back(), ec) / 2, ec);
+  DegradedRig ladder(model, faults, seed, sink, ladder_config);
   support::DiagnosticSink recover_sink;
-  if (!recovery.restore_latest_good(recovered.targets(), recover_sink)) {
+  if (!ladder.store.restore_latest_good(ladder.targets(), recover_sink)) {
     return "recovery ladder exhausted: " + recover_sink.str();
   }
-  recovered.recorder.begin_verify(reference_log, recovered.recorder.total_events());
-  // Replay the whole script: phases the restored rung already completed
-  // return immediately, the rest continues on the reference timeline.
-  if (std::string stall = run_phase(recovered, 32); !stall.empty()) {
-    return "recovered rig stalled in phase 1: " + stall;
-  }
-  if (std::string stall = run_phase(recovered, 64); !stall.empty()) {
-    return "recovered rig stalled in phase 2: " + stall;
-  }
-  if (std::string stall = run_recovery_tail(recovered); !stall.empty()) {
-    return "recovered rig never recovered: " + stall;
-  }
-  finish_run(recovered);
-  if (const std::string problem = compare_final_state(reference, recovered, "ladder");
-      !problem.empty()) {
-    return problem;
-  }
+  if (std::string problem = replay_twin(ladder, "ladder"); !problem.empty()) return problem;
 
-  // --- Crash leg -------------------------------------------------------------
-  // Simulated process death: a CrashInjector consults FaultSite::kCrash on
-  // its own plan (NOT a snapshot target, so the rig's determinism is
-  // unperturbed) and throws SimulatedCrash from inside a kernel process
-  // while a RecoveryCoordinator checkpoints in the background. The crashed
-  // rig is abandoned wholesale; a freshly constructed twin recovers through
-  // RecoveryCoordinator::recover(), must have lost no more work than the
-  // checkpoint cadence allows, and must replay bit-identically to an
-  // uninterrupted reference twin running the same script/injector/
-  // coordinator construction (null plan, stopped coordinator — identical
-  // tick streams, no crash, no writes).
-  const fs::path crash_dir = seed_dir / "crash";
-  replay::CheckpointStoreConfig crash_config;
-  crash_config.directory = crash_dir;
-  crash_config.prefix = "crash";
-  crash_config.full_interval = 4;
-  crash_config.keep_fulls = 2;
-
-  replay::RecoveryPolicy crash_policy;
-  crash_policy.checkpoint_interval = sim::SimTime::us(4);
-  // Off the 500 ns traffic grid: a tick sharing an instant with the sender
-  // would be co-batched and refused every time.
-  crash_policy.tick_interval = sim::SimTime(999'001);
-  const sim::SimTime crash_tick_interval(1'000'003);
-  const sim::SimTime crash_horizon = sim::SimTime::us(1000);
-
-  DegradedRig crash_reference(model, faults, seed, sink);
-  EventLogOnFailure crash_reference_events(seed_dir / "crash-reference-events.log",
-                                           crash_reference);
-  ScriptDriver reference_script(crash_reference);
-  sim::CrashInjector reference_injector(crash_reference.kernel, nullptr,
-                                        crash_tick_interval);
-  replay::CheckpointStoreConfig crash_ref_config = crash_config;
-  crash_ref_config.directory = seed_dir / "crash-ref";
-  replay::CheckpointStore crash_ref_store(crash_ref_config);
-  replay::RecoveryCoordinator crash_ref_coordinator(
-      crash_reference.kernel, crash_ref_store, crash_reference.targets(), crash_policy);
-  reference_script.start();
-  reference_injector.start();
-  crash_ref_coordinator.start();
-  crash_ref_coordinator.stop();
-  crash_reference.kernel.run(crash_horizon);
-  if (!reference_script.done()) return "crash reference never finished its script";
-  const std::vector<sim::RecordedEvent>& crash_reference_log = crash_reference.recorder.log();
-
-  DegradedRig crash_rig(model, faults, seed, sink);
-  ScriptDriver crash_script(crash_rig);
-  sim::FaultPlan crash_plan(seed ^ 0xDEADBEEFULL);
-  sim::FaultPlan::SiteConfig crash_site;
-  // Each tick dies with the template's crash probability ...
-  crash_site.error_rate = soak_template.crash_rate;
-  crash_site.max_faults = 1;  // ... and exactly one death per run.
-  crash_plan.configure(sim::FaultSite::kCrash, crash_site);
-  sim::CrashInjector injector(crash_rig.kernel, &crash_plan, crash_tick_interval);
-  replay::CheckpointStore crash_store(crash_config);
-  replay::RecoveryCoordinator coordinator(crash_rig.kernel, crash_store,
-                                          crash_rig.targets(), crash_policy);
-  crash_script.start();
-  injector.start();
-  coordinator.start();
-  // Held disarmed until a clean base checkpoint has landed (at time zero,
-  // with every tick chain already scheduled), so recovery is possible by
-  // construction no matter how early the dice kill the rig.
-  injector.disarm();
-  replay::CheckpointStore::WriteResult crash_base;
-  support::DiagnosticSink crash_store_sink;
-  if (!crash_store.checkpoint(crash_rig.targets(), crash_base, crash_store_sink)) {
-    return "crash base checkpoint failed: " + crash_store_sink.str();
-  }
-  injector.arm();
-  std::uint64_t crash_ps = 0;
-  bool crashed = false;
-  try {
-    crash_rig.kernel.run(crash_horizon);
-  } catch (const sim::SimulatedCrash& crash) {
-    crashed = true;
-    crash_ps = crash.at_ps;
-  }
-  if (!crashed) return "crash leg: injector never fired";
-
-  DegradedRig crash_recovered(model, faults, seed, sink);
-  ScriptDriver recovered_script(crash_recovered);
-  sim::CrashInjector recovered_injector(crash_recovered.kernel, nullptr,
-                                        crash_tick_interval);
-  replay::CheckpointStore crash_recovery_store(crash_config);
-  replay::RecoveryCoordinator recovered_coordinator(
-      crash_recovered.kernel, crash_recovery_store, crash_recovered.targets(),
-      crash_policy);
-  // Deliberately no start() calls: the restored schedule carries the
-  // pending script, injector and coordinator ticks, and each chain
-  // reschedules itself.
+  // --- Crash twin ------------------------------------------------------------
+  // A fresh rig recovers from the victim's ladder through the coordinator and
+  // must have lost no more work than the checkpoint cadence allows.
+  DegradedRig crash_twin(model, faults, seed, sink, crash_config);
   support::DiagnosticSink crash_recover_sink;
-  if (!recovered_coordinator.recover(crash_recover_sink)) {
+  if (!crash_twin.coordinator.recover(crash_recover_sink)) {
     return "crash recovery ladder exhausted: " + crash_recover_sink.str();
   }
-  const std::uint64_t restored_ps = crash_recovered.kernel.now().picoseconds();
+  const std::uint64_t restored_ps = crash_twin.kernel.now().picoseconds();
   if (restored_ps > crash_ps) return "crash leg: restored beyond the crash point";
   // Lost work is bounded by the checkpoint interval plus the refusal-retry
   // cadence (a due tick that finds the bus busy retries next tick).
+  const replay::RecoveryPolicy& policy = crash_twin.coordinator.policy();
   const std::uint64_t lost_ps = crash_ps - restored_ps;
-  const std::uint64_t lost_bound = crash_policy.checkpoint_interval.picoseconds() +
-                                   2 * crash_policy.tick_interval.picoseconds();
+  const std::uint64_t lost_bound =
+      policy.checkpoint_interval.picoseconds() + 2 * policy.tick_interval.picoseconds();
   if (lost_ps > lost_bound) {
     return "crash leg: lost work " + sim::SimTime(lost_ps).str() +
            " exceeds the checkpoint-interval bound " + sim::SimTime(lost_bound).str();
   }
-  crash_recovered.recorder.begin_verify(crash_reference_log,
-                                        crash_recovered.recorder.total_events());
-  crash_recovered.kernel.run(crash_horizon);
-  if (!recovered_script.done()) return "crash recovered rig never finished its script";
-  if (const std::string problem =
-          compare_final_state(crash_reference, crash_recovered, "crash");
-      !problem.empty()) {
-    return problem;
+  if (std::string problem = replay_twin(crash_twin, "crash"); !problem.empty()) return problem;
+
+  // --- Cross-process handoff resume ------------------------------------------
+  // Everything this twin produces lives in fingerprint-excluded fields
+  // (resumed_from_seq) and its kernel stats are NOT reduced into the
+  // outcome — whether a kill happened, and where, is host scheduling, not
+  // simulation. An unrestorable inherited ladder (predecessor killed
+  // mid-write on every rung) is not an error: the seed ran from scratch.
+  if (job.attempt > 0 && fs::exists(inherited_dir, ec)) {
+    replay::CheckpointStoreConfig inherited_config = handoff_config;
+    inherited_config.directory = inherited_dir;
+    DegradedRig resumed(model, faults, seed, sink, inherited_config);
+    support::DiagnosticSink resume_sink;
+    if (resumed.store.restore_latest_good(resumed.targets(), resume_sink)) {
+      if (std::string problem = replay_twin(resumed, "handoff-resumed"); !problem.empty()) {
+        return problem;
+      }
+      outcome.resumed_from_seq = resumed.store.stats().restored_seq;
+    }
+    fs::remove_all(inherited_dir, ec);
   }
 
   // --- SLO accounting for the fleet rollup -----------------------------------
   // Service numbers come from the uninterrupted reference: what the rig
-  // delivered while taking 1% error + 1% drop through the resilience stack.
+  // delivered while taking the template's traffic faults through the
+  // resilience stack.
   outcome.slo.requests = reference.sent;
   outcome.slo.delivered = reference.delivered;
   outcome.slo.lost = reference.lost;
@@ -566,28 +397,25 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   outcome.slo.breaker_opens = reference.breaker.stats().opens;
   outcome.slo.breaker_closes = reference.breaker.stats().closes;
   outcome.slo.breaker_fast_failed = reference.breaker.stats().fast_failed;
-  // Recovery accounting from the ladder and crash legs.
+  // Recovery accounting from the two ladders and the twins that recovered
+  // from them.
   outcome.slo.checkpoints_written =
-      store.stats().checkpoints + crash_store.stats().checkpoints;
-  outcome.slo.checkpoint_write_faults = store.stats().write_faults;
-  outcome.slo.rungs_quarantined = recovery.stats().quarantines;
+      reference.store.stats().checkpoints + victim.store.stats().checkpoints;
+  outcome.slo.checkpoint_write_faults = reference.store.stats().write_faults;
+  outcome.slo.rungs_quarantined = ladder.store.stats().quarantines;
   outcome.slo.ladder_recoveries = 1;
   outcome.slo.crash_recoveries = 1;
   outcome.slo.lost_work_ps_max = lost_ps;
   outcome.health.add(reference.health);
   outcome.sim_time_ps = reference.kernel.now().picoseconds();
-  for (const sim::Kernel* kernel :
-       {&reference.kernel, &checkpointed.kernel, &restored.kernel, &ladder.kernel,
-        &recovered.kernel, &crash_reference.kernel, &crash_rig.kernel,
-        &crash_recovered.kernel}) {
-    fleet::reduce(outcome.kernel, kernel->stats());
-    outcome.events_processed += kernel->events_processed();
+  for (const DegradedRig* rig : {&victim, &reference, &restored, &ladder, &crash_twin}) {
+    fleet::reduce(outcome.kernel, rig->kernel.stats());
+    outcome.events_processed += rig->kernel.events_processed();
   }
 
   if (sink.has_errors()) return "diagnostics: " + sink.str();
   reference_events.pass();
-  crash_reference_events.pass();
-  fs::remove_all(seed_dir, cleanup_ec);
+  fs::remove_all(seed_dir, ec);
   return {};
 }
 
@@ -626,7 +454,8 @@ std::unique_ptr<statechart::CompiledMachine> compile_machine(
 }
 
 DegradedRig::DegradedRig(const Model& model, const TrafficFaults& faults, std::uint64_t seed,
-                         support::DiagnosticSink& sink)
+                         support::DiagnosticSink& sink, replay::CheckpointStoreConfig store_config,
+                         sim::FaultPlan* crash_plan)
     : bus(kernel, "axi", sim::SimTime::ns(8)),
       uart(*model.psm_uart, *model.psm_profile, sink),
       plan(seed),
@@ -636,7 +465,10 @@ DegradedRig::DegradedRig(const Model& model, const TrafficFaults& faults, std::u
       link(compile_machine(model.link)),
       sup(kernel, "soc", sim::RestartStrategy::kOneForOne, sup_policy()),
       watchdog(kernel, "link-dog", sim::SimTime::us(50)),
-      base(model.base) {
+      base(model.base),
+      injector(kernel, crash_plan, sim::SimTime(kCrashTickPs)),
+      store(std::move(store_config)),
+      coordinator(kernel, store, targets(), coordinator_policy()) {
   uart.map_onto(bus, base);
   sim::FaultPlan::SiteConfig site;
   site.error_rate = faults.error_rate;
@@ -664,7 +496,6 @@ DegradedRig::DegradedRig(const Model& model, const TrafficFaults& faults, std::u
   sup.set_error_emitter([this](const std::string& event, std::int64_t) {
     link->dispatch_error(statechart::Event(event));
   });
-  sender = kernel.register_process([this] { send_tick(); }, "cpu.sender");
   kernel.set_recorder(&recorder);
   // Armed in the constructor: a restored process re-arms before the
   // snapshot wipes and reinstates the kernel's expectation registry.
@@ -744,51 +575,60 @@ replay::SnapshotTargets DegradedRig::targets() {
   return out;
 }
 
-std::string run_phase(DegradedRig& rig, std::uint64_t total) {
-  rig.target = total;
-  if (rig.sent < rig.target) {
-    rig.kernel.schedule(sim::SimTime(DegradedRig::kSendPeriodPs), rig.sender);
-  }
-  for (int guard = 0; guard < 100000; ++guard) {
-    if (rig.sent >= rig.target && rig.bus.pending_transactions() == 0) return {};
-    rig.kernel.run(rig.kernel.now() + sim::SimTime::us(1));
-  }
-  return "traffic phase stalled: sent=" + std::to_string(rig.sent) +
-         " target=" + std::to_string(rig.target) +
-         " pending=" + std::to_string(rig.bus.pending_transactions());
+void DegradedRig::start() {
+  kernel.schedule(sim::SimTime(kScriptTickPs), script);
+  injector.start();
+  coordinator.start();
 }
 
-bool run_to_save_point(DegradedRig& rig, std::string* out) {
-  for (int attempt = 0; attempt < 64; ++attempt) {
+void DegradedRig::script_tick() {
+  // Chain first, unconditionally: a restored pending tick keeps driving.
+  kernel.schedule(sim::SimTime(kScriptTickPs), script);
+  if (target < kPhaseBytes) {
+    target = kPhaseBytes;
+  } else if (sent < target || bus.pending_transactions() != 0) {
+    return;
+  } else if (target < 2 * kPhaseBytes) {
+    target = 2 * kPhaseBytes;
+  } else if (!recovered()) {
+    target = sent + 1;
+  } else {
+    if (watchdog.armed()) watchdog.disarm();
+    return;
+  }
+  kernel.schedule(sim::SimTime(kSendPeriodPs), sender);
+}
+
+bool DegradedRig::recovered() const {
+  return breaker.state() == sim::CircuitBreaker::State::kClosed && health.all_healthy() &&
+         sup.quiescent();
+}
+
+bool DegradedRig::script_done() const {
+  return target >= 2 * kPhaseBytes && sent >= target && bus.pending_transactions() == 0 &&
+         recovered() && !watchdog.armed();
+}
+
+bool run_to_save_point(DegradedRig& rig, std::string& out) {
+  for (std::uint64_t end = first_slice_end(rig); end <= kHorizonPs; end += kSlicePs) {
+    rig.kernel.run(sim::SimTime(end));
+    if (rig.sent < kPhaseBytes || rig.bus.pending_transactions() != 0) continue;
     support::DiagnosticSink save_sink;
-    std::string snapshot;
-    if (replay::save_snapshot_binary(rig.targets(), snapshot, save_sink)) {
-      if (out != nullptr) *out = std::move(snapshot);
-      return true;
-    }
-    rig.kernel.run(rig.kernel.now() + sim::SimTime::us(1));
+    if (replay::save_snapshot_binary(rig.targets(), out, save_sink)) return true;
   }
   return false;
 }
 
-std::string run_recovery_tail(DegradedRig& rig) {
-  const sim::SimTime limit = rig.kernel.now() + sim::SimTime::us(500);
-  for (int guard = 0; guard < 2000; ++guard) {
-    if (rig.breaker.state() == sim::CircuitBreaker::State::kClosed &&
-        rig.health.all_healthy() && rig.sup.quiescent()) {
-      return {};
-    }
-    if (rig.kernel.now() > limit) break;
-    if (std::string stall = run_phase(rig, rig.target + 1); !stall.empty()) return stall;
+std::string run_to_stop(DegradedRig& rig, std::uint64_t crash_ps) {
+  for (std::uint64_t end = first_slice_end(rig); end <= kHorizonPs; end += kSlicePs) {
+    rig.kernel.run(sim::SimTime(end));
+    if (end > crash_ps && rig.script_done()) return {};
   }
-  return "recovery tail did not converge: breaker=" +
-         std::string(sim::to_string(rig.breaker.state())) + " health=" + rig.health.str() +
-         " sup=" + rig.sup.str();
-}
-
-void finish_run(DegradedRig& rig) {
-  rig.watchdog.disarm();
-  rig.kernel.run();
+  return "script unfinished at " + sim::SimTime(kHorizonPs).str() +
+         ": sent=" + std::to_string(rig.sent) + " target=" + std::to_string(rig.target) +
+         " pending=" + std::to_string(rig.bus.pending_transactions()) +
+         " breaker=" + std::string(sim::to_string(rig.breaker.state())) +
+         " health=" + rig.health.str() + " sup=" + rig.sup.str();
 }
 
 std::string compare_final_state(const DegradedRig& reference, const DegradedRig& twin,

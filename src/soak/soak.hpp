@@ -8,22 +8,35 @@
 // (warm restart from a snapshot captured at the known-good point) and a
 // watchdog converts traffic starvation into a supervised failure.
 //
-// One seed runs the rig under a seeded error/drop fault plan (1% + 1%
-// for the baseline template) and walks these legs, in order:
-//   - an uninterrupted reference run;
-//   - an identical rig checkpointed mid-stream, and a rig restored from
-//     that checkpoint that finishes the run under the replay verifier:
-//     final state and the full event sequence must match, every unit must
-//     end healthy and no error event may go unhandled;
-//   - a recovery-ladder leg that streams checkpoints to disk under
-//     injected write faults (torn, lost, bit-flipped), tears the newest
-//     rung in half and recovers through restore_latest_good;
-//   - a crash leg that kills the rig mid-run (CrashInjector throwing
-//     SimulatedCrash from a kernel process) while a RecoveryCoordinator
-//     checkpoints in the background: a freshly constructed rig must
-//     recover through the coordinator with lost work bounded by the
-//     checkpoint interval and replay bit-identically to an uninterrupted
-//     twin.
+// Every rig is built one way, as a DegradedRig, and carries the same
+// kernel processes in the same order: the SoC's own, then the script, a
+// crash injector and a RecoveryCoordinator. The script is a kernel process
+// that sends two 32-byte traffic phases, sends keepalive bytes until the
+// link has recovered and then disarms the watchdog. Each of its decisions
+// reads checkpointed rig state, so a rig restored anywhere resumes the
+// script where the capture left it. The host only runs the kernel in
+// slices (run_to_stop) and takes captures between them.
+//
+// One seed runs five rigs under the job's fault template, in this order:
+//   - the crash victim: its CrashInjector throws SimulatedCrash from a
+//     kernel process mid-run while its coordinator checkpoints in the
+//     background;
+//   - the reference, which runs uninterrupted to the stop rule and writes
+//     everything the twins restore from: two handoff rungs (at t=0 and at
+//     the save point after the first traffic phase), the standalone
+//     snapshot at the save point, and the recovery ladder, which its
+//     coordinator writes after a clean t=0 base under injected torn, lost
+//     and bit-flipped writes;
+//   - three twins, fresh rigs that restore a capture, stop their
+//     coordinators (twins write nothing) and replay to the stop rule under
+//     the verifier against the reference's event log: the restored twin
+//     from the standalone snapshot, the ladder twin through
+//     restore_latest_good after the ladder's newest rung is torn in half,
+//     and the crash twin through RecoveryCoordinator::recover from the
+//     victim's ladder, with lost work bounded by the checkpoint interval.
+// Each twin must end bit-identical to the reference: the same event
+// sequence and final counters, every unit healthy and no error event
+// unhandled.
 // What the soak checks is recovery to healthy, bit-identical replay, the
 // ladder and the crash leg. It does not drive the supervision stack: at
 // the templates' 0.5-2% write-fault rates no seed of a 64-seed or a
@@ -32,26 +45,27 @@
 // rollups read 0 restarts, watchdog trips, give-ups, breaker opens and
 // errors raised, so the UartLink machine receives no event and "no error
 // event may go unhandled" holds with none raised. The breaker, watchdog
-// and supervisor are built, checkpointed and restored in every leg; only
+// and supervisor are built, checkpointed and restored in every rig; only
 // supervise_test, the uart_soc demo and perfbench's rig take them through
 // a failure (ROADMAP item 12).
 // Each seed is its own kernels, fault plans, supervisor and
 // checkpoint ladders, so per-seed results are bit-identical regardless of
 // the fleet's job count or isolation mode, and a failure reproduces with
-// the seed alone. The outcome's SLO counters come from the reference leg
-// (service), the ladder and crash legs (recovery accounting) and every
-// leg's kernel (reduced stats).
+// the seed alone. The outcome's SLO counters come from the reference
+// (service), the ladder and crash twins and the victim (recovery
+// accounting) and the five rigs' kernels (reduced stats).
 //
-// Every attempt also writes two handoff rungs (the t=0 base and the
-// post-phase-1 save point). A seed the process fleet re-dispatches after
-// its worker died (attempt > 0) first restores the newest rung its
-// predecessor left and replays the remainder under the verifier, proving
-// resume-from-ladder, before re-running the legs from scratch.
+// A seed the process fleet re-dispatches after its worker died
+// (attempt > 0) runs a sixth rig. Before wiping its scratch it sets aside
+// the handoff rungs (prefix "handoff", in `seed-N/handoff`) that its dead
+// predecessor left; once the reference has run, a twin restores the newest
+// good one and replays the rest against the reference, proving
+// resume-from-ladder.
 //
 // Per-seed scratch (checkpoint ladders) lives under a temp directory and is
-// removed on success. A failing seed also writes the event logs of the
-// reference rigs its legs ran, and run_fleet copies its scratch to
-// `<artifact_root>/seed-N` with a problem.txt for forensics.
+// removed on success. A failing seed also writes the reference's event
+// log, and run_fleet copies its scratch to `<artifact_root>/seed-N` with a
+// problem.txt for forensics.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +80,9 @@
 #include "codegen/hwmodel.hpp"
 #include "fleet/driver.hpp"
 #include "mda/transform.hpp"
+#include "replay/recovery.hpp"
 #include "replay/snapshot.hpp"
+#include "replay/store.hpp"
 #include "sim/bus.hpp"
 #include "sim/fault.hpp"
 #include "sim/replay.hpp"
@@ -131,10 +147,12 @@ inline constexpr std::uint32_t kSoakTemplateCount =
 std::unique_ptr<statechart::CompiledMachine> compile_machine(
     const statechart::StateMachine& machine);
 
-/// The supervised SoC: identical construction sequence per instance (same
+/// The supervised SoC with its script, crash injector and checkpoint
+/// coordinator: identical construction sequence per instance (same
 /// ProcessIds, same statechart indices), so the snapshot contract holds for
 /// the whole supervision stack — breaker, supervisor, health registry and
-/// traffic counters are all snapshot sections.
+/// traffic counters are all snapshot sections — and a capture of one rig
+/// restores into any other.
 struct DegradedRig {
   static constexpr std::uint64_t kSendPeriodPs = 500'000;  // One byte per 500 ns.
 
@@ -155,16 +173,34 @@ struct DegradedRig {
   sim::Supervisor::ChildId link_child = sim::Supervisor::kInvalidChild;
   std::function<bool()> link_restart;
   std::uint64_t base = 0;
-  sim::ProcessId sender = sim::kInvalidProcess;
   std::uint64_t target = 0;
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
   std::uint64_t via_dma = 0;
   std::uint64_t via_pio = 0;
   std::uint64_t lost = 0;
+  // The last processes registered, in declaration order, after those of
+  // the bus, ports, breaker, supervisor and watchdog above.
+  sim::ProcessId sender = kernel.register_process([this] { send_tick(); }, "cpu.sender");
+  sim::ProcessId script = kernel.register_process([this] { script_tick(); }, "soak.script");
+  sim::CrashInjector injector;
+  /// The ladder the coordinator writes while running; a twin restores from it.
+  replay::CheckpointStore store;
+  replay::RecoveryCoordinator coordinator;
 
+  /// `store_config` configures the coordinator's ladder; the default names
+  /// no directory, for rigs that never write or restore one. `crash_plan`
+  /// arms the injector (nullptr: it ticks and never fires) and must outlive
+  /// the rig.
   DegradedRig(const Model& model, const TrafficFaults& faults, std::uint64_t seed,
-              support::DiagnosticSink& sink);
+              support::DiagnosticSink& sink, replay::CheckpointStoreConfig store_config = {},
+              sim::FaultPlan* crash_plan = nullptr);
+
+  /// Schedules the first script, injector and coordinator ticks, and the
+  /// coordinator starts writing. Call it once on a rig that runs from time
+  /// zero. A restored rig must not call it: its schedule carries the
+  /// pending ticks, and each chain reschedules itself.
+  void start();
 
   /// Degraded-mode routing: bytes flow through the breaker-guarded DMA
   /// channel unless the breaker is open, in which case they fall back to
@@ -172,32 +208,34 @@ struct DegradedRig {
   /// *is* the recovery probe.
   void send_tick();
 
+  /// One step of the script: raise the target to 32 bytes, then to 64 once
+  /// the bus has drained, then one keepalive byte at a time (routed around
+  /// an open breaker, so simulated time advances through open durations and
+  /// restart backoffs) until recovered(), then disarm the watchdog.
+  void script_tick();
+
+  /// Breaker closed, every unit healthy, no supervision work pending.
+  [[nodiscard]] bool recovered() const;
+  /// All 64 bytes sent and drained, recovered() and the watchdog disarmed.
+  [[nodiscard]] bool script_done() const;
+
   [[nodiscard]] replay::SnapshotTargets targets();
 };
 
-/// Streams bytes until `total` have been sent and the bus has drained.
-/// State-driven (no wall-count of run calls), so a reference run, a
-/// checkpointed run and a restored run walk identical event sequences.
-/// Returns an empty string on success, else what stalled.
-std::string run_phase(DegradedRig& rig, std::uint64_t total);
+/// Runs the rig in run_to_stop's slices until the script's first phase has
+/// drained and a capture at a slice end succeeds; the standalone snapshot
+/// lands in `out`. False when none succeeds within the soak's 1000 us
+/// horizon.
+bool run_to_save_point(DegradedRig& rig, std::string& out);
 
-/// Runs until the rig reaches a checkpointable state (e.g. no in-flight
-/// port expectation from a retry) and captures a snapshot. `out == nullptr`
-/// runs the identical search without keeping the snapshot — the reference
-/// run uses it to stay on the checkpointed run's timeline (capturing a
-/// snapshot has no side effects on the simulation).
-bool run_to_save_point(DegradedRig& rig, std::string* out);
-
-/// Drives the rig to full recovery: breaker closed, every unit healthy,
-/// no supervision work pending. Each iteration sends one keepalive byte —
-/// routed around an open breaker — so simulated time advances through open
-/// durations and restart backoffs. Returns an empty string on success, else
-/// why it did not converge.
-std::string run_recovery_tail(DegradedRig& rig);
-
-/// Disarms supervision and drains the queue; stale timer/check events
-/// fizzle by design.
-void finish_run(DegradedRig& rig);
+/// The stop rule. Runs the rig in slices that end on whole microseconds of
+/// absolute simulated time, the first at or after now(), and stops at the
+/// first slice end where the script is done and `crash_ps` (the crash
+/// victim's crash time; 0 when there is none) has passed. A twin restored
+/// anywhere on the reference's timeline therefore stops exactly where the
+/// reference did. Returns an empty string on success, else what was still
+/// open at the 1000 us horizon.
+std::string run_to_stop(DegradedRig& rig, std::uint64_t crash_ps);
 
 /// Verifies a replayed twin against the reference run: recorded-event
 /// divergence, counter-by-counter final state, health/supervision end
@@ -206,7 +244,7 @@ void finish_run(DegradedRig& rig);
 std::string compare_final_state(const DegradedRig& reference, const DegradedRig& twin,
                                 const char* leg);
 
-/// One chaos-soak seed: every leg above under the job's fault template,
+/// One chaos-soak seed: every rig above under the job's fault template,
 /// with per-seed scratch in `scratch / "seed-N"` (removed on success, left
 /// in place on failure). `ok` is false and `failure` names the first
 /// broken leg, with the stalled loop's detail where one stalled, when the

@@ -1,8 +1,9 @@
 // Chaos soak library (src/soak): the real UART rig's legs per seed and the
 // fleet run over them. A seed must pass every leg, produce the same
-// deterministic outcome when run again and clean its scratch up; a fleet
-// run must give the same fingerprint at any job count, with fault
-// templates assigned by rig index.
+// deterministic outcome when run again and clean its scratch up; its twins
+// replay without writing; a re-dispatched seed resumes from the handoff
+// rung its predecessor left; a fleet run must give the same fingerprint at
+// any job count, with fault templates assigned by rig index.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -59,6 +60,61 @@ TEST(Soak, SeedPassesEveryLegTwiceIdenticallyAndRemovesItsScratch) {
   }
 }
 
+// Twins restore and replay; they write nothing. So every snapshot a seed
+// encodes is a rung of the reference's or the victim's ladder, or one of
+// the reference's three captures: the standalone snapshot and the two
+// handoff rungs.
+TEST(Soak, TwinsReplayWithoutWriting) {
+  Model model;
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(model.build(sink)) << sink.str();
+  TempDir artifacts;
+  fleet::FleetConfig config;
+  config.jobs = 1;
+  fleet::FleetDriver driver(config);
+  const fleet::FleetReport report =
+      fleet::FleetReport::aggregate(run_fleet(model, driver, 1000, 8, artifacts.path()));
+  ASSERT_EQ(report.rigs_ok, 8u);
+  EXPECT_EQ(report.kernel.snapshot.encodes,
+            report.slo.checkpoints_written + 3 * report.rigs_total);
+}
+
+// A seed re-dispatched after its worker died resumes from the handoff rung
+// the dead worker left in `seed-N/handoff`. The predecessor is built the
+// way the soak builds every rig, so its rung restores into the soak's.
+TEST(Soak, RedispatchedSeedResumesFromItsPredecessorsHandoffRung) {
+  Model model;
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(model.build(sink)) << sink.str();
+  TempDir scratch;
+  fleet::RigJob job;
+  job.seed = 1000;
+  const fleet::RigOutcome fresh = run_seed(model, job, scratch.path());
+  ASSERT_TRUE(fresh.ok) << fresh.failure;
+  EXPECT_EQ(fresh.resumed_from_seq, 0u);
+
+  TrafficFaults faults;
+  faults.error_rate = kSoakTemplates[0].error_rate;
+  faults.drop_rate = kSoakTemplates[0].drop_rate;
+  replay::CheckpointStoreConfig handoff;
+  handoff.directory = scratch.path() / "seed-1000" / "handoff";
+  handoff.prefix = "handoff";
+  {
+    DegradedRig predecessor(model, faults, job.seed, sink, handoff);
+    predecessor.start();
+    replay::CheckpointStore::WriteResult written;
+    ASSERT_TRUE(predecessor.store.checkpoint(predecessor.targets(), written, sink))
+        << sink.str();
+  }
+
+  job.attempt = 1;
+  const fleet::RigOutcome resumed = run_seed(model, job, scratch.path());
+  EXPECT_TRUE(resumed.ok) << resumed.failure;
+  EXPECT_GT(resumed.resumed_from_seq, 0u);
+  EXPECT_TRUE(resumed.deterministic_equal(fresh));
+  EXPECT_TRUE(std::filesystem::is_empty(scratch.path()));
+}
+
 TEST(Soak, FleetSweepsTemplatesByIndexAndMatchesAcrossJobCounts) {
   Model model;
   support::DiagnosticSink sink;
@@ -106,7 +162,7 @@ TEST(Soak, FingerprintIsPinned) {
   }
   const fleet::FleetReport report = fleet::FleetReport::aggregate(outcomes);
   EXPECT_EQ(report.rigs_ok, 8u);
-  EXPECT_EQ(support::xxh64(report.fingerprint()), 0x28d9943ac5114472ULL);
+  EXPECT_EQ(support::xxh64(report.fingerprint()), 0x83a241fcbe59c438ULL);
 }
 
 }  // namespace

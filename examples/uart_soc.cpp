@@ -6,13 +6,12 @@
 // Then re-runs the driver under an adversarial bus (a seeded fault plan
 // dropping responses): timeouts retry with backoff, a watchdog supervises
 // progress, and a DriverHealth statechart tracks error/recovery states.
-// On the chaos soak's rig (src/soak/) it then checkpoints a faulty run
-// mid-flight, restores it into a fresh rig and requires the rest of the
-// run to replay bit-identically; a perturbed restore must be flagged and a
-// corrupted snapshot rejected. It closes with the supervision demo: a DMA
-// error burst opens the breaker, traffic falls back to PIO, a half-open
-// probe restores DMA, and a watchdog trip drives a supervised warm restart.
-// Any failed check exits nonzero; CI runs the demo as a smoke test.
+// It closes with one chaos-soak seed (src/soak/): a DMA error burst opens
+// the breaker, traffic falls back to PIO and a half-open probe restores
+// DMA; a starved watchdog trips and the supervisor warm-restarts the link;
+// and the seed's restored, ladder and crash twins replay the run
+// bit-identically. Any failed check exits nonzero; CI runs the demo as a
+// smoke test.
 //
 // With --chaos-soak[=N] the binary is a CLI over src/soak/ (soak.hpp
 // describes the legs): N seeds (default 16) from seed 1000, sharded by the
@@ -45,7 +44,6 @@
 #include "codegen/swruntime.hpp"
 #include "codegen/systemc.hpp"
 #include "fleet/report.hpp"
-#include "replay/binary.hpp"
 #include "soak/soak.hpp"
 #include "support/strings.hpp"
 #include "verify/counterexample.hpp"
@@ -64,198 +62,6 @@ constexpr const char* kDriverScript =
     "  bus_write(self.base + 0, 65 + i);"
     "  i := i + 1;"
     "}";
-
-/// Prints what stopped a rig's run; true when it ran through.
-bool ran(const std::string& stall) {
-  if (!stall.empty()) std::printf("%s\n", stall.c_str());
-  return stall.empty();
-}
-
-/// Checkpoint + deterministic replay on the soak rig, under the baseline
-/// fault template and the first soak seed. The reference runs its script
-/// uninterrupted with its event recorder on and captures a snapshot once
-/// the first traffic phase has drained; the snapshot is restored into a
-/// freshly constructed rig, which finishes the run under the replay
-/// verifier. A restore perturbed by one extra sender activation must be
-/// flagged, and a snapshot with one flipped byte must be rejected. The
-/// demo keeps no ladder: every rig's coordinator is stopped.
-int run_replay_demo(const soak::Model& model, support::DiagnosticSink& sink) {
-  constexpr std::uint64_t kSeed = 1000;
-  soak::TrafficFaults faults;
-  faults.error_rate = soak::kSoakTemplates[0].error_rate;
-  faults.drop_rate = soak::kSoakTemplates[0].drop_rate;
-
-  soak::DegradedRig reference(model, faults, kSeed, sink);
-  reference.start();
-  reference.coordinator.stop();
-  std::string snapshot;
-  if (!soak::run_to_save_point(reference, snapshot)) {
-    std::printf("reference found no save point\n");
-    return 1;
-  }
-  const sim::SimTime saved_at = reference.kernel.now();
-  if (!ran(soak::run_to_stop(reference, 0))) return 1;
-  const std::vector<sim::RecordedEvent>& reference_log = reference.recorder.log();
-
-  const auto restore = [&](soak::DegradedRig& rig) {
-    if (!replay::restore_snapshot_binary(rig.targets(), snapshot, sink)) {
-      std::fputs(sink.str().c_str(), stderr);
-      return false;
-    }
-    rig.coordinator.stop();
-    rig.recorder.begin_verify(reference_log, rig.recorder.total_events());
-    return true;
-  };
-
-  soak::DegradedRig restored(model, faults, kSeed, sink);
-  if (!restore(restored) || !ran(soak::run_to_stop(restored, 0))) return 1;
-  std::printf("\ncheckpoint: %zu-byte snapshot at %s; restored run replayed %llu/%llu "
-              "events\n",
-              snapshot.size(), saved_at.str().c_str(),
-              static_cast<unsigned long long>(restored.recorder.total_events()),
-              static_cast<unsigned long long>(reference.recorder.total_events()));
-  if (const std::string problem = soak::compare_final_state(reference, restored, "restored");
-      !problem.empty()) {
-    std::printf("replay MISMATCH: %s\n", problem.c_str());
-    return 1;
-  }
-  std::printf("replay: restored run is bit-identical to the uninterrupted reference\n");
-
-  // Divergence detection: the same restore plus one sender activation the
-  // reference never had. The verifier must latch it.
-  soak::DegradedRig perturbed(model, faults, kSeed, sink);
-  if (!restore(perturbed)) return 1;
-  perturbed.kernel.schedule(sim::SimTime::ns(1), perturbed.sender);
-  if (!ran(soak::run_to_stop(perturbed, 0))) return 1;
-  if (!perturbed.recorder.divergence().has_value()) {
-    std::printf("replay verify FAILED to flag an injected divergence\n");
-    return 1;
-  }
-  std::printf("divergence detection: %s\n",
-              perturbed.recorder.divergence()->str().c_str());
-
-  // Corruption rejection: a flipped byte must fail its section's checksum.
-  std::string corrupted = snapshot;
-  corrupted[corrupted.size() / 2] ^= 0x01;
-  support::DiagnosticSink corrupt_sink;
-  soak::DegradedRig victim(model, faults, kSeed, sink);
-  if (replay::restore_snapshot_binary(victim.targets(), corrupted, corrupt_sink)) {
-    std::printf("corrupted snapshot was NOT rejected\n");
-    return 1;
-  }
-  std::printf("corruption rejection: %s\n",
-              corrupt_sink.diagnostics().empty()
-                  ? "?"
-                  : corrupt_sink.diagnostics().front().str().c_str());
-  return 0;
-}
-
-/// Sends bytes until `total` have gone out and the bus has drained,
-/// stepping the kernel 1 us at a time: the degraded demo's scenario is
-/// hand-stepped, because the soak's script never produces it. Prints what
-/// stalled; true when it ran through.
-bool send_until(soak::DegradedRig& rig, std::uint64_t total) {
-  rig.target = total;
-  if (rig.sent < rig.target) {
-    rig.kernel.schedule(sim::SimTime(soak::DegradedRig::kSendPeriodPs), rig.sender);
-  }
-  for (int guard = 0; guard < 1000; ++guard) {
-    if (rig.sent >= rig.target && rig.bus.pending_transactions() == 0) return true;
-    rig.kernel.run(rig.kernel.now() + sim::SimTime::us(1));
-  }
-  std::printf("traffic stalled: sent=%llu target=%llu pending=%zu\n",
-              static_cast<unsigned long long>(rig.sent),
-              static_cast<unsigned long long>(rig.target),
-              static_cast<std::size_t>(rig.bus.pending_transactions()));
-  return false;
-}
-
-/// The interactive demo: deterministic DMA error burst -> breaker opens ->
-/// PIO fallback -> half-open probe restores DMA; then a watchdog
-/// starvation trip -> supervised warm restart -> re-armed dog.
-int run_degraded_demo(const soak::Model& model, support::DiagnosticSink& sink) {
-  std::printf("\n--- degraded mode: breaker-guarded DMA, PIO fallback, supervision ---\n");
-  soak::TrafficFaults faults;
-  faults.error_rate = 1.0;
-  faults.max_faults = 4;  // Exactly the first four DMA writes error, then clean.
-  soak::DegradedRig rig(model, faults, /*seed=*/7, sink);
-  rig.health.add_listener([&rig](sim::HealthRegistry::UnitId unit, sim::UnitHealth from,
-                                 sim::UnitHealth to, std::string_view reason) {
-    std::printf("  [%s] %s: %s -> %s (%.*s)\n", rig.kernel.now().str().c_str(),
-                rig.health.unit_name(unit).c_str(),
-                std::string(sim::to_string(from)).c_str(),
-                std::string(sim::to_string(to)).c_str(), static_cast<int>(reason.size()),
-                reason.data());
-  });
-
-  if (!send_until(rig, 4)) return 1;
-  if (rig.breaker.state() != sim::CircuitBreaker::State::kOpen) {
-    std::printf("breaker did not open after the error burst (state=%s)\n",
-                std::string(sim::to_string(rig.breaker.state())).c_str());
-    return 1;
-  }
-  std::printf("breaker '%s' open after %llu DMA failures; link state: %s\n",
-              rig.breaker.name().c_str(),
-              static_cast<unsigned long long>(rig.breaker.stats().failures),
-              rig.link->is_in("Fallback") ? "Fallback" : "?");
-
-  if (!send_until(rig, 8)) return 1;
-  if (rig.via_pio == 0) {
-    std::printf("no byte fell back to PIO while the breaker was open\n");
-    return 1;
-  }
-  // Keepalive bytes until recovered: each one advances simulated time
-  // through the breaker's open duration. The checks below report a rig
-  // that has not recovered after 1000 of them.
-  for (int keepalives = 0; !rig.recovered() && keepalives < 1000; ++keepalives) {
-    if (!send_until(rig, rig.target + 1)) return 1;
-  }
-  if (rig.breaker.state() != sim::CircuitBreaker::State::kClosed ||
-      !rig.link->is_in("Normal") || rig.breaker.stats().probes == 0) {
-    std::printf("recovery incomplete: breaker=%s probes=%llu link-normal=%d\n",
-                std::string(sim::to_string(rig.breaker.state())).c_str(),
-                static_cast<unsigned long long>(rig.breaker.stats().probes),
-                rig.link->is_in("Normal") ? 1 : 0);
-    return 1;
-  }
-  std::printf("half-open probe restored DMA: %llu via dma, %llu via pio, %llu lost\n",
-              static_cast<unsigned long long>(rig.via_dma),
-              static_cast<unsigned long long>(rig.via_pio),
-              static_cast<unsigned long long>(rig.lost));
-
-  // Watchdog leg: traffic stops, the dog starves and trips, the supervisor
-  // warm-restarts the link and re-arms the dog.
-  const std::uint64_t restarts_before = rig.sup.child_stats(rig.link_child).restarts;
-  rig.kernel.run(rig.kernel.now() + sim::SimTime::us(51));
-  if (rig.watchdog.trips() != 1 ||
-      rig.sup.child_stats(rig.link_child).restarts != restarts_before + 1 ||
-      !rig.watchdog.armed()) {
-    std::printf("watchdog recovery failed: trips=%llu restarts=%llu armed=%d\n",
-                static_cast<unsigned long long>(rig.watchdog.trips()),
-                static_cast<unsigned long long>(
-                    rig.sup.child_stats(rig.link_child).restarts),
-                rig.watchdog.armed() ? 1 : 0);
-    return 1;
-  }
-  std::printf("watchdog trip -> supervised warm restart -> re-armed (trips=1)\n");
-  rig.watchdog.disarm();
-  rig.kernel.run();
-
-  if (!rig.health.all_healthy() || rig.link->errors_unhandled() != 0 || rig.sup.gave_up()) {
-    std::printf("end-state check failed: health=[%s] unhandled=%llu gave-up=%d\n",
-                rig.health.str().c_str(),
-                static_cast<unsigned long long>(rig.link->errors_unhandled()),
-                rig.sup.gave_up() ? 1 : 0);
-    return 1;
-  }
-  std::printf("supervision: %s; health: %s; breaker opens=%llu closes=%llu "
-              "fast-failed=%llu\n",
-              rig.sup.str().c_str(), rig.health.str().c_str(),
-              static_cast<unsigned long long>(rig.breaker.stats().opens),
-              static_cast<unsigned long long>(rig.breaker.stats().closes),
-              static_cast<unsigned long long>(rig.breaker.stats().fast_failed));
-  return 0;
-}
 
 /// --chaos-soak[=N]: soak::run_fleet over N seeds with the flags' fleet
 /// config, printing progress, every failing seed and the fleet SLO rollup.
@@ -508,9 +314,9 @@ int run_check_properties(const char* mode) {
 }
 
 /// The no-flag demo: memory map and generated RTL, the ASL driver on a
-/// clean bus, the same driver on an adversarial bus, then the replay and
-/// supervision demos on the soak rig.
-int run_demo(const soak::Model& model, support::DiagnosticSink& sink) {
+/// clean bus, the same driver on an adversarial bus, then one soak seed.
+int run_demo(const soak::Model& model, const fleet::FleetConfig& config,
+             support::DiagnosticSink& sink) {
   std::printf("memory map:\n");
   for (const mda::MemoryWindow& window : model.hw->memory_map) {
     std::printf("  %-24s base=0x%llx span=0x%llx\n", window.module.c_str(),
@@ -595,13 +401,12 @@ int run_demo(const soak::Model& model, support::DiagnosticSink& sink) {
               static_cast<unsigned long long>(watchdog.trips()),
               static_cast<unsigned long long>(faulty_uart.peek("divisor")));
 
-  if (int status = run_replay_demo(model, sink); status != 0) return status;
-  if (int status = run_degraded_demo(model, sink); status != 0) return status;
   if (sink.has_errors()) {
     std::fputs(sink.str().c_str(), stderr);
     return 1;
   }
-  return 0;
+  std::printf("\n");
+  return run_chaos_soak(model, 1, config);
 }
 
 /// Reads `arg` as `prefix` followed by a decimal count in [min, max].
@@ -674,5 +479,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (soak_seeds > 0) return run_chaos_soak(model, static_cast<int>(soak_seeds), config);
-  return run_demo(model, sink);
+  return run_demo(model, config, sink);
 }

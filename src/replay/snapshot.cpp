@@ -234,7 +234,14 @@ bool apply_image(const SnapshotTargets& targets, const SnapshotImage& image,
 std::function<bool()> restart_from_snapshot(statechart::Engine& instance,
                                             support::DiagnosticSink& sink) {
   auto snapshot = std::make_shared<statechart::InstanceSnapshot>(instance.capture());
-  return [&instance, &sink, snapshot] { return instance.restore(*snapshot, sink); };
+  return [&instance, &sink, snapshot] {
+    // A restart rewinds the machine's state; its run counters keep counting.
+    snapshot->events_processed = instance.events_processed();
+    snapshot->transitions_fired = instance.transitions_fired();
+    snapshot->errors_raised = instance.errors_raised();
+    snapshot->errors_unhandled = instance.errors_unhandled();
+    return instance.restore(*snapshot, sink);
+  };
 }
 
 }  // namespace umlsoc::replay

@@ -182,7 +182,9 @@ struct SnapshotImage {
 
 /// Captures `instance`'s current state (call at the known-good point, e.g.
 /// right after start()) and returns a Supervisor restart callback that
-/// warm-restarts the instance from that captured snapshot. Restore failures
+/// warm-restarts the instance from that captured snapshot. The restart
+/// keeps the instance's run counters (events processed, transitions fired,
+/// errors raised and unhandled) as they stand. Restore failures
 /// report through `sink` and make the callback return false (counted by the
 /// supervisor as a failed restart). `instance` and `sink` must outlive the
 /// returned callback.

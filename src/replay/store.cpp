@@ -265,13 +265,6 @@ std::filesystem::path CheckpointStore::path_for(std::uint64_t seq) const {
   return config_.directory / name;
 }
 
-std::uint64_t CheckpointStore::newest_on_disk() const {
-  Directory directory(config_.directory);
-  std::vector<ListedRung> rungs;
-  scan(directory, config_.prefix, rungs);
-  return rungs.empty() ? 0 : rungs.front().seq;
-}
-
 bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& out,
                                  support::DiagnosticSink& sink) {
   const bool force_full = count_ % config_.full_interval == 0;

@@ -9,7 +9,7 @@
 // the old state or a stray `.tmp` the scanner ignores, never a
 // half-visible checkpoint under its final name. That covers process death
 // only: nothing calls fsync, so a power loss or kernel crash can still
-// lose or tear a renamed rung (ROADMAP item 2).
+// lose or tear a renamed rung (ROADMAP item 7).
 //
 // Recovery walks the ladder: restore_latest_good() materializes the newest
 // checkpoint's chain and validates every rung (header, per-section
@@ -169,10 +169,6 @@ class CheckpointStore {
     return quarantined_;
   }
   [[nodiscard]] const CheckpointStoreConfig& config() const { return config_; }
-
-  /// Newest rung present on disk (0 when the directory holds none). A cheap
-  /// name scan, no validation.
-  [[nodiscard]] std::uint64_t newest_on_disk() const;
 
  private:
   /// The chain the last successful restore decoded, oldest first.

@@ -173,7 +173,6 @@ void CrashInjector::tick() {
   if (plan_ == nullptr || !armed_) return;
   const FaultDecision decision = plan_->consult(FaultSite::kCrash);
   if (decision.kind != FaultKind::kError) return;
-  ++crashes_;
   throw SimulatedCrash(kernel_.now().picoseconds());
 }
 

@@ -244,8 +244,6 @@ class CrashInjector {
   void arm() { armed_ = true; }
   [[nodiscard]] bool armed() const { return armed_; }
 
-  [[nodiscard]] std::uint64_t crashes() const { return crashes_; }
-
  private:
   void tick();
 
@@ -255,7 +253,6 @@ class CrashInjector {
   ProcessId tick_process_ = kInvalidProcess;
   bool armed_ = true;
   bool started_ = false;
-  std::uint64_t crashes_ = 0;
 };
 
 }  // namespace umlsoc::sim

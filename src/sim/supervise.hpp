@@ -24,8 +24,8 @@
 //
 // A HealthRegistry aggregates per-unit health (healthy/degraded/failed) and
 // notifies listeners on every transition — the hook a model uses to route
-// around an open device (the uart_soc demo falls back from DMA to PIO while
-// the DMA breaker is open).
+// around an open device (the chaos soak's rig falls back from DMA to PIO
+// while the DMA breaker is open).
 //
 // Everything here is checkpointable: supervisors and breakers schedule only
 // registered kernel processes (their pending work is plain data restored by

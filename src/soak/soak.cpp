@@ -119,10 +119,17 @@ replay::RecoveryPolicy coordinator_policy() {
 /// the soak horizon.
 constexpr std::uint64_t kScriptTickPs = 1'000'037;
 constexpr std::uint64_t kCrashTickPs = 1'000'003;
+/// One byte per 500 ns.
+constexpr std::uint64_t kSendPeriodPs = 500'000;
 /// Bytes in each of the script's two traffic phases.
 constexpr std::uint64_t kPhaseBytes = 32;
+/// The run's first DMA writes go outside every mapped window, where the bus
+/// answers kError: the burst that opens the breaker (4 of 4 outcomes failed
+/// crosses its 50% threshold at its 4-sample minimum).
+constexpr std::uint64_t kBurstWrites = 4;
+constexpr std::uint64_t kUnmappedOffset = 0x00F0'0000;
 /// Slices end on whole microseconds; the horizon bounds the victim's run
-/// and every slice loop, far past the ~36 us the script takes.
+/// and every slice loop, far past the ~90 us the script takes.
 constexpr std::uint64_t kSlicePs = 1'000'000;
 constexpr std::uint64_t kHorizonPs = 1000 * kSlicePs;
 
@@ -166,6 +173,96 @@ class EventLogOnFailure {
   bool passed_ = false;
 };
 
+/// Breaker closed, every unit healthy, no supervision work pending.
+bool recovered(const DegradedRig& rig) {
+  return rig.breaker.state() == sim::CircuitBreaker::State::kClosed &&
+         rig.health.all_healthy() && rig.sup.quiescent();
+}
+
+/// All 64 bytes sent and drained, recovered() and the watchdog disarmed.
+bool script_done(const DegradedRig& rig) {
+  return rig.target >= 2 * kPhaseBytes && rig.sent >= rig.target &&
+         rig.bus.pending_transactions() == 0 && recovered(rig) && !rig.watchdog.armed();
+}
+
+/// Runs the rig in run_to_stop's slices until the script's first phase has
+/// drained and a capture at a slice end succeeds; the standalone snapshot
+/// lands in `out`. False when none succeeds within the horizon.
+bool run_to_save_point(DegradedRig& rig, std::string& out) {
+  for (std::uint64_t end = first_slice_end(rig); end <= kHorizonPs; end += kSlicePs) {
+    rig.kernel.run(sim::SimTime(end));
+    if (rig.sent < kPhaseBytes || rig.bus.pending_transactions() != 0) continue;
+    support::DiagnosticSink save_sink;
+    if (replay::save_snapshot_binary(rig.targets(), out, save_sink)) return true;
+  }
+  return false;
+}
+
+/// The stop rule. Runs the rig in slices that end on whole microseconds of
+/// absolute simulated time, the first at or after now(), and stops at the
+/// first slice end where the script is done and `crash_ps` (the crash
+/// victim's crash time) has passed. A twin restored anywhere on the
+/// reference's timeline therefore stops exactly where the reference did.
+/// Returns an empty string on success, else what was still open at the
+/// horizon.
+std::string run_to_stop(DegradedRig& rig, std::uint64_t crash_ps) {
+  for (std::uint64_t end = first_slice_end(rig); end <= kHorizonPs; end += kSlicePs) {
+    rig.kernel.run(sim::SimTime(end));
+    if (end > crash_ps && script_done(rig)) return {};
+  }
+  return "script unfinished at " + sim::SimTime(kHorizonPs).str() +
+         ": sent=" + std::to_string(rig.sent) + " target=" + std::to_string(rig.target) +
+         " pending=" + std::to_string(rig.bus.pending_transactions()) +
+         " breaker=" + std::string(sim::to_string(rig.breaker.state())) +
+         " health=" + rig.health.str() + " sup=" + rig.sup.str();
+}
+
+/// Verifies a replayed twin against the reference run: recorded-event
+/// divergence, counter-by-counter final state, health/supervision end
+/// checks. Returns an empty string on success, else the failure naming
+/// `leg`.
+std::string compare_final_state(const DegradedRig& reference, const DegradedRig& twin,
+                                const char* leg) {
+  if (twin.recorder.divergence().has_value()) {
+    return std::string(leg) + " replay divergence: " + twin.recorder.divergence()->str();
+  }
+  struct Check {
+    const char* label;
+    std::uint64_t reference;
+    std::uint64_t twin;
+  };
+  const Check checks[] = {
+      {"sim-time", reference.kernel.now().picoseconds(), twin.kernel.now().picoseconds()},
+      {"events-processed", reference.kernel.events_processed(),
+       twin.kernel.events_processed()},
+      {"recorded-events", reference.recorder.total_events(), twin.recorder.total_events()},
+      {"tx_data", reference.uart.peek("tx_data"), twin.uart.peek("tx_data")},
+      {"delivered", reference.delivered, twin.delivered},
+      {"lost", reference.lost, twin.lost},
+      {"via-pio", reference.via_pio, twin.via_pio},
+      {"breaker-opens", reference.breaker.stats().opens, twin.breaker.stats().opens},
+      {"restarts", reference.sup.child_stats(reference.link_child).restarts,
+       twin.sup.child_stats(twin.link_child).restarts},
+  };
+  for (const Check& check : checks) {
+    if (check.reference != check.twin) {
+      return std::string(leg) + " " + check.label +
+             " mismatch: reference=" + std::to_string(check.reference) +
+             " got=" + std::to_string(check.twin);
+    }
+  }
+  if (!twin.health.all_healthy()) {
+    return std::string(leg) + " ended unhealthy: " + twin.health.str();
+  }
+  if (twin.link->errors_unhandled() != 0) {
+    return std::string(leg) + " left unhandled errors";
+  }
+  if (twin.sup.gave_up()) {
+    return std::string(leg) + " supervisor gave up: " + twin.sup.give_up_reason();
+  }
+  return {};
+}
+
 /// The rigs of one seed (see soak.hpp). Returns an empty string on success,
 /// else the failure description; fills `outcome` with the seed's counters.
 ///
@@ -180,11 +277,7 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
                            fleet::RigOutcome& outcome) {
   support::DiagnosticSink sink;
   const std::uint64_t seed = job.seed;
-  const SoakTemplate& soak_template =
-      kSoakTemplates[job.fault_template % kSoakTemplateCount];
-  TrafficFaults faults;
-  faults.error_rate = soak_template.error_rate;
-  faults.drop_rate = soak_template.drop_rate;
+  const SoakTemplate& faults = kSoakTemplates[job.fault_template % kSoakTemplateCount];
 
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -214,7 +307,7 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   sim::FaultPlan crash_plan(seed ^ 0xDEADBEEFULL);
   sim::FaultPlan::SiteConfig crash_site;
   // Each tick dies with the template's crash probability ...
-  crash_site.error_rate = soak_template.crash_rate;
+  crash_site.error_rate = faults.crash_rate;
   crash_site.max_faults = 1;  // ... and exactly one death per run.
   crash_plan.configure(sim::FaultSite::kCrash, crash_site);
   DegradedRig victim(model, faults, seed, sink, crash_config, &crash_plan);
@@ -291,6 +384,17 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   if (reference.link->errors_unhandled() != 0) return "reference left unhandled errors";
   if (reference.sup.gave_up()) {
     return "reference supervisor gave up: " + reference.sup.give_up_reason();
+  }
+  // The script's burst and starvation window must have taken the breaker,
+  // the watchdog and the supervisor through a failure each.
+  const sim::CircuitBreaker::Stats& breaker_stats = reference.breaker.stats();
+  const std::uint64_t restarts = reference.sup.child_stats(reference.link_child).restarts;
+  if (breaker_stats.opens == 0 || breaker_stats.closes == 0 || reference.watchdog.trips() == 0 ||
+      restarts == 0) {
+    return "reference skipped a failure: breaker opens=" + std::to_string(breaker_stats.opens) +
+           " closes=" + std::to_string(breaker_stats.closes) +
+           " watchdog trips=" + std::to_string(reference.watchdog.trips()) +
+           " restarts=" + std::to_string(restarts);
   }
   const std::vector<sim::RecordedEvent>& reference_log = reference.recorder.log();
 
@@ -391,12 +495,12 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   }
   outcome.slo.errors_raised = reference.link->errors_raised();
   outcome.slo.errors_unhandled = reference.link->errors_unhandled();
-  outcome.slo.restarts = reference.sup.child_stats(reference.link_child).restarts;
+  outcome.slo.restarts = restarts;
   outcome.slo.give_ups = reference.sup.gave_up() ? 1 : 0;
   outcome.slo.watchdog_trips = reference.watchdog.trips();
-  outcome.slo.breaker_opens = reference.breaker.stats().opens;
-  outcome.slo.breaker_closes = reference.breaker.stats().closes;
-  outcome.slo.breaker_fast_failed = reference.breaker.stats().fast_failed;
+  outcome.slo.breaker_opens = breaker_stats.opens;
+  outcome.slo.breaker_closes = breaker_stats.closes;
+  outcome.slo.breaker_fast_failed = breaker_stats.fast_failed;
   // Recovery accounting from the two ladders and the twins that recovered
   // from them.
   outcome.slo.checkpoints_written =
@@ -453,7 +557,7 @@ std::unique_ptr<statechart::CompiledMachine> compile_machine(
   return compiled;
 }
 
-DegradedRig::DegradedRig(const Model& model, const TrafficFaults& faults, std::uint64_t seed,
+DegradedRig::DegradedRig(const Model& model, const SoakTemplate& faults, std::uint64_t seed,
                          support::DiagnosticSink& sink, replay::CheckpointStoreConfig store_config,
                          sim::FaultPlan* crash_plan)
     : bus(kernel, "axi", sim::SimTime::ns(8)),
@@ -473,7 +577,6 @@ DegradedRig::DegradedRig(const Model& model, const TrafficFaults& faults, std::u
   sim::FaultPlan::SiteConfig site;
   site.error_rate = faults.error_rate;
   site.drop_rate = faults.drop_rate;
-  site.max_faults = faults.max_faults;
   plan.configure(sim::FaultSite::kBusWrite, site);
   bus.install_fault_plan(&plan);
   link->start();
@@ -519,7 +622,7 @@ void DegradedRig::send_tick() {
     pio_port.write(base + 0, value, completion);
   } else {
     ++via_dma;
-    breaker.write(base + 0, value, completion);
+    breaker.write(base + (via_dma <= kBurstWrites ? kUnmappedOffset : 0), value, completion);
   }
   if (sent < target) kernel.schedule(sim::SimTime(kSendPeriodPs), sender);
 }
@@ -588,89 +691,17 @@ void DegradedRig::script_tick() {
     target = kPhaseBytes;
   } else if (sent < target || bus.pending_transactions() != 0) {
     return;
+  } else if (watchdog.trips() == 0) {
+    return;  // Starve the watchdog: it trips and the supervisor restarts the link.
   } else if (target < 2 * kPhaseBytes) {
     target = 2 * kPhaseBytes;
-  } else if (!recovered()) {
+  } else if (!recovered(*this)) {
     target = sent + 1;
   } else {
     if (watchdog.armed()) watchdog.disarm();
     return;
   }
   kernel.schedule(sim::SimTime(kSendPeriodPs), sender);
-}
-
-bool DegradedRig::recovered() const {
-  return breaker.state() == sim::CircuitBreaker::State::kClosed && health.all_healthy() &&
-         sup.quiescent();
-}
-
-bool DegradedRig::script_done() const {
-  return target >= 2 * kPhaseBytes && sent >= target && bus.pending_transactions() == 0 &&
-         recovered() && !watchdog.armed();
-}
-
-bool run_to_save_point(DegradedRig& rig, std::string& out) {
-  for (std::uint64_t end = first_slice_end(rig); end <= kHorizonPs; end += kSlicePs) {
-    rig.kernel.run(sim::SimTime(end));
-    if (rig.sent < kPhaseBytes || rig.bus.pending_transactions() != 0) continue;
-    support::DiagnosticSink save_sink;
-    if (replay::save_snapshot_binary(rig.targets(), out, save_sink)) return true;
-  }
-  return false;
-}
-
-std::string run_to_stop(DegradedRig& rig, std::uint64_t crash_ps) {
-  for (std::uint64_t end = first_slice_end(rig); end <= kHorizonPs; end += kSlicePs) {
-    rig.kernel.run(sim::SimTime(end));
-    if (end > crash_ps && rig.script_done()) return {};
-  }
-  return "script unfinished at " + sim::SimTime(kHorizonPs).str() +
-         ": sent=" + std::to_string(rig.sent) + " target=" + std::to_string(rig.target) +
-         " pending=" + std::to_string(rig.bus.pending_transactions()) +
-         " breaker=" + std::string(sim::to_string(rig.breaker.state())) +
-         " health=" + rig.health.str() + " sup=" + rig.sup.str();
-}
-
-std::string compare_final_state(const DegradedRig& reference, const DegradedRig& twin,
-                                const char* leg) {
-  if (twin.recorder.divergence().has_value()) {
-    return std::string(leg) + " replay divergence: " + twin.recorder.divergence()->str();
-  }
-  struct Check {
-    const char* label;
-    std::uint64_t reference;
-    std::uint64_t twin;
-  };
-  const Check checks[] = {
-      {"sim-time", reference.kernel.now().picoseconds(), twin.kernel.now().picoseconds()},
-      {"events-processed", reference.kernel.events_processed(),
-       twin.kernel.events_processed()},
-      {"recorded-events", reference.recorder.total_events(), twin.recorder.total_events()},
-      {"tx_data", reference.uart.peek("tx_data"), twin.uart.peek("tx_data")},
-      {"delivered", reference.delivered, twin.delivered},
-      {"lost", reference.lost, twin.lost},
-      {"via-pio", reference.via_pio, twin.via_pio},
-      {"breaker-opens", reference.breaker.stats().opens, twin.breaker.stats().opens},
-      {"restarts", reference.sup.child_stats(reference.link_child).restarts,
-       twin.sup.child_stats(twin.link_child).restarts},
-  };
-  for (const Check& check : checks) {
-    if (check.reference != check.twin) {
-      return std::string(leg) + " " + check.label +
-             " mismatch: reference=" + std::to_string(check.reference) +
-             " got=" + std::to_string(check.twin);
-    }
-  }
-  if (!twin.health.all_healthy()) {
-    return std::string(leg) + " ended unhealthy: " + twin.health.str();
-  }
-  if (twin.link->errors_unhandled() != 0) {
-    return std::string(leg) + " left unhandled errors";
-  }
-  if (twin.sup.gave_up()) {
-    return std::string(leg) + " supervisor gave up: " + twin.sup.give_up_reason();
-  }
-  return {};
 }
 
 fleet::RigOutcome run_seed(const Model& model, const fleet::RigJob& job,

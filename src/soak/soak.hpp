@@ -11,11 +11,17 @@
 // Every rig is built one way, as a DegradedRig, and carries the same
 // kernel processes in the same order: the SoC's own, then the script, a
 // crash injector and a RecoveryCoordinator. The script is a kernel process
-// that sends two 32-byte traffic phases, sends keepalive bytes until the
-// link has recovered and then disarms the watchdog. Each of its decisions
-// reads checkpointed rig state, so a rig restored anywhere resumes the
-// script where the capture left it. The host only runs the kernel in
-// slices (run_to_stop) and takes captures between them.
+// that takes the supervision stack through both of its failures in every
+// seed. Its first 32-byte traffic phase starts with a burst of DMA writes
+// to an unmapped address: the bus answers kError, the breaker opens, bytes
+// fall back to PIO and a half-open probe closes it again. Once that phase
+// has drained the script sends nothing until the 50 us watchdog trips and
+// the supervisor warm-restarts the link. It then sends the second phase,
+// sends keepalive bytes until the link has recovered and disarms the
+// watchdog. Each of its decisions reads checkpointed rig state, so a rig
+// restored anywhere resumes the script where the capture left it. The
+// host only runs the kernel in whole-microsecond slices and takes captures
+// between them.
 //
 // One seed runs five rigs under the job's fault template, in this order:
 //   - the crash victim: its CrashInjector throws SimulatedCrash from a
@@ -23,10 +29,10 @@
 //     background;
 //   - the reference, which runs uninterrupted to the stop rule and writes
 //     everything the twins restore from: two handoff rungs (at t=0 and at
-//     the save point after the first traffic phase), the standalone
-//     snapshot at the save point, and the recovery ladder, which its
-//     coordinator writes after a clean t=0 base under injected torn, lost
-//     and bit-flipped writes;
+//     the save point after the first traffic phase, while the watchdog
+//     starves), the standalone snapshot at the save point, and the
+//     recovery ladder, which its coordinator writes after a clean t=0 base
+//     under injected torn, lost and bit-flipped writes;
 //   - three twins, fresh rigs that restore a capture, stop their
 //     coordinators (twins write nothing) and replay to the stop rule under
 //     the verifier against the reference's event log: the restored twin
@@ -34,20 +40,10 @@
 //     restore_latest_good after the ladder's newest rung is torn in half,
 //     and the crash twin through RecoveryCoordinator::recover from the
 //     victim's ladder, with lost work bounded by the checkpoint interval.
-// Each twin must end bit-identical to the reference: the same event
-// sequence and final counters, every unit healthy and no error event
-// unhandled.
-// What the soak checks is recovery to healthy, bit-identical replay, the
-// ladder and the crash leg. It does not drive the supervision stack: at
-// the templates' 0.5-2% write-fault rates no seed of a 64-seed or a
-// 256-seed, 4-template run opens the breaker (8-outcome window, 50%
-// threshold), trips the 50 us watchdog or restarts the link. Their
-// rollups read 0 restarts, watchdog trips, give-ups, breaker opens and
-// errors raised, so the UartLink machine receives no event and "no error
-// event may go unhandled" holds with none raised. The breaker, watchdog
-// and supervisor are built, checkpointed and restored in every rig; only
-// supervise_test, the uart_soc demo and perfbench's rig take them through
-// a failure (ROADMAP item 12).
+// The reference must open and close the breaker, trip the watchdog and
+// restart the link at least once each. Each twin must end bit-identical to
+// the reference: the same event sequence and final counters, every unit
+// healthy and no error event unhandled.
 // Each seed is its own kernels, fault plans, supervisor and
 // checkpoint ladders, so per-seed results are bit-identical regardless of
 // the fleet's job count or isolation mode, and a failure reproduces with
@@ -71,7 +67,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -114,18 +109,12 @@ struct Model {
   bool build(support::DiagnosticSink& sink);
 };
 
-struct TrafficFaults {
-  double error_rate = 0.0;
-  double drop_rate = 0.0;
-  std::uint64_t max_faults = std::numeric_limits<std::uint64_t>::max();
-};
-
 /// One fault-plan template the fleet sweep can assign to a rig: the traffic
 /// fault rates the resilience stack absorbs plus the per-tick crash
 /// probability of the crash leg. Template 0 is the historical baseline
 /// (single-template fleets behave exactly as before the sweep existed).
 /// Rates stay within what the supervision stack absorbs by design — the
-/// sweep varies stress, it does not manufacture failures.
+/// sweep varies stress on top of the script's failures, it adds none.
 struct SoakTemplate {
   double error_rate;
   double drop_rate;
@@ -154,8 +143,6 @@ std::unique_ptr<statechart::CompiledMachine> compile_machine(
 /// traffic counters are all snapshot sections — and a capture of one rig
 /// restores into any other.
 struct DegradedRig {
-  static constexpr std::uint64_t kSendPeriodPs = 500'000;  // One byte per 500 ns.
-
   sim::Kernel kernel;
   sim::MemoryMappedBus bus;
   codegen::HwModuleSim uart;
@@ -188,11 +175,11 @@ struct DegradedRig {
   replay::CheckpointStore store;
   replay::RecoveryCoordinator coordinator;
 
-  /// `store_config` configures the coordinator's ladder; the default names
-  /// no directory, for rigs that never write or restore one. `crash_plan`
-  /// arms the injector (nullptr: it ticks and never fires) and must outlive
-  /// the rig.
-  DegradedRig(const Model& model, const TrafficFaults& faults, std::uint64_t seed,
+  /// The bus takes `faults`' traffic error and drop rates. `store_config`
+  /// configures the coordinator's ladder; the default names no directory,
+  /// for rigs that never write or restore one. `crash_plan` arms the
+  /// injector (nullptr: it ticks and never fires) and must outlive the rig.
+  DegradedRig(const Model& model, const SoakTemplate& faults, std::uint64_t seed,
               support::DiagnosticSink& sink, replay::CheckpointStoreConfig store_config = {},
               sim::FaultPlan* crash_plan = nullptr);
 
@@ -205,44 +192,20 @@ struct DegradedRig {
   /// Degraded-mode routing: bytes flow through the breaker-guarded DMA
   /// channel unless the breaker is open, in which case they fall back to
   /// PIO. Half-open deliberately routes through the breaker — that request
-  /// *is* the recovery probe.
+  /// *is* the recovery probe. The run's first DMA writes go to an unmapped
+  /// address: the error burst that opens the breaker.
   void send_tick();
 
-  /// One step of the script: raise the target to 32 bytes, then to 64 once
-  /// the bus has drained, then one keepalive byte at a time (routed around
-  /// an open breaker, so simulated time advances through open durations and
-  /// restart backoffs) until recovered(), then disarm the watchdog.
+  /// One step of the script: raise the target to 32 bytes; once they have
+  /// drained, send nothing until the watchdog has tripped; then raise the
+  /// target to 64, then send one keepalive byte at a time (routed around an
+  /// open breaker, so simulated time advances through open durations and
+  /// restart backoffs) until the link has recovered, then disarm the
+  /// watchdog.
   void script_tick();
-
-  /// Breaker closed, every unit healthy, no supervision work pending.
-  [[nodiscard]] bool recovered() const;
-  /// All 64 bytes sent and drained, recovered() and the watchdog disarmed.
-  [[nodiscard]] bool script_done() const;
 
   [[nodiscard]] replay::SnapshotTargets targets();
 };
-
-/// Runs the rig in run_to_stop's slices until the script's first phase has
-/// drained and a capture at a slice end succeeds; the standalone snapshot
-/// lands in `out`. False when none succeeds within the soak's 1000 us
-/// horizon.
-bool run_to_save_point(DegradedRig& rig, std::string& out);
-
-/// The stop rule. Runs the rig in slices that end on whole microseconds of
-/// absolute simulated time, the first at or after now(), and stops at the
-/// first slice end where the script is done and `crash_ps` (the crash
-/// victim's crash time; 0 when there is none) has passed. A twin restored
-/// anywhere on the reference's timeline therefore stops exactly where the
-/// reference did. Returns an empty string on success, else what was still
-/// open at the 1000 us horizon.
-std::string run_to_stop(DegradedRig& rig, std::uint64_t crash_ps);
-
-/// Verifies a replayed twin against the reference run: recorded-event
-/// divergence, counter-by-counter final state, health/supervision end
-/// checks. Returns an empty string on success, else the failure naming
-/// `leg`.
-std::string compare_final_state(const DegradedRig& reference, const DegradedRig& twin,
-                                const char* leg);
 
 /// One chaos-soak seed: every rig above under the job's fault template,
 /// with per-seed scratch in `scratch / "seed-N"` (removed on success, left

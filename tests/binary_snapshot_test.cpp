@@ -1039,7 +1039,6 @@ TEST_F(CheckpointStoreTest, StrayFilesAreIgnored) {
 
   FullRig restored(*machine_);
   CheckpointStore recovery(config());
-  EXPECT_EQ(recovery.newest_on_disk(), 3u);
   support::DiagnosticSink sink;
   ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
   EXPECT_EQ(recovery.stats().restored_seq, 3u);

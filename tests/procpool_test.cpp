@@ -611,7 +611,6 @@ TEST(CheckpointStoreProcess, SweptDirectoryStillRestores) {
   }
   replay::CheckpointStore reader(config);
   EXPECT_EQ(reader.stats().tmp_swept, 1u);
-  EXPECT_EQ(reader.newest_on_disk(), 1u);
   sim::Kernel fresh;
   replay::SnapshotTargets restore_targets;
   restore_targets.kernel = &fresh;

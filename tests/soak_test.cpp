@@ -93,14 +93,11 @@ TEST(Soak, RedispatchedSeedResumesFromItsPredecessorsHandoffRung) {
   ASSERT_TRUE(fresh.ok) << fresh.failure;
   EXPECT_EQ(fresh.resumed_from_seq, 0u);
 
-  TrafficFaults faults;
-  faults.error_rate = kSoakTemplates[0].error_rate;
-  faults.drop_rate = kSoakTemplates[0].drop_rate;
   replay::CheckpointStoreConfig handoff;
   handoff.directory = scratch.path() / "seed-1000" / "handoff";
   handoff.prefix = "handoff";
   {
-    DegradedRig predecessor(model, faults, job.seed, sink, handoff);
+    DegradedRig predecessor(model, kSoakTemplates[0], job.seed, sink, handoff);
     predecessor.start();
     replay::CheckpointStore::WriteResult written;
     ASSERT_TRUE(predecessor.store.checkpoint(predecessor.targets(), written, sink))
@@ -144,7 +141,9 @@ TEST(Soak, FleetSweepsTemplatesByIndexAndMatchesAcrossJobCounts) {
 // Pins what the soak decides: every counter the fleet fingerprint covers,
 // rung bytes included, over eight seeds and all four fault templates. A
 // change that moves this value on purpose re-pins it and says in
-// CHANGES.md why it moved; any other change must leave it alone.
+// CHANGES.md why it moved; any other change must leave it alone. Every
+// seed's script must also have taken the breaker, the watchdog and the
+// supervisor through a failure, with every error event it raised handled.
 TEST(Soak, FingerprintIsPinned) {
   Model model;
   support::DiagnosticSink sink;
@@ -159,10 +158,16 @@ TEST(Soak, FingerprintIsPinned) {
       run_fleet(model, driver, 1000, 8, artifacts.path());
   for (const fleet::RigOutcome& outcome : outcomes) {
     EXPECT_TRUE(outcome.ok) << "seed " << outcome.seed << ": " << outcome.failure;
+    EXPECT_GE(outcome.slo.breaker_opens, 1u) << "seed " << outcome.seed;
+    EXPECT_GE(outcome.slo.breaker_closes, 1u) << "seed " << outcome.seed;
+    EXPECT_GE(outcome.slo.watchdog_trips, 1u) << "seed " << outcome.seed;
+    EXPECT_GE(outcome.slo.restarts, 1u) << "seed " << outcome.seed;
+    EXPECT_GE(outcome.slo.errors_raised, 1u) << "seed " << outcome.seed;
+    EXPECT_EQ(outcome.slo.errors_unhandled, 0u) << "seed " << outcome.seed;
   }
   const fleet::FleetReport report = fleet::FleetReport::aggregate(outcomes);
   EXPECT_EQ(report.rigs_ok, 8u);
-  EXPECT_EQ(support::xxh64(report.fingerprint()), 0x83a241fcbe59c438ULL);
+  EXPECT_EQ(support::xxh64(report.fingerprint()), 0xbf3311dee90e0d1fULL);
 }
 
 }  // namespace

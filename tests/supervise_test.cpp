@@ -771,9 +771,18 @@ TEST(SuperviseSnapshot, WarmRestartFromSnapshotRewindsAStatechart) {
 
   instance.dispatch({"e"});
   instance.dispatch({"e"});
+  EXPECT_FALSE(instance.dispatch_error({"brownout"}));
   ASSERT_TRUE(instance.is_in("s3"));
+  const std::uint64_t events = instance.events_processed();
+  const std::uint64_t transitions = instance.transitions_fired();
   ASSERT_TRUE(restart()) << sink.str();
   EXPECT_TRUE(instance.is_in("s1")) << "warm restart rewound to the captured point";
+  // ... and kept the run counters: an error raised before the restart still
+  // counts, as raised and as unhandled.
+  EXPECT_EQ(instance.events_processed(), events);
+  EXPECT_EQ(instance.transitions_fired(), transitions);
+  EXPECT_EQ(instance.errors_raised(), 1u);
+  EXPECT_EQ(instance.errors_unhandled(), 1u);
 
   // Wired as a supervisor child: a failure later in the run restores the
   // known-good configuration.

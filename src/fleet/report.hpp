@@ -64,7 +64,7 @@ struct FleetReport {
   [[nodiscard]] double unhandled_error_rate() const;
   /// Fraction of fleet-wide units that ended healthy; 1.0 with no units.
   [[nodiscard]] double unit_health_rate() const;
-  /// Host time spent encoding, storing (write, rename, prune) and restoring
+  /// Host time spent encoding, storing (create, append, prune) and restoring
   /// checkpoints relative to total rig wall time — the checkpoint tax on
   /// the fleet. Nondeterministic (wall).
   [[nodiscard]] double checkpoint_overhead() const;

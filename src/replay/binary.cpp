@@ -635,6 +635,31 @@ bool read_binary_info(std::string_view data, BinarySnapshotInfo& info,
   return parse_header(in, data, info, sink);
 }
 
+std::size_t binary_rung_size(std::string_view data, BinarySnapshotInfo& info,
+                             support::DiagnosticSink& sink) {
+  ByteReader in(data);
+  if (!parse_header(in, data, info, sink)) {
+    info = {};
+    return 0;
+  }
+  for (std::uint32_t i = 0; i < info.section_count && !in.failed(); ++i) {
+    in.u8();             // Kind.
+    in.bytes(in.u16());  // Name.
+    in.u8();             // Entry flags.
+    const std::uint32_t payload_length = in.u32();
+    in.u64();            // Checksum.
+    in.bytes(payload_length);
+  }
+  if (in.bytes(kBinaryTrailer.size()) != kBinaryTrailer) {
+    sink.error("binary-snapshot",
+               "checkpoint " + std::to_string(info.seq) +
+                   " is cut short or mis-framed: no end-of-file trailer after its " +
+                   std::to_string(info.section_count) + " sections");
+    return 0;
+  }
+  return in.position();
+}
+
 std::string image_to_binary(const SnapshotImage& image) {
   return encode_full(0, flatten_image(image));
 }

@@ -99,6 +99,16 @@ struct BinarySnapshotInfo {
 [[nodiscard]] bool read_binary_info(std::string_view data, BinarySnapshotInfo& info,
                                     support::DiagnosticSink& sink);
 
+/// Length of the snapshot that starts `data`, which may run on into more
+/// (a checkpoint chain file holds its rungs back to back): the header,
+/// every frame by its stored lengths, and the trailer. Checks the header as
+/// read_binary_info does and fills `info` when it passes, even if the
+/// frames then run past `data`; a header that fails leaves `info` zeroed
+/// (seq 0). Frame checksums are left to the decode. Returns 0, with the
+/// reason on `sink`, when the header fails or no trailer ends the frames.
+[[nodiscard]] std::size_t binary_rung_size(std::string_view data, BinarySnapshotInfo& info,
+                                           support::DiagnosticSink& sink);
+
 /// Serializes an image as a standalone full binary snapshot (seq 0).
 [[nodiscard]] std::string image_to_binary(const SnapshotImage& image);
 

@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -11,9 +10,7 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <fstream>
 #include <limits>
-#include <optional>
 #include <system_error>
 #include <utility>
 
@@ -22,8 +19,8 @@ namespace umlsoc::replay {
 namespace {
 
 constexpr std::string_view kExtension = ".usnap";
-constexpr std::string_view kTmpSuffix = ".tmp";
 constexpr std::string_view kQuarantineSuffix = ".quarantined";
+constexpr std::uint64_t kNoLimit = std::numeric_limits<std::uint64_t>::max();
 
 /// Closes a file descriptor when it leaves scope, unless released.
 class FileDescriptor {
@@ -43,7 +40,7 @@ class FileDescriptor {
 };
 
 /// The store directory, open for one pass: listed with readdir, and the
-/// directory that rung names are opened relative to. A directory that
+/// directory that chain names are opened relative to. A directory that
 /// cannot be opened lists as empty and reads nothing.
 class Directory {
  public:
@@ -79,52 +76,13 @@ bool read_whole(int fd, std::string& out, struct stat& status) {
   return true;
 }
 
-bool write_file(const std::filesystem::path& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  return out.good();
-}
-
-/// True when a tmp filename `<base>.<pid>.tmp` embeds the pid of a process
-/// that is still alive — that tmp is a concurrent writer's in-flight
-/// checkpoint, not a stray. Legacy tmps without a pid always read as dead.
-bool tmp_writer_alive(std::string_view name) {
-  if (name.size() <= kTmpSuffix.size()) return false;
-  const std::string_view body = name.substr(0, name.size() - kTmpSuffix.size());
-  const std::size_t dot = body.rfind('.');
-  if (dot == std::string_view::npos) return false;
-  const char* first = body.data() + dot + 1;
-  const char* last = body.data() + body.size();
-  long long pid = 0;
-  const auto [ptr, ec] = std::from_chars(first, last, pid);
-  if (ec != std::errc() || ptr != last || pid <= 0) return false;
-  if (pid > std::numeric_limits<pid_t>::max()) return false;
-  // Signal 0: existence probe. EPERM still means the process exists.
-  return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
-}
-
-/// Lands `bytes` at `path`: written to a tmp sibling, then renamed into
-/// place, unless `lost` (a crash before the rename leaves the tmp).
-bool land_file(const std::filesystem::path& path, std::string_view bytes, bool lost,
-               support::DiagnosticSink& sink) {
-  // The tmp sibling carries the writer's pid: if two processes ever touch
-  // the same directory (a re-dispatched seed racing a predecessor that is
-  // being torn down), their in-flight writes cannot collide on one tmp name
-  // and clobber each other mid-rename.
-  const std::filesystem::path tmp =
-      path.string() + "." + std::to_string(::getpid()) + std::string(kTmpSuffix);
-  if (!write_file(tmp, bytes)) {
-    sink.error("checkpoint-store", "cannot write " + tmp.string());
-    return false;
-  }
-  if (lost) return true;
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    sink.error("checkpoint-store", "cannot rename " + tmp.string() + ": " + ec.message());
-    return false;
+/// Appends all of `bytes` to `fd`, which was opened O_APPEND.
+bool append_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t put = ::write(fd, bytes.data(), bytes.size());
+    if (put < 0 && errno == EINTR) continue;
+    if (put <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(put));
   }
   return true;
 }
@@ -151,43 +109,38 @@ void list_files(Directory& directory, Visit&& visit) {
   }
 }
 
-/// Writes rung `seq`'s file name, `<prefix>-NNNNNNNN.usnap` (the low eight
-/// decimal digits), into `name`, reusing its capacity.
-void rung_name(std::string_view prefix, std::uint64_t seq, std::string& name) {
+/// Writes the name of the chain based at `base`, `<prefix>-NNNNNNNN.usnap`
+/// (the low eight decimal digits), into `name`, reusing its capacity.
+void chain_name(std::string_view prefix, std::uint64_t base, std::string& name) {
   name.assign(prefix);
   name += "-00000000";
   name += kExtension;
   for (std::size_t i = prefix.size() + 8; i > prefix.size(); --i) {
-    name[i] = static_cast<char>('0' + seq % 10);
-    seq /= 10;
+    name[i] = static_cast<char>('0' + base % 10);
+    base /= 10;
   }
 }
 
-/// True when `name` starts with `<prefix>-`.
-bool has_stem(std::string_view name, std::string_view prefix) {
-  return name.size() > prefix.size() && name.starts_with(prefix) && name[prefix.size()] == '-';
-}
-
-/// The non-quarantined checkpoint files in `directory`, with their inodes,
-/// into `rungs`, by seq descending. Names are matched in one listing; no
-/// path is built for a rung until it is pruned or quarantined. (`Rung` is
-/// CheckpointStore::ListedRung, a private type this function cannot name.)
-template <typename Rung>
-void scan(Directory& directory, std::string_view prefix, std::vector<Rung>& rungs) {
-  rungs.clear();
+/// The chain files in `directory`, with their inodes, into `chains`, by
+/// base seq descending. Names are matched in one listing; no path is built
+/// for a chain until it is pruned or quarantined. (`Chain` is
+/// CheckpointStore::ListedChain, a private type this function cannot name.)
+template <typename Chain>
+void list_chains(Directory& directory, std::string_view prefix, std::vector<Chain>& chains) {
+  chains.clear();
   const std::size_t digits_at = prefix.size() + 1;
   list_files(directory, [&](std::string_view name, std::uint64_t inode) {
-    if (name.size() != digits_at + 8 + kExtension.size() || !has_stem(name, prefix) ||
-        !name.ends_with(kExtension)) {
+    if (name.size() != digits_at + 8 + kExtension.size() || !name.starts_with(prefix) ||
+        name[prefix.size()] != '-' || !name.ends_with(kExtension)) {
       return;
     }
-    std::uint64_t seq = 0;
+    std::uint64_t base = 0;
     const char* digits = name.data() + digits_at;
-    const auto [ptr, parse_ec] = std::from_chars(digits, digits + 8, seq);
-    if (parse_ec == std::errc() && ptr == digits + 8) rungs.push_back({seq, inode});
+    const auto [ptr, parse_ec] = std::from_chars(digits, digits + 8, base);
+    if (parse_ec == std::errc() && ptr == digits + 8) chains.push_back({base, inode});
   });
-  std::sort(rungs.begin(), rungs.end(),
-            [](const Rung& a, const Rung& b) { return a.seq > b.seq; });
+  std::sort(chains.begin(), chains.end(),
+            [](const Chain& a, const Chain& b) { return a.base > b.base; });
 }
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
@@ -203,72 +156,81 @@ CheckpointStore::CheckpointStore(CheckpointStoreConfig config) : config_(std::mo
   if (config_.keep_fulls == 0) config_.keep_fulls = 1;
   std::error_code ec;
   std::filesystem::create_directories(config_.directory, ec);
-  sweep_stray_tmps();
 }
 
-CheckpointStore::~CheckpointStore() {
-  close_held_if([](const HeldRung&) { return true; });
+CheckpointStore::~CheckpointStore() { close_chain(); }
+
+void CheckpointStore::close_chain() {
+  if (chain_fd_ >= 0) ::close(chain_fd_);
+  chain_fd_ = -1;
+  appending_ = false;
 }
 
-template <typename Drop>
-void CheckpointStore::close_held_if(Drop&& drop) {
-  std::erase_if(held_, [&drop](const HeldRung& held) {
-    if (!drop(held)) return false;
-    ::close(held.fd);
-    return true;
-  });
-}
-
-bool CheckpointStore::read_rung(int directory_fd, std::uint64_t seq, std::uint64_t inode,
-                                std::string& out) {
-  struct stat status {};
-  const auto held = std::find_if(held_.begin(), held_.end(),
-                                 [seq](const HeldRung& rung) { return rung.seq == seq; });
-  if (held != held_.end()) {
-    // The held descriptor pins its inode, so an equal listed inode means
-    // the name still links to this very file.
-    if (held->inode == inode) {
-      ++stats_.held_reads;
-      return read_whole(held->fd, out, status);
-    }
-    ::close(held->fd);
-    held_.erase(held);
-  }
-  rung_name(config_.prefix, seq, name_);
-  FileDescriptor file(::openat(directory_fd, name_.c_str(), O_RDONLY | O_CLOEXEC));
-  if (file.get() < 0) return false;
-  const bool read = read_whole(file.get(), out, status);
-  if (read && status.st_ino == inode) {
-    held_.push_back({seq, inode, -1});
-    held_.back().fd = file.release();
-  }
-  return read;
-}
-
-void CheckpointStore::sweep_stray_tmps() {
-  Directory directory(config_.directory);
-  list_files(directory, [this](std::string_view name, std::uint64_t) {
-    if (!has_stem(name, config_.prefix) || !name.ends_with(kTmpSuffix)) return;
-    // A pid-scoped tmp whose writer is still running is an in-flight
-    // checkpoint of a concurrent store (the race the pid-scoped names exist
-    // to tolerate) — deleting it would fail that writer's rename mid-
-    // checkpoint. Only genuinely orphaned tmps are strays.
-    if (tmp_writer_alive(name)) return;
-    std::error_code rm;
-    if (std::filesystem::remove(config_.directory / name, rm)) ++stats_.tmp_swept;
-  });
-}
-
-std::filesystem::path CheckpointStore::path_for(std::uint64_t seq) const {
+std::filesystem::path CheckpointStore::path_for(std::uint64_t base) const {
   std::string name;
-  rung_name(config_.prefix, seq, name);
+  chain_name(config_.prefix, base, name);
   return config_.directory / name;
+}
+
+bool CheckpointStore::read_chain(int directory_fd, const ListedChain& chain) {
+  struct stat status {};
+  // The held descriptor pins its inode, so an equal listed inode means the
+  // name still links to that very file.
+  if (chain_fd_ >= 0 && chain_base_ == chain.base && read_whole(chain_fd_, file_, status) &&
+      status.st_ino == chain.inode) {
+    ++stats_.held_reads;
+    return true;
+  }
+  close_chain();
+  chain_name(config_.prefix, chain.base, name_);
+  FileDescriptor file(::openat(directory_fd, name_.c_str(), O_RDONLY | O_CLOEXEC));
+  if (file.get() < 0 || !read_whole(file.get(), file_, status)) return false;
+  if (status.st_ino == chain.inode) {
+    chain_fd_ = file.release();
+    chain_base_ = chain.base;
+  }
+  return true;
+}
+
+std::string CheckpointStore::split(std::uint64_t max_seq) {
+  rungs_.clear();
+  seqs_.clear();
+  std::string_view rest = file_;
+  if (rest.empty()) return "the base: empty chain file";
+  // The split stops at max_seq itself, never at a rung found above it: the
+  // rung after max_seq may be cut short, with no seq left to read.
+  while (!rest.empty() && (seqs_.empty() || seqs_.back() < max_seq)) {
+    BinarySnapshotInfo info;
+    support::DiagnosticSink probe;
+    const std::size_t size = binary_rung_size(rest, info, probe);
+    if (info.seq > max_seq) break;
+    if (size == 0) {
+      // A rung whose header does not read may lie above a rewind's target,
+      // and a rewind changes nothing there.
+      if (info.seq == 0 && max_seq != kNoLimit && !seqs_.empty()) break;
+      const std::string rung = info.seq != 0    ? "rung " + std::to_string(info.seq)
+                               : seqs_.empty() ? "the base"
+                                               : "the rung after " + std::to_string(seqs_.back());
+      return rung + ": " + probe.str();
+    }
+    rungs_.push_back(rest.substr(0, size));
+    seqs_.push_back(info.seq);
+    rest.remove_prefix(size);
+  }
+  return {};
 }
 
 bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& out,
                                  support::DiagnosticSink& sink) {
-  const bool force_full = count_ % config_.full_interval == 0;
+  // A delta is appended to the chain the store holds open; without one (a
+  // fresh store, after a restore, or after a failed write) the checkpoint
+  // starts a chain.
+  const bool force_full = count_ % config_.full_interval == 0 || !appending_;
   ++count_;
+  if (renumber_) {
+    number_above_disk();
+    renumber_ = false;
+  }
 
   IncrementalEncoder::Result encoded;
   if (!encoder_.encode(targets, force_full, encoded, sink)) return false;
@@ -276,23 +238,23 @@ bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& ou
   WriteResult result;
   result.seq = encoded.seq;
   result.delta = encoded.delta;
-  result.path = path_for(encoded.seq);
+  result.path = path_for(encoded.delta ? chain_base_ : encoded.seq);
 
   std::string bytes = std::move(encoded.bytes);
   if (fault_plan_ != nullptr) {
     const sim::FaultDecision decision = fault_plan_->consult(sim::FaultSite::kCheckpoint);
     switch (decision.kind) {
       case sim::FaultKind::kError:
-        // Torn write: only the first half of the file makes it to disk.
+        // Torn write: only the first half of the rung makes it to disk.
         bytes.resize(bytes.size() / 2);
         result.torn = true;
         break;
       case sim::FaultKind::kDropResponse:
-        // Crash before the rename: the tmp file is written but never lands.
+        // Lost write: a crash before the append.
         result.lost = true;
         break;
       case sim::FaultKind::kBitFlip: {
-        // One bit, spread deterministically across the file by the mask.
+        // One bit, spread deterministically across the rung by the mask.
         const int bit = std::countr_zero(decision.flip_mask | 1);
         const std::size_t position = bytes.empty() ? 0 : bit * (bytes.size() - 1) / 63;
         if (!bytes.empty()) bytes[position] ^= static_cast<char>(1u << (bit & 7));
@@ -305,9 +267,19 @@ bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& ou
     if (result.torn || result.lost || result.flipped) ++stats_.write_faults;
   }
 
-  // Store I/O (write, rename, prune) is timed apart from the encode.
+  // Store I/O (create or append, prune) is timed apart from the encode.
   const auto io_started = std::chrono::steady_clock::now();
-  const bool landed = land_file(result.path, bytes, result.lost, sink);
+  if (!encoded.delta) {
+    // A base starts its chain's file, emptying one of that name. A lost
+    // base still creates it, so that its deltas land in a chain that
+    // never restores.
+    close_chain();
+    chain_fd_ = ::open(result.path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
+                       0644);
+    chain_base_ = encoded.seq;
+    appending_ = chain_fd_ >= 0;
+  }
+  const bool landed = appending_ && (result.lost || append_all(chain_fd_, bytes));
   if (landed) {
     result.bytes = bytes.size();
     ++stats_.checkpoints;
@@ -316,13 +288,16 @@ bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& ou
       ++stats_.deltas;
     } else {
       ++stats_.fulls;
-      // A lost full must not count as a retained base: its deltas would
-      // chain to a file that never landed.
+      // A lost base must not count as a retained base: its deltas chain to
+      // a rung that never landed.
       if (!result.lost) {
         fulls_.push_back(encoded.seq);
         prune(sink);
       }
     }
+  } else {
+    sink.error("checkpoint-store", "cannot write " + result.path.string());
+    close_chain();
   }
   targets.kernel->note_snapshot_store(elapsed_ns(io_started));
   if (!landed) return false;
@@ -334,41 +309,53 @@ void CheckpointStore::prune(support::DiagnosticSink& sink) {
   if (fulls_.size() <= config_.keep_fulls) return;
   fulls_.erase(fulls_.begin(), fulls_.end() - config_.keep_fulls);
   const std::uint64_t keep_from = fulls_.front();
-  close_held_if([keep_from](const HeldRung& held) { return held.seq < keep_from; });
   Directory directory(config_.directory);
-  std::vector<ListedRung> rungs;
-  scan(directory, config_.prefix, rungs);
-  for (const ListedRung& rung : rungs) {
-    if (rung.seq >= keep_from) continue;
-    const std::filesystem::path path = path_for(rung.seq);
-    std::error_code ec;
-    if (std::filesystem::remove(path, ec)) {
+  list_chains(directory, config_.prefix, chains_);
+  for (const ListedChain& chain : chains_) {
+    // The held descriptor is the new base's chain, which is kept.
+    if (chain.base >= keep_from) continue;
+    chain_name(config_.prefix, chain.base, name_);
+    if (::unlinkat(directory.fd(), name_.c_str(), 0) == 0) {
       ++stats_.pruned;
-    } else if (ec) {
-      sink.warning("checkpoint-store", "cannot prune " + path.string() + ": " + ec.message());
+    } else if (errno != ENOENT) {
+      sink.warning("checkpoint-store", "cannot prune " + name_ + ": " +
+                                           std::generic_category().message(errno));
     }
   }
 }
 
-void CheckpointStore::quarantine(std::uint64_t seq, std::string reason,
-                                 support::DiagnosticSink& sink) {
-  close_held_if([seq](const HeldRung& held) { return held.seq == seq; });
-  const std::filesystem::path path = path_for(seq);
-  std::error_code ec;
-  std::filesystem::rename(path, path.string() + std::string(kQuarantineSuffix), ec);
-  if (ec) {
-    // Renaming failed (e.g. the file vanished); removing keeps the ladder
-    // terminating either way.
-    std::filesystem::remove(path, ec);
+void CheckpointStore::number_above_disk() {
+  Directory directory(config_.directory);
+  list_chains(directory, config_.prefix, chains_);
+  if (chains_.empty()) return;
+  std::uint64_t newest = chains_.front().base;
+  if (read_chain(directory.fd(), chains_.front())) {
+    (void)split(kNoLimit);
+    if (!seqs_.empty()) newest = std::max(newest, seqs_.back());
   }
-  sink.warning("checkpoint-store", "quarantined " + path.filename().string() + ": " + reason);
+  encoder_.resume_after(newest);
+}
+
+void CheckpointStore::quarantine(const ListedChain& chain, std::string reason,
+                                 support::DiagnosticSink& sink) {
+  const std::filesystem::path path = path_for(chain.base);
+  std::error_code ec;
+  if (rungs_.empty()) {
+    if (chain.base == chain_base_) close_chain();
+    std::filesystem::rename(path, path.string() + std::string(kQuarantineSuffix), ec);
+  } else {
+    const std::string_view kept = rungs_.back();
+    std::filesystem::resize_file(
+        path, static_cast<std::uintmax_t>(kept.data() + kept.size() - file_.data()), ec);
+  }
+  sink.warning("checkpoint-store", "quarantined " + path.filename().string() + " at " + reason);
   quarantined_.push_back({path, std::move(reason)});
   ++stats_.quarantines;
 }
 
 bool CheckpointStore::restore_latest_good(const SnapshotTargets& targets,
                                           support::DiagnosticSink& sink) {
-  return restore_ladder(std::numeric_limits<std::uint64_t>::max(), targets, sink);
+  return restore_ladder(kNoLimit, targets, sink);
 }
 
 bool CheckpointStore::restore_to(std::uint64_t seq, const SnapshotTargets& targets,
@@ -383,121 +370,69 @@ bool CheckpointStore::restore_ladder(std::uint64_t max_seq, const SnapshotTarget
     return false;
   }
   const auto started = std::chrono::steady_clock::now();
-  // Every pass either restores, or quarantines at least one file and
-  // rescans — so the walk terminates.
-  for (;;) {
-    Directory directory(config_.directory);
-    scan(directory, config_.prefix, listed_);
-    // Rungs newer than the rewind target are skipped, not quarantined: a
-    // time-travel probe must leave the rest of the ladder intact. They stay
-    // in the listing past the tip choice so delta chains that reach *below*
-    // max_seq still resolve their bases.
-    std::size_t first = 0;
-    while (first < listed_.size() && listed_[first].seq > max_seq) ++first;
-    if (first == listed_.size()) {
-      sink.error("checkpoint-store",
-                 "no restorable checkpoint in " + config_.directory.string() +
-                     (max_seq == std::numeric_limits<std::uint64_t>::max()
-                          ? ""
-                          : " at or below seq " + std::to_string(max_seq)) +
-                     " (" + std::to_string(quarantined_.size()) + " quarantined)");
-      // Nothing listed is left to read; failed passes may have opened rungs
-      // of chains that never restored.
-      close_held_if([](const HeldRung&) { return true; });
-      return false;
+  // One listing, newest chain first. Each file either restores, or loses
+  // its bad rung and every rung after it and tries again, or is set aside.
+  Directory directory(config_.directory);
+  list_chains(directory, config_.prefix, chains_);
+  for (const ListedChain& chain : chains_) {
+    // A rewind leaves the chains above its target as they are.
+    if (chain.base > max_seq) continue;
+    std::string failure;
+    if (read_chain(directory.fd(), chain)) {
+      failure = split(max_seq);
+    } else {
+      rungs_.clear();
+      seqs_.clear();
+      failure = "the base: unreadable file";
     }
-
-    const std::uint64_t tip = listed_[first].seq;
-    // Materialize the tip's chain, newest to oldest, via base_seq links,
-    // reading rung i of chain_ into read_[i].
-    chain_.clear();
-    std::string tip_failure;
-    std::optional<std::uint64_t> broken;
-    const ListedRung* cursor = &listed_[first];
     for (;;) {
-      if (read_.size() == chain_.size()) read_.emplace_back();
-      std::string& bytes = read_[chain_.size()];
-      support::DiagnosticSink probe;
-      BinarySnapshotInfo info;
-      if (!read_rung(directory.fd(), cursor->seq, cursor->inode, bytes)) {
-        broken = cursor->seq;
-        tip_failure = "unreadable file";
-        break;
+      if (!failure.empty()) quarantine(chain, std::move(failure), sink);
+      if (rungs_.empty()) break;
+      // The decode is a function of the rung bytes alone: rungs that read
+      // back byte for byte as the remembered ones get the remembered image.
+      const std::string_view bytes(file_.data(), static_cast<std::size_t>(
+                                                     rungs_.back().data() + rungs_.back().size() -
+                                                     file_.data()));
+      const bool reused = decoded_.base == chain.base && decoded_.bytes == bytes;
+      if (!reused) {
+        support::DiagnosticSink attempt;
+        std::size_t bad = 0;
+        // The image is replaced only on success, so the memo stays whole.
+        if (!image_from_binary_chain(rungs_, decoded_.image, attempt, &bad)) {
+          failure = "rung " + std::to_string(seqs_[bad]) + ": " + attempt.str();
+          rungs_.resize(bad);
+          seqs_.resize(bad);
+          continue;
+        }
+        decoded_.base = chain.base;
+        decoded_.bytes.assign(bytes);
       }
-      if (!read_binary_info(bytes, info, probe)) {
-        broken = cursor->seq;
-        tip_failure = probe.str();
-        break;
-      }
-      chain_.push_back(cursor->seq);
-      if (!info.delta) break;  // Reached the full base.
-      const auto base = std::find_if(
-          listed_.begin(), listed_.end(),
-          [&info](const ListedRung& rung) { return rung.seq == info.base_seq; });
-      if (base == listed_.end() || chain_.size() > listed_.size()) {
-        // The base was lost, quarantined, or the links cycle; nothing this
-        // delta chains to can be trusted, so the tip itself steps aside.
-        broken = tip;
-        tip_failure = "delta " + std::to_string(info.seq) + " needs base checkpoint " +
-                      std::to_string(info.base_seq) + ", which is missing";
-        break;
-      }
-      cursor = &*base;
-    }
-    if (broken) {
-      quarantine(*broken, std::move(tip_failure), sink);
-      continue;
-    }
-
-    // The decode is a function of the rung bytes alone: a chain that read
-    // back byte for byte as the remembered one (kept oldest first) gets the
-    // remembered image.
-    const std::size_t length = chain_.size();
-    bool reused = length == decoded_.seqs.size();
-    for (std::size_t i = 0; reused && i < length; ++i) {
-      const std::size_t remembered = length - 1 - i;
-      reused = chain_[i] == decoded_.seqs[remembered] && read_[i] == decoded_.rungs[remembered];
-    }
-    if (!reused) {
-      // Forget the remembered chain; its rung buffers are swapped into
-      // read_ below for the next pass.
-      decoded_.seqs.clear();
-      decoded_.image = {};
-      // Oldest first for the decoder, which validates the chain in one
-      // pass and names the rung a failure belongs to.
-      const std::vector<std::string_view> oldest_first(read_.rend() - length, read_.rend());
-      support::DiagnosticSink attempt;
-      std::size_t failed = 0;
-      if (!image_from_binary_chain(oldest_first, decoded_.image, attempt, &failed)) {
-        close_held_if([](const HeldRung&) { return true; });
-        quarantine(chain_[length - 1 - failed], attempt.str(), sink);
+      support::DiagnosticSink apply_sink;
+      if (!apply_image(targets, decoded_.image, apply_sink)) {
+        failure = "rung " + std::to_string(seqs_.back()) + ": restore failed: " + apply_sink.str();
+        rungs_.pop_back();
+        seqs_.pop_back();
         continue;
       }
-      decoded_.seqs.assign(chain_.rbegin(), chain_.rend());
-      decoded_.rungs.resize(length);
-      for (std::size_t i = 0; i < length; ++i) decoded_.rungs[i].swap(read_[length - 1 - i]);
+      targets.kernel->note_snapshot_restore(elapsed_ns(started));
+      // The restored chain stays held and is appended to no more: the next
+      // checkpoint starts a new chain, numbered above every rung on disk.
+      appending_ = false;
+      encoder_.resume_after(seqs_.back());
+      renumber_ = true;
+      ++stats_.restores;
+      if (reused) ++stats_.reused_decodes;
+      stats_.restored_seq = seqs_.back();
+      sink.note("checkpoint-store", "restored checkpoint " + std::to_string(stats_.restored_seq) +
+                                        " (chain of " + std::to_string(seqs_.size()) + ")");
+      return true;
     }
-
-    support::DiagnosticSink apply_sink;
-    if (!apply_image(targets, decoded_.image, apply_sink)) {
-      quarantine(decoded_.seqs.back(), "restore failed: " + apply_sink.str(), sink);
-      continue;
-    }
-    // Keep exactly the restored chain's rungs open.
-    close_held_if([this](const HeldRung& held) {
-      return std::find(chain_.begin(), chain_.end(), held.seq) == chain_.end();
-    });
-    targets.kernel->note_snapshot_restore(elapsed_ns(started));
-    // Later checkpoints start a new chain numbered above every rung on disk.
-    encoder_.resume_after(listed_.front().seq);
-    ++stats_.restores;
-    if (reused) ++stats_.reused_decodes;
-    stats_.restored_seq = decoded_.seqs.back();
-    sink.note("checkpoint-store",
-              "restored checkpoint " + std::to_string(stats_.restored_seq) + " (chain of " +
-                  std::to_string(decoded_.seqs.size()) + ")");
-    return true;
   }
+  sink.error("checkpoint-store",
+             "no restorable checkpoint in " + config_.directory.string() +
+                 (max_seq == kNoLimit ? "" : " at or below seq " + std::to_string(max_seq)) +
+                 " (" + std::to_string(quarantined_.size()) + " quarantined)");
+  return false;
 }
 
 }  // namespace umlsoc::replay

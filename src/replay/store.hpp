@@ -4,76 +4,89 @@
 // CheckpointStore rotates binary snapshots (replay/binary.hpp) in a
 // directory: every `full_interval`-th checkpoint is a full snapshot (a
 // chain base), the ones between are dirty-section deltas chained to their
-// predecessor. Files are written atomically — payload to a `.tmp` sibling,
-// then renamed into place — so a process that dies mid-write leaves either
-// the old state or a stray `.tmp` the scanner ignores, never a
-// half-visible checkpoint under its final name. That covers process death
-// only: nothing calls fsync, so a power loss or kernel crash can still
-// lose or tear a renamed rung (ROADMAP item 7).
+// predecessor. Each chain is one append-only file, `<prefix>-NNNNNNNN.usnap`
+// named by its base's seq (the low eight decimal digits): a base creates
+// the file (replacing one of that name) and every delta is one append of
+// its rung bytes to it, through the descriptor the store keeps open. A
+// chain file is its rungs back to back, each exactly the bytes a
+// standalone snapshot of that seq would hold.
 //
-// Recovery walks the ladder: restore_latest_good() materializes the newest
-// checkpoint's chain and validates every rung (header, per-section
-// checksums, chain links, payload decodes) before anything is applied.
-// Each pass of a restore opens the directory once and works relative to
-// that descriptor: it lists the directory with readdir (other processes
-// may write it), matching rung names without building paths and noting
-// the inode each name links to, and reads every rung of the chain in full
-// into buffers the store keeps (see "Held rung files" below for how). The
-// rung bytes go to the one-pass chain decoder (image_from_binary_chain),
-// which names the rung a failure belongs to. A corrupt, truncated or
-// version-skewed file is *quarantined* — renamed to `<name>.quarantined`
-// and recorded with its structured diagnostics — and the ladder steps down
-// to the next older checkpoint until one restores or the directory is
-// exhausted. Supervision warm restarts ride on this: a supervisor restart
-// callback that calls restore_latest_good() recovers the newest state that
-// still checks out. After a successful restore the next checkpoint starts
-// a new chain, numbered above every rung the restore's own directory scan
-// found.
+// No rename makes a rung visible; the checksums make a torn one safe. A
+// process that dies mid-append leaves a rung cut short, and a reader
+// finds every rung's end from its header and frame lengths and proves it
+// with the frame checksums and the trailer (binary_rung_size, then the
+// chain decode), so a cut or scribbled rung is caught where it starts and
+// everything before it still restores. Every delta depends on the rung
+// before it, so a bad rung takes the rest of its chain with it anyway.
+// That covers process death only: nothing calls fsync, so a power loss or
+// kernel crash can still lose or reorder appends the page cache held
+// (ROADMAP item 7).
 //
-// Decode reuse: the store remembers the chain its last successful restore
-// decoded — rung seqs, the rung bytes that passed every check, and the
-// decoded image. A later restore still lists the directory, reads every
-// rung of its chain and checks every header; when the chain it read has
-// the same seqs and every rung is byte-for-byte equal to the remembered
-// bytes, it applies the remembered image instead of decoding again
-// (Stats::reused_decodes counts these). The decode is a pure function of
-// those bytes, and the key is the bytes read from disk in that same pass,
-// so nothing on disk is trusted without being read: a new rung, a prune, a
-// quarantine, an in-place bit flip or another process's write reads back
-// differently and decodes afresh. A failed decode forgets the chain. The
-// store holds one chain; root-cause probes, which restore the same
-// last-good chain over and over, are the pattern this serves.
+// Recovery walks the ladder: restore_latest_good() restores the newest
+// rung that still checks out. A restore pass opens the directory once,
+// lists it with readdir (other processes may write it), matching chain
+// names without building paths and noting the inode each name links to,
+// and then goes through the chain files newest first. It reads a file in
+// full into a buffer the store keeps, splits it into rungs (parsing each
+// rung's header once) and hands them to the one-pass chain decoder
+// (image_from_binary_chain), which names the rung a failure belongs to. A
+// bad rung past the base is *quarantined* by truncating its file there,
+// and the rung before it restores; a bad base sets the whole file aside,
+// renamed to `<name>.quarantined`, and the walk goes on to the next older
+// file. Either way one QuarantineRecord names the file and the rung, with
+// its structured diagnostics. restore_to(seq) splits a chain only up to
+// `seq` and skips chain files based above it, so it never judges, cuts or
+// renames a rung above its target. Supervision warm restarts ride on
+// this: a supervisor restart callback that calls restore_latest_good()
+// recovers the newest state that still checks out. After a successful
+// restore the next checkpoint starts a new chain, numbered above every
+// rung on disk: that checkpoint reads the newest chain file to learn its
+// last seq, which a rewind leaves unread.
 //
-// Held rung files: the store also keeps each rung of the remembered chain
-// open (read-only, close-on-exec) with the inode it was opened on, and a
-// later pass reads a rung through that descriptor (one fstat and one pread
-// from offset 0) when its own listing shows the same inode under the
-// rung's name; otherwise it opens the name (openat, fstat, pread, close)
-// and keeps the descriptor only when its st_ino equals the listed inode.
-// An open descriptor pins its inode, so no other file can take that number
-// while the store holds it: an equal inode means the name still links to
-// that very file. An in-place write or truncation is read by the pread; a
-// rename over the name, a delete or a recreate lists a new inode and the
-// name is opened afresh. Where a file system's d_ino differs from st_ino
-// no descriptor is kept and every rung is opened by name. Either way every
-// rung is read in full in every pass, and the decode key is the bytes that
-// pass read. Lifetime: after a successful restore the store holds exactly
-// the restored chain's descriptors and closes every other; a failed
-// decode or an exhausted ladder closes them all, a quarantine or a prune
-// of a rung closes its descriptor, and so does the destructor. So between
-// calls a store holds at most one chain's rungs open, and it is not
-// copyable.
+// Decode reuse: the store remembers the chain file its last successful
+// restore decoded, the bytes of the rungs it restored and the decoded
+// image. A later restore still lists the directory, reads the chain file
+// and splits it; when it is the same chain file and the rungs it split
+// are byte-for-byte the remembered bytes, it applies the remembered image
+// instead of decoding again (Stats::reused_decodes counts these). The
+// decode is a pure function of those bytes, and the key is the bytes read
+// from disk in that same pass, so nothing on disk is trusted without being
+// read: a new rung, a prune, a quarantine, an in-place bit flip or another
+// process's write reads back differently and decodes afresh. Only a
+// successful decode replaces the image, so the memo always holds the
+// decode of its bytes. Root-cause probes, which restore the same last-good
+// chain over and over, are the pattern this serves.
+//
+// The held descriptor: the store keeps one chain file open between calls
+// (close-on-exec): the chain it appends to, from the base that creates it,
+// or else the chain file it last read, which after a successful restore is
+// the restored chain. A pass reads a chain file through that descriptor
+// (one fstat and one pread from offset 0) when its own listing shows the
+// same inode under the file's name; otherwise it closes it, opens the name
+// (openat, fstat, pread) and holds the new descriptor if its st_ino equals
+// the listed inode. An open descriptor pins its inode, so no other file
+// can take that number while the store holds it: an equal inode means the
+// name still links to that very file. An append, truncation or in-place
+// write is read by the pread; a rename over the name, a delete or a
+// recreate lists a new inode and the name is opened afresh. Where a file
+// system's d_ino differs from st_ino no descriptor is reused. Either way
+// the file is read in full in every pass, and the decode key is the bytes
+// that pass read. Setting a file aside closes its descriptor, a base
+// replaces it with the new chain's, and the destructor closes it; the
+// store is not copyable.
 //
 // Fault injection: an installed FaultPlan is consulted once per write at
-// FaultSite::kCheckpoint. kError tears the file (half written), kBitFlip
-// flips one bit, kDropResponse models a crash before the rename (the tmp
-// file never lands). The chaos soak drives exactly these paths and expects
-// every seed to recover through the ladder.
+// FaultSite::kCheckpoint. kError tears the rung (half of it appended),
+// kBitFlip flips one bit, kDropResponse loses it (nothing appended; a lost
+// base still creates its file, empty, so that chain never restores). The
+// chaos soak drives exactly these paths and expects every seed to recover
+// through the ladder.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "replay/binary.hpp"
@@ -89,8 +102,8 @@ struct CheckpointStoreConfig {
   /// Every Nth checkpoint is a full snapshot (chain base); must be >= 1.
   /// 1 makes every checkpoint full (no deltas).
   unsigned full_interval = 8;
-  /// Full bases retained. Rotation deletes everything older than the
-  /// oldest retained full, so every surviving delta always has its base.
+  /// Full bases retained. Rotation deletes every chain file older than the
+  /// oldest retained base, so every surviving delta always has its base.
   unsigned keep_fulls = 2;
 };
 
@@ -99,16 +112,16 @@ class CheckpointStore {
   struct WriteResult {
     std::uint64_t seq = 0;
     bool delta = false;
-    bool torn = false;     ///< Injected kError: file truncated to half.
-    bool lost = false;     ///< Injected kDropResponse: never renamed into place.
+    bool torn = false;     ///< Injected kError: half the rung appended.
+    bool lost = false;     ///< Injected kDropResponse: nothing appended.
     bool flipped = false;  ///< Injected kBitFlip: one bit corrupted.
     std::size_t bytes = 0;
-    std::filesystem::path path;
+    std::filesystem::path path;  ///< The chain file the rung went to.
   };
 
   struct QuarantineRecord {
-    std::filesystem::path path;
-    std::string reason;  ///< Structured diagnostics from the failed validation.
+    std::filesystem::path path;  ///< The chain file, as named before any rename.
+    std::string reason;  ///< The bad rung and the diagnostics of its failed validation.
   };
 
   struct Stats {
@@ -120,13 +133,12 @@ class CheckpointStore {
     std::uint64_t quarantines = 0;
     std::uint64_t restores = 0;
     std::uint64_t restored_seq = 0;  ///< Seq of the last successful restore.
-    std::uint64_t pruned = 0;        ///< Files deleted by rotation.
-    std::uint64_t tmp_swept = 0;     ///< Stray tmp files removed at open.
+    std::uint64_t pruned = 0;        ///< Chain files deleted by rotation.
     /// Restores that applied the remembered image of a byte-identical chain
     /// instead of decoding it again (counted in `restores` too).
     std::uint64_t reused_decodes = 0;
-    /// Rung reads served through a descriptor the store held from an
-    /// earlier read instead of opening the rung's name.
+    /// Chain file reads served through the descriptor the store held from
+    /// an earlier write or read instead of opening the file's name.
     std::uint64_t held_reads = 0;
   };
 
@@ -146,11 +158,11 @@ class CheckpointStore {
   [[nodiscard]] bool checkpoint(const SnapshotTargets& targets, WriteResult& out,
                                 support::DiagnosticSink& sink);
 
-  /// Walks the ladder newest-to-oldest: validates each checkpoint's full
-  /// chain, quarantines every file that fails (structured reason recorded),
-  /// and applies the newest chain that survives. Returns false only when no
-  /// restorable checkpoint remains; quarantine events along the way surface
-  /// as warnings on `sink`, terminal failure as an error. On success the
+  /// Walks the ladder newest-to-oldest: validates each chain file's rungs,
+  /// quarantines what fails (structured reason recorded), and applies the
+  /// newest rung that survives. Returns false only when no restorable
+  /// checkpoint remains; quarantine events along the way surface as
+  /// warnings on `sink`, terminal failure as an error. On success the
   /// encoder chain is reset and numbering resumes above the newest rung on
   /// disk, so later checkpoints never overwrite or sort below a survivor.
   [[nodiscard]] bool restore_latest_good(const SnapshotTargets& targets,
@@ -159,8 +171,9 @@ class CheckpointStore {
   /// Time travel: restores the newest checkpoint whose sequence is <= `seq`
   /// (exactly `seq` when that rung survives on disk), materializing its
   /// full+delta chain with the same validation and quarantine behavior as
-  /// restore_latest_good, including the encoder reset on success. Returns
-  /// false when no rung at or below `seq` restores.
+  /// restore_latest_good, including the encoder reset on success. Rungs
+  /// above `seq` are neither read nor changed. Returns false when no rung
+  /// at or below `seq` restores.
   [[nodiscard]] bool restore_to(std::uint64_t seq, const SnapshotTargets& targets,
                                 support::DiagnosticSink& sink);
 
@@ -171,48 +184,40 @@ class CheckpointStore {
   [[nodiscard]] const CheckpointStoreConfig& config() const { return config_; }
 
  private:
-  /// The chain the last successful restore decoded, oldest first.
+  /// A chain file found by one listing: its base seq and the inode its
+  /// name linked to then.
+  struct ListedChain {
+    std::uint64_t base = 0;
+    std::uint64_t inode = 0;
+  };
+
+  /// What the last successful decode read and made of it.
   struct DecodedChain {
-    std::vector<std::uint64_t> seqs;
-    std::vector<std::string> rungs;  ///< File bytes, parallel to `seqs`.
+    std::uint64_t base = 0;  ///< The chain file's base seq.
+    std::string bytes;       ///< The rungs decoded, as read from that file.
     SnapshotImage image;
   };
 
-  /// A checkpoint file found by one listing: its seq and the inode its name
-  /// linked to then.
-  struct ListedRung {
-    std::uint64_t seq = 0;
-    std::uint64_t inode = 0;
-  };
-
-  /// A rung file kept open across restores, and the inode it was opened on.
-  struct HeldRung {
-    std::uint64_t seq = 0;
-    std::uint64_t inode = 0;
-    int fd = -1;
-  };
-
-  [[nodiscard]] std::filesystem::path path_for(std::uint64_t seq) const;
+  [[nodiscard]] std::filesystem::path path_for(std::uint64_t base) const;
   /// Shared ladder walk: restores the newest rung with seq <= max_seq.
   [[nodiscard]] bool restore_ladder(std::uint64_t max_seq, const SnapshotTargets& targets,
                                     support::DiagnosticSink& sink);
-  /// Reads rung `seq`, listed with `inode`, in full into `out`: through its
-  /// held descriptor when that was opened on `inode`, else by opening its
-  /// name relative to `directory_fd` (holding the new descriptor when its
-  /// inode is `inode`).
-  [[nodiscard]] bool read_rung(int directory_fd, std::uint64_t seq, std::uint64_t inode,
-                               std::string& out);
-  /// Closes the held descriptors whose rung `drop` selects.
-  template <typename Drop>
-  void close_held_if(Drop&& drop);
-  void quarantine(std::uint64_t seq, std::string reason, support::DiagnosticSink& sink);
+  /// Reads chain file `chain` in full into `file_`: through the held
+  /// descriptor when it holds the listed inode, else by opening the name
+  /// relative to `directory_fd`, which then becomes the held descriptor if
+  /// its inode is the listed one.
+  [[nodiscard]] bool read_chain(int directory_fd, const ListedChain& chain);
+  /// Splits `file_` into `rungs_` and `seqs_`, from its base up to the rung
+  /// `max_seq`. Returns why the rung after them cannot be delimited, or ""
+  /// when the split ended at `max_seq` or the end of the file.
+  [[nodiscard]] std::string split(std::uint64_t max_seq);
+  /// Quarantines every rung of `chain` after `rungs_`: truncates the file
+  /// after them or, with `rungs_` empty, sets the file aside.
+  void quarantine(const ListedChain& chain, std::string reason, support::DiagnosticSink& sink);
   void prune(support::DiagnosticSink& sink);
-  /// Deletes stray `*.tmp` siblings left by a crashed (or SIGKILLed) writer.
-  /// Called at open: by then any previous owner of the directory is dead —
-  /// the process pool reaps a worker before re-dispatching its seed — so a
-  /// surviving tmp is garbage by definition, and sweeping it keeps crashed
-  /// runs from accumulating junk the scanner must skip forever.
-  void sweep_stray_tmps();
+  /// Raises the numbering above the newest chain file's last readable rung.
+  void number_above_disk();
+  void close_chain();
 
   CheckpointStoreConfig config_;
   IncrementalEncoder encoder_;
@@ -221,14 +226,20 @@ class CheckpointStore {
   std::vector<std::uint64_t> fulls_;    ///< Seqs of retained full snapshots, ascending.
   std::vector<QuarantineRecord> quarantined_;
   DecodedChain decoded_;  ///< Empty until a restore decodes a chain.
-  /// Open rung files; between calls, at most the rungs of `decoded_`.
-  std::vector<HeldRung> held_;
-  /// Per-pass scratch, kept so that a pass allocates nothing per rung: the
-  /// listing, the chain's seqs tip first, the rung bytes read in that order
-  /// and the name of the rung being opened.
-  std::vector<ListedRung> listed_;
-  std::vector<std::uint64_t> chain_;
-  std::vector<std::string> read_;
+  /// The one chain file held open, -1 for none: the chain being appended
+  /// to while `appending_`, else the chain file last read.
+  int chain_fd_ = -1;
+  std::uint64_t chain_base_ = 0;  ///< Base seq naming the held file.
+  bool appending_ = false;
+  /// Set by a restore: the next checkpoint numbers above every rung on disk.
+  bool renumber_ = false;
+  /// Per-pass scratch, kept so that a warm pass allocates nothing: the
+  /// listing, the chain file's bytes, its rungs and their seqs, and the
+  /// name of the file being opened.
+  std::vector<ListedChain> chains_;
+  std::string file_;
+  std::vector<std::string_view> rungs_;
+  std::vector<std::uint64_t> seqs_;
   std::string name_;
   Stats stats_;
 };

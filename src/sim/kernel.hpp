@@ -235,7 +235,7 @@ class Kernel {
     std::uint64_t sections_total = 0;   ///< Sections considered across all encodes.
     std::uint64_t encode_wall_ns = 0;   ///< Host time spent serializing.
     std::uint64_t restore_wall_ns = 0;  ///< Host time spent decoding + applying.
-    std::uint64_t store_wall_ns = 0;    ///< Host time writing, renaming, pruning rungs.
+    std::uint64_t store_wall_ns = 0;    ///< Host time creating, appending, pruning chains.
   };
 
   /// Scheduler observability counters (monotonic over the kernel's life).

@@ -337,8 +337,8 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   // The coordinator ticks about 1000 times within the horizon, so it writes
   // fewer bases than this and the clean base never rotates out.
   ladder_config.keep_fulls = 1000;
-  // The corruption plan injects checkpoint-path faults (torn files, lost
-  // renames, bit-flips) at FaultSite::kCheckpoint. It is deliberately NOT a
+  // The corruption plan injects checkpoint-path faults (torn rungs, lost
+  // appends, bit-flips) at FaultSite::kCheckpoint. It is deliberately NOT a
   // snapshot target, so the reference's own determinism is unperturbed.
   sim::FaultPlan corruption(seed ^ 0xC0FFEEULL);
   sim::FaultPlan::SiteConfig checkpoint_faults;
@@ -367,6 +367,7 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   if (!reference.store.checkpoint(reference.targets(), written, store_sink)) {
     return "clean base checkpoint failed: " + store_sink.str();
   }
+  const std::uintmax_t clean_base_bytes = written.bytes;
   reference.store.install_fault_plan(&corruption);
   std::string snapshot;
   if (!run_to_save_point(reference, snapshot)) return "reference found no save point";
@@ -420,15 +421,24 @@ std::string soak_seed_legs(const Model& model, const fleet::RigJob& job,
   }
 
   // --- Ladder twin -----------------------------------------------------------
-  // Crash-style corruption of the newest surviving rung first. Skipped when
-  // only the clean base landed: tearing the sole rung would make recovery
-  // impossible by construction, not by bug.
-  std::vector<fs::path> rungs;
+  // Crash-style tear of the newest rung first: the last byte of the newest
+  // chain file holding a rung, its trailer's, is cut off. (A lost base
+  // leaves its chain file empty.) Skipped when only the clean base landed:
+  // tearing the sole rung would make recovery impossible by construction,
+  // not by bug.
+  std::vector<fs::path> chains;
   for (const auto& entry : fs::directory_iterator(ladder_config.directory, ec)) {
-    if (entry.path().extension() == ".usnap") rungs.push_back(entry.path());
+    if (entry.path().extension() == ".usnap" && entry.file_size(ec) > 0) {
+      chains.push_back(entry.path());
+    }
   }
-  std::sort(rungs.begin(), rungs.end());  // Zero-padded names: seq order.
-  if (rungs.size() > 1) fs::resize_file(rungs.back(), fs::file_size(rungs.back(), ec) / 2, ec);
+  std::sort(chains.begin(), chains.end());  // Zero-padded names: seq order.
+  if (!chains.empty()) {
+    const std::uintmax_t newest_bytes = fs::file_size(chains.back(), ec);
+    if (chains.size() > 1 || newest_bytes > clean_base_bytes) {
+      fs::resize_file(chains.back(), newest_bytes - 1, ec);
+    }
+  }
   DegradedRig ladder(model, faults, seed, sink, ladder_config);
   support::DiagnosticSink recover_sink;
   if (!ladder.store.restore_latest_good(ladder.targets(), recover_sink)) {

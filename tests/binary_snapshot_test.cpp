@@ -2,11 +2,12 @@
 // section kind, a mutation-fuzz corpus for the binary decoder (truncation,
 // bit-flips, replaced/erased/inserted bytes, duplicated sections, version
 // skew), incremental delta chains, and the CheckpointStore recovery ladder
-// (corrupt/version-skewed/missing files quarantined, write faults injected
-// through FaultSite::kCheckpoint, a store reusing its last decode only
-// while the chain reads back byte-identical, and the rung descriptors it
-// holds: reused only for the inode they were opened on, at most one chain
-// of them, none left on a quarantined or pruned rung).
+// over one append-only file per chain (a corrupt, version-skewed or missing
+// rung cut off its chain, a bad base's file set aside, write faults
+// injected through FaultSite::kCheckpoint, a store reusing its last decode
+// only while the chain reads back byte-identical, and the one chain file
+// descriptor it holds: reused only for the inode it was opened on, never
+// left on a set-aside or pruned file).
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -766,6 +767,45 @@ TEST_F(BinarySnapshotTest, ChainFailureNamesTheRungThatCausedIt) {
       << base_attempt.str();
 }
 
+TEST_F(BinarySnapshotTest, RungSizeDelimitsEachSnapshotOfAChainFile) {
+  // Two snapshots back to back, as a chain file holds its rungs: the size
+  // of the first is found from its own bytes, whatever follows it.
+  FullRig source(*machine_);
+  IncrementalEncoder encoder;
+  support::DiagnosticSink sink;
+  std::string chain;
+  std::vector<std::size_t> sizes;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    source.run(kMidRunPs + 20000 * i);
+    IncrementalEncoder::Result result;
+    ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/i == 0, result, sink))
+        << sink.str();
+    sizes.push_back(result.bytes.size());
+    chain += result.bytes;
+  }
+  BinarySnapshotInfo info;
+  EXPECT_EQ(binary_rung_size(chain, info, sink), sizes[0]) << sink.str();
+  EXPECT_EQ(info.seq, 1u);
+  EXPECT_EQ(binary_rung_size(std::string_view(chain).substr(sizes[0]), info, sink), sizes[1]);
+  EXPECT_TRUE(info.delta);
+
+  // Cut short, the second rung has no size but still names its seq.
+  support::DiagnosticSink torn;
+  const std::string_view half = std::string_view(chain).substr(sizes[0], sizes[1] / 2);
+  EXPECT_EQ(binary_rung_size(half, info, torn), 0u);
+  EXPECT_EQ(info.seq, 2u);
+  EXPECT_NE(torn.str().find("no end-of-file trailer"), std::string::npos) << torn.str();
+
+  // A header that fails its checksum names nothing.
+  std::string flipped = chain;
+  flipped[12] ^= 0x01;  // In the seq.
+  support::DiagnosticSink bad_header;
+  EXPECT_EQ(binary_rung_size(flipped, info, bad_header), 0u);
+  EXPECT_EQ(info.seq, 0u);
+  EXPECT_NE(bad_header.str().find("header checksum mismatch"), std::string::npos)
+      << bad_header.str();
+}
+
 // --- CheckpointStore ---------------------------------------------------------
 
 bool read_file(const std::filesystem::path& path, std::string& out) {
@@ -795,7 +835,7 @@ std::vector<std::string> open_descriptor_links() {
 }
 
 /// Open descriptors whose link ends in `.quarantined` or ` (deleted)`.
-std::vector<std::string> descriptors_on_dead_rungs() {
+std::vector<std::string> descriptors_on_dead_chains() {
   std::vector<std::string> dead;
   for (const std::string& link : open_descriptor_links()) {
     if (link.ends_with(".quarantined") || link.ends_with(" (deleted)")) dead.push_back(link);
@@ -809,13 +849,38 @@ std::uint64_t inode_of(const std::filesystem::path& path) {
   return status.st_ino;
 }
 
-std::vector<std::filesystem::path> snapshot_files(const std::filesystem::path& dir) {
+/// The chain files in `dir`, oldest first.
+std::vector<std::filesystem::path> chain_files(const std::filesystem::path& dir) {
   std::vector<std::filesystem::path> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() == ".usnap") files.push_back(entry.path());
   }
   std::sort(files.begin(), files.end());  // Zero-padded names: seq order.
   return files;
+}
+
+/// The rungs of chain file `path`, delimited as the store delimits them, up
+/// to the first that cannot be.
+std::vector<std::string> rungs_of(const std::filesystem::path& path) {
+  std::string bytes;
+  EXPECT_TRUE(read_file(path, bytes)) << path;
+  std::vector<std::string> rungs;
+  for (std::string_view rest = bytes; !rest.empty();) {
+    BinarySnapshotInfo info;
+    support::DiagnosticSink sink;
+    const std::size_t size = binary_rung_size(rest, info, sink);
+    if (size == 0) break;
+    rungs.emplace_back(rest.substr(0, size));
+    rest.remove_prefix(size);
+  }
+  return rungs;
+}
+
+/// Rewrites chain file `path` in place to hold `rungs` back to back.
+bool write_chain(const std::filesystem::path& path, const std::vector<std::string>& rungs) {
+  std::string bytes;
+  for (const std::string& rung : rungs) bytes += rung;
+  return write_file(path, bytes);
 }
 
 class CheckpointStoreTest : public ::testing::Test {
@@ -870,7 +935,13 @@ TEST_F(CheckpointStoreTest, RestoreLatestGoodContinuesBitIdentically) {
   EXPECT_EQ(store.stats().checkpoints, 5u);
   EXPECT_EQ(store.stats().fulls, 2u) << "full cadence: seq 1 and 4";
   EXPECT_EQ(store.stats().deltas, 3u);
-  EXPECT_EQ(snapshot_files(dir_).size(), 5u);
+  // One file per chain, named by its base: rungs 1..3 and 4..5.
+  const std::vector<std::filesystem::path> files = chain_files(dir_);
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(files[0].filename().string(), "ckpt-00000001.usnap");
+  EXPECT_EQ(files[1].filename().string(), "ckpt-00000004.usnap");
+  EXPECT_EQ(rungs_of(files[0]).size(), 3u);
+  EXPECT_EQ(rungs_of(files[1]).size(), 2u);
 
   // A fresh store instance recovers purely from the on-disk ladder.
   FullRig restored(*machine_);
@@ -892,13 +963,13 @@ TEST_F(CheckpointStoreTest, LadderStepsPastCorruptNewest) {
   CheckpointStore store(config());
   write_checkpoints(source, store, 5);
 
-  // Tear the newest checkpoint in half, as a crash mid-write would.
-  const std::vector<std::filesystem::path> files = snapshot_files(dir_);
-  ASSERT_EQ(files.size(), 5u);
-  std::string bytes;
-  ASSERT_TRUE(read_file(files.back(), bytes));
-  bytes.resize(bytes.size() / 2);
-  ASSERT_TRUE(write_file(files.back(), bytes));
+  // Tear the newest rung in half, as a crash mid-append would.
+  const std::vector<std::filesystem::path> files = chain_files(dir_);
+  ASSERT_EQ(files.size(), 2u);
+  std::vector<std::string> rungs = rungs_of(files.back());
+  ASSERT_EQ(rungs.size(), 2u);
+  rungs.back().resize(rungs.back().size() / 2);
+  ASSERT_TRUE(write_chain(files.back(), rungs));
 
   FullRig restored(*machine_);
   CheckpointStore recovery(config());
@@ -908,6 +979,10 @@ TEST_F(CheckpointStoreTest, LadderStepsPastCorruptNewest) {
   EXPECT_EQ(recovery.stats().restored_seq, 4u) << "one rung down the ladder";
   ASSERT_EQ(recovery.quarantined().size(), 1u);
   EXPECT_EQ(recovery.quarantined().front().path, files.back());
+  EXPECT_NE(recovery.quarantined().front().reason.find("rung 5: "), std::string::npos)
+      << recovery.quarantined().front().reason;
+  EXPECT_EQ(std::filesystem::file_size(files.back()), rungs.front().size())
+      << "the torn rung is cut off its chain";
 
   restored.run();
   expect_same_outcome(restored, reference, reference_log);
@@ -918,11 +993,11 @@ TEST_F(CheckpointStoreTest, VersionSkewedCheckpointIsQuarantined) {
   CheckpointStore store(config());
   write_checkpoints(source, store, 5);
 
-  const std::vector<std::filesystem::path> files = snapshot_files(dir_);
-  std::string bytes;
-  ASSERT_TRUE(read_file(files.back(), bytes));
-  patch_version(bytes, static_cast<std::uint32_t>(kSnapshotVersion) + 1);
-  ASSERT_TRUE(write_file(files.back(), bytes));
+  const std::vector<std::filesystem::path> files = chain_files(dir_);
+  std::vector<std::string> rungs = rungs_of(files.back());
+  ASSERT_EQ(rungs.size(), 2u);
+  patch_version(rungs.back(), static_cast<std::uint32_t>(kSnapshotVersion) + 1);
+  ASSERT_TRUE(write_chain(files.back(), rungs));
 
   FullRig restored(*machine_);
   CheckpointStore recovery(config());
@@ -940,12 +1015,11 @@ TEST_F(CheckpointStoreTest, ExhaustedLadderReportsAndFailsHealth) {
   CheckpointStore store(config());
   write_checkpoints(source, store, 5);
 
-  // Flip a bit in the middle of every checkpoint: nothing is restorable.
-  for (const std::filesystem::path& path : snapshot_files(dir_)) {
-    std::string bytes;
-    ASSERT_TRUE(read_file(path, bytes));
-    bytes[bytes.size() / 2] ^= 0x10;
-    ASSERT_TRUE(write_file(path, bytes));
+  // Flip a bit in the middle of every rung: nothing is restorable.
+  for (const std::filesystem::path& path : chain_files(dir_)) {
+    std::vector<std::string> rungs = rungs_of(path);
+    for (std::string& rung : rungs) rung[rung.size() / 2] ^= 0x10;
+    ASSERT_TRUE(write_chain(path, rungs));
   }
 
   FullRig restored(*machine_);
@@ -953,8 +1027,9 @@ TEST_F(CheckpointStoreTest, ExhaustedLadderReportsAndFailsHealth) {
   support::DiagnosticSink sink;
   EXPECT_FALSE(recovery.restore_latest_good(restored.targets(), sink));
   EXPECT_NE(sink.str().find("no restorable checkpoint"), std::string::npos) << sink.str();
-  EXPECT_EQ(recovery.quarantined().size(), 5u) << "every file steps aside with a reason";
-  EXPECT_TRUE(snapshot_files(dir_).empty()) << "quarantined files leave the scan set";
+  EXPECT_EQ(recovery.quarantined().size(), 2u)
+      << "every chain file's base fails, so every file steps aside with a reason";
+  EXPECT_TRUE(chain_files(dir_).empty()) << "set-aside files leave the listing";
   // The victim rig was never touched: it can still run from scratch.
   restored.run();
   EXPECT_EQ(restored.ticks, FullRig::kTicks);
@@ -969,11 +1044,11 @@ TEST_F(CheckpointStoreTest, RotationPrunesOldChainsAndKeepsBases) {
   CheckpointStore store(config(/*full_interval=*/2, /*keep_fulls=*/2));
   write_checkpoints(source, store, 12);
 
-  // Fulls at seq 1,3,5,7,9,11; retaining two keeps {9,11}, so only seq
-  // 9..12 survive and every surviving delta still has its base on disk.
-  const std::vector<std::filesystem::path> files = snapshot_files(dir_);
-  EXPECT_EQ(files.size(), 4u);
-  EXPECT_EQ(store.stats().pruned, 8u);
+  // Bases at seq 1,3,5,7,9,11; retaining two keeps chains 9 and 11, so only
+  // seq 9..12 survive and every surviving delta still has its base on disk.
+  const std::vector<std::filesystem::path> files = chain_files(dir_);
+  EXPECT_EQ(files.size(), 2u);
+  EXPECT_EQ(store.stats().pruned, 4u) << "whole chain files are deleted";
   EXPECT_EQ(files.front().filename().string(), "ckpt-00000009.usnap");
 
   FullRig restored(*machine_);
@@ -1015,13 +1090,53 @@ TEST_F(CheckpointStoreTest, InjectedWriteFaultsRecoverViaLadder) {
   expect_same_outcome(restored, reference, reference_log);
 }
 
+// A lost base creates its chain file empty and the chain's deltas land in
+// it, with nothing to resolve against: that chain never restores. Nor does
+// the lost base count as a retained one, or rotation would delete the last
+// chain that does restore.
+TEST_F(CheckpointStoreTest, LostBaseChainNeverRestoresAndIsNotARetainedBase) {
+  FullRig source(*machine_);
+  CheckpointStore store(config(/*full_interval=*/2, /*keep_fulls=*/2));
+  write_checkpoints(source, store, 2);
+  sim::FaultPlan drop(/*seed=*/1);
+  sim::FaultPlan::SiteConfig lose_every_write;
+  lose_every_write.drop_rate = 1.0;
+  drop.configure(sim::FaultSite::kCheckpoint, lose_every_write);
+  store.install_fault_plan(&drop);
+  write_checkpoints(source, store, 1, /*first=*/2);
+  store.install_fault_plan(nullptr);
+  const std::filesystem::path lost_chain = dir_ / "ckpt-00000003.usnap";
+  ASSERT_TRUE(std::filesystem::exists(lost_chain));
+  EXPECT_EQ(std::filesystem::file_size(lost_chain), 0u);
+  write_checkpoints(source, store, 2, /*first=*/3);  // Delta 4, base 5.
+  EXPECT_GT(std::filesystem::file_size(lost_chain), 0u) << "delta 4 is appended";
+  EXPECT_EQ(store.stats().fulls, 3u);
+  EXPECT_EQ(store.stats().pruned, 0u) << "bases 1 and 5 are the two retained";
+  ASSERT_EQ(chain_files(dir_).size(), 3u);
+
+  // Rewound to seq 4, the ladder sets chain 3 aside and lands on seq 2.
+  FullRig rewound(*machine_);
+  CheckpointStore recovery(config(2, 2));
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(recovery.restore_to(4, rewound.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().restored_seq, 2u);
+  ASSERT_EQ(recovery.quarantined().size(), 1u);
+  EXPECT_EQ(recovery.quarantined().front().path, lost_chain);
+  EXPECT_NE(recovery.quarantined().front().reason.find("is a delta"), std::string::npos)
+      << recovery.quarantined().front().reason;
+  EXPECT_FALSE(std::filesystem::exists(lost_chain));
+  FullRig at_rung_2(*machine_);
+  at_rung_2.run(kMidRunPs + 20000);
+  EXPECT_EQ(rewound.ticks, at_rung_2.ticks);
+}
+
 TEST_F(CheckpointStoreTest, StrayFilesAreIgnored) {
   FullRig source(*machine_);
   CheckpointStore store(config());
   write_checkpoints(source, store, 3);
 
-  // Leftover tmp files, foreign prefixes and malformed names must neither
-  // crash the scan nor shadow real checkpoints.
+  // Foreign files, foreign prefixes and malformed names must neither crash
+  // the listing nor shadow real chains.
   ASSERT_TRUE(write_file(dir_ / "ckpt-00000099.usnap.tmp", "half-written junk"));
   ASSERT_TRUE(write_file(dir_ / "ckpt-0000000x.usnap", "bad digits"));
   ASSERT_TRUE(write_file(dir_ / "other-00000001.usnap", "foreign prefix"));
@@ -1029,9 +1144,9 @@ TEST_F(CheckpointStoreTest, StrayFilesAreIgnored) {
   ASSERT_TRUE(write_file(dir_ / "ckpt-00000002.usnap.quarantined", "stepped aside"));
   ASSERT_TRUE(write_file(dir_ / "ckpt-0000042.usnap", "seven digits"));
   ASSERT_TRUE(write_file(dir_ / "ckpt-000000042.usnap", "nine digits"));
-  // Named like newer rungs, but not regular files: a scan that trusted
+  // Named like newer chains, but not regular files: a listing that trusted
   // names alone would open them and quarantine them. Symlinks are followed,
-  // so one to a directory and a dangling one are not rungs either.
+  // so one to a directory and a dangling one are not chains either.
   ASSERT_TRUE(std::filesystem::create_directory(dir_ / "ckpt-00000042.usnap"));
   std::filesystem::create_directory_symlink(dir_ / "ckpt-00000042.usnap",
                                             dir_ / "ckpt-00000043.usnap");
@@ -1044,6 +1159,8 @@ TEST_F(CheckpointStoreTest, StrayFilesAreIgnored) {
   EXPECT_EQ(recovery.stats().restored_seq, 3u);
   EXPECT_EQ(recovery.stats().quarantines, 0u);
   EXPECT_TRUE(std::filesystem::is_directory(dir_ / "ckpt-00000042.usnap"));
+  EXPECT_TRUE(std::filesystem::exists(dir_ / "ckpt-00000099.usnap.tmp"))
+      << "a foreign file is left alone";
 }
 
 TEST_F(CheckpointStoreTest, StoreWritesAreTimedApartFromEncodeAndRestore) {
@@ -1052,7 +1169,7 @@ TEST_F(CheckpointStoreTest, StoreWritesAreTimedApartFromEncodeAndRestore) {
   write_checkpoints(source, store, 2);
   const sim::Kernel::SnapshotStats& written = source.kernel.stats().snapshot;
   EXPECT_EQ(written.encodes, 2u);
-  EXPECT_GT(written.store_wall_ns, 0u) << "the write, rename and prune are timed";
+  EXPECT_GT(written.store_wall_ns, 0u) << "creating and appending to the chain are timed";
 
   FullRig restored(*machine_);
   CheckpointStore recovery(config());
@@ -1074,7 +1191,7 @@ TEST_F(CheckpointStoreTest, UnchangedChainIsDecodedOnceForTwoRestores) {
   write_checkpoints(source, store, 5);
 
   // One store restores the same untouched chain into two rigs: the second
-  // restore reads and checks every rung again but reuses the decode.
+  // restore reads and checks the chain again but reuses the decode.
   CheckpointStore recovery(config());
   FullRig first(*machine_);
   support::DiagnosticSink sink;
@@ -1104,6 +1221,7 @@ TEST_F(CheckpointStoreTest, UnchangedChainIsDecodedOnceForTwoRestores) {
   ASSERT_TRUE(recovery.checkpoint(second.targets(), next, sink)) << sink.str();
   EXPECT_EQ(next.seq, 6u);
   EXPECT_FALSE(next.delta) << "a restore starts a new chain";
+  EXPECT_EQ(next.path, dir_ / "ckpt-00000006.usnap");
   second.run();
   expect_same_outcome(second, reference, reference_log);
 }
@@ -1127,13 +1245,35 @@ TEST_F(CheckpointStoreTest, RungWrittenAfterARestoreIsTheNextRestore) {
   write_checkpoints(resumed, recovery, 1, /*first=*/5);
 
   FullRig restored(*machine_);
+  const std::uint64_t held_reads = recovery.stats().held_reads;
   ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
   EXPECT_EQ(recovery.stats().restored_seq, 6u);
   EXPECT_EQ(recovery.stats().reused_decodes, 0u);
+  EXPECT_EQ(recovery.stats().held_reads, held_reads + 1)
+      << "read through the descriptor of the chain it appended to";
   EXPECT_EQ(restored.kernel.now(), resumed.kernel.now());
   EXPECT_EQ(restored.ticks, resumed.ticks);
   restored.run();
   expect_same_outcome(restored, reference, reference_log);
+}
+
+// A rewind numbers the chain it starts next above every rung on disk, the
+// rungs above its target included, though it reads none of them.
+TEST_F(CheckpointStoreTest, ChainStartedAfterARewindIsNumberedAboveEveryRung) {
+  FullRig source(*machine_);
+  CheckpointStore store(config(/*full_interval=*/8));
+  write_checkpoints(source, store, 5);
+
+  CheckpointStore recovery(config(8));
+  FullRig rewound(*machine_);
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(recovery.restore_to(2, rewound.targets(), sink)) << sink.str();
+  ASSERT_EQ(recovery.stats().restored_seq, 2u);
+  CheckpointStore::WriteResult next;
+  ASSERT_TRUE(recovery.checkpoint(rewound.targets(), next, sink)) << sink.str();
+  EXPECT_EQ(next.seq, 6u);
+  EXPECT_FALSE(next.delta);
+  EXPECT_EQ(chain_files(dir_).size(), 2u);
 }
 
 TEST_F(CheckpointStoreTest, LadderRewrittenUnderTheSameSeqsIsDecodedAfresh) {
@@ -1150,12 +1290,13 @@ TEST_F(CheckpointStoreTest, LadderRewrittenUnderTheSameSeqsIsDecodedAfresh) {
   ASSERT_TRUE(recovery.restore_latest_good(first.targets(), sink)) << sink.str();
   ASSERT_EQ(recovery.stats().restored_seq, 5u);
 
-  // Another writer that never restored numbers from 1 again: it replaces
-  // seqs 1..5, chain 4..5 included, with savepoints taken 20ns later.
+  // Another writer that never restored numbers from 1 again: it rewrites
+  // chains 1 and 4 in place, chain 4..5 included, with savepoints taken
+  // 20ns later.
   FullRig later(*machine_);
   CheckpointStore rewriter(config());
   write_checkpoints(later, rewriter, 5, /*first=*/1);
-  ASSERT_EQ(snapshot_files(dir_).size(), 5u);
+  ASSERT_EQ(chain_files(dir_).size(), 2u);
 
   FullRig restored(*machine_);
   ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
@@ -1199,17 +1340,55 @@ TEST_F(CheckpointStoreTest, RestoreToARungInsideTheRememberedChain) {
   expect_same_outcome(rewound, reference, reference_log);
 }
 
+// restore_to(seq) splits a chain only up to `seq`. A rung right above it,
+// torn so short that not even its seq reads, is neither judged nor cut.
+TEST_F(CheckpointStoreTest, RestoreToLeavesATornRungAboveItsTargetByteIdentical) {
+  FullRig source(*machine_);
+  CheckpointStore store(config(/*full_interval=*/8));
+  write_checkpoints(source, store, 5);
+  const std::filesystem::path chain = dir_ / "ckpt-00000001.usnap";
+  std::vector<std::string> rungs = rungs_of(chain);
+  ASSERT_EQ(rungs.size(), 5u);
+  rungs.back().resize(20);  // Less than a header.
+  ASSERT_TRUE(write_chain(chain, rungs));
+  std::string torn;
+  ASSERT_TRUE(read_file(chain, torn));
+
+  CheckpointStore recovery(config(8));
+  support::DiagnosticSink sink;
+  for (const std::uint64_t target : {4u, 5u}) {
+    FullRig rewound(*machine_);
+    ASSERT_TRUE(recovery.restore_to(target, rewound.targets(), sink)) << sink.str();
+    EXPECT_EQ(recovery.stats().restored_seq, 4u) << "restore_to(" << target << ")";
+    std::string after;
+    ASSERT_TRUE(read_file(chain, after));
+    EXPECT_EQ(after, torn) << "restore_to(" << target << ") changed the chain";
+  }
+  EXPECT_EQ(recovery.stats().quarantines, 0u);
+
+  // The newest-good restore is the one that cuts it off.
+  FullRig latest(*machine_);
+  ASSERT_TRUE(recovery.restore_latest_good(latest.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().restored_seq, 4u);
+  ASSERT_EQ(recovery.quarantined().size(), 1u);
+  EXPECT_NE(recovery.quarantined().front().reason.find("the rung after 4: "), std::string::npos)
+      << recovery.quarantined().front().reason;
+  EXPECT_EQ(std::filesystem::file_size(chain), torn.size() - 20);
+}
+
 TEST_F(CheckpointStoreTest, RungRecreatedUnderItsNameIsReopened) {
   FullRig reference(*machine_);
   reference.run();
   const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
 
-  FullRig source(*machine_);
-  CheckpointStore store(config(/*full_interval=*/8));
-  write_checkpoints(source, store, 5);
+  {
+    FullRig source(*machine_);
+    CheckpointStore store(config(/*full_interval=*/8));
+    write_checkpoints(source, store, 5);
+  }
 
-  // The first restore opens the five rungs of chain 1..5 by name and holds
-  // them; the second reads all five through the held descriptors.
+  // The first restore opens chain 1..5 by name and holds it; the second
+  // reads it through the held descriptor.
   CheckpointStore recovery(config(8));
   support::DiagnosticSink sink;
   FullRig first(*machine_);
@@ -1217,42 +1396,45 @@ TEST_F(CheckpointStoreTest, RungRecreatedUnderItsNameIsReopened) {
   EXPECT_EQ(recovery.stats().held_reads, 0u);
   FullRig second(*machine_);
   ASSERT_TRUE(recovery.restore_latest_good(second.targets(), sink)) << sink.str();
-  EXPECT_EQ(recovery.stats().held_reads, 5u);
+  EXPECT_EQ(recovery.stats().held_reads, 1u);
   EXPECT_EQ(recovery.stats().reused_decodes, 1u);
 
-  // Rung 3 is recreated under its name with the same bytes: a new file,
-  // renamed over the old one. The store must open the name again, not read
-  // the file it holds (which no name links to any more).
-  const std::filesystem::path rung_3 = snapshot_files(dir_)[2];
-  const std::uint64_t old_inode = inode_of(rung_3);
+  // The chain file is recreated under its name with the same bytes: a new
+  // file, renamed over the old one. The store must open the name again,
+  // not read the file it holds (which no name links to any more).
+  const std::filesystem::path chain = chain_files(dir_).front();
+  const std::uint64_t old_inode = inode_of(chain);
   std::string bytes;
-  ASSERT_TRUE(read_file(rung_3, bytes));
-  const std::filesystem::path copy = rung_3.string() + ".copy";
+  ASSERT_TRUE(read_file(chain, bytes));
+  const std::filesystem::path copy = chain.string() + ".copy";
   ASSERT_TRUE(write_file(copy, bytes));
-  std::filesystem::rename(copy, rung_3);
-  ASSERT_NE(inode_of(rung_3), old_inode) << "the held descriptor pins the old inode";
+  std::filesystem::rename(copy, chain);
+  ASSERT_NE(inode_of(chain), old_inode) << "the held descriptor pins the old inode";
 
   FullRig third(*machine_);
   ASSERT_TRUE(recovery.restore_latest_good(third.targets(), sink)) << sink.str();
-  EXPECT_EQ(recovery.stats().held_reads, 5u + 4u) << "rung 3 is opened by name";
+  EXPECT_EQ(recovery.stats().held_reads, 1u) << "the chain is opened by name";
   EXPECT_EQ(recovery.stats().reused_decodes, 2u) << "the bytes read are the same";
   EXPECT_EQ(recovery.stats().restored_seq, 5u);
+  EXPECT_EQ(descriptors_on_dead_chains(), std::vector<std::string>{})
+      << "the old file's descriptor is closed";
   third.run();
   expect_same_outcome(third, reference, reference_log);
 
   // The new file's descriptor is held from then on.
   FullRig fourth(*machine_);
   ASSERT_TRUE(recovery.restore_latest_good(fourth.targets(), sink)) << sink.str();
-  EXPECT_EQ(recovery.stats().held_reads, 9u + 5u);
+  EXPECT_EQ(recovery.stats().held_reads, 2u);
   fourth.run();
   expect_same_outcome(fourth, reference, reference_log);
 }
 
 TEST_F(CheckpointStoreTest, StoreHoldsAtMostOneChainOfDescriptors) {
-  FullRig source(*machine_);
-  CheckpointStore store(config(/*full_interval=*/8));
-  write_checkpoints(source, store, 5);
-
+  {
+    FullRig source(*machine_);
+    CheckpointStore store(config(/*full_interval=*/8));
+    write_checkpoints(source, store, 5);
+  }
   const std::size_t before = open_descriptor_links().size();
   {
     CheckpointStore recovery(config(8));
@@ -1260,21 +1442,27 @@ TEST_F(CheckpointStoreTest, StoreHoldsAtMostOneChainOfDescriptors) {
     for (int restore = 0; restore < 6; ++restore) {
       FullRig restored(*machine_);
       ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
-      EXPECT_LE(open_descriptor_links().size(), before + 5) << "chain 1..5 has five rungs";
+      EXPECT_LE(open_descriptor_links().size(), before + 1) << "one chain file, one descriptor";
     }
-    EXPECT_EQ(recovery.stats().held_reads, 5u * 5u);
-    // Rewinding to rung 3 keeps rungs 1..3 open and closes 4 and 5.
+    EXPECT_EQ(recovery.stats().held_reads, 5u);
+    // Rewinding to rung 3 reads the same file through the same descriptor.
     FullRig rewound(*machine_);
     ASSERT_TRUE(recovery.restore_to(3, rewound.targets(), sink)) << sink.str();
-    EXPECT_LE(open_descriptor_links().size(), before + 3);
+    EXPECT_LE(open_descriptor_links().size(), before + 1);
+    EXPECT_EQ(recovery.stats().held_reads, 6u);
+    // Writing swaps the restored chain's descriptor for the new chain's.
+    write_checkpoints(rewound, recovery, 2, /*first=*/3);
+    EXPECT_LE(open_descriptor_links().size(), before + 1);
   }
-  EXPECT_EQ(open_descriptor_links().size(), before) << "the destructor closes them all";
+  EXPECT_EQ(open_descriptor_links().size(), before) << "the destructor closes it";
 }
 
 TEST_F(CheckpointStoreTest, PrunedRungLeavesNoDescriptorOpen) {
-  FullRig source(*machine_);
-  CheckpointStore store(config());
-  write_checkpoints(source, store, 5);
+  {
+    FullRig source(*machine_);
+    CheckpointStore store(config());
+    write_checkpoints(source, store, 5);
+  }
 
   // The store that restored chain 4..5 writes on until its rotation
   // deletes that chain.
@@ -1284,14 +1472,14 @@ TEST_F(CheckpointStoreTest, PrunedRungLeavesNoDescriptorOpen) {
   ASSERT_TRUE(recovery.restore_latest_good(resumed.targets(), sink)) << sink.str();
   write_checkpoints(resumed, recovery, 4, /*first=*/5);
   ASSERT_GT(recovery.stats().pruned, 0u);
-  ASSERT_FALSE(std::filesystem::exists(dir_ / "ckpt-00000005.usnap"));
-  EXPECT_EQ(descriptors_on_dead_rungs(), std::vector<std::string>{});
+  ASSERT_FALSE(std::filesystem::exists(dir_ / "ckpt-00000004.usnap"));
+  EXPECT_EQ(descriptors_on_dead_chains(), std::vector<std::string>{});
 }
 
-/// Faults in the middle of a chain. Two chains (fulls at seq 1 and 5,
+/// Faults in the middle of a chain. Two chain files (bases at seq 1 and 5,
 /// full_interval 4); the newest chain's second delta, seq 7, is damaged.
-/// The ladder must blame seq 7 itself when it is present, quarantine the
-/// delta that chains to it, and restore seq 6, which continues
+/// The ladder must blame seq 7 itself when it is present, cut it and the
+/// delta that chains to it off the file, and restore seq 6, which continues
 /// bit-identically.
 class CheckpointStoreMidChainTest : public CheckpointStoreTest {
  protected:
@@ -1300,37 +1488,42 @@ class CheckpointStoreMidChainTest : public CheckpointStoreTest {
     FullRig source(*machine_);
     CheckpointStore store(config(/*full_interval=*/4));
     write_checkpoints(source, store, 8);
-    files_ = snapshot_files(dir_);
-    ASSERT_EQ(files_.size(), 8u);
+    ASSERT_EQ(chain_files(dir_).size(), 2u);
+    rungs_ = rungs_of(chain_5());
+    ASSERT_EQ(rungs_.size(), 4u);
   }
 
-  [[nodiscard]] const std::filesystem::path& rung(std::uint64_t seq) const {
-    return files_[seq - 1];
+  [[nodiscard]] std::filesystem::path chain_5() const { return dir_ / "ckpt-00000005.usnap"; }
+
+  /// Rewrites chain 5 in place with rung `seq` replaced by `bytes`.
+  void replace_rung(std::uint64_t seq, const std::string& bytes) {
+    std::vector<std::string> rungs = rungs_;
+    rungs[seq - 5] = bytes;
+    ASSERT_TRUE(write_chain(chain_5(), rungs));
   }
 
-  /// Restores through a fresh store and expects exactly `quarantined` —
-  /// (seq, reason substring) in ladder order — and a restore of seq 6.
-  void expect_ladder(const std::vector<std::pair<std::uint64_t, std::string>>& quarantined) {
+  /// Restores through a fresh store and expects exactly one quarantine of
+  /// chain 5, for a reason containing `reason`, and a restore of seq 6.
+  void expect_ladder(const std::string& reason) {
     CheckpointStore recovery(config(4));
-    expect_ladder(recovery, quarantined);
+    expect_ladder(recovery, reason);
   }
 
-  /// The same through `recovery`, which may have restored before.
-  void expect_ladder(CheckpointStore& recovery,
-                     const std::vector<std::pair<std::uint64_t, std::string>>& quarantined) {
+  /// The same through `recovery`, which may have restored before. The cut
+  /// leaves rungs 5 and 6 in the file.
+  void expect_ladder(CheckpointStore& recovery, const std::string& reason) {
     FullRig reference(*machine_);
     reference.run();
     FullRig restored(*machine_);
     support::DiagnosticSink sink;
     ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
-    ASSERT_EQ(recovery.quarantined().size(), quarantined.size()) << sink.str();
-    for (std::size_t i = 0; i < quarantined.size(); ++i) {
-      const CheckpointStore::QuarantineRecord& record = recovery.quarantined()[i];
-      EXPECT_EQ(record.path, rung(quarantined[i].first));
-      EXPECT_NE(record.reason.find(quarantined[i].second), std::string::npos) << record.reason;
-    }
-    EXPECT_EQ(recovery.stats().quarantines, quarantined.size());
+    ASSERT_EQ(recovery.quarantined().size(), 1u) << sink.str();
+    const CheckpointStore::QuarantineRecord& record = recovery.quarantined().front();
+    EXPECT_EQ(record.path, chain_5());
+    EXPECT_NE(record.reason.find(reason), std::string::npos) << record.reason;
+    EXPECT_EQ(recovery.stats().quarantines, 1u);
     EXPECT_EQ(recovery.stats().restored_seq, 6u);
+    EXPECT_EQ(std::filesystem::file_size(chain_5()), rungs_[0].size() + rungs_[1].size());
     restored.run();
     expect_same_outcome(restored, reference, reference.recorder.log());
   }
@@ -1345,13 +1538,12 @@ class CheckpointStoreMidChainTest : public CheckpointStoreTest {
     ASSERT_EQ(recovery.stats().quarantines, 0u);
   }
 
-  /// Flips a bit of rung 7's last payload byte before the trailer, in
+  /// Flips a bit of rung `seq`'s last payload byte before the trailer, in
   /// place: only its frame checksum can notice.
-  void flip_payload_bit_of_rung_7() {
-    std::string bytes;
-    ASSERT_TRUE(read_file(rung(7), bytes));
+  void flip_payload_bit_of_rung(std::uint64_t seq) {
+    std::string bytes = rungs_[seq - 5];
     bytes[bytes.size() - kBinaryTrailer.size() - 1] ^= 0x04;
-    ASSERT_TRUE(write_file(rung(7), bytes));
+    replace_rung(seq, bytes);
   }
 
   /// Overwrites rung 7 with the seq 7 of a rig that ran exactly as ours but
@@ -1367,25 +1559,22 @@ class CheckpointStoreMidChainTest : public CheckpointStoreTest {
     write_checkpoints(other, foreign_store, 5);
     other.health.set_health(other.dma_unit, sim::UnitHealth::kDegraded);
     write_checkpoints(other, foreign_store, 2, /*first=*/5);
-    const std::filesystem::path theirs = snapshot_files(foreign.directory)[6];
-    std::string bytes;
-    std::string ours;
-    ASSERT_TRUE(read_file(theirs, bytes));
-    ASSERT_TRUE(read_file(rung(7), ours));
-    ASSERT_EQ(bytes.size(), ours.size());
-    ASSERT_EQ(bytes.substr(0, kHeaderHashedBytes + 8), ours.substr(0, kHeaderHashedBytes + 8))
+    const std::string theirs = rungs_of(foreign.directory / "ckpt-00000005.usnap")[2];
+    const std::string& ours = rungs_[2];
+    ASSERT_EQ(theirs.size(), ours.size());
+    ASSERT_EQ(theirs.substr(0, kHeaderHashedBytes + 8), ours.substr(0, kHeaderHashedBytes + 8))
         << "same header";
-    ASSERT_NE(bytes, ours);
-    ASSERT_TRUE(write_file(rung(7), bytes));
+    ASSERT_NE(theirs, ours);
+    replace_rung(7, theirs);
   }
 
-  std::vector<std::filesystem::path> files_;
+  std::vector<std::string> rungs_;  ///< Chain 5 as written: rungs 5..8.
 };
 
 TEST_F(CheckpointStoreMidChainTest, BitFlipInAFrameQuarantinesTheDeltaAndItsDependent) {
-  flip_payload_bit_of_rung_7();
-  expect_ladder({{7, "section checksum mismatch in <bank name='memory'>"},
-                 {8, "delta 8 needs base checkpoint 7, which is missing"}});
+  flip_payload_bit_of_rung(7);
+  expect_ladder(
+      "rung 7: error: binary-snapshot: section checksum mismatch in <bank name='memory'>");
 }
 
 TEST_F(CheckpointStoreMidChainTest, ForeignDeltaIsCaughtByItsReferenceChecksums) {
@@ -1405,11 +1594,8 @@ TEST_F(CheckpointStoreMidChainTest, ForeignDeltaIsCaughtByItsReferenceChecksums)
   ASSERT_TRUE(foreign_store.checkpoint(other.targets(), result, sink)) << sink.str();
   ASSERT_EQ(result.seq, 7u);
   ASSERT_TRUE(result.delta);
-  std::string bytes;
-  ASSERT_TRUE(read_file(result.path, bytes));
-  ASSERT_TRUE(write_file(rung(7), bytes));
-  expect_ladder({{7, "reference checksum mismatch in <kernel>"},
-                 {8, "delta 8 needs base checkpoint 7, which is missing"}});
+  replace_rung(7, rungs_of(result.path).back());
+  expect_ladder("rung 7: error: binary-snapshot: reference checksum mismatch in <kernel>");
 }
 
 // The same damage landing after a store has restored the chain: the store's
@@ -1418,9 +1604,8 @@ TEST_F(CheckpointStoreMidChainTest, ForeignDeltaIsCaughtByItsReferenceChecksums)
 TEST_F(CheckpointStoreMidChainTest, BitFlipAfterARestoreBypassesTheRememberedDecode) {
   CheckpointStore recovery(config(4));
   restore_undamaged(recovery);
-  flip_payload_bit_of_rung_7();
-  expect_ladder(recovery, {{7, "section checksum mismatch in <bank name='memory'>"},
-                           {8, "delta 8 needs base checkpoint 7, which is missing"}});
+  flip_payload_bit_of_rung(7);
+  expect_ladder(recovery, "section checksum mismatch in <bank name='memory'>");
   EXPECT_EQ(recovery.stats().restores, 2u);
   EXPECT_EQ(recovery.stats().reused_decodes, 0u);
 }
@@ -1429,24 +1614,33 @@ TEST_F(CheckpointStoreMidChainTest, SameSizeForeignDeltaAfterARestoreBypassesThe
   CheckpointStore recovery(config(4));
   restore_undamaged(recovery);
   write_same_size_foreign_rung_7();
-  expect_ladder(recovery, {{7, "reference checksum mismatch in <health name='health'>"},
-                           {8, "delta 8 needs base checkpoint 7, which is missing"}});
+  expect_ladder(recovery, "reference checksum mismatch in <health name='health'>");
   EXPECT_EQ(recovery.stats().restores, 2u);
   EXPECT_EQ(recovery.stats().reused_decodes, 0u);
 }
 
+// A bad base sets its whole file aside, and the store lets go of the
+// descriptor it held on it.
 TEST_F(CheckpointStoreMidChainTest, QuarantinedRungLeavesNoDescriptorOpen) {
   CheckpointStore recovery(config(4));
   restore_undamaged(recovery);
-  flip_payload_bit_of_rung_7();
-  expect_ladder(recovery, {{7, "section checksum mismatch in <bank name='memory'>"},
-                           {8, "delta 8 needs base checkpoint 7, which is missing"}});
-  EXPECT_EQ(descriptors_on_dead_rungs(), std::vector<std::string>{});
+  flip_payload_bit_of_rung(5);
+  FullRig restored(*machine_);
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().restored_seq, 4u);
+  ASSERT_EQ(recovery.quarantined().size(), 1u);
+  EXPECT_NE(recovery.quarantined().front().reason.find("rung 5: "), std::string::npos)
+      << recovery.quarantined().front().reason;
+  EXPECT_TRUE(std::filesystem::exists(chain_5().string() + ".quarantined"));
+  EXPECT_EQ(chain_files(dir_).size(), 1u);
+  EXPECT_EQ(descriptors_on_dead_chains(), std::vector<std::string>{});
 }
 
 TEST_F(CheckpointStoreMidChainTest, MissingDeltaQuarantinesTheDeltaThatNeedsIt) {
-  ASSERT_TRUE(std::filesystem::remove(rung(7)));
-  expect_ladder({{8, "delta 8 needs base checkpoint 7, which is missing"}});
+  ASSERT_TRUE(write_chain(chain_5(), {rungs_[0], rungs_[1], rungs_[3]}));
+  expect_ladder(
+      "rung 8: error: binary-snapshot: chain break: delta 8 expects base 7, chain holds 6");
 }
 
 }  // namespace

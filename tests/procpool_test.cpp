@@ -6,8 +6,8 @@
 // worker-death matrix against real forked workers (SIGKILL mid-seed,
 // nonzero exit, heartbeat silence via SIGSTOP, per-seed watchdog timeout,
 // poisoned-seed quarantine), determinism parity between a chaos-killed
-// process fleet and an in-process jobs=1 run, and the CheckpointStore's
-// concurrent-worker hygiene (pid-scoped tmp names, stray-tmp sweep).
+// process fleet and an in-process jobs=1 run, and a CheckpointStore chain
+// that a killed writer left with its newest rung half appended.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -496,7 +495,7 @@ TEST(ProcPool, TemplateSweepAssignsByIndexInBothIsolationModes) {
             FleetReport::aggregate(process_outcomes).fingerprint());
 }
 
-// --- CheckpointStore concurrent-worker hygiene ---------------------------------
+// --- CheckpointStore after a killed writer -------------------------------------
 
 class TempDir {
  public:
@@ -517,7 +516,11 @@ class TempDir {
   std::filesystem::path root_;
 };
 
-TEST(CheckpointStoreProcess, TmpFilesArePidScoped) {
+// A writer killed mid-append leaves its newest rung half on disk. A fault
+// plan that tears every write stands in for the kill: the rung lands cut
+// short, as a SIGKILL mid-write leaves it. The chain's rungs before it
+// still restore, and the reader cuts the torn rung off the file.
+TEST(CheckpointStoreProcess, HalfAppendedRungStillRestoresTheChainsPrefix) {
   TempDir dir;
   sim::Kernel kernel;
   replay::SnapshotTargets targets;
@@ -525,92 +528,26 @@ TEST(CheckpointStoreProcess, TmpFilesArePidScoped) {
   replay::CheckpointStoreConfig config;
   config.directory = dir.path();
   config.prefix = "pool";
-  replay::CheckpointStore store(config);
-  // A drop-rate-1 plan models a crash before the rename on every write:
-  // the tmp file is written but never lands.
-  sim::FaultPlan plan(7);
-  sim::FaultPlan::SiteConfig site;
-  site.drop_rate = 1.0;
-  plan.configure(sim::FaultSite::kCheckpoint, site);
-  store.install_fault_plan(&plan);
-  replay::CheckpointStore::WriteResult result;
+  const std::filesystem::path chain = dir.path() / "pool-00000001.usnap";
   support::DiagnosticSink sink;
-  ASSERT_TRUE(store.checkpoint(targets, result, sink)) << sink.str();
-  EXPECT_TRUE(result.lost);
-  const std::string marker = "." + std::to_string(::getpid()) + ".tmp";
-  bool found = false;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > marker.size() &&
-        name.compare(name.size() - marker.size(), marker.size(), marker) == 0) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found) << "stray tmp must carry the writer pid in its name";
-}
-
-TEST(CheckpointStoreProcess, OpenSweepsStrayTmpsButNotForeignFiles) {
-  TempDir dir;
-  // 999999999 exceeds the Linux pid_max ceiling, so the embedded writer pid
-  // is guaranteed dead and the tmp reads as a stray.
-  const std::filesystem::path stray = dir.path() / "pool-00000001.usnap.999999999.tmp";
-  const std::filesystem::path legacy = dir.path() / "pool-00000002.usnap.tmp";
-  const std::filesystem::path foreign = dir.path() / "other-00000001.usnap.tmp";
-  std::ofstream(stray) << "half a checkpoint";
-  std::ofstream(legacy) << "older tmp convention";
-  std::ofstream(foreign) << "someone else's prefix";
-  replay::CheckpointStoreConfig config;
-  config.directory = dir.path();
-  config.prefix = "pool";
-  replay::CheckpointStore store(config);
-  EXPECT_FALSE(std::filesystem::exists(stray));
-  EXPECT_FALSE(std::filesystem::exists(legacy));
-  EXPECT_TRUE(std::filesystem::exists(foreign))
-      << "a different prefix belongs to a different store";
-  EXPECT_EQ(store.stats().tmp_swept, 2u);
-}
-
-TEST(CheckpointStoreProcess, SweepSparesLiveWritersInFlightTmp) {
-  // The sweep must not race a still-running concurrent writer: a tmp whose
-  // embedded pid is alive is an in-flight checkpoint, and deleting it would
-  // fail that writer's rename — the exact predecessor-teardown race the
-  // pid-scoped tmp names were introduced to tolerate. Our own pid stands in
-  // for the live sibling.
-  TempDir dir;
-  const std::filesystem::path inflight =
-      dir.path() /
-      ("pool-00000001.usnap." + std::to_string(::getpid()) + ".tmp");
-  const std::filesystem::path orphaned = dir.path() / "pool-00000002.usnap.999999999.tmp";
-  std::ofstream(inflight) << "concurrent writer, mid-checkpoint";
-  std::ofstream(orphaned) << "writer long dead";
-  replay::CheckpointStoreConfig config;
-  config.directory = dir.path();
-  config.prefix = "pool";
-  replay::CheckpointStore store(config);
-  EXPECT_TRUE(std::filesystem::exists(inflight))
-      << "a live writer's in-flight tmp must survive the sweep";
-  EXPECT_FALSE(std::filesystem::exists(orphaned));
-  EXPECT_EQ(store.stats().tmp_swept, 1u);
-}
-
-TEST(CheckpointStoreProcess, SweptDirectoryStillRestores) {
-  TempDir dir;
-  sim::Kernel kernel;
-  replay::SnapshotTargets targets;
-  targets.kernel = &kernel;
-  replay::CheckpointStoreConfig config;
-  config.directory = dir.path();
-  config.prefix = "pool";
-  support::DiagnosticSink sink;
+  std::uintmax_t base_bytes = 0;
   {
     replay::CheckpointStore writer(config);
     replay::CheckpointStore::WriteResult result;
     ASSERT_TRUE(writer.checkpoint(targets, result, sink)) << sink.str();
-    // Simulate a successor's in-flight write that died mid-stream.
-    std::ofstream(dir.path() / "pool-00000002.usnap.999999999.tmp") << "torn";
+    base_bytes = result.bytes;
+    sim::FaultPlan tear(7);
+    sim::FaultPlan::SiteConfig site;
+    site.error_rate = 1.0;
+    tear.configure(sim::FaultSite::kCheckpoint, site);
+    writer.install_fault_plan(&tear);
+    ASSERT_TRUE(writer.checkpoint(targets, result, sink)) << sink.str();
+    EXPECT_TRUE(result.torn);
+    EXPECT_TRUE(result.delta);
+    EXPECT_EQ(result.path, chain) << "a delta is appended to its base's file";
   }
+  ASSERT_GT(std::filesystem::file_size(chain), base_bytes);
   replay::CheckpointStore reader(config);
-  EXPECT_EQ(reader.stats().tmp_swept, 1u);
   sim::Kernel fresh;
   replay::SnapshotTargets restore_targets;
   restore_targets.kernel = &fresh;
@@ -618,6 +555,8 @@ TEST(CheckpointStoreProcess, SweptDirectoryStillRestores) {
   EXPECT_TRUE(reader.restore_latest_good(restore_targets, restore_sink))
       << restore_sink.str();
   EXPECT_EQ(reader.stats().restored_seq, 1u);
+  EXPECT_EQ(reader.stats().quarantines, 1u);
+  EXPECT_EQ(std::filesystem::file_size(chain), base_bytes) << "the torn rung is cut off";
 }
 
 }  // namespace

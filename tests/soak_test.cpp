@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fleet/report.hpp"
+#include "sim/fault.hpp"
 #include "soak/soak.hpp"
 #include "support/checksum.hpp"
 
@@ -81,7 +82,10 @@ TEST(Soak, TwinsReplayWithoutWriting) {
 
 // A seed re-dispatched after its worker died resumes from the handoff rung
 // the dead worker left in `seed-N/handoff`. The predecessor is built the
-// way the soak builds every rig, so its rung restores into the soak's.
+// way the soak builds every rig, so its rung restores into the soak's. It
+// was killed while appending its save-point rung after its t=0 base (a
+// plan that tears every write cuts that rung short, as the kill would), so
+// the successor resumes from the base, seq 1.
 TEST(Soak, RedispatchedSeedResumesFromItsPredecessorsHandoffRung) {
   Model model;
   support::DiagnosticSink sink;
@@ -96,18 +100,30 @@ TEST(Soak, RedispatchedSeedResumesFromItsPredecessorsHandoffRung) {
   replay::CheckpointStoreConfig handoff;
   handoff.directory = scratch.path() / "seed-1000" / "handoff";
   handoff.prefix = "handoff";
+  handoff.full_interval = 2;
   {
     DegradedRig predecessor(model, kSoakTemplates[0], job.seed, sink, handoff);
     predecessor.start();
     replay::CheckpointStore::WriteResult written;
     ASSERT_TRUE(predecessor.store.checkpoint(predecessor.targets(), written, sink))
         << sink.str();
+    const std::uintmax_t base_bytes = written.bytes;
+    sim::FaultPlan kill(job.seed);
+    sim::FaultPlan::SiteConfig mid_write;
+    mid_write.error_rate = 1.0;
+    kill.configure(sim::FaultSite::kCheckpoint, mid_write);
+    predecessor.store.install_fault_plan(&kill);
+    ASSERT_TRUE(predecessor.store.checkpoint(predecessor.targets(), written, sink))
+        << sink.str();
+    ASSERT_TRUE(written.torn);
+    ASSERT_TRUE(written.delta) << "the save point is appended to the base's chain";
+    ASSERT_GT(std::filesystem::file_size(written.path), base_bytes);
   }
 
   job.attempt = 1;
   const fleet::RigOutcome resumed = run_seed(model, job, scratch.path());
   EXPECT_TRUE(resumed.ok) << resumed.failure;
-  EXPECT_GT(resumed.resumed_from_seq, 0u);
+  EXPECT_EQ(resumed.resumed_from_seq, 1u);
   EXPECT_TRUE(resumed.deterministic_equal(fresh));
   EXPECT_TRUE(std::filesystem::is_empty(scratch.path()));
 }
@@ -167,7 +183,7 @@ TEST(Soak, FingerprintIsPinned) {
   }
   const fleet::FleetReport report = fleet::FleetReport::aggregate(outcomes);
   EXPECT_EQ(report.rigs_ok, 8u);
-  EXPECT_EQ(support::xxh64(report.fingerprint()), 0xbf3311dee90e0d1fULL);
+  EXPECT_EQ(support::xxh64(report.fingerprint()), 0xb9ee8cb31fc0dba7ULL);
 }
 
 }  // namespace
